@@ -1,84 +1,72 @@
 """Distributed execution planners for ``Catalog.sql`` (S9).
 
-Five rewrites, tried in this order by the catalog (every one falls back
-to the streaming path on any gate failure, so a pushdown can never
-change a result):
+Tried in this order by the catalog (any gate failure falls back to the
+streaming path, so a pushdown can never change a result):
 
-* ``plan_stats_answer`` — no-WHERE count/min/max answered from manifest
-  STATS alone (zero stripes decoded).
+* ``plan_stats_answer`` — no-WHERE count/min/max from manifest STATS.
 * ``plan_aggregate_pushdown`` — single-table decomposable aggregates
   (incl. HAVING): per-batch partials on the workers, driver merges.
-* ``plan_topk_pushdown`` — single-table ORDER BY ... LIMIT n: per-batch
-  local top-n, driver re-sorts <= n rows per block.
-* ``plan_join_aggregate`` / ``plan_join_topk`` — two-table inner
-  equi-join feeding either shape: broadcast small side, per-batch
-  Acero join + partial (or local top-n) in ONE worker stage.
-* ``plan_join_prefilter`` — remaining inner equi-joins: the small
-  side's distinct keys filter the big scan worker-side (semi-join
-  reduction) before batches stream to the query node.
+* ``plan_topk_pushdown`` — single-table ORDER BY ... LIMIT n.
+* ``plan_join_aggregate`` / ``plan_join_topk`` — either shape over a
+  two-table inner equi-join: broadcast small side, per-batch Acero
+  join + partial (or local top-n) in ONE worker stage.
+* ``plan_join_prefilter`` — other inner equi-joins: the small side's
+  distinct keys filter the big scan worker-side (semi-join reduction).
 
-The streaming SQL surface funnels every (projected, filtered) row through
-the node running the query. For the single most common analytic shape —
-
-    SELECT <exprs over group cols + count/sum/min/max/avg calls>
-    FROM <one table> [WHERE row-local] [GROUP BY cols]
-    [HAVING <agg predicate>] [ORDER BY select aliases] [LIMIT n]
-
-— the aggregation is decomposable, so this planner rewrites it into a
-PARTIAL query that runs inside ``map_batches`` on every decoded batch
+Each partial runs inside ``map_batches`` on every decoded batch
 (per-worker DuckDB over the Arrow batch: full SQL expression semantics,
-no row ever leaves its worker unaggregated) and a FINAL merge query the
-driver runs over the partial stream only:
+no row leaves its worker unaggregated); the FINAL merge runs on the
+driver over the partial stream only:
 
     count(*)/count(e) ->  partial count,        final CAST(sum(p) AS BIGINT)
     sum(e)            ->  partial sum,          final sum(p)
     min(e)/max(e)     ->  partial min/max,      final min/max(p)
     avg(e)            ->  partial sum+count,    final sum(ps)/sum(pc)
 
-Scalar wrappers around aggregate calls (round(sum(x), 2), arithmetic,
-CASE inside the argument) stay where SQL evaluates them anyway: row-local
-argument expressions run in the partial, post-aggregate wrappers in the
-final. Group-key volume is the only data that reaches the driver, so a
-low-cardinality GROUP BY over a trillion rows ships kilobytes. (A
-high-cardinality GROUP BY degrades to today's behavior — partials about
-as large as the input — never worse.)
+Row-local argument expressions run in the partial, post-aggregate
+wrappers (round(sum(x), 2), arithmetic) in the final, so only group-key
+volume reaches the driver — the Ray-Data-native equivalent of the
+partial/final aggregate split datafusion-orc inherits from DataFusion.
+
+Every planner reads DuckDB's own parse tree (``json_serialize_sql``,
+parsed once per query text) and writes its rewrites as edits of that
+tree, rendered back to SQL with ``json_deserialize_sql``; no query text
+is scanned by hand, so string literals and quoted identifiers can never
+be mistaken for syntax.
 
 Soundness gates (any failure -> ``None`` -> the caller falls back to the
-streaming path, so pushdown can never change a result):
-* single registered table, plain ``FROM name``; no JOIN / subquery /
-  DISTINCT / window / set ops (keyword + ``(select`` scan); HAVING is
-  supported since r5 — it filters GROUPS, so it rewrites onto the
-  FINAL merge (aggregate calls become merge expressions over extra
-  partial columns) while every group still reaches the merge
-* only whitelisted aggregate functions; aggregate select items must be
-  aliased (``AS x``) so output names match the unpushed execution
-* GROUP BY lists bare columns of the table; ORDER BY references only
-  select aliases, group columns, or positions
+streaming path, as does text that does not parse):
+* one select node; set operations, CTEs, subqueries, samples and joins
+  other than a plain INNER join are refused; the partial-splitting
+  planners also refuse windows, QUALIFY and DISTINCT (the modifier and
+  ``f(DISTINCT x)``)
+* single table: ``FROM`` is the bare table name (no alias / schema)
+* aggregates are the count/count_star/sum/min/max/avg function nodes;
+  any other aggregate function (per DuckDB's catalog) refuses, since its
+  merge over partials would differ. Aggregate select items must be
+  aliased so output names match the unpushed execution. HAVING filters
+  GROUPS, so it rewrites onto the FINAL merge
+* GROUP BY lists bare columns of the table (one grouping set); ORDER BY
+  references only select aliases, group columns, positions and
+  operators over them; LIMIT is an integer literal without OFFSET
 * both rewritten queries must BIND in DuckDB (partial against the real
-  table schema, final against the partial schema) — catches qualified
-  names, unknown identifiers, and anything the scanner missed
+  table schema, final against the partial schema)
 * float caveat: partial sums re-associate floating-point addition, so
   sum/avg over non-integer-valued doubles can differ from single-node
   execution in the last ulp (exact for integers and integer-valued
   doubles under 2^53).
-
-The reference's SQL layer inherits DataFusion's own partial/final
-aggregate split (datafusion-orc delegates to DataFusion physical plans);
-this is the Ray-Data-native equivalent of that split.
 """
 
 from __future__ import annotations
 
-import re
+import itertools
+import json
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
-_FORBIDDEN = re.compile(
-    r"(?i)\b(join|distinct|over|union|except|intersect|with|exists|"
-    r"qualify|sample|using|natural|cross|values|unnest|lateral)\b"
-)
-_SUBQUERY = re.compile(r"(?i)\(\s*select\b")
-_AGG_CALL = re.compile(r"(?i)\b(count|sum|min|max|avg)\s*\(")
-_ORDER_KEYWORDS = {"asc", "desc", "nulls", "first", "last"}
+_AGGS = ("count", "count_star", "sum", "min", "max", "avg")
+_LOCK = threading.Lock()  # DuckDB connections are not thread-safe
 
 
 @dataclass
@@ -88,262 +76,272 @@ class AggPlan:
     final_sql: str  # FROM __partials
 
 
-def _find_clauses(q: str) -> list[tuple[str, int, int]] | None:
-    """Top-level (keyword, kw_start, text_start) spans, scanning outside
-    string literals and parentheses. Returns None on unbalanced input."""
-    spans: list[tuple[str, int, int]] = []
-    depth = 0
-    in_str = False
-    i, n = 0, len(q)
-    while i < n:
-        ch = q[i]
-        if in_str:
-            if ch == "'":
-                in_str = False
-            i += 1
-            continue
-        if ch == "'":
-            in_str = True
-            i += 1
-            continue
-        if ch == "(":
-            depth += 1
-            i += 1
-            continue
-        if ch == ")":
-            depth -= 1
-            if depth < 0:
-                return None
-            i += 1
-            continue
-        if depth == 0 and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < n and (q[j].isalnum() or q[j] == "_"):
-                j += 1
-            word = q[i:j].lower()
-            if word in ("group", "order"):
-                m = re.match(r"(?i)\s+by\b", q[j:])
-                if m:
-                    spans.append((word + " by", i, j + m.end()))
-                    i = j + m.end()
-                    continue
-            elif word in ("from", "where", "having", "limit"):
-                spans.append((word, i, j))
-            i = j
-            continue
-        i += 1
-    if depth != 0 or in_str:
+class _Refuse(Exception):
+    """A gate failed: the planner returns None."""
+
+
+def _need(ok) -> None:
+    if not ok:
+        raise _Refuse
+
+
+@lru_cache(maxsize=1)
+def _connection():
+    """One in-process connection for parsing and rendering: opening one
+    per call would cost milliseconds each time."""
+    import duckdb
+
+    return duckdb.connect()
+
+
+def _duck(sql: str, *args):
+    with _LOCK:
+        return _connection().execute(sql, list(args)).fetchall()
+
+
+@lru_cache(maxsize=512)
+def _serialized(query: str) -> str:
+    # parse errors come back as {"error": true, ...}, never raised
+    return _duck("SELECT json_serialize_sql(?::VARCHAR)", query)[0][0]
+
+
+@lru_cache(maxsize=1)
+def _aggregate_names() -> frozenset:
+    sql = "SELECT function_name FROM duckdb_functions() WHERE function_type = 'aggregate'"
+    return frozenset(r[0] for r in _duck(sql))
+
+
+def parse(query: str) -> dict | None:
+    """DuckDB's parse tree of ``query`` when it is exactly one statement
+    (a fresh copy the caller may edit), else None."""
+    tree = json.loads(_serialized(query))
+    if tree.get("error") or len(tree["statements"]) != 1:
         return None
-    return spans
+    return tree["statements"][0]["node"]
 
 
-def _split_top_commas(s: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    in_str = False
-    cur = 0
-    for i, ch in enumerate(s):
-        if in_str:
-            if ch == "'":
-                in_str = False
-        elif ch == "'":
-            in_str = True
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(s[cur:i])
-            cur = i + 1
-    parts.append(s[cur:])
-    return parts
+def render(node: dict) -> str:
+    """SQL text of an (edited) select node."""
+    doc = json.dumps({"error": False, "statements": [{"node": node}]})
+    return _duck("SELECT json_deserialize_sql(?::VARCHAR)", doc)[0][0]
 
 
-def _balanced_close(s: str, open_idx: int) -> int | None:
-    """Index of the ')' matching the '(' at open_idx, string-aware."""
-    depth = 0
-    in_str = False
-    for i in range(open_idx, len(s)):
-        ch = s[i]
-        if in_str:
-            if ch == "'":
-                in_str = False
-        elif ch == "'":
-            in_str = True
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i
+def nodes(tree):
+    """Every dict node of a parse tree, parents before children."""
+    stack = [tree]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            yield x
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+
+
+def table_names(tree) -> set[str]:
+    return {n["table_name"] for n in nodes(tree) if n.get("type") == "BASE_TABLE"}
+
+
+def _map(x, fn):
+    """Copy of ``x`` with every dict node for which ``fn`` returns a
+    value replaced by that value (its children are not visited)."""
+    if isinstance(x, dict):
+        got = fn(x)
+        if got is not None:
+            return got
+        return {k: _map(v, fn) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_map(v, fn) for v in x]
+    return x
+
+
+def column_name(e: dict) -> str | None:
+    """Column name of an unqualified column reference, else None."""
+    if e.get("class") == "COLUMN_REF" and len(e["column_names"]) == 1:
+        return e["column_names"][0]
     return None
 
 
-def _rewrite_item(item: str, state: dict) -> str | None:
-    """Replace every outermost aggregate call in ``item`` with its merge
-    expression, appending the matching partial expressions to
-    ``state['partials']``. Returns the rewritten item or None (unsupported
-    aggregate shape)."""
-    out: list[str] = []
-    i = 0
+def literal(e: dict | None):
+    """Python value of a plain integer, decimal or string literal, else
+    None."""
+    if not e or e.get("class") != "CONSTANT" or e["value"]["is_null"]:
+        return None
+    kind, v = e["value"]["type"], e["value"]["value"]
+    if kind["id"] in ("INTEGER", "BIGINT", "VARCHAR"):
+        return v
+    if kind["id"] == "DECIMAL" and isinstance(v, int):
+        return v / 10 ** kind["type_info"]["scale"]
+    return None
 
-    def _in_string(pos: int) -> bool:
-        # odd number of quotes before pos = inside a '...' literal
-        # ('' escapes count as two quotes and keep the parity correct)
-        return item.count("'", 0, pos) % 2 == 1
 
-    while True:
-        m = _AGG_CALL.search(item, i)
-        if not m:
-            out.append(item[i:])
-            break
-        if _in_string(m.start()):
-            # aggregate-LOOKING text inside a string literal ('sum(x)'):
-            # rewriting it would silently corrupt the selected value
-            out.append(item[i : m.end()])
-            i = m.end()
-            continue
-        open_idx = m.end() - 1
-        close = _balanced_close(item, open_idx)
-        if close is None:
+def _expr(sql: str, alias: str = "") -> dict:
+    return dict(parse("SELECT " + sql)["select_list"][0], alias=alias)
+
+
+def _column(name: str) -> dict:
+    return {"class": "COLUMN_REF", "type": "COLUMN_REF", "alias": "", "column_names": [name]}
+
+
+def _base_table(name: str) -> dict:
+    return {
+        "type": "BASE_TABLE", "alias": "", "sample": None, "schema_name": "",
+        "table_name": name, "column_name_alias": [], "catalog_name": "",
+    }
+
+
+def _is_agg(n: dict) -> bool:
+    return n.get("class") == "FUNCTION" and n["function_name"] in _aggregate_names()
+
+
+def refused(node: dict, split: bool = True) -> bool:
+    """True for shapes no planner accepts: set operations, CTEs,
+    subqueries, pivots, samples and joins other than plain INNER ones (a
+    table could be read twice, reshaped or outer-joined). With
+    ``split``, also what a per-batch partial cannot reproduce: windows,
+    QUALIFY, DISTINCT."""
+    for n in nodes(node):
+        if (
+            n.get("type") in ("SET_OPERATION_NODE", "SUBQUERY", "PIVOT")
+            or (n.get("cte_map") or {}).get("map")
+            or n.get("join_type", "INNER") != "INNER"
+            or n.get("ref_type", "REGULAR") not in ("REGULAR", "CROSS")
+            or n.get("sample")
+            or split
+            and (
+                n.get("class") == "WINDOW"
+                or n.get("type") == "DISTINCT_MODIFIER"
+                or n.get("distinct") is True
+                or n.get("qualify")
+            )
+        ):
+            return True
+    return False
+
+
+def _single(node: dict, table: str) -> None:
+    t = node.get("from_table") or {}
+    _need(
+        node.get("type") == "SELECT_NODE"
+        and t.get("type") == "BASE_TABLE"
+        and t["table_name"] == table
+        and not (t["alias"] or t["schema_name"] or t["catalog_name"])
+        and node["aggregate_handling"] == "STANDARD_HANDLING"
+        and not refused(node)
+    )
+
+
+def _modifiers(node: dict):
+    """(ORDER BY items, LIMIT n or None); any other modifier refuses."""
+    orders, limit = [], None
+    for m in node["modifiers"]:
+        if m["type"] == "ORDER_MODIFIER":
+            orders = m["orders"]
+        elif m["type"] == "LIMIT_MODIFIER" and m["offset"] is None:
+            limit = literal(m["limit"])
+            _need(isinstance(limit, int) and limit >= 0)
+        else:
+            raise _Refuse
+    return orders, limit
+
+
+def _attempt(fn, query: str, *args):
+    """``fn(tree, *args)``, or None when the query does not parse or a
+    gate refuses it."""
+    import duckdb
+
+    node = parse(query)
+    if node is None:
+        return None
+    try:
+        return fn(node, *args)
+    except (_Refuse, duckdb.Error):  # duckdb.Error: a tree render refused
+        return None
+
+
+def _aggregate(node: dict, table: str, schema) -> AggPlan:
+    _single(node, table)
+    orders, _ = _modifiers(node)
+    groups = node["group_expressions"]
+    group_cols = [column_name(g) for g in groups]
+    _need(
+        all(c in schema.names for c in group_cols)
+        and node["group_sets"] in ([], [list(range(len(groups)))])
+    )
+    partials: list[dict] = []
+    ids = itertools.count()
+
+    def merge(e: dict) -> dict | None:
+        """An aggregate call -> its merge expression over new partial
+        columns (appended to ``partials``); None for other nodes."""
+        if not _is_agg(e):
             return None
-        fn = m.group(1).lower()
-        # nested aggregates inside ``arg`` are invalid SQL; the partial
-        # query would carry them verbatim and fail the binder check
-        arg = item[open_idx + 1 : close]
-        k = state["n"]
-        state["n"] += 1
-        p = f"__p{k}"
-        if fn == "count":
-            state["partials"].append(f"count({arg}) AS {p}")
+        fn = e["function_name"]
+        _need(fn in _AGGS and not e["schema"])
+        p = f"__p{next(ids)}"
+        if fn == "avg":
+            partials.append(dict(e, alias=f"{p}_s", function_name="sum"))
+            partials.append(dict(e, alias=f"{p}_c", function_name="count"))
+            return _expr(f"(CAST(sum({p}_s) AS DOUBLE) / sum({p}_c))", e["alias"])
+        partials.append(dict(e, alias=p))
+        if fn.startswith("count"):
             # COALESCE: zero partial batches (fully pruned / empty scan)
             # must merge to count's 0, not sum's NULL
-            merge = f"COALESCE(CAST(sum({p}) AS BIGINT), 0)"
-        elif fn in ("sum", "min", "max"):
-            state["partials"].append(f"{fn}({arg}) AS {p}")
-            merge = f"{fn}({p})"
-        else:  # avg
-            if arg.strip() == "*":
-                return None
-            state["partials"].append(f"sum({arg}) AS {p}_s")
-            state["partials"].append(f"count({arg}) AS {p}_c")
-            merge = f"(CAST(sum({p}_s) AS DOUBLE) / sum({p}_c))"
-        out.append(item[i : m.start()])
-        out.append(merge)
-        i = close + 1
-    return "".join(out)
+            return _expr(f"COALESCE(CAST(sum({p}) AS BIGINT), 0)", e["alias"])
+        return _expr(f"{fn}({p})", e["alias"])
+
+    items: list[dict] = []
+    names = {c.lower() for c in group_cols}
+    shadowing: set[str] = set()  # alias == a real column, item != that column
+    for item in node["select_list"]:
+        _need(not any(n.get("class") == "STAR" for n in nodes(item)))
+        alias = item["alias"]
+        if alias in schema.names and column_name(item) != alias:
+            shadowing.add(alias.lower())
+        n_partials = len(partials)
+        items.append(_map(item, merge))
+        if len(partials) > n_partials:
+            _need(alias)  # output name must survive the rewrite
+        if alias or column_name(item):
+            names.add((alias or column_name(item)).lower())
+    _need(partials)  # plain projection: the streaming path is already right
+    having = node["having"]
+    if having is not None:
+        # HAVING filters GROUPS, so it belongs entirely to the FINAL
+        # merge; the partial stays a plain pre-aggregation — every group
+        # must reach the merge or a batch-local HAVING would drop groups
+        # that pass globally. A bare reference to an alias shadowing a
+        # real column is a binder ERROR on the streaming path but would
+        # bind to the alias over __partials: the pushdown must not turn
+        # an error into rows.
+        _need(not any((column_name(n) or "").lower() in shadowing for n in nodes(having)))
+        having = _map(having, merge)
+    for o in orders:
+        for n in nodes(o["expression"]):
+            _need(
+                "class" not in n
+                or n["class"] == "CONSTANT"
+                or n["class"] == "FUNCTION" and n["is_operator"]
+                or (column_name(n) or "").lower() in names
+            )
+    partial = dict(
+        node, select_list=[*groups, *partials], from_table=_base_table("__batch"),
+        having=None, modifiers=[],
+    )
+    final = dict(
+        node, select_list=items, from_table=_base_table("__partials"),
+        where_clause=None, having=having,
+    )
+    partial_sql, final_sql = render(partial), render(final)
+    _need(_binds(partial_sql, "__batch", schema, final_sql))
+    return AggPlan(table=table, partial_sql=partial_sql, final_sql=final_sql)
 
 
 def plan_aggregate_pushdown(query: str, table: str, schema) -> AggPlan | None:
     """Build the partial/final rewrite for ``query`` over ``table`` with
     Arrow ``schema``, or None when the shape is unsupported. Includes the
     DuckDB binder validation of both rewritten queries."""
-    q = query.strip().rstrip(";").strip()
-    if _FORBIDDEN.search(q) or _SUBQUERY.search(q):
-        return None
-    m = re.match(r"(?is)^select\s+(.*)$", q)
-    if not m:
-        return None
-    body_start = len(q) - len(m.group(1))
-    spans = _find_clauses(q)
-    if spans is None:
-        return None
-    spans = [s for s in spans if s[1] >= body_start]
-    order = [s[0] for s in spans]
-    expected = [
-        k
-        for k in ("from", "where", "group by", "having", "order by", "limit")
-        if k in order
-    ]
-    if order != expected or "from" not in order:
-        return None
-    ends = [s[1] for s in spans] + [len(q)]
-    texts: dict[str, str] = {}
-    for idx, (kw, kw_start, text_start) in enumerate(spans):
-        texts[kw] = q[text_start : ends[idx + 1]].strip()
-    select_text = q[body_start : spans[0][1]].strip()
-    fm = re.match(r"^(\w+)$", texts["from"])
-    if not fm or fm.group(1) != table:
-        return None
-    group_cols: list[str] = []
-    if "group by" in texts:
-        for g in _split_top_commas(texts["group by"]):
-            g = g.strip()
-            if not re.match(r"^\w+$", g) or g not in schema.names:
-                return None
-            group_cols.append(g)
-    state: dict = {"n": 0, "partials": []}
-    final_items: list[str] = []
-    aliases: list[str] = []
-    shadowing: set[str] = set()  # alias == a real column, item != that column
-    saw_agg = False
-    for item in _split_top_commas(select_text):
-        item = item.strip()
-        if not item or "*" in re.sub(r"(?i)count\s*\(\s*\*\s*\)", "count()", item):
-            return None
-        has_agg = bool(_AGG_CALL.search(item))
-        am = re.search(r"(?is)\s+as\s+(\w+)\s*$", item)
-        if am and am.group(1) in schema.names and item[: am.start()].strip() != am.group(1):
-            shadowing.add(am.group(1).lower())
-        if has_agg:
-            saw_agg = True
-            if not am:
-                return None  # output name must survive the rewrite
-            aliases.append(am.group(1))
-            rewritten = _rewrite_item(item, state)
-            if rewritten is None:
-                return None
-            final_items.append(rewritten)
-        else:
-            aliases.append(am.group(1) if am else item)
-            final_items.append(item)
-    if not saw_agg:
-        return None  # plain projection: the streaming path is already right
-    having_merged: str | None = None
-    if "having" in texts:
-        # HAVING filters GROUPS, so it belongs entirely to the FINAL
-        # merge: rewrite its aggregate calls to merge expressions over
-        # partial columns (extending state BEFORE partial_sql is built),
-        # leave group-col references as-is. The partial stays a plain
-        # pre-aggregation — every group must reach the merge or a
-        # batch-local HAVING would drop groups that pass globally.
-        # alias-shadowing veto (r5 review #4): when an aggregate alias
-        # shadows a real column, a bare reference in HAVING is a binder
-        # ERROR on the streaming path but would bind to the alias over
-        # __partials — the pushdown must not turn an error into rows
-        if shadowing and any(
-            tok.lower() in shadowing
-            for tok in re.findall(r"[A-Za-z_]\w*", texts["having"])
-        ):
-            return None
-        having_merged = _rewrite_item(texts["having"], state)
-        if having_merged is None:
-            return None
-    partial_sql = (
-        "SELECT "
-        + ", ".join(group_cols + state["partials"])
-        + " FROM __batch"
-        + (f" WHERE {texts['where']}" if "where" in texts else "")
-        + (" GROUP BY " + ", ".join(group_cols) if group_cols else "")
-    )
-    final_sql = "SELECT " + ", ".join(final_items) + " FROM __partials"
-    if group_cols:
-        final_sql += " GROUP BY " + ", ".join(group_cols)
-    if having_merged is not None:
-        final_sql += " HAVING " + having_merged
-    if "order by" in texts:
-        ident_ok = set(a.lower() for a in aliases) | set(c.lower() for c in group_cols)
-        for tok in re.findall(r"[A-Za-z_]\w*", texts["order by"]):
-            if tok.lower() not in ident_ok | _ORDER_KEYWORDS:
-                return None
-        final_sql += " ORDER BY " + texts["order by"]
-    if "limit" in texts:
-        if not re.match(r"^\d+$", texts["limit"]):
-            return None
-        final_sql += " LIMIT " + texts["limit"]
-    if not _binds(partial_sql, "__batch", schema, final_sql):
-        return None
-    return AggPlan(table=table, partial_sql=partial_sql, final_sql=final_sql)
+    return _attempt(_aggregate, query, table, schema)
 
 
 _TICKS_PER_DAY = {
@@ -369,30 +367,37 @@ def _epoch_convert(v: int, src_unit: str, dst_unit: str) -> int | None:
     return q if r == 0 else None
 
 
-def stats_answer_may_match(query: str) -> bool:
-    """Cheap textual pre-check for plan_stats_answer's shape, so callers
-    can skip the manifest load entirely for queries that can never be
-    stats-answered (r5 review finding #4: Catalog.sql paid a full
-    100k-entry manifest parse on every filtered query just to have the
-    planner's regex reject it)."""
-    q = query.strip().rstrip(";").strip()
-    return (
-        re.match(r"(?is)^select\s+.*?\s+from\s+\w+\s*$", q) is not None
-        and not _FORBIDDEN.search(q)
-        and not _SUBQUERY.search(q)
-        and re.search(r"(?i)\b(where|group\s+by|order\s+by|limit)\b", q) is None
-        and re.search(r"(?i)\b(count|min|max)\s*\(", q) is not None
-    )
+def _stats_calls(node: dict, table: str) -> list[tuple[str, str, str]]:
+    _single(node, table)
+    for clause in ("where_clause", "group_expressions", "having", "modifiers"):
+        _need(not node[clause])
+    calls = []
+    for item in node["select_list"]:
+        fn = item.get("function_name") if item.get("class") == "FUNCTION" else None
+        args = item.get("children", [])
+        if fn == "count_star" and not args:
+            col = "*"
+        else:
+            _need(fn in ("count", "min", "max") and len(args) == 1 and column_name(args[0]))
+            col = column_name(args[0])
+        _need(item["alias"] and item["filter"] is None and not item["schema"])
+        calls.append((fn.replace("count_star", "count"), col, item["alias"]))
+    return calls
+
+
+def stats_calls(query: str, table: str) -> list[tuple[str, str, str]] | None:
+    """(function, column or '*', alias) per select item when ``query`` is
+    ``SELECT count/min/max(col) AS a, ... FROM table`` with nothing else,
+    else None — the shape plan_stats_answer answers, checked before any
+    manifest is loaded."""
+    return _attempt(_stats_calls, query, table) or None
 
 
 def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
-    """Answer ``SELECT count(*)/count(col)/min(col)/max(col) [AS a], ...
-    FROM t`` (no WHERE / GROUP BY / anything else) from MANIFEST STATS
-    alone — zero stripes decoded, zero tasks launched; at 100-TB corpus
-    sizes this is the difference between a metadata lookup and a full
-    scan. Returns the one-row pyarrow.Table or None (shape unsupported /
-    stats insufficient — caller falls back, so this can never change a
-    result).
+    """Answer ``SELECT count(*)/count(col)/min(col)/max(col) AS a, ...
+    FROM t`` (nothing else) from MANIFEST STATS alone — zero stripes
+    decoded, zero tasks launched. Returns the one-row pyarrow.Table or
+    None (shape unsupported / stats insufficient — caller falls back).
 
     Soundness: manifest min/max are EXACT when stored under ``min``/
     ``max`` (``*_bound`` keys are truncation bounds — refused);
@@ -403,58 +408,36 @@ def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
     contribute nothing (SQL min/max ignore NULL); an all-null column
     yields NULL. Output types are pinned by binding the original query
     against an empty table, so count is BIGINT and min/max keep the
-    column's exact type."""
+    column's exact type. A manifest entry without a row count raises."""
     import duckdb
     import pyarrow as pa
 
-    q = query.strip().rstrip(";").strip()
-    if _FORBIDDEN.search(q) or _SUBQUERY.search(q):
-        return None
-    m = re.match(r"(?is)^select\s+(.*?)\s+from\s+(\w+)\s*$", q)
-    if not m or m.group(2) != table:
-        return None
-    calls: list[tuple[str, str, str]] = []  # (fn, col_or_*, alias)
-    for item in _split_top_commas(m.group(1)):
-        im = re.match(
-            r"(?is)^\s*(count|min|max)\s*\(\s*(\*|\w+)\s*\)\s+as\s+(\w+)\s*$",
-            item,
-        )
-        if not im:
-            return None
-        fn, col, alias = im.group(1).lower(), im.group(2), im.group(3)
-        if col != "*" and col not in schema.names:
-            return None
-        if fn in ("min", "max") and col == "*":
-            return None
-        calls.append((fn, col, alias))
+    from .. import stripe as stripe_mod
+
+    calls = stats_calls(query, table)
     if not calls or not entries:
+        return None
+    if any(col != "*" and col not in schema.names for _, col, _ in calls):
         return None
     if len({a for _, _, a in calls}) != len(calls):
         return None  # duplicate output names: the values map would conflate them
 
-    import json
+    per_stripe = [  # {col -> stats} per stripe
+        {c["path"]: c.get("stats", {}) for c in json.loads(e.get("columns_json", "[]"))}
+        for e in entries
+    ]
 
-    per_stripe = []  # {col -> stats} per stripe
-    for e in entries:
-        per_stripe.append(
-            {c["path"]: c.get("stats", {}) for c in json.loads(e.get("columns_json", "[]"))}
-        )
-
-    def col_type_ok(col: str) -> bool:
-        t = schema.field(col).type
-        return (
-            pa.types.is_integer(t)
-            or pa.types.is_string(t)
-            or pa.types.is_large_string(t)
-            or pa.types.is_timestamp(t)
-            or pa.types.is_date(t)
-        )
+    def n_rows(e: dict) -> int:
+        n = e.get("n_rows", e.get("rows"))
+        if n is None:
+            raise ValueError(f"manifest entry for stripe {e.get('path')!r} has no row count")
+        return int(n)
 
     try:
         values: dict[str, object] = {}
         for fn, col, alias in calls:
             if fn == "count" and col == "*":
-                values[alias] = sum(int(e.get("n_rows", e.get("rows"))) for e in entries)
+                values[alias] = sum(n_rows(e) for e in entries)
                 continue
             stats = [s.get(col) for s in per_stripe]
             if any(st is None or "n" not in st or "null_count" not in st for st in stats):
@@ -462,15 +445,15 @@ def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
             if fn == "count":
                 values[alias] = sum(int(st["n"]) - int(st["null_count"]) for st in stats)
                 continue
-            if not col_type_ok(col):
-                return None
             t = schema.field(col).type
-            if pa.types.is_timestamp(t) or pa.types.is_date(t):
+            temporal = pa.types.is_timestamp(t) or pa.types.is_date(t)
+            if not (temporal or pa.types.is_integer(t) or pa.types.is_string(t)
+                    or pa.types.is_large_string(t)):
+                return None
+            if temporal:
                 # temporal stats are raw epoch ints in the STRIPE's own
                 # unit: a unit drifting from the merged schema's would
                 # cast to a wrong instant — require exact agreement
-                from .. import stripe as stripe_mod
-
                 want_unit = stripe_mod._temporal_unit(t)
                 if any(st.get("temporal_unit") != want_unit for st in stats):
                     return None
@@ -487,11 +470,9 @@ def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
         con = duckdb.connect()
         try:
             con.register(table, schema.empty_table())
-            out_schema = con.sql(q).fetch_arrow_table().schema
+            out_schema = con.sql(query).fetch_arrow_table().schema
         finally:
             con.close()
-        from .. import stripe as stripe_mod
-
         alias_col = {alias: col for _, col, alias in calls}
         cols = []
         for field in out_schema:
@@ -499,11 +480,9 @@ def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
             if isinstance(v, int) and (
                 pa.types.is_timestamp(field.type) or pa.types.is_date(field.type)
             ):
-                # epoch ints are in the COLUMN's unit; DuckDB may bind
-                # the OUTPUT in a different one (ms timestamp -> us,
-                # date64 -> date32). Convert exactly or refuse — casting
-                # the raw int into the wrong unit silently shifts the
-                # instant (r5 review finding #1).
+                # epoch ints are in the COLUMN's unit; DuckDB may bind the
+                # OUTPUT in another (ms timestamp -> us, date64 -> date32):
+                # convert exactly or refuse (r5 review finding #1)
                 src_unit = stripe_mod._temporal_unit(
                     schema.field(alias_col[field.name]).type
                 )
@@ -517,11 +496,68 @@ def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
                 src = None
             cols.append(pa.array([v], src).cast(field.type))
         return pa.table(cols, schema=out_schema)
-    except Exception:
-        return None  # any conversion surprise -> decode path answers it
+    except (duckdb.Error, pa.ArrowException, KeyError, TypeError):
+        return None  # a binder or conversion surprise: the decode path answers
 
 
 _TOPK_MAX_LIMIT = 100_000  # beyond this, n rows/batch of partials stop being "small"
+
+
+def _topk(node: dict, table: str, schema) -> AggPlan:
+    _single(node, table)
+    orders, limit = _modifiers(node)
+    _need(orders and limit is not None and limit <= _TOPK_MAX_LIMIT)
+    _need(not node["group_expressions"] and node["having"] is None)
+    select = node["select_list"]
+    shadowing: set[str] = set()  # alias == a real column, item != that column
+    star = select[0] if len(select) == 1 else {}
+    if star.get("class") == "STAR" and not (
+        star["relation_name"] or star["exclude_list"] or star["replace_list"]
+        or star["columns"]
+    ):
+        out_names = list(schema.names)
+    else:
+        out_names = []
+        for item in select:
+            _need(not any(n.get("class") == "STAR" or _is_agg(n) for n in nodes(item)))
+            alias = item["alias"]
+            # an unaliased expression's output name would not survive
+            _need(alias or column_name(item))
+            out_names.append(alias or column_name(item))
+            if alias in schema.names and column_name(item) != alias:
+                shadowing.add(alias.lower())
+    _need(not any(n.lower().startswith("__ob") for n in out_names))
+
+    keys, sort = [], []
+    for i, o in enumerate(orders):
+        e = o["expression"]
+        _need(not any(_is_agg(n) for n in nodes(e)))
+        pos = literal(e)
+        if isinstance(pos, int):  # positional: ORDER BY 2
+            _need(1 <= pos <= len(out_names))
+            e = _column(out_names[pos - 1])
+        # an identifier naming BOTH a select alias (of a non-trivial
+        # expression) and a real column is ambiguous: ORDER BY prefers
+        # the alias but the partial's select-list reference may bind the
+        # base column — silently different sort keys. Veto.
+        _need(not any((column_name(n) or "").lower() in shadowing for n in nodes(e)))
+        keys.append(dict(e, alias=f"__ob{i}"))
+        sort.append(dict(o, expression=_column(f"__ob{i}")))
+    modifiers = [
+        dict(m, orders=sort) if m["type"] == "ORDER_MODIFIER" else m
+        for m in node["modifiers"]
+    ]
+    partial = dict(
+        node, select_list=[*select, *keys], from_table=_base_table("__batch"),
+        modifiers=modifiers,
+    )
+    final = dict(
+        node, select_list=[_column(n) for n in out_names],
+        from_table=_base_table("__partials"), where_clause=None, modifiers=modifiers,
+    )
+    partial_sql, final_sql = render(partial), render(final)
+    _need(_binds(partial_sql, "__batch", schema, final_sql))
+    return AggPlan(table=table, partial_sql=partial_sql, final_sql=final_sql)
 
 
 def plan_topk_pushdown(query: str, table: str, schema) -> AggPlan | None:
@@ -532,121 +568,55 @@ def plan_topk_pushdown(query: str, table: str, schema) -> AggPlan | None:
     into a partial that keeps only each batch's local top-n (every order
     expression aliased ``__ob{i}`` so the merge can re-sort partials
     that don't select their order keys) and a final that re-sorts the
-    <= n * n_batches partial rows. Only k rows per block reach the
-    driver instead of every decoded row — the Ray-native analogue of
-    DataFusion's SortExec fetch pushdown (the reference inherits
-    TopK/limit pushdown through DataFusion physical plans).
+    <= n * n_batches partial rows — DataFusion's SortExec fetch
+    pushdown analogue.
 
-    Soundness gates mirror plan_aggregate_pushdown (single plain table,
-    no JOIN/DISTINCT/window/subquery, both rewrites must bind); plus:
-    no aggregate calls (that's the aggregate planner's shape), ORDER BY
-    and LIMIT both present, LIMIT <= 100k, non-aliased select items must
-    be bare columns (output names must survive the rewrite), integer
-    ORDER BY positions resolve to the matching select item. Ties beyond
-    position n are broken by which batch reached the merge — the same
-    unspecified-order freedom single-node SQL has; use a unique
-    tie-break key for fully deterministic results."""
-    q = query.strip().rstrip(";").strip()
-    if _FORBIDDEN.search(q) or _SUBQUERY.search(q):
-        return None
-    m = re.match(r"(?is)^select\s+(.*)$", q)
-    if not m:
-        return None
-    body_start = len(q) - len(m.group(1))
-    spans = _find_clauses(q)
-    if spans is None:
-        return None
-    spans = [s for s in spans if s[1] >= body_start]
-    order = [s[0] for s in spans]
-    expected = [k for k in ("from", "where", "order by", "limit") if k in order]
-    if order != expected or not {"from", "order by", "limit"} <= set(order):
-        return None
-    ends = [s[1] for s in spans] + [len(q)]
-    texts: dict[str, str] = {}
-    for idx, (kw, kw_start, text_start) in enumerate(spans):
-        texts[kw] = q[text_start : ends[idx + 1]].strip()
-    select_text = q[body_start : spans[0][1]].strip()
-    fm = re.match(r"^(\w+)$", texts["from"])
-    if not fm or fm.group(1) != table:
-        return None
-    if not re.match(r"^\d+$", texts["limit"]) or int(texts["limit"]) > _TOPK_MAX_LIMIT:
-        return None
+    Gates beyond plan_aggregate_pushdown's: no aggregate calls, ORDER BY
+    and LIMIT both present, LIMIT <= 100k, non-aliased select items are
+    bare columns, integer ORDER BY positions resolve to the matching
+    select item. Ties beyond position n are broken by which batch
+    reached the merge — the unspecified-order freedom single-node SQL
+    has; use a unique tie-break key for deterministic results."""
+    return _attempt(_topk, query, table, schema)
 
-    # output column names (the final projects these out of __partials)
-    shadowing: set[str] = set()  # alias == a real column, item != that column
-    if select_text == "*":
-        out_names = list(schema.names)
+
+def _join_keys(node: dict, schemas: dict) -> tuple[str, str, str, str]:
+    _need(node.get("type") == "SELECT_NODE" and not refused(node, split=False))
+    j = node["from_table"]
+    _need(j["type"] == "JOIN" and j["ref_type"] == "REGULAR")
+    sides = (j["left"], j["right"])
+    _need(all(
+        s["type"] == "BASE_TABLE" and not (s["schema_name"] or s["catalog_name"])
+        for s in sides
+    ))
+    t1, t2 = (s["table_name"] for s in sides)
+    _need(t1 in schemas and t2 in schemas and t1 != t2)
+    owners = {t1: t1, t2: t2}
+    owners.update({s["alias"]: s["table_name"] for s in sides if s["alias"]})
+
+    def resolve(ref: dict) -> tuple[str, str]:
+        _need(ref.get("class") == "COLUMN_REF" and len(ref["column_names"]) <= 2)
+        *owner, col = ref["column_names"]
+        if owner:
+            table = owners.get(owner[0])
+            _need(table is not None and col in schemas[table].names)
+            return table, col
+        hits = [t for t in (t1, t2) if col in schemas[t].names]
+        _need(len(hits) == 1)
+        return hits[0], col
+
+    if j["using_columns"]:
+        _need(len(j["using_columns"]) == 1)
+        (ta, ka), (tb, kb) = ((t, j["using_columns"][0]) for t in (t1, t2))
+        _need(ka in schemas[ta].names and kb in schemas[tb].names)
     else:
-        out_names = []
-        for item in _split_top_commas(select_text):
-            item = item.strip()
-            if not item or "*" in item or _AGG_CALL.search(item):
-                return None
-            am = re.search(r"(?is)\s+as\s+(\w+)\s*$", item)
-            if am:
-                out_names.append(am.group(1))
-                if am.group(1) in schema.names and item[: am.start()].strip() != am.group(1):
-                    shadowing.add(am.group(1).lower())
-            elif re.match(r"^\w+$", item):
-                out_names.append(item)
-            else:
-                return None  # unaliased expression: output name wouldn't survive
-
-    # ORDER BY items -> (expr, suffix); positions resolve to select items
-    ob_exprs: list[tuple[str, str]] = []
-    for item in _split_top_commas(texts["order by"]):
-        im = re.match(
-            r"(?is)^\s*(.*?)(\s+(?:asc|desc))?(\s+nulls\s+(?:first|last))?\s*$", item
-        )
-        expr = im.group(1).strip()
-        suffix = (im.group(2) or "") + (im.group(3) or "")
-        if not expr or _AGG_CALL.search(expr):
-            return None
-        if re.match(r"^\d+$", expr):  # positional: ORDER BY 2
-            pos = int(expr)
-            if not 1 <= pos <= len(out_names):
-                return None
-            expr = out_names[pos - 1]
-        # an identifier naming BOTH a select alias (of a non-trivial
-        # expression) and a real column is ambiguous: ORDER BY prefers
-        # the alias but the partial's select-list reference may bind the
-        # base column — silently different sort keys. Veto.
-        if shadowing and any(
-            tok.lower() in shadowing for tok in re.findall(r"[A-Za-z_]\w*", expr)
-        ):
-            return None
-        ob_exprs.append((expr, suffix))
-
-    limit = texts["limit"]
-    partial_sql = (
-        "SELECT "
-        + select_text
-        + ", "
-        + ", ".join(f"{e} AS __ob{i}" for i, (e, _) in enumerate(ob_exprs))
-        + " FROM __batch"
-        + (f" WHERE {texts['where']}" if "where" in texts else "")
-        + " ORDER BY "
-        + ", ".join(f"__ob{i}{sfx}" for i, (_, sfx) in enumerate(ob_exprs))
-        + f" LIMIT {limit}"
-    )
-    final_sql = (
-        "SELECT "
-        + ", ".join(out_names)
-        + " FROM __partials ORDER BY "
-        + ", ".join(f"__ob{i}{sfx}" for i, (_, sfx) in enumerate(ob_exprs))
-        + f" LIMIT {limit}"
-    )
-    if any(n.lower().startswith("__ob") for n in out_names):
-        return None  # collision with the synthetic order-key aliases
-    if not _binds(partial_sql, "__batch", schema, final_sql):
-        return None
-    return AggPlan(table=table, partial_sql=partial_sql, final_sql=final_sql)
-
-
-_JOIN_FORBIDDEN = re.compile(
-    r"(?i)\b(left|right|full|outer|cross|natural|semi|anti|lateral|with|"
-    r"union|except|intersect|values|unnest|exists|qualify|sample)\b"
-)
+        c = j["condition"] or {}
+        _need(c.get("type") == "COMPARE_EQUAL")
+        (ta, ka), (tb, kb) = resolve(c["left"]), resolve(c["right"])
+        _need(ta != tb)
+    # the mask compares the two key columns directly: types must agree
+    _need(schemas[ta].field(ka).type.equals(schemas[tb].field(kb).type))
+    return ta, ka, tb, kb
 
 
 def plan_join_prefilter(query: str, schemas: dict) -> tuple[str, str, str, str] | None:
@@ -656,71 +626,13 @@ def plan_join_prefilter(query: str, schemas: dict) -> tuple[str, str, str, str] 
         SELECT ... FROM t1 [AS a] JOIN t2 [AS b]
         ON <ref> = <ref> | USING (k)  [WHERE/GROUP BY/ORDER BY/LIMIT ...]
 
-    Returns (t1, key1, t2, key2) — the caller picks the small side,
-    collects its DISTINCT keys, and pre-filters the big side's scan
-    with an is_in mask BEFORE batches stream to the query node. Sound
-    for any downstream clauses: rows dropped by the prefilter cannot
-    appear in the inner-join result, so WHERE/aggregates/windows over
-    the join see an identical input. None when the shape has anything
-    other than one plain inner equi-join of two distinct registered
-    tables (outer variants would resurrect dropped rows; subqueries /
-    set ops could reference the tables a second time)."""
-    q = query.strip().rstrip(";").strip()
-    if _JOIN_FORBIDDEN.search(q) or _SUBQUERY.search(q):
-        return None
-    if len(re.findall(r"(?i)\bjoin\b", q)) != 1:
-        return None
-    spans = _find_clauses(q)
-    if spans is None:
-        return None
-    from_spans = [s for s in spans if s[0] == "from"]
-    if len(from_spans) != 1:
-        return None
-    idx = spans.index(from_spans[0])
-    end = spans[idx + 1][1] if idx + 1 < len(spans) else len(q)
-    from_text = q[from_spans[0][2] : end].strip()
-
-    m = re.match(
-        r"(?is)^(\w+)(?:\s+(?:as\s+)?(?!join\b)(\w+))?\s+join\s+"
-        r"(\w+)(?:\s+(?:as\s+)?(?!on\b|using\b)(\w+))?\s+"
-        r"(?:on\s+([\w.]+)\s*=\s*([\w.]+)|using\s*\(\s*(\w+)\s*\))\s*$",
-        from_text,
-    )
-    if not m:
-        return None
-    t1, a1, t2, a2, lref, rref, using = m.groups()
-    if t1 not in schemas or t2 not in schemas or t1 == t2:
-        return None
-    names = {t1: t1, t2: t2}
-    if a1:
-        names[a1] = t1
-    if a2:
-        names[a2] = t2
-
-    def resolve(ref: str) -> tuple[str, str] | None:
-        if "." in ref:
-            owner, _, col = ref.partition(".")
-            table = names.get(owner)
-            if table is None or col not in schemas[table].names:
-                return None
-            return table, col
-        hits = [t for t in (t1, t2) if ref in schemas[t].names]
-        return (hits[0], ref) if len(hits) == 1 else None
-
-    if using:
-        if using not in schemas[t1].names or using not in schemas[t2].names:
-            return None
-        sides = [(t1, using), (t2, using)]
-    else:
-        s1, s2 = resolve(lref), resolve(rref)
-        if s1 is None or s2 is None or s1[0] == s2[0]:
-            return None
-        sides = [s1, s2]
-    (ta, ka), (tb, kb) = sides
-    # the mask compares the two key columns directly: types must agree
-    if not schemas[ta].field(ka).type.equals(schemas[tb].field(kb).type):
-        return None
-    return ta, ka, tb, kb
+    Returns (t1, key1, t2, key2): the caller pre-filters the big side's
+    scan by the small side's DISTINCT keys. Sound for any downstream
+    clauses — dropped rows cannot appear in the inner-join result. None
+    unless the FROM is one plain inner equi-join of two distinct
+    registered tables and no set operation, CTE or subquery could read
+    a table a second time."""
+    return _attempt(_join_keys, query, schemas)
 
 
 @dataclass
@@ -732,132 +644,63 @@ class JoinAggPlan:
     agg: AggPlan  # partial runs over the JOINED batch
 
 
-def plan_join_aggregate(query: str, schemas: dict) -> JoinAggPlan | None:
-    """Distributed aggregate over a two-table INNER equi-join: when the
-    join shape passes plan_join_prefilter's gates AND the query is an
-    aggregate plan_aggregate_pushdown can decompose, rewrite it to run
-    the partial over each WORKER-side joined batch (broadcast small
-    side + per-batch Acero join + DuckDB partial) with the driver
-    merging partials only — no joined row ever leaves its worker.
-    DataFusion's partial-aggregate-above-HashJoinExec analogue.
-
-    Extra gates beyond the prefilter shape: no non-key column name may
-    appear in both schemas (bare references after qualifier stripping
-    must be unambiguous), and the qualifier-stripped rewrite must pass
-    the aggregate planner's own binder validation against the joined
-    schema."""
-    rewritten = _join_rewrite(query, schemas)
-    if rewritten is None:
-        return None
-    t1, k1, t2, k2, q2, joined_schema = rewritten
-    agg = plan_aggregate_pushdown(q2, "__joined", joined_schema)
-    if agg is None:
-        return None
-    return JoinAggPlan(t1=t1, k1=k1, t2=t2, k2=k2, agg=agg)
-
-
-def _join_rewrite(query: str, schemas: dict):
-    """Shared front half of the join pushdowns: gate the join shape via
-    plan_join_prefilter, veto shared non-key column names, build the
-    joined-batch schema (key coalesced when names match — mirrors
-    pa.Table.join(coalesce_keys=True)) and rewrite the query to
-    ``FROM __joined`` with table/alias qualifiers stripped. Returns
-    (t1, k1, t2, k2, q2, joined_schema) or None."""
+def _join_rewrite(node: dict, schemas: dict, planner) -> JoinAggPlan:
+    """Shared front half of the join pushdowns: gate the join shape
+    (plan_join_prefilter's gates), veto shared non-key column names,
+    build the joined-batch schema (key coalesced when names match —
+    mirrors pa.Table.join(coalesce_keys=True)), rewrite the tree to
+    ``FROM __joined`` with table/alias qualifiers dropped from column
+    references, and hand it to ``planner``."""
     import pyarrow as pa
 
-    pj = plan_join_prefilter(query, schemas)
-    if pj is None:
-        return None
-    t1, k1, t2, k2 = pj
+    t1, k1, t2, k2 = _join_keys(node, schemas)
     s1, s2 = schemas[t1], schemas[t2]
-    shared = set(s1.names) & set(s2.names)
     same_key = k1 == k2
-    if shared - ({k1} if same_key else set()):
-        return None  # ambiguous bare refs after stripping qualifiers
-
-    fields = list(s1)
-    for f in s2:
-        if same_key and f.name == k2:
-            continue
-        fields.append(f)
-    joined_schema = pa.schema(fields)
-
-    q = query.strip().rstrip(";").strip()
-    spans = _find_clauses(q)
-    from_span = [s for s in spans if s[0] == "from"][0]
-    idx = spans.index(from_span)
-    end = spans[idx + 1][1] if idx + 1 < len(spans) else len(q)
-    from_text = q[from_span[2] : end]
-    if same_key and not re.search(r"(?i)\busing\s*\(", from_text):
+    # bare refs after dropping qualifiers must be unambiguous
+    _need(not (set(s1.names) & set(s2.names)) - ({k1} if same_key else set()))
+    joined_schema = pa.schema([*s1, *(f for f in s2 if not (same_key and f.name == k2))])
+    j = node["from_table"]
+    if same_key and not j["using_columns"]:
         # ON t1.k = t2.k with SAME-named keys: DuckDB's un-pushed
         # SELECT * keeps BOTH key columns while the joined batch
         # coalesces them — a star select would silently change the
         # result schema (r5 review #2). USING coalesces in both.
-        q_norm = re.sub(r"(?i)count\s*\(\s*\*\s*\)", "count()", q)
-        if "*" in q_norm:
-            return None
-    m = re.match(
-        r"(?is)^\s*(\w+)(?:\s+(?:as\s+)?(?!join\b)(\w+))?\s+join\s+"
-        r"(\w+)(?:\s+(?:as\s+)?(?!on\b|using\b)(\w+))?\s+",
-        from_text,
-    )
-    owners = {t1, t2}
-    if m:
-        owners |= {g for g in (m.group(2), m.group(4)) if g}
-    q2 = q[: from_span[2]] + " __joined " + q[end:]
-    for owner in owners:
-        # string-aware: a literal containing '<owner>.<word>' must not
-        # be rewritten (r5 review #1 — re.sub over the whole text
-        # corrupted WHERE tag = 'o.k.' into 'k.')
-        q2 = _sub_outside_strings(
-            rf"\b{re.escape(owner)}\s*\.\s*(\w+)", r"\1", q2
-        )
-    return t1, k1, t2, k2, q2, joined_schema
+        _need(not any(n.get("class") == "STAR" for n in nodes(node)))
+    owners = {t1, t2, j["left"]["alias"], j["right"]["alias"]}
+
+    def strip(n: dict) -> dict | None:
+        if n.get("class") == "COLUMN_REF" and len(n["column_names"]) == 2:
+            if n["column_names"][0] in owners:
+                return dict(n, column_names=n["column_names"][1:])
+        return None
+
+    joined = dict(_map(node, strip), from_table=_base_table("__joined"))
+    return JoinAggPlan(t1=t1, k1=k1, t2=t2, k2=k2, agg=planner(joined, "__joined", joined_schema))
 
 
-def _sub_outside_strings(pattern: str, repl: str, text: str) -> str:
-    """re.sub applied only OUTSIDE single-quoted SQL string literals
-    ('' escapes parse as two adjacent literals, which keeps the parity
-    correct)."""
-    parts: list[str] = []
-    i = 0
-    while i < len(text):
-        j = text.find("'", i)
-        if j < 0:
-            parts.append(re.sub(pattern, repl, text[i:]))
-            break
-        parts.append(re.sub(pattern, repl, text[i:j]))
-        k = text.find("'", j + 1)
-        if k < 0:  # unbalanced: leave the tail untouched (binder vetoes)
-            parts.append(text[j:])
-            break
-        parts.append(text[j : k + 1])
-        i = k + 1
-    return "".join(parts)
+def plan_join_aggregate(query: str, schemas: dict) -> JoinAggPlan | None:
+    """Distributed aggregate over a two-table INNER equi-join: when the
+    join passes plan_join_prefilter's gates and _join_rewrite's, and the
+    rewritten tree passes plan_aggregate_pushdown's against the joined
+    schema, the partial runs over each WORKER-side joined batch
+    (broadcast small side + per-batch Acero join + DuckDB partial) and
+    the driver merges partials only — DataFusion's
+    partial-aggregate-above-HashJoinExec analogue."""
+    return _attempt(_join_rewrite, query, schemas, _aggregate)
 
 
 def plan_join_topk(query: str, schemas: dict) -> JoinAggPlan | None:
-    """ORDER BY ... LIMIT n over a two-table INNER equi-join: the same
-    qualifier-stripped rewrite as plan_join_aggregate, but fed to the
-    TOP-K planner — each worker joins its batch against the broadcast
-    small side and keeps only its local top-n, the driver re-sorts
-    <= n rows per block. (Aggregate shapes take plan_join_aggregate
-    first; this covers the projection + ORDER BY + LIMIT join.)"""
-    rewritten = _join_rewrite(query, schemas)
-    if rewritten is None:
-        return None
-    t1, k1, t2, k2, q2, joined_schema = rewritten
-    topk = plan_topk_pushdown(q2, "__joined", joined_schema)
-    if topk is None:
-        return None
-    return JoinAggPlan(t1=t1, k1=k1, t2=t2, k2=k2, agg=topk)
+    """ORDER BY ... LIMIT n over a two-table INNER equi-join: the
+    plan_join_aggregate rewrite fed to the TOP-K planner — each worker
+    keeps the local top-n of its joined batch."""
+    return _attempt(_join_rewrite, query, schemas, _topk)
 
 
 def _binds(partial_sql: str, batch_name: str, schema, final_sql: str) -> bool:
     """Both rewritten queries must bind in DuckDB: the partial against an
     empty table with the real schema, the final against the partial's
-    OUTPUT schema. Any error (qualified names, type mismatches, agg
-    shapes the scanner missed) vetoes the pushdown."""
+    OUTPUT schema. Any error (type mismatches, unknown identifiers,
+    shapes the tree gates missed) vetoes the pushdown."""
     import duckdb
 
     try:
@@ -869,7 +712,7 @@ def _binds(partial_sql: str, batch_name: str, schema, final_sql: str) -> bool:
             con.sql(final_sql).fetch_arrow_table()
         finally:
             con.close()
-    except Exception:
+    except duckdb.Error:
         return False
     return True
 

@@ -321,6 +321,8 @@ def test_aggregate_planner_shapes():
         "SELECT k, sum(v) AS s FROM t GROUP BY rank",          # unknown col
         "SELECT sum(v) AS s FROM (SELECT * FROM t) x",         # subquery
         "SELECT k, sum(v) AS s FROM t GROUP BY k ORDER BY count(v)",  # agg in ORDER BY
+        # an aggregate without a merge rule would re-aggregate partial rows
+        "SELECT k, count(*) AS c, string_agg(k, ',') AS s FROM t GROUP BY k",
     ]
     for q in rejected:
         assert sqlagg.plan_aggregate_pushdown(q, "t", sch) is None, q
@@ -570,6 +572,7 @@ def test_topk_planner_shapes():
         "SELECT a+1 AS a FROM t ORDER BY a LIMIT 5",    # alias shadows column
         "SELECT a AS __ob0 FROM t ORDER BY a LIMIT 5",  # synthetic-name collision
         "SELECT a, b FROM t JOIN u USING (a) ORDER BY a LIMIT 5",
+        "SELECT list(a) AS l FROM t ORDER BY l LIMIT 1",  # aggregate shape
     ]
     for q in ok:
         assert sqlagg.plan_topk_pushdown(q, "t", schema) is not None, q
@@ -690,7 +693,8 @@ def test_stats_answer_temporal_unit_conversion(ray_session, tmp_path):
 
 def test_stats_answer_textual_precheck():
     """r5 review finding #4: the manifest load is gated behind a cheap
-    shape pre-check; it must never reject a shape the planner answers."""
+    shape pre-check (sqlagg.stats_calls over the parse tree); it must
+    never reject a shape the planner answers."""
     from datafusion_orc_ray.sources import sqlagg
 
     matching = [
@@ -708,9 +712,9 @@ def test_stats_answer_textual_precheck():
         "SELECT count(DISTINCT a) AS n FROM t",
     ]
     for q in matching:
-        assert sqlagg.stats_answer_may_match(q), q
+        assert sqlagg.stats_calls(q, "t"), q
     for q in rejected:
-        assert not sqlagg.stats_answer_may_match(q), q
+        assert not sqlagg.stats_calls(q, "t"), q
 
 
 def test_catalog_sql_semijoin_prefilter(ray_session, tmp_path, monkeypatch):
@@ -1084,14 +1088,111 @@ def test_join_small_side_projection_applied(ray_session, tmp_path):
     cat = Catalog()
     cat.register_stripes("bt4", f"{tmp_path}/eb")
     cat.register_stripes("st4", f"{tmp_path}/es")
+    from datafusion_orc_ray.sources import sqlagg
+
+    q = "SELECT g, sum(v) AS s FROM bt4 JOIN st4 ON k = ck GROUP BY g ORDER BY g"
     prepared = cat._prepare_join_aggregate(
-        "SELECT g, sum(v) AS s FROM bt4 JOIN st4 ON k = ck GROUP BY g ORDER BY g",
-        {"bt4": cat.schema("bt4"), "st4": cat.schema("st4")},
-        cat._resolve_projections(
-            "SELECT g, sum(v) AS s FROM bt4 JOIN st4 ON k = ck GROUP BY g ORDER BY g",
-            ["bt4", "st4"],
+        sqlagg.plan_join_aggregate(
+            q, {"bt4": cat.schema("bt4"), "st4": cat.schema("st4")}
         ),
+        cat._resolve_projections(q, ["bt4", "st4"]),
     )
     assert prepared is not None
     small_tbl = prepared[-1]
     assert sorted(small_tbl.column_names) == ["ck", "g"]  # wide_unused pruned
+
+
+def test_join_aggregate_dotted_column_name(ray_session, tmp_path):
+    """A column whose NAME contains a dot ("t1.x") is not a qualified
+    reference: the join rewrite must sum that column, not t1's x."""
+    import duckdb
+    import ray.data
+
+    t1 = pa.table({
+        "k": pa.array([1, 2, 3, 1], pa.int64()),
+        "x": pa.array([1000, 2000, 3000, 4000], pa.int64()),
+        "t1.x": pa.array([1, 2, 3, 4], pa.int64()),
+    })
+    t2 = pa.table({"k": pa.array([1, 2, 3], pa.int64()), "g": pa.array(["a", "b", "a"])})
+    ep.encode_dataset(ray.data.from_arrow(t1), f"{tmp_path}/e1", concurrency=1).materialize()
+    ep.encode_dataset(ray.data.from_arrow(t2), f"{tmp_path}/e2", concurrency=1).materialize()
+    cat = Catalog()
+    cat.register_stripes("t1", f"{tmp_path}/e1")
+    cat.register_stripes("t2", f"{tmp_path}/e2")
+    q = 'SELECT g, sum("t1.x") AS s FROM t1 JOIN t2 USING (k) GROUP BY g ORDER BY g'
+    got = cat.sql(q)
+    assert cat.last_plan == "join_aggregate_pushdown"
+    con = duckdb.connect()
+    try:
+        con.register("t1", t1)
+        con.register("t2", t2)
+        want = con.sql(q).fetch_arrow_table()
+    finally:
+        con.close()
+    assert got.equals(want), (got.to_pydict(), want.to_pydict())
+
+
+def test_table_name_in_literal_is_not_a_reference(ray_session, tmp_path):
+    """A registered table's name inside a string literal does not make
+    the query a two-table query: the single-table pushdown still runs."""
+    import duckdb
+    import ray.data
+
+    lineitem = pa.table({
+        "l_orderkey": pa.array([1, 2, 3, 4], pa.int64()),
+        "l_comment": pa.array(["orders", "x", "orders", "y"]),
+    })
+    orders = pa.table({"o_orderkey": pa.array([1, 2], pa.int64())})
+    ep.encode_dataset(ray.data.from_arrow(lineitem), f"{tmp_path}/l", concurrency=1).materialize()
+    ep.encode_dataset(ray.data.from_arrow(orders), f"{tmp_path}/o", concurrency=1).materialize()
+    cat = Catalog()
+    cat.register_stripes("lineitem", f"{tmp_path}/l")
+    cat.register_stripes("orders", f"{tmp_path}/o")
+    q = "SELECT count(*) AS n FROM lineitem WHERE l_comment = 'orders'"
+    got = cat.sql(q)
+    assert cat.last_plan == "aggregate_pushdown"
+    assert cat.last_pushdown["predicates"] == {"lineitem": [("l_comment", "==", "orders")]}
+    con = duckdb.connect()
+    try:
+        con.register("lineitem", lineitem)
+        assert got.equals(con.sql(q).fetch_arrow_table())
+    finally:
+        con.close()
+
+
+def test_stats_answer_entry_without_row_count_raises():
+    """A manifest entry with neither n_rows nor rows is corrupt: the
+    stats answer names its stripe instead of silently falling back."""
+    from datafusion_orc_ray.sources import sqlagg
+
+    schema = pa.schema([("a", pa.int64())])
+    entries = [{"path": "/data/stripe-00007.orc", "columns_json": "[]"}]
+    with pytest.raises(ValueError, match="stripe-00007"):
+        sqlagg.plan_stats_answer("SELECT count(*) AS n FROM t", "t", schema, entries)
+
+
+def test_positional_join_pushes_no_filter(ray_session, tmp_path):
+    """A POSITIONAL join pairs rows by position: a WHERE on one side
+    pushed below the join would shift every later pairing."""
+    import duckdb
+    import ray.data
+
+    t1 = pa.table({"a": pa.array([1, 2], pa.int64())})
+    t2 = pa.table({"b": pa.array([1, 10], pa.int64())})
+    ep.encode_dataset(ray.data.from_arrow(t1), f"{tmp_path}/e1", concurrency=1).materialize()
+    ep.encode_dataset(ray.data.from_arrow(t2), f"{tmp_path}/e2", concurrency=1).materialize()
+    cat = Catalog()
+    cat.register_stripes("t1", f"{tmp_path}/e1")
+    cat.register_stripes("t2", f"{tmp_path}/e2")
+    q = "SELECT a, b FROM t1 POSITIONAL JOIN t2 WHERE b > 5"
+    got = cat.sql(q)
+    assert cat.last_pushdown["predicates"] == {"t1": None, "t2": None}
+    con = duckdb.connect()
+    try:
+        con.register("t1", t1)
+        con.register("t2", t2)
+        want = con.sql(q).fetch_arrow_table()
+    finally:
+        con.close()
+    assert want.to_pydict() == {"a": [2], "b": [10]}
+    assert got.equals(want), got.to_pydict()

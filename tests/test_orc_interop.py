@@ -1,6 +1,10 @@
-"""External-ORC interop conformance: read the REFERENCE's own golden ORC
-fixture (tests/basic/data/alltypes.snappy.orc) through the Ray source,
-and round-trip it through RSTP stripes bit-identically."""
+"""External-ORC interop conformance: read an Apache ORC golden file
+written by the Java implementation (TestOrcFile.test1.orc from the ORC
+corpus bundled with pyarrow: one stripe, 12 columns from boolean to
+map) through the Ray source, and round-trip it through RSTP stripes
+bit-identically."""
+
+import os
 
 import pytest
 
@@ -12,7 +16,9 @@ from datafusion_orc_ray.pipelines import encode as ep
 from datafusion_orc_ray.pipelines.relational import collect
 from datafusion_orc_ray.sources.orc import ingest_orc, read_orc
 
-FIXTURE = "/root/reference/tests/basic/data/alltypes.snappy.orc"
+FIXTURE = os.path.join(
+    os.path.dirname(pa.__file__), "tests", "data", "orc", "TestOrcFile.test1.orc"
+)
 
 
 def test_read_orc_matches_pyarrow(ray_session):
@@ -61,10 +67,9 @@ def test_write_orc_external_reader_roundtrip(ray_session, tmp_path):
 
 
 def test_write_orc_golden_fixture_cross_check(ray_session, tmp_path):
-    """Export the REFERENCE's golden alltypes fixture through write_orc
-    and read it back with the external reader: schema and values match
-    the original fixture (the type surface the reference ecosystem
-    exchanges)."""
+    """Export the golden ORC fixture through write_orc and read it back
+    with the external reader: schema and values match the original
+    fixture (the type surface the ORC ecosystem exchanges)."""
     from datafusion_orc_ray.sources.orc import read_orc, write_orc
 
     ref = pa_orc.read_table(FIXTURE)

@@ -1,9 +1,10 @@
 """Stripe blob round-trip tests: every driver table, every fixture type,
-golden cross-check vs the reference ORC fixtures' value domain
+golden cross-check vs the Apache ORC corpus files' value domain
 (SURVEY.md §5: decoded columns bit-identical)."""
 
 import glob
 import io
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -14,6 +15,8 @@ import pytest
 from datafusion_orc_ray import fixtures, stripe
 
 SF_DIR = "/root/testdata/sf0.001"
+# Apache ORC's Java-written golden files, bundled with pyarrow
+ORC_CORPUS = os.path.join(os.path.dirname(pa.__file__), "tests", "data", "orc")
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(f"{SF_DIR}/*.parquet")), ids=lambda p: p.split("/")[-1])
@@ -96,9 +99,11 @@ def test_projected_decode_reads_only_selected_streams(tmp_path):
 
 def test_reference_fixture_values_roundtrip():
     """Golden cross-check (SURVEY.md §5.2): pyarrow.orc's decode of the
-    reference fixtures is the oracle; encoding those same values through
-    our stripe format must reproduce them bit-identically."""
-    for f in glob.glob("/root/reference/tests/basic/data/*.orc"):
+    Apache ORC corpus files is the oracle; encoding those same values
+    through our stripe format must reproduce them bit-identically."""
+    files = sorted(glob.glob(os.path.join(ORC_CORPUS, "*.orc")))
+    assert len(files) >= 4, files  # an empty corpus must not pass
+    for f in files:
         t = pa.orc.read_table(f)
         out = stripe.decode_table(stripe.encode_table(t))
         for c in t.column_names:
@@ -207,7 +212,7 @@ def test_chunked_stripe_roundtrip_and_ranges():
     assert proj.column_names == ["s"]
     assert proj.num_rows == parts[1].num_rows + parts[2].num_rows
     # golden-fixture types survive chunking too
-    ref = pa.orc.read_table("/root/reference/tests/basic/data/alltypes.snappy.orc")
+    ref = pa.orc.read_table(os.path.join(ORC_CORPUS, "TestOrcFile.test1.orc"))
     blob2 = stripe.encode_table(ref, chunk_bytes=max(1, ref.nbytes // 3))
     assert stripe.decode_table(blob2).equals(ref)
 
