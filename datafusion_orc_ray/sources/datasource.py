@@ -30,6 +30,7 @@ class StripeDatasource(Datasource):
         predicate: tuple[str, str, object] | list | None = None,
         rows_per_block: int = 32768,
         split_bytes: int = 128 << 20,
+        entries: list[dict] | None = None,
     ) -> None:
         from ..stripe import _pred_list, pred_flat_conjuncts
         from .stripes import _stats_may_match, stripes_schema
@@ -65,9 +66,10 @@ class StripeDatasource(Datasource):
         self._predicate = preds or None
         self._rows_per_block = rows_per_block
         self._split_bytes = split_bytes
-        entries = manifest.load_manifest(out_dir)
+        entries = manifest.load_manifest(out_dir) if entries is None else entries
         if not entries:
             raise FileNotFoundError(f"no manifest entries under {out_dir}")
+        self._schema = stripes_schema(out_dir, entries)
         if preds:
             # AND semantics: a stripe survives only if EVERY conjunct
             # may match its stats
@@ -75,7 +77,6 @@ class StripeDatasource(Datasource):
                 e for e in entries if all(_stats_may_match(e, p) for p in preds)
             ]
         self._entries = sorted(entries, key=lambda e: e["path"])
-        self._schema = stripes_schema(out_dir)
 
     def estimate_inmemory_data_size(self) -> int | None:
         return sum(e.get("raw_bytes", 0) for e in self._entries) or None

@@ -13,8 +13,9 @@ streaming path, so a pushdown can never change a result):
 * ``plan_join_prefilter`` — other inner equi-joins: the small side's
   distinct keys filter the big scan worker-side (semi-join reduction).
 
-Each partial runs inside ``map_batches`` on every decoded batch
-(per-worker DuckDB over the Arrow batch: full SQL expression semantics,
+Each partial runs on every decoded batch where the scan runs — in the
+driver for a small scan, inside ``map_batches`` on the Ray workers for a
+large one (DuckDB over the Arrow batch: full SQL expression semantics,
 no row leaves its worker unaggregated); the FINAL merge runs on the
 driver over the partial stream only:
 
@@ -87,11 +88,19 @@ def _need(ok) -> None:
 
 @lru_cache(maxsize=1)
 def _connection():
-    """One in-process connection for parsing and rendering: opening one
-    per call would cost milliseconds each time."""
+    """The process's one in-memory DuckDB database. It parses and renders;
+    queries take a ``cursor()`` on it (microseconds; a new database, ms)."""
     import duckdb
 
     return duckdb.connect()
+
+
+def cursor():
+    """A new cursor on the process's one database, for use in ``with``
+    (leaving it closes the cursor only). Names registered on a cursor are
+    visible to it alone, so concurrent queries never see each other's."""
+    with _LOCK:
+        return _connection().cursor()
 
 
 def _duck(sql: str, *args):
@@ -467,12 +476,9 @@ def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
             values[alias] = (min(vals) if fn == "min" else max(vals)) if vals else None
 
         # pin output names AND types by binding the original query empty
-        con = duckdb.connect()
-        try:
+        with cursor() as con:
             con.register(table, schema.empty_table())
             out_schema = con.sql(query).fetch_arrow_table().schema
-        finally:
-            con.close()
         alias_col = {alias: col for _, col, alias in calls}
         cols = []
         for field in out_schema:
@@ -704,36 +710,30 @@ def _binds(partial_sql: str, batch_name: str, schema, final_sql: str) -> bool:
     import duckdb
 
     try:
-        con = duckdb.connect()
-        try:
+        with cursor() as con:
             con.register(batch_name, schema.empty_table())
             partial_schema = con.sql(partial_sql).fetch_arrow_table().schema
             con.register("__partials", partial_schema.empty_table())
             con.sql(final_sql).fetch_arrow_table()
-        finally:
-            con.close()
     except duckdb.Error:
         return False
     return True
 
 
 def run_partial(partial_sql: str):
-    """map_batches fn: evaluate the partial aggregate over one Arrow batch
-    with per-worker DuckDB (task-based: connection setup is ~ms)."""
+    """Per-batch fn: evaluate the partial aggregate over one Arrow batch on
+    a cursor of the running process's one DuckDB database (the driver's
+    for a small scan, a Ray worker's for a large one)."""
 
     def fn(batch):
-        import duckdb
-
-        con = duckdb.connect()
-        try:
-            con.register("__batch", batch)
-            return con.sql(partial_sql).fetch_arrow_table()
-        except Exception as exc:  # annotate for remote-traceback debugging
-            raise RuntimeError(
-                f"partial aggregate failed: sql={partial_sql!r} "
-                f"batch_rows={batch.num_rows} schema={batch.schema!r}"
-            ) from exc
-        finally:
-            con.close()
+        with cursor() as con:
+            try:
+                con.register("__batch", batch)
+                return con.sql(partial_sql).fetch_arrow_table()
+            except Exception as exc:  # annotate for remote-traceback debugging
+                raise RuntimeError(
+                    f"partial aggregate failed: sql={partial_sql!r} "
+                    f"batch_rows={batch.num_rows} schema={batch.schema!r}"
+                ) from exc
 
     return fn

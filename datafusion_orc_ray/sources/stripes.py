@@ -25,20 +25,20 @@ from ..state import manifest
 _SCHEMA_CACHE: dict[str, tuple[tuple, object]] = {}
 
 
-def stripes_schema(out_dir: str):
+def stripes_schema(out_dir: str, entries: list[dict] | None = None):
     """Merged Arrow schema across all stripes (S3: deterministic — footers
     read in sorted-path order, merged with pa.unify_schemas, mirroring
     the reference's sort-for-determinism + Schema::try_merge at
-    src/file_format.rs:90-103). Cached per out_dir against the stripe
-    path list, so repeated metadata calls in one process do footer IO
-    once."""
+    src/file_format.rs:90-103), over ``entries`` if the caller loaded
+    them. Cached per out_dir against the stripe path list, so repeated
+    metadata calls in one process do footer IO once."""
     import base64
 
     import pyarrow as pa
 
     from .. import stripe as stripe_mod
 
-    entries = sorted(manifest.load_manifest(out_dir), key=lambda e: e["path"])
+    entries = sorted(entries or manifest.load_manifest(out_dir), key=lambda e: e["path"])
     fp = tuple(e["path"] for e in entries)
     got = _SCHEMA_CACHE.get(out_dir)
     if got is not None and got[0] == fp:
@@ -94,7 +94,30 @@ class Catalog:
     def names(self) -> list[str]:
         return sorted(self._tables)
 
-    def _resolve_projections(self, query: str, referenced: list[str]):
+    def _scan(self, name: str, columns=None, predicate=None, *, entries: list[dict]):
+        """The one scan every sql() path reads (via ``_reader``): the
+        StripeDatasource (validation, stats pruning, chunk splitting) over
+        ``name``'s loaded manifest ``entries`` and its ``_executor``,
+        recorded in ``last_pushdown["scans"]``."""
+        from .datasource import StripeDatasource
+
+        src = StripeDatasource(
+            self._tables[name], columns=columns, predicate=predicate, entries=entries
+        )
+        raw = src.estimate_inmemory_data_size() or 0
+        executor = self._executor(raw)
+        self.last_pushdown["scans"][name] = dict(
+            executor=executor, stripes=len(src._entries), stripes_total=len(entries),
+            raw_bytes=raw,
+        )
+        return src, executor
+
+    def _executor(self, raw: int) -> str:
+        """Where a scan of ``raw`` surviving bytes runs: ``"driver"``
+        under ``_LOCAL_SCAN_BYTES``, else ``"ray"``."""
+        return "driver" if raw < self._LOCAL_SCAN_BYTES else "ray"
+
+    def _resolve_projections(self, query: str, referenced: list[str], schemas: dict):
         """Columns each referenced table must decode for ``query``
         (S5 through the SQL surface — the reference pushes projections
         into the scan, src/file_source.rs:95-102; round 2 decoded full
@@ -119,7 +142,6 @@ class Catalog:
             if n.get("class") == "STAR":
                 return full
             used.update(n.get("column_names", ()), n.get("using_columns", ()))
-        schemas = {name: stripes_schema(self._tables[name]) for name in referenced}
         # a query touching no column of this table (count(*)-style)
         # still needs one stream to produce rows — pick the first
         cols = {
@@ -127,13 +149,10 @@ class Catalog:
             for name, schema in schemas.items()
         }
         try:
-            vcon = duckdb.connect()
-            try:
+            with sqlagg.cursor() as vcon:
                 for name, schema in schemas.items():
                     vcon.register(name, _projected(schema, cols[name]).empty_table())
                 vcon.sql(query).fetch_arrow_table()
-            finally:
-                vcon.close()
         except duckdb.Error:
             return full
         return cols
@@ -250,22 +269,25 @@ class Catalog:
 
     def _plan(self, query: str) -> dict:
         """The one planning cascade behind sql() and explain():
-        referenced tables (the parse tree's base tables), their schemas,
-        the projections and predicates pushed into each scan, and the
-        first planner whose gates the query passes — ``kind`` is the
-        ``last_plan`` value sql() records for it (join kinds still face
-        sql()'s byte gate). ``prefilter``: a two-table query's semi-join
-        candidate."""
+        referenced tables (the parse tree's base tables), their manifest
+        entries (loaded once per call, so appends stay visible) and
+        schemas, the projections and predicates pushed into each scan,
+        and the first planner whose gates the query passes — ``kind`` is
+        the ``last_plan`` value sql() records for it (join kinds still
+        face sql()'s byte gate). ``prefilter``: a two-table query's
+        semi-join candidate."""
         from . import sqlagg
 
         tree = sqlagg.parse(query)
         found = set() if tree is None else sqlagg.table_names(tree)
         referenced = [name for name in self._tables if name in found]
-        schemas = {name: stripes_schema(self._tables[name]) for name in referenced}
+        entries = {name: manifest.load_manifest(self._tables[name]) for name in referenced}
+        schemas = {name: stripes_schema(self._tables[name], entries[name]) for name in referenced}
         p = {
             "referenced": referenced,
+            "entries": entries,
             "schemas": schemas,
-            "projections": self._resolve_projections(query, referenced),
+            "projections": self._resolve_projections(query, referenced, schemas),
             "predicates": self._resolve_filter_pushdown(query, referenced, schemas),
             "kind": "stream",
             "plan": None,
@@ -275,12 +297,8 @@ class Catalog:
         if len(referenced) == 1:
             name = referenced[0]
             args = (query, name, schemas[name])
-            # metadata-only answer first; the manifest loads only for
-            # queries of its shape
-            if sqlagg.stats_calls(query, name):
-                entries = manifest.load_manifest(self._tables[name])
-                planners.append(("stats_answer", sqlagg.plan_stats_answer, (*args, entries)))
-            planners += [
+            planners = [  # metadata-only answer first
+                ("stats_answer", sqlagg.plan_stats_answer, (*args, entries[name])),
                 ("aggregate_pushdown", sqlagg.plan_aggregate_pushdown, args),
                 ("topk_pushdown", sqlagg.plan_topk_pushdown, args),
             ]
@@ -302,20 +320,21 @@ class Catalog:
         pushed projection and predicate conjuncts, surviving/total
         stripes after stats pruning, and which distributed path would
         run. The text comes from the same planning function as
-        ``sql()``."""
+        ``sql()``; ``executor`` is where the table's scan (with its
+        pushed predicate) would run."""
         p = self._plan(query)
         lines = ["plan: " + _EXPLAIN[p["kind"]]]
         for name in p["referenced"]:
-            entries = manifest.load_manifest(self._tables[name])
-            preds = p["predicates"][name]
-            kept = sum(all(_stats_may_match(e, pr) for pr in preds or ()) for e in entries)
+            entries, preds = p["entries"][name], p["predicates"][name]
+            kept = [e for e in entries if all(_stats_may_match(e, pr) for pr in preds or ())]
             cols = p["projections"][name]
             lines.append(
                 f"scan {name}: columns="
                 + ("ALL" if cols is None else f"[{', '.join(cols)}]")
                 + ", predicate="
                 + (" AND ".join(_pred_str(pr) for pr in preds) if preds else "none")
-                + f", stripes={kept}/{len(entries)} after stats pruning"
+                + f", stripes={len(kept)}/{len(entries)} after stats pruning"
+                + f", executor={self._executor(_raw_bytes(kept))}"
             )
         if p["kind"] == "stream" and p["prefilter"] is not None:
             ta, ka, tb, kb = p["prefilter"]
@@ -330,64 +349,58 @@ class Catalog:
     # side must be meaningfully bigger for the extra key pass to pay
     _PREFILTER_SMALL_BYTES = 256 << 20
     _PREFILTER_ASYMMETRY = 4
+    # scans of fewer surviving raw bytes decode in this process, larger ones
+    # as a Ray Dataset (0 = all Ray). An estimate, not a measured crossover:
+    # on one core a Ray scan only adds cost (~0.04 s plus ~0.01 s per decoded
+    # MB it ships back); where Ray decodes in parallel it is unmeasured
+    _LOCAL_SCAN_BYTES = 32 << 20
 
-    def _raw_bytes(self, name: str) -> int:
-        """Decoded-bytes estimate for a registered table from its
-        manifest rows (metadata only)."""
-        return sum(
-            e.get("raw_bytes", 0) for e in manifest.load_manifest(self._tables[name])
-        )
-
-    def _collect_capped(self, name: str, columns: list[str] | None):
-        """Stream a registered table onto the driver under the
+    def _collect_capped(self, name: str, columns, predicate, entries: list[dict]):
+        """Stream a registered table's scan onto the driver under the
         prefilter byte cap; None when the cap is exceeded (the byte
         estimate lied — caller stays on its plain path). An empty table
         keeps the projected schema."""
         import pyarrow as pa
 
-        batches: list[pa.Table] = []
+        schema = _projected(stripes_schema(self._tables[name], entries), columns)
+        batches: list[pa.RecordBatch] = []
         got = 0
-        for t in self.table(name, columns=columns).iter_batches(
-            batch_size=None, batch_format="pyarrow"
-        ):
-            batches.append(t)
-            got += t.nbytes
+        scan = self._scan(name, columns, predicate, entries=entries)
+        for b in _reader(scan, schema):
+            batches.append(b)
+            got += b.nbytes
             if got > self._PREFILTER_SMALL_BYTES:
                 return None
-        if batches:
-            return pa.concat_tables(batches).combine_chunks()
-        return _projected(stripes_schema(self._tables[name]), columns).empty_table()
+        return pa.Table.from_batches(batches, schema).combine_chunks()
 
-    def _plan_semijoin_prefilter(self, join_keys):
+    def _plan_semijoin_prefilter(self, join_keys, predicates, entries):
         """Semi-join reduction for a streamed two-table INNER equi-join
         (``join_keys`` from sqlagg.plan_join_prefilter): broadcast the
-        small side's DISTINCT join keys (one byte-capped key-column scan)
-        and return a batch filter for the BIG side's scan, so batches
-        shed non-joining rows on the workers. Returns {"big", "fn"} or
+        small side's DISTINCT join keys (one byte-capped key-column scan
+        with its pushed predicate) and return a batch filter for the BIG
+        side's scan, so batches shed non-joining rows where the scan
+        runs. Returns {"big", "fn", "keys"} (``fn(batch, keys)``) or
         None."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
         ta, ka, tb, kb = join_keys
-        ba, bb = self._raw_bytes(ta), self._raw_bytes(tb)
+        ba, bb = _raw_bytes(entries[ta]), _raw_bytes(entries[tb])
         (small, skey, big, bkey) = (ta, ka, tb, kb) if ba <= bb else (tb, kb, ta, ka)
         if min(ba, bb) > self._PREFILTER_SMALL_BYTES:
             return None
         if max(ba, bb) < self._PREFILTER_ASYMMETRY * min(ba, bb):
             return None  # near-symmetric: the key pass wouldn't pay
 
-        key_tbl = self._collect_capped(small, [skey])
+        key_tbl = self._collect_capped(small, [skey], predicates[small], entries[small])
         if key_tbl is None:
             return None  # byte estimate lied: stay on the plain path
         keys = pc.unique(key_tbl.column(skey).combine_chunks()).drop_null()
-        keys_ref = ray.put(keys)
 
-        def prefilter(batch: pa.Table, _ref=keys_ref, _col=bkey) -> pa.Table:
+        def prefilter(batch: pa.Table, keys: pa.Array, _col=bkey) -> pa.Table:
             import pyarrow.compute as _pc
 
-            return batch.filter(
-                _pc.is_in(batch.column(_col), value_set=ray.get(_ref))
-            )
+            return batch.filter(_pc.is_in(batch.column(_col), value_set=keys))
 
         self.last_pushdown["semijoin_prefilter"] = {
             "big": big,
@@ -396,23 +409,24 @@ class Catalog:
             "small_key": skey,
             "n_keys": len(keys),
         }
-        return {"big": big, "fn": prefilter}
+        return {"big": big, "fn": prefilter, "keys": keys}
 
-    def _prepare_join_aggregate(self, jp, projections):
-        """Setup for a join-aggregate / join-topk plan ``jp``: pick the
-        small side by manifest raw bytes and collect it — projected to
-        the resolved columns plus the join key (r5 review #3) — under
-        the prefilter byte cap. Returns (small, skey, big, bkey,
-        small_table), or None for the prefilter/stream paths."""
-        b1, b2 = self._raw_bytes(jp.t1), self._raw_bytes(jp.t2)
+    def _prepare_join_aggregate(self, jp, p):
+        """Setup for a join-aggregate / join-topk plan ``jp`` (``p``: its
+        ``_plan``): pick the small side by manifest raw bytes and collect
+        its scan — projected to the resolved columns plus the join key,
+        with its pushed predicate — under the prefilter byte cap. Returns
+        (small, skey, big, bkey, small_table), or None for the
+        prefilter/stream paths."""
+        b1, b2 = _raw_bytes(p["entries"][jp.t1]), _raw_bytes(p["entries"][jp.t2])
         small, skey, big, bkey = (
             (jp.t1, jp.k1, jp.t2, jp.k2) if b1 <= b2 else (jp.t2, jp.k2, jp.t1, jp.k1)
         )
         if min(b1, b2) > self._PREFILTER_SMALL_BYTES:
             return None
-        proj = projections.get(small)
+        proj = p["projections"][small]
         cols = None if proj is None else sorted({*proj, skey})
-        small_tbl = self._collect_capped(small, cols)
+        small_tbl = self._collect_capped(small, cols, p["predicates"][small], p["entries"][small])
         if small_tbl is None:
             return None  # byte estimate lied: don't broadcast it
         return small, skey, big, bkey, small_tbl
@@ -420,42 +434,43 @@ class Catalog:
     def sql(self, query: str):
         """SQL over registered stripe tables (the reference's headline UX:
         ``register_orc`` -> DataFusion SQL, src/lib.rs:107-169); returns
-        a pyarrow.Table. Referenced tables reach DuckDB as STREAMING
-        Arrow record-batch readers fed by the Ray decode pipeline, with
-        the query's columns and WHERE conjuncts pushed into each stripe
-        scan (S5), so only the batches DuckDB pulls materialize on the
-        node running the query. Shapes a sqlagg planner accepts run
-        DISTRIBUTED instead — per-batch partial aggregates or local
-        top-n on the workers, merged on the driver (DataFusion's
-        partial/final split and SortExec fetch pushdown analogues).
+        a pyarrow.Table. Each table is scanned (``_scan``) with the
+        query's columns and WHERE conjuncts pushed in (S5): in this
+        process when its surviving stripes' raw bytes are under
+        ``_LOCAL_SCAN_BYTES`` (as DataFusion opens each partition in the
+        query's process), else as a Ray Dataset. Tables reach DuckDB as
+        STREAMING Arrow readers; shapes a sqlagg planner accepts run a
+        per-batch partial aggregate or local top-n where the scan runs,
+        merged here (DataFusion's partial/final split and SortExec fetch
+        pushdown). DuckDB runs on cursors of the process's one database.
         ``self.last_plan`` records which path ran: a ``_plan`` kind, or
         'stream' / 'stream+semijoin_prefilter'."""
-        import duckdb
-
         from . import sqlagg
 
         p = self._plan(query)
-        kind, plan, schemas = p["kind"], p["plan"], p["schemas"]
+        kind, plan, schemas, entries = p["kind"], p["plan"], p["schemas"], p["entries"]
         projections, predicates = p["projections"], p["predicates"]
-        # observability: what this query actually pushed into each scan
-        # (EXPLAIN-lite; last_plan records which execution path ran)
-        self.last_pushdown = {"projections": dict(projections), "predicates": dict(predicates)}
+        # observability: what this query actually pushed into each
+        # scan and where each scan ran (last_plan: which path ran)
+        self.last_pushdown = {
+            "projections": dict(projections), "predicates": dict(predicates), "scans": {},
+        }
         if kind == "stats_answer":
             self.last_plan = kind
             return plan
         if kind in ("aggregate_pushdown", "topk_pushdown"):
             name = p["referenced"][0]
-            ds = self.table(name, columns=projections[name], predicate=predicates[name])
+            scan = self._scan(name, projections[name], predicates[name], entries=entries[name])
             self.last_plan = kind
             empty = _projected(schemas[name], projections[name]).empty_table()
-            return _run_partials(ds, sqlagg.run_partial(plan.partial_sql), empty, plan)
+            partial_fn = sqlagg.run_partial(plan.partial_sql)
+            return _run_partials(scan, lambda b, _: partial_fn(b), empty, plan)
         prepared = None
         if kind in ("join_aggregate_pushdown", "join_topk_pushdown"):
-            prepared = self._prepare_join_aggregate(plan, projections)
+            prepared = self._prepare_join_aggregate(plan, p)
         if prepared is not None:
             small, skey, big, bkey, small_tbl = prepared
             same = plan.k1 == plan.k2
-            small_ref = ray.put(small_tbl)
             partial_fn = sqlagg.run_partial(plan.agg.partial_sql)
 
             def join(batch, right):
@@ -464,13 +479,13 @@ class Catalog:
                     coalesce_keys=same,
                 )
 
-            def join_partial(batch, _ref=small_ref):
-                return partial_fn(join(batch, ray.get(_ref)))
+            def join_partial(batch, right):
+                return partial_fn(join(batch, right))
 
             big_cols = projections[big]
             if big_cols is not None and bkey not in big_cols:
                 big_cols = [*big_cols, bkey]
-            ds = self.table(big, columns=big_cols, predicate=predicates[big])
+            scan = self._scan(big, big_cols, predicates[big], entries=entries[big])
             # an empty JOINED table pins the partial schema, so a
             # fully-pruned big scan still yields the right 0-row/identity
             # answer
@@ -479,25 +494,22 @@ class Catalog:
                 small_tbl.schema.empty_table(),
             )
             self.last_plan = kind
-            return _run_partials(ds, join_partial, empty, plan.agg)
-        prefilter = p["prefilter"] and self._plan_semijoin_prefilter(p["prefilter"])
-        con = duckdb.connect()
-        readers = []  # keep referenced readers alive until fetch
-        try:
+            return _run_partials(scan, join_partial, empty, plan.agg, small_tbl)
+        prefilter = p["prefilter"] and self._plan_semijoin_prefilter(
+            p["prefilter"], predicates, entries
+        )
+        with sqlagg.cursor() as con:
+            readers = []  # keep referenced readers alive until fetch
             for name in p["referenced"]:
-                ds = self.table(name, columns=projections[name], predicate=predicates[name])
+                fn = keys = None
                 if prefilter is not None and name == prefilter["big"]:
-                    ds = ds.map_batches(prefilter["fn"], batch_format="pyarrow")
+                    fn, keys = prefilter["fn"], prefilter["keys"]
+                scan = self._scan(name, projections[name], predicates[name], entries=entries[name])
                 schema = _projected(schemas[name], projections[name])
-                reader = _dataset_reader(ds, fallback_schema=schema)
-                readers.append(reader)
-                con.register(name, reader)
-            self.last_plan = (
-                "stream+semijoin_prefilter" if prefilter is not None else "stream"
-            )
+                readers.append(_reader(scan, schema, fn, keys))
+                con.register(name, readers[-1])
+            self.last_plan = "stream+semijoin_prefilter" if prefilter is not None else "stream"
             return con.sql(query).fetch_arrow_table()
-        finally:
-            con.close()
 
 
 _EXPLAIN = {
@@ -525,6 +537,11 @@ _PUSHABLE_OPS = {
 }
 
 
+def _raw_bytes(entries: list[dict]) -> int:
+    """Decoded-bytes estimate of a table's manifest rows (metadata only)."""
+    return sum(e.get("raw_bytes", 0) for e in entries)
+
+
 def _projected(schema, columns: list[str] | None):
     """``schema`` narrowed to ``columns`` (None = full width)."""
     import pyarrow as pa
@@ -532,40 +549,52 @@ def _projected(schema, columns: list[str] | None):
     return schema if columns is None else pa.schema([schema.field(c) for c in columns])
 
 
-def _run_partials(ds: ray.data.Dataset, fn, empty_input, plan):
-    """Run ``plan``'s partial (``fn``) over every batch of ``ds`` on the
-    workers and its final merge over the partial stream on this node.
-    ``empty_input`` — a 0-row table shaped like the partial's input —
-    pins the partial schema: a fully pruned scan has no blocks and
-    ``ds.schema()`` is None, and a point lookup of an absent value must
-    return its 0-row answer, not crash."""
-    import duckdb
+def _run_partials(scan, fn, empty_input, plan, side=None):
+    """Run ``plan``'s partial (``fn(batch, side)``) over every batch of
+    ``scan`` (see ``_reader``) and its final merge over the partial
+    stream on this node. ``empty_input`` — a 0-row table shaped like the
+    partial's input — pins the partial schema, so a fully pruned scan
+    (no batches) and a point lookup of an absent value return their
+    0-row answer."""
+    from . import sqlagg
 
-    con = duckdb.connect()
-    try:
+    with sqlagg.cursor() as con:
         con.register("__batch", empty_input)
-        fallback = con.sql(plan.partial_sql).fetch_arrow_table().schema
-        partials = ds.map_batches(fn, batch_format="pyarrow")
-        reader = _dataset_reader(partials, fallback_schema=fallback)
-        con.register("__partials", reader)
+        schema = con.sql(plan.partial_sql).fetch_arrow_table().schema
+        con.register("__partials", _reader(scan, schema, fn, side))
         return con.sql(plan.final_sql).fetch_arrow_table()
-    finally:
-        con.close()
 
 
-def _dataset_reader(ds: ray.data.Dataset, fallback_schema=None):
-    """ray.data.Dataset -> streaming pyarrow.RecordBatchReader.
-    ``fallback_schema`` covers zero-block datasets (e.g. a fully pruned
-    scan), whose ``schema()`` is None."""
+def _reader(scan, schema, fn=None, side=None):
+    """Streaming RecordBatchReader with ``schema`` over a ``Catalog._scan``
+    result, applying ``fn(batch, side)`` when given (``side``: a broadcast
+    table or key set). A driver scan runs the datasource's read tasks
+    here; a Ray scan streams a Dataset of them, ``side`` in the store."""
     import pyarrow as pa
 
-    schema = ds.schema()
-    schema = getattr(schema, "base_schema", schema)
-    if schema is None:
-        schema = fallback_schema
+    src, executor = scan
+    if executor == "ray":
+        ds = ray.data.read_datasource(src)
+        if fn is not None:
+            ref = ray.put(side)
+            ds = ds.map_batches(lambda b: fn(b, ray.get(ref)), batch_format="pyarrow")
+        return _dataset_reader(ds, schema)
 
     def gen():
-        for tbl in ds.iter_batches(batch_format="pyarrow"):
+        for task in src.get_read_tasks(1):
+            for t in task():
+                yield from (t if fn is None else fn(t, side)).to_batches()
+
+    return pa.RecordBatchReader.from_batches(schema, gen())
+
+
+def _dataset_reader(ds: ray.data.Dataset, schema):
+    """ray.data.Dataset -> streaming pyarrow.RecordBatchReader; the caller
+    knows ``schema`` (``ds.schema()`` runs a hidden execution)."""
+    import pyarrow as pa
+
+    def gen():
+        for tbl in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
             yield from tbl.to_batches()
 
     return pa.RecordBatchReader.from_batches(schema, gen())

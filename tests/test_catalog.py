@@ -97,13 +97,13 @@ def test_catalog_sql_projection_pushdown(encoded_dir, monkeypatch):
     cat = Catalog()
     cat.register_stripes("webtext", out)
     seen: dict[str, list | None] = {}
-    orig = Catalog.table
+    orig = Catalog._scan
 
-    def spy(self, name, columns=None, predicate=None):
+    def spy(self, name, columns=None, predicate=None, **kw):
         seen[name] = columns
-        return orig(self, name, columns=columns, predicate=predicate)
+        return orig(self, name, columns=columns, predicate=predicate, **kw)
 
-    monkeypatch.setattr(Catalog, "table", spy)
+    monkeypatch.setattr(Catalog, "_scan", spy)
     langs = set(wt.column("lang").to_pylist())
     res = cat.sql("SELECT count(DISTINCT lang) AS n FROM webtext")
     assert seen["webtext"] == ["lang"]
@@ -142,13 +142,13 @@ def test_catalog_sql_filter_pushdown(ray_session, tmp_path, monkeypatch):
     cat = Catalog()
     cat.register_stripes("ft", f"{tmp_path}/enc")
     seen = {}
-    orig = Catalog.table
+    orig = Catalog._scan
 
-    def spy(self, name, columns=None, predicate=None):
+    def spy(self, name, columns=None, predicate=None, **kw):
         seen[name] = predicate
-        return orig(self, name, columns=columns, predicate=predicate)
+        return orig(self, name, columns=columns, predicate=predicate, **kw)
 
-    monkeypatch.setattr(Catalog, "table", spy)
+    monkeypatch.setattr(Catalog, "_scan", spy)
     out = cat.sql("SELECT k, v FROM ft WHERE v >= 4 ORDER BY v")
     assert seen["ft"] == [("v", ">=", 4)]
     assert out.column("v").to_pylist() == [4.0, 5.0, 6.0]
@@ -215,13 +215,13 @@ def test_catalog_is_null_pushdown(ray_session, tmp_path, monkeypatch):
     cat = Catalog()
     cat.register_stripes("nt", f"{tmp_path}/enc")
     seen = {}
-    orig = Catalog.table
+    orig = Catalog._scan
 
-    def spy(self, name, columns=None, predicate=None):
+    def spy(self, name, columns=None, predicate=None, **kw):
         seen[name] = predicate
-        return orig(self, name, columns=columns, predicate=predicate)
+        return orig(self, name, columns=columns, predicate=predicate, **kw)
 
-    monkeypatch.setattr(Catalog, "table", spy)
+    monkeypatch.setattr(Catalog, "_scan", spy)
     out = cat.sql("SELECT b FROM nt WHERE a IS NOT NULL ORDER BY b")
     assert seen["nt"] == [("a", "notnull", None)]
     assert out.column("b").to_pylist() == [10.0, 20.0, 50.0, 60.0]
@@ -373,13 +373,13 @@ def test_catalog_sql_quoted_identifier_pushdown(ray_session, tmp_path, monkeypat
     cat = Catalog()
     cat.register_stripes("t", f"{tmp_path}/enc")
     seen: dict[str, list | None] = {}
-    orig = Catalog.table
+    orig = Catalog._scan
 
-    def spy(self, name, columns=None, predicate=None):
+    def spy(self, name, columns=None, predicate=None, **kw):
         seen[name] = columns
-        return orig(self, name, columns=columns, predicate=predicate)
+        return orig(self, name, columns=columns, predicate=predicate, **kw)
 
-    monkeypatch.setattr(Catalog, "table", spy)
+    monkeypatch.setattr(Catalog, "_scan", spy)
     for sql_name, raw, vals in [
         ('"a b"', "a b", [1, 2, 3]),
         ('"sélect"', "sélect", ["x", "y", "z"]),
@@ -412,13 +412,13 @@ def test_catalog_or_pushdown(ray_session, tmp_path, monkeypatch):
     cat = Catalog()
     cat.register_stripes("ot", f"{tmp_path}/enc")
     seen = {}
-    orig = Catalog.table
+    orig = Catalog._scan
 
-    def spy(self, name, columns=None, predicate=None):
+    def spy(self, name, columns=None, predicate=None, **kw):
         seen[name] = predicate
-        return orig(self, name, columns=columns, predicate=predicate)
+        return orig(self, name, columns=columns, predicate=predicate, **kw)
 
-    monkeypatch.setattr(Catalog, "table", spy)
+    monkeypatch.setattr(Catalog, "_scan", spy)
     # same-column point disjunction: middle stripe [3,4] pruned
     out = cat.sql("SELECT v FROM ot WHERE v = 1 OR v = 5 ORDER BY v")
     assert seen["ot"] == [("or", [[("v", "==", 1)], [("v", "==", 5)]])]
@@ -1088,15 +1088,11 @@ def test_join_small_side_projection_applied(ray_session, tmp_path):
     cat = Catalog()
     cat.register_stripes("bt4", f"{tmp_path}/eb")
     cat.register_stripes("st4", f"{tmp_path}/es")
-    from datafusion_orc_ray.sources import sqlagg
 
     q = "SELECT g, sum(v) AS s FROM bt4 JOIN st4 ON k = ck GROUP BY g ORDER BY g"
-    prepared = cat._prepare_join_aggregate(
-        sqlagg.plan_join_aggregate(
-            q, {"bt4": cat.schema("bt4"), "st4": cat.schema("st4")}
-        ),
-        cat._resolve_projections(q, ["bt4", "st4"]),
-    )
+    p = cat._plan(q)
+    cat.last_pushdown = {"scans": {}}  # the small side's scan records here
+    prepared = cat._prepare_join_aggregate(p["plan"], p)
     assert prepared is not None
     small_tbl = prepared[-1]
     assert sorted(small_tbl.column_names) == ["ck", "g"]  # wide_unused pruned
