@@ -14,9 +14,8 @@ Framing: [bytes_codec u8] + payload
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
-from . import fsst
+from . import fsst, outer
 from .bitpack import read_uvarint, write_uvarint
 
 BYTES_RAW = 0
@@ -24,7 +23,8 @@ BYTES_FSST = 1
 
 _NAMES = {BYTES_RAW: "raw", BYTES_FSST: "fsst"}
 
-_TRAIN_SAMPLE = 32768
+_TRAIN_SAMPLE = 16384  # training sample budget, bytes
+_TRAIN_STRATA = 16     # at least this many rows share the budget
 _TRIAL_SAMPLE = 65536
 
 
@@ -32,17 +32,38 @@ def bytes_codec_name(codec_id: int) -> str:
     return _NAMES[codec_id]
 
 
-def choose(data: np.ndarray, row_offsets: np.ndarray, table: fsst.SymbolTable | None = None):
+def _train_sample(data: np.ndarray, row_offsets: np.ndarray) -> bytes:
+    """Up to ``_TRAIN_SAMPLE`` bytes of rows stratified across the column
+    (EDBT 2019, Stratified Random Sampling): the middle row of each of k
+    equal strata, k set so average rows fill the budget. A row gives at
+    most 1/``_TRAIN_STRATA`` of it, so long documents still spread over
+    that many strata. Systematic, so re-encodes are identical."""
+    n = row_offsets.size - 1
+    if data.size <= _TRAIN_SAMPLE:
+        return data.tobytes()
+    k = min(n, max(_TRAIN_STRATA, n * _TRAIN_SAMPLE // data.size))
+    rows = (2 * np.arange(k) + 1) * n // (2 * k)
+    starts = row_offsets[rows].astype(np.int64)
+    lens = np.minimum(row_offsets[rows + 1] - starts, _TRAIN_SAMPLE // _TRAIN_STRATA)
+    gather = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return data[gather[:_TRAIN_SAMPLE]].tobytes()
+
+
+def _final_size(buf, outer_codec: int) -> int:
+    return sum(len(p) for p in outer.compress(buf, outer_codec))
+
+
+def choose(data: np.ndarray, row_offsets: np.ndarray, table: fsst.SymbolTable | None = None,
+           outer_codec: int = outer.ZSTD):
     """Sampled trial: returns (codec_id, trained_table_or_None, est_ratio).
 
-    The decision compares FINAL stream sizes — i.e. after the outer
-    general-purpose codec the stripe writer will apply — because FSST
-    only earns its decode state when fsst+outer beats raw+outer (long
-    documents: outer zstd alone usually wins; short repetitive strings
-    like urls: FSST wins). A caller holding a cached per-partition table
-    (the encoder actor) passes it in; it is re-validated on this chunk's
-    sample before reuse, so drifting data retrains instead of bloating
-    (E16)."""
+    The decision compares FINAL stream sizes — i.e. after the stripe's
+    ``outer_codec`` — because FSST only earns its decode state when
+    fsst+outer beats raw+outer (long documents: outer zstd alone
+    usually wins; short repetitive strings like urls, or no outer codec:
+    FSST wins). A caller holding a cached table (the job's encoder
+    state) passes it in; it is re-validated on this chunk's sample
+    before reuse, so drifting data retrains instead of bloating (E16)."""
     n = int(data.size)
     if n < 64:
         return BYTES_RAW, None, 1.0
@@ -51,11 +72,11 @@ def choose(data: np.ndarray, row_offsets: np.ndarray, table: fsst.SymbolTable | 
     s_data = data[: row_offsets[sample_end]]
     s_offsets = row_offsets[: sample_end + 1]
     if table is None:
-        table = fsst.train(s_data[:_TRAIN_SAMPLE].tobytes())
+        table = fsst.train(_train_sample(data, row_offsets))
     enc, _ = fsst.encode(table, s_data, s_offsets)
-    zstd = pa.Codec("zstd")
-    raw_final = len(zstd.compress(s_data.tobytes(), asbytes=True))
-    fsst_final = len(zstd.compress(enc, asbytes=True)) + len(table.to_bytes())
+    raw_final = _final_size(s_data, outer_codec)
+    # the table is stored once per stream: charge the sample its share
+    fsst_final = _final_size(enc, outer_codec) + len(table.to_bytes()) * s_data.size / n
     if fsst_final >= 0.98 * raw_final:
         return BYTES_RAW, None, s_data.size / max(raw_final, 1)
     return BYTES_FSST, table, s_data.size / max(fsst_final, 1)

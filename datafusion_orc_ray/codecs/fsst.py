@@ -14,10 +14,10 @@ plus monotonic scatters; decode is three vectorized passes (escape-run
 resolution, (n,8) symbol gather, boolean compress). Measured per core on
 webtext: encode ~7 MB/s (long text) / ~23 MB/s (urls), decode ~40-75
 MB/s — the sampling trial in bytes_codec.choose() means full FSST encode
-only runs on columns where it beats raw+zstd (short repetitive strings).
+only runs on columns where it beats raw+outer (short repetitive strings).
 
 The symbol table is decode state: it is serialized into the stripe footer
-(never kept only in actor memory) — see stripe.py.
+(never kept only in encoder memory) — see stripe.py.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ PARSE_CHUNK = 1024  # parse-unit size; bounds the sequential depth of the
                     # scan. Larger chunks = fewer symbol-breaking unit
                     # boundaries (ratio 3.97 vs 3.60 at 512 on urls) at
                     # the cost of more sequential rounds per chunk.
+TRAIN_UNIT = 64  # training's parse unit: its cost then follows the sample
+                 # size (tables within 5% of PARSE_CHUNK-parsed ones)
 
 
 class SymbolTable:
@@ -52,26 +54,25 @@ class SymbolTable:
         if len(symbols) > MAX_SYMBOLS:
             raise ValueError("too many symbols")
         self.symbols = list(symbols)
+        n = len(symbols)
+        lens = np.array([len(s) for s in symbols], dtype=np.int64)
+        bad = lens[(lens < 1) | (lens > MAX_SYMBOL_LEN)]
+        if bad.size:
+            raise ValueError(f"bad symbol length {bad[0]}")
         self.sym_lens = np.zeros(256, dtype=np.uint8)
+        self.sym_lens[:n] = lens
         self.sym_bytes = np.zeros((256, MAX_SYMBOL_LEN), dtype=np.uint8)
-        for code, s in enumerate(symbols):
-            if not 1 <= len(s) <= MAX_SYMBOL_LEN:
-                raise ValueError(f"bad symbol length {len(s)}")
-            self.sym_lens[code] = len(s)
-            self.sym_bytes[code, : len(s)] = np.frombuffer(s, dtype=np.uint8)
-        # sorted padded keys + fallback (longest proper prefix) pointers
-        order = sorted(
-            range(len(symbols)),
-            key=lambda c: (int.from_bytes(symbols[c] + b"\x00" * (8 - len(symbols[c])), "big"), len(symbols[c])),
-        )
-        self.pk = np.array(
-            [int.from_bytes(symbols[c] + b"\x00" * (8 - len(symbols[c])), "big") for c in order],
-            dtype=np.uint64,
-        )
-        self.pcodes = np.array(order, dtype=np.uint8)
-        self.plens = np.array([len(symbols[c]) for c in order], dtype=np.int64)
+        self.sym_bytes[:n] = np.frombuffer(
+            b"".join(s.ljust(MAX_SYMBOL_LEN, b"\x00") for s in symbols), dtype=np.uint8
+        ).reshape(n, MAX_SYMBOL_LEN)
+        # zero-padded big-endian keys sorted by (key, length) + fallback
+        # (longest proper prefix) pointers
+        keys = self.sym_bytes[:n].view(">u8").ravel().astype(np.uint64)
+        order = np.lexsort((lens, keys))
+        self.pk, self.plens, self.pcodes = keys[order], lens[order], order.astype(np.uint8)
+        order = order.tolist()
         pos_of = {symbols[c]: i for i, c in enumerate(order)}
-        fall = np.full(len(order), -1, dtype=np.int64)
+        fall = np.full(n, -1, dtype=np.int64)
         for i, c in enumerate(order):
             s = symbols[c]
             for cut in range(len(s) - 1, 0, -1):
@@ -107,13 +108,13 @@ class SymbolTable:
 
 
 def _parse_sample(table: SymbolTable, data: np.ndarray, keys8: np.ndarray):
-    """Greedy-parse ``data`` with ``table`` (chunked like encode(), so the
-    Python loop count is symbols-per-chunk, not total symbols). Returns
-    (positions, lengths) of the emitted symbols in text order; escapes
-    emit length 1."""
+    """Greedy-parse ``data`` with ``table`` in ``TRAIN_UNIT``-byte units
+    (the Python loop count is symbols-per-unit, not total symbols).
+    Returns (positions, lengths) of the emitted symbols in text order;
+    escapes emit length 1."""
     n = data.size
-    starts = np.arange(0, n, PARSE_CHUNK, dtype=np.int64)
-    ends = np.minimum(starts + PARSE_CHUNK, n)
+    starts = np.arange(0, n, TRAIN_UNIT, dtype=np.int64)
+    ends = np.minimum(starts + TRAIN_UNIT, n)
     p, e = starts.copy(), ends.copy()
     pos_parts, len_parts = [], []
     while p.size:
@@ -144,7 +145,7 @@ def _count_gains(keys8: np.ndarray, pos: np.ndarray, length: np.ndarray, weight_
 
 
 def train(sample: bytes, generations: int = 4, max_symbols: int = MAX_SYMBOLS) -> SymbolTable:
-    """Train a symbol table on ``sample`` (keep it <= ~32 KiB).
+    """Train a symbol table on ``sample`` (keep it <= ~16 KiB).
 
     Iterative scheme (same as the original dict-based loop, now fully
     vectorized on the _probe matcher): parse the sample greedily with the
@@ -155,9 +156,11 @@ def train(sample: bytes, generations: int = 4, max_symbols: int = MAX_SYMBOLS) -
         return SymbolTable([])
     data = np.frombuffer(sample, dtype=np.uint8)
     keys8 = _window_keys(data)
-    table = SymbolTable([bytes([int(b)]) for b in np.unique(data)][:max_symbols])
-    for _gen in range(generations):
-        P, L = _parse_sample(table, data, keys8)
+    # the starting table, every single byte, parses the sample byte by byte
+    P, L = np.arange(data.size, dtype=np.int64), np.ones(data.size, dtype=np.int64)
+    for gen in range(generations):
+        if gen:
+            P, L = _parse_sample(table, data, keys8)
         sym_k, sym_l, sym_g = _count_gains(
             keys8, P, L, lambda c, ln: c * np.maximum(ln - 1, 1)
         )

@@ -62,7 +62,7 @@ def compress_auto(buf, codec_id: int = ZSTD) -> list:
     isOriginal chunks)."""
     mv = memoryview(buf).cast("B")
     n = len(mv)
-    if n < 64:
+    if n < 64 or codec_id == NONE:
         return compress(buf, NONE)
     if n > 4 * _SAMPLE:
         trial = pa.Codec(_PA_NAME[codec_id]).compress(pa.py_buffer(mv[:_SAMPLE]), asbytes=True)

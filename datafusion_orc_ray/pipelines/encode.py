@@ -4,7 +4,7 @@ the inverse decode path (SURVEY.md §3.3 "Ray lifecycle equivalent").
 Two encode modes, one core:
 
 * ``encode_dataset`` — composable Dataset mode: any ``ray.data.Dataset``
-  -> ``map_batches(StripeEncoder)`` actor pool -> manifest Dataset.
+  -> ``map_batches(encode_batch)`` task stage -> manifest Dataset.
   Streaming, backpressured; stripe ids are content hashes (idempotent
   but not resume-planned).
 
@@ -13,6 +13,12 @@ Two encode modes, one core:
   deterministic partition ids. Restart lists the manifest directory and
   re-runs only missing fragments (checkpoint/resume per the north rule).
   Reads are pruned to ``columns`` at the Parquet layer (S5).
+
+Both run as Ray Data TASK stages on pooled task workers: no actor pool
+starts per job, and each CPU slot is freed when its last task ends.
+Codec decisions are shared across a job's tasks through the worker's
+job-scoped encoder state (``stages.encode.job_state``), never across
+jobs.
 
 Skew handling (north rule; SURVEY.md §4 "Skew / stragglers"): web corpora
 are Zipf-skewed in ``lang`` (and url host). ``cluster_for_compression``
@@ -32,8 +38,9 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from ..stages.encode import FragmentEncoder, StripeEncoder
+from ..stages.encode import StripeEncoder, encode_batch, encode_fragments, manifest_row_schema
 from ..state import manifest as man
+from ..util import cluster_cpus as _cluster_cpus
 
 
 def plan_fragments(input_paths: list[str] | str) -> list[dict]:
@@ -56,18 +63,11 @@ def plan_fragments(input_paths: list[str] | str) -> list[dict]:
     return frags
 
 
-def _cluster_cpus() -> int:
-    # thin alias over the shared sizing helper (one policy to change)
-    from ..util import cluster_cpus
-
-    return cluster_cpus()
-
-
 def _default_pool(whole_pipeline: bool = False) -> int:
-    """Encoder actor-pool size. Fragment actors do their own read+encode+
-    write (no upstream stage), so they may take every CPU; Dataset-mode
-    encoders sit downstream of read tasks and must leave headroom
-    (ray_guide: a pool that reserves every CPU starves the other stages)."""
+    """Encode-stage concurrency. Fragment encoders do their own read+
+    encode+write (no upstream stage), so they may take every CPU;
+    Dataset-mode encoders sit downstream of read tasks and must leave
+    headroom (a stage that reserves every CPU starves the other stages)."""
     cpus = _cluster_cpus()
     return cpus if whole_pipeline else max(1, cpus - 2)
 
@@ -82,7 +82,7 @@ def encode_parquet(
     input_paths: list[str] | str,
     out_dir: str,
     columns: list[str] | None = None,
-    concurrency: int | tuple | None = None,
+    concurrency: int | None = None,
     resume: bool = True,
 ) -> ray.data.Dataset:
     """Resumable fragment-mode encode. Returns the manifest Dataset of
@@ -97,8 +97,8 @@ def encode_parquet(
         concurrency = _default_pool(whole_pipeline=True)
     ds = ray.data.from_items(frags)
     return ds.map_batches(
-        FragmentEncoder,
-        fn_constructor_kwargs={"out_dir": out_dir, "columns": columns},
+        encode_fragments,
+        fn_kwargs={"out_dir": out_dir, "columns": columns},
         batch_format="pyarrow",
         batch_size=1,  # one fragment per task: the resume/parallelism unit
         concurrency=concurrency,
@@ -109,14 +109,14 @@ def encode_dataset(
     ds: ray.data.Dataset,
     out_dir: str,
     rows_per_stripe: int = 32768,
-    concurrency: int | tuple | None = None,
+    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Composable Dataset-mode encode (content-addressed stripe ids)."""
     if concurrency is None:
         concurrency = _default_pool()
     return ds.map_batches(
-        StripeEncoder,
-        fn_constructor_kwargs={"out_dir": out_dir},
+        encode_batch,
+        fn_kwargs={"out_dir": out_dir},
         batch_format="pyarrow",
         batch_size=rows_per_stripe,
         zero_copy_batch=True,
@@ -363,12 +363,7 @@ def _spill_codec() -> str:
     """IPC body compression for shuffle spill files: lz4 frame when the
     wheel carries it (fastest), else zstd. Spill is transient shuffle
     state, not durable data — decode speed beats ratio."""
-    try:
-        if pa.Codec.is_available("lz4"):
-            return "lz4"
-    except Exception:
-        pass
-    return "zstd"
+    return "lz4" if pa.Codec.is_available("lz4") else "zstd"
 
 
 def _est_dataset_bytes(ds: ray.data.Dataset) -> int:
@@ -490,8 +485,6 @@ class _SpillTaskEncoder:
         rows_per_stripe: int = 32768,
         target_stripe_bytes: int = 32 << 20,
     ) -> None:
-        from ..stages.encode import StripeEncoder
-
         self.enc = StripeEncoder(out_dir)
         self.salt_col = salt_col
         self.rows_per_stripe = rows_per_stripe
@@ -531,7 +524,7 @@ class _SpillTaskEncoder:
                 self.rows_per_stripe, self.target_stripe_bytes, self.seq,
             )
             all_rows.extend(rows)
-        return pa.Table.from_pylist(all_rows, schema=_manifest_schema())
+        return pa.Table.from_pylist(all_rows, schema=manifest_row_schema())
 
 
 def _plan_spill_tasks(index_rows: list[dict], task_bytes: int) -> list[dict]:
@@ -659,9 +652,8 @@ def _encode_global(
     task_bytes = int(min(256 << 20, max(32 << 20, total / cpus)))
     specs = _plan_spill_tasks(index_rows, task_bytes)
 
-    # plain tasks for the same cold-start reason as the spill pass: the
-    # per-stripe codec trials an actor's EncoderState would cache are
-    # per-shard-group here anyway (batch_size=1)
+    # plain tasks for the same cold-start reason as the spill pass; codec
+    # decisions carry across them in the worker's job-scoped state
     def encode_group(batch: pa.Table) -> pa.Table:
         return _SpillTaskEncoder(
             out_dir,
@@ -690,8 +682,6 @@ class _ClusteredBatchEncoder:
         rows_per_stripe: int = 32768,
         target_stripe_bytes: int = 32 << 20,
     ) -> None:
-        from ..stages.encode import StripeEncoder
-
         self.enc = StripeEncoder(out_dir)
         self.key = key
         self.salt_col = salt_col
@@ -723,7 +713,7 @@ class _ClusteredBatchEncoder:
             self.enc, body, bounds, labels,
             self.rows_per_stripe, self.target_stripe_bytes, self.seq,
         )
-        return pa.Table.from_pylist(rows, schema=_manifest_schema())
+        return pa.Table.from_pylist(rows, schema=manifest_row_schema())
 
 
 def _emit_keyed_stripes(
@@ -751,7 +741,7 @@ def _emit_keyed_stripes(
             chunk = body.slice(s, min(cap, stop - s))
             entry = enc.encode_one(chunk, lineage=f"shard={label}:{seq}")
             seq += 1
-            rows.append({k: entry.get(k) for k in _manifest_names()})
+            rows.append({k: entry.get(k) for k in manifest_row_schema().names})
 
     mixed_start = None
     for i in range(len(bounds) - 1):
@@ -767,18 +757,6 @@ def _emit_keyed_stripes(
     if mixed_start is not None:
         emit(mixed_start, int(bounds[-1]), "mixed")
     return rows, seq
-
-
-
-
-def _manifest_schema():
-    from ..stages.encode import manifest_row_schema
-
-    return manifest_row_schema()
-
-
-def _manifest_names():
-    return _manifest_schema().names
 
 
 # ----------------------------------------------------------------- compaction
@@ -814,8 +792,6 @@ class _CompactWorker:
 
     def __init__(self, out_dir: str, schema_b64: str) -> None:
         import base64
-
-        from ..stages.encode import StripeEncoder
 
         self.out_dir = out_dir
         self.enc = StripeEncoder(out_dir)
@@ -860,13 +836,13 @@ class _CompactWorker:
             # source of truth; leftover files are ignored by readers)
             for m in members:
                 for p in man.stripe_paths(self.out_dir, m["stripe_id"]):
+                    fs, fp = dio.resolve(p)
                     try:
-                        fs, fp = dio.resolve(p)
                         fs.delete_file(fp)
-                    except Exception:
+                    except OSError:  # already gone, or not deletable
                         pass
-            rows.append({k: entry.get(k) for k in _manifest_names()})
-        return pa.Table.from_pylist(rows, schema=_manifest_schema())
+            rows.append({k: entry.get(k) for k in manifest_row_schema().names})
+        return pa.Table.from_pylist(rows, schema=manifest_row_schema())
 
 
 def compact_stripes(

@@ -1,10 +1,12 @@
 """Encode stages for ``Dataset.map_batches``.
 
-``StripeEncoder`` is a callable CLASS → Ray runs it as an actor pool
-(SURVEY.md §3.3 Ray lifecycle): per-actor ``EncoderState`` holds cached
-FSST/dict codec decisions (trained once, reused across the actor's
-batches, re-validated periodically — E16), while every emitted stripe
-embeds its own symbol tables so decode needs no actor state.
+The pipelines map plain functions (``encode_batch``, ``encode_fragments``),
+so Ray runs them as task stages on pooled workers, each CPU slot freed
+when its task ends (SURVEY.md §3.3 Ray lifecycle). Their ``EncoderState``
+(cached FSST/dict codec decisions, re-validated periodically — E16) is
+the worker process's ``job_state``: shared by the tasks of the job writing
+one ``out_dir``, never by another job. Every stripe embeds its own symbol
+tables, so decode needs no encoder state.
 
 One input batch -> one stripe blob on disk + one manifest row out.
 The output of the stage is the manifest Dataset — small rows — so the
@@ -48,12 +50,26 @@ def manifest_row_schema() -> pa.Schema:
     )
 
 
+_JOB_STATE: tuple[str, stripe.EncoderState] | None = None  # (out_dir, state)
+
+
+def job_state(out_dir: str) -> stripe.EncoderState:
+    """The encoder state of the job writing ``out_dir``, kept in one
+    process-level slot: Ray reuses task workers, so a job's fragments
+    share codec decisions, and a task of another job replaces the slot."""
+    global _JOB_STATE
+    slot = _JOB_STATE  # one read: a racing caller cannot hand back its state
+    if slot is None or slot[0] != out_dir:
+        slot = _JOB_STATE = (out_dir, stripe.EncoderState())
+    return slot[1]
+
+
 class StripeEncoder:
-    """map_batches(StripeEncoder, batch_format="pyarrow", batch_size=R,
-    concurrency=N, fn_constructor_kwargs={"out_dir": ...})."""
+    """Encodes tables into stripes under ``out_dir``; ``encode_batch``
+    is its task-stage form."""
 
     def __init__(self, out_dir: str, outer_codec: int = outer.ZSTD, lineage: str = "") -> None:
-        # one actor == one CPU slot: pin Arrow's internal pools so a
+        # a task holds one CPU slot: pin Arrow's internal pools so a
         # num_cpus=N session really uses N cores (otherwise parquet reads
         # fan out to every host core and distort per-stage accounting)
         pa.set_cpu_count(1)
@@ -61,7 +77,7 @@ class StripeEncoder:
         self.out_dir = out_dir
         self.outer_codec = outer_codec
         self.lineage = lineage
-        self.state = stripe.EncoderState()  # per-actor, init once (E16)
+        self.state = job_state(out_dir)
         manifest.ensure_dirs(out_dir)
 
     def encode_one(
@@ -121,7 +137,7 @@ class StripeEncoder:
 class FragmentEncoder(StripeEncoder):
     """Deterministic-partition variant: the batch rows are fragment specs
     ``{path, row_group}`` (planned by pipelines.encode.plan_fragments);
-    the actor reads its row group straight from Parquet (columns pruned
+    the task reads its row group straight from Parquet (columns pruned
     at the read, S5). A row group larger than ``target_stripe_bytes``
     raw is split into multiple stripes (chunk count is deterministic
     from the data, so reruns produce identical ids) — a 512 MB input
@@ -174,3 +190,13 @@ class FragmentEncoder(StripeEncoder):
                 # newer keys (schema_b64)
                 rows.append({k: entry.get(k) for k in manifest_row_schema().names})
         return pa.Table.from_pylist(rows, schema=manifest_row_schema())
+
+
+def encode_batch(batch: pa.Table, out_dir: str) -> pa.Table:
+    """``encode_dataset``'s task stage: one batch -> one stripe."""
+    return StripeEncoder(out_dir)(batch)
+
+
+def encode_fragments(specs: pa.Table, out_dir: str, columns: list[str] | None = None) -> pa.Table:
+    """``encode_parquet``'s task stage: fragment specs -> stripes."""
+    return FragmentEncoder(out_dir, columns=columns)(specs)

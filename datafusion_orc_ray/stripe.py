@@ -50,7 +50,8 @@ LENGTHS = "lengths"
 
 
 class EncoderState:
-    """Mutable per-partition encoder state owned by an encode actor (E16):
+    """Mutable encoder state of one encode job in one worker process
+    (E16; ``stages.encode.job_state`` scopes it to the job's output dir):
     cached codec decisions + FSST symbol tables per column path, re-trialed
     after ``REVALIDATE_BYTES`` of column data (byte-based, not stripe-based:
     clustered encodes emit many small stripes and a per-stripe TTL made
@@ -85,13 +86,13 @@ class EncoderState:
         self.int_decisions[path] = [buf[0], self.REVALIDATE_EVERY]
         return buf
 
-    def choose_bytes(self, path: str, data, offs):
+    def choose_bytes(self, path: str, data, offs, outer_codec: int):
         cached = self.bytes_decisions.get(path)
         if cached is not None and cached[3] > 0:
             cached[3] -= int(data.size)
             return cached[0], cached[1], cached[2]
         prev_table = cached[1] if cached is not None else None
-        codec_id, table, est = bytes_codec.choose(data, offs, prev_table)
+        codec_id, table, est = bytes_codec.choose(data, offs, prev_table, outer_codec)
         self.bytes_decisions[path] = [codec_id, table, est, self.REVALIDATE_BYTES]
         return codec_id, table, est
 
@@ -259,7 +260,7 @@ def _add(meta: dict, blobs: list, kind: str, smeta: dict, payload: bytes) -> Non
 
 
 def encode_column(
-    arr: pa.Array, path: str, state: EncoderState | None = None
+    arr: pa.Array, path: str, state: EncoderState | None = None, outer_codec: int = outer.ZSTD
 ) -> tuple[dict, list[tuple[dict, bytes]]]:
     """Encode one array. Returns (column_meta, [(stream_meta, bytes)]).
 
@@ -267,6 +268,8 @@ def encode_column(
     stripe assembler can patch in offsets/sizes after outer compression;
     they carry codec decisions + raw/encoded sizes for the manifest
     metrics (E17). Child columns own their stream directories.
+    ``outer_codec`` is the stripe's outer codec, which the bytes codec
+    trial compares sizes after.
     """
     t = arr.type
     n = len(arr)
@@ -344,7 +347,7 @@ def encode_column(
 
     if pa.types.is_fixed_size_list(t):
         child = arr.values.slice(arr.offset * t.list_size, len(arr) * t.list_size)
-        child_meta, child_blobs = encode_column(child, path + ".item", state)
+        child_meta, child_blobs = encode_column(child, path + ".item", state, outer_codec)
         meta["enc"] = "fixed_list"
         meta["list_size"] = t.list_size
         meta["children"] = [child_meta]
@@ -408,7 +411,7 @@ def encode_column(
         # dictionary trial (E9): sample distinct ratio. Long values never
         # pay for a dictionary and hashing them is the trial's whole cost,
         # so the probe is gated on average length; the verdict is cached
-        # per column in the actor state (same TTL discipline as bytes).
+        # per column in the encoder state (same TTL discipline as bytes).
         avg_len = data.size / max(n_valid, 1)
         cached_dict = state.dict_decisions.get(path) if state is not None else None
         if cached_dict is not None and cached_dict[1] > 0:
@@ -437,7 +440,7 @@ def encode_column(
                 {"codec": "dict+" + codec_name(idx_buf[0]), "raw_size": int(data.size)},
                 idx_buf,
             )
-            child_meta, child_blobs = encode_column(dct.dictionary, path + ".dict", state)
+            child_meta, child_blobs = encode_column(dct.dictionary, path + ".dict", state, outer_codec)
             meta["children"] = [child_meta]
             blobs.extend(child_blobs)
             return meta, blobs
@@ -448,9 +451,9 @@ def encode_column(
         len_buf = encode_ints(lengths)
         _add(meta, blobs, LENGTHS, {"codec": codec_name(len_buf[0])}, len_buf)
         if state is not None:
-            codec_id, table, est_ratio = state.choose_bytes(path, data, offs)
+            codec_id, table, est_ratio = state.choose_bytes(path, data, offs, outer_codec)
         else:
-            codec_id, table, est_ratio = bytes_codec.choose(data, offs, None)
+            codec_id, table, est_ratio = bytes_codec.choose(data, offs, None, outer_codec)
         payload = bytes_codec.encode(data, offs, codec_id, table)
         meta["enc"] = "plain"
         _add(
@@ -470,7 +473,7 @@ def encode_column(
         lengths = pc.list_value_length(arr).drop_null().to_numpy(zero_copy_only=False).astype(np.int64)
         len_buf = encode_ints(lengths)
         _add(meta, blobs, LENGTHS, {"codec": codec_name(len_buf[0])}, len_buf)
-        child_meta, child_blobs = encode_column(pc.list_flatten(arr), path + ".item", state)
+        child_meta, child_blobs = encode_column(pc.list_flatten(arr), path + ".item", state, outer_codec)
         meta["enc"] = "list"
         meta["children"] = [child_meta]
         blobs.extend(child_blobs)
@@ -478,7 +481,7 @@ def encode_column(
 
     if pa.types.is_map(t):
         as_list = arr.cast(pa.list_(pa.struct([("key", t.key_type), ("value", t.item_type)])))
-        inner_meta, inner_blobs = encode_column(as_list, path + ".entries", state)
+        inner_meta, inner_blobs = encode_column(as_list, path + ".entries", state, outer_codec)
         meta["enc"] = "map_as_list"
         meta["children"] = [inner_meta]
         blobs.extend(inner_blobs)
@@ -488,13 +491,13 @@ def encode_column(
         meta["enc"] = "struct"
         meta["children"] = []
         for i, field in enumerate(t):
-            child_meta, child_blobs = encode_column(arr.field(i), path + "." + field.name, state)
+            child_meta, child_blobs = encode_column(arr.field(i), path + "." + field.name, state, outer_codec)
             meta["children"].append(child_meta)
             blobs.extend(child_blobs)
         return meta, blobs
 
     if pa.types.is_dictionary(t):
-        return encode_column(arr.cast(t.value_type), path, state)
+        return encode_column(arr.cast(t.value_type), path, state, outer_codec)
 
     if pa.types.is_union(t):
         # unions carry no top-level validity in Arrow; streams are the
@@ -523,7 +526,7 @@ def encode_column(
             child = arr.field(i)
             if not dense and len(child) != n:
                 child = child.slice(arr.offset, n)
-            child_meta, child_blobs = encode_column(child, path + "." + field.name, state)
+            child_meta, child_blobs = encode_column(child, path + "." + field.name, state, outer_codec)
             meta["children"].append(child_meta)
             blobs.extend(child_blobs)
         return meta, blobs
@@ -631,7 +634,7 @@ def encode_table(
         columns_meta = []
         for name in table.column_names:
             col = cols[name] if n_chunks == 1 else cols[name].slice(row_start, n_c)
-            cmeta, blobs = encode_column(col, name, state)
+            cmeta, blobs = encode_column(col, name, state, outer_codec)
             for smeta, payload in blobs:
                 framed_parts = outer.compress_auto(payload, outer_codec)
                 framed_len = sum(len(p) for p in framed_parts)

@@ -1,0 +1,125 @@
+"""Encode runs as Ray task stages with a job-scoped codec cache: CPU slots
+are free as soon as a job's rows are taken, codec decisions are shared by
+one job's fragments in a process and never by two jobs, and the bytes
+codec trial compares sizes after the stripe's own outer codec."""
+
+import gc
+import time
+import weakref
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+from datafusion_orc_ray import fixtures, stripe
+from datafusion_orc_ray.codecs import fsst, outer
+from datafusion_orc_ray.pipelines import encode as ep
+from datafusion_orc_ray.stages import encode as se
+
+
+def _all_cpus_free(within_s: float) -> bool:
+    import ray
+
+    total = ray.cluster_resources().get("CPU", 0)
+    end = time.monotonic() + within_s
+    while ray.available_resources().get("CPU", 0) < total:
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def test_encode_jobs_free_cpu_slots_without_gc(ray_session, tmp_path):
+    """With the driver's cyclic GC off, every CPU slot is free within 2 s
+    of each encode, and the next encode does not wait for one."""
+    import ray.data
+
+    t = pa.table({"x": pa.array(range(20_000), pa.int64()),
+                  "s": pa.array([f"value-{i % 97}" for i in range(20_000)])})
+    src = f"{tmp_path}/in.parquet"
+    pq.write_table(t, src, row_group_size=5_000)
+    gc.collect()
+    assert _all_cpus_free(30.0)  # nothing left over from earlier tests
+    gc.disable()
+    try:
+        ep.encode_parquet(src, f"{tmp_path}/a", resume=False).take_all()
+        assert _all_cpus_free(2.0)
+        t0 = time.monotonic()
+        rows = ep.encode_parquet(src, f"{tmp_path}/b", resume=False).take_all()
+        assert time.monotonic() - t0 < 10.0
+        assert sum(r["n_rows"] for r in rows) == t.num_rows
+        assert _all_cpus_free(2.0)
+        rows = ep.encode_dataset(ray.data.from_arrow(t), f"{tmp_path}/c").take_all()
+        assert sum(r["n_rows"] for r in rows) == t.num_rows
+        assert _all_cpus_free(2.0)
+    finally:
+        gc.enable()
+
+
+def test_job_state_scopes_codec_cache(tmp_path, monkeypatch):
+    """The task function, called in-process once per fragment: one job
+    trains each string column once across its fragments, a job for
+    another out_dir trains again, and one state at most is alive."""
+    t = fixtures.webtext_table(480, seed=3)
+    src = f"{tmp_path}/in.parquet"
+    pq.write_table(t, src, row_group_size=120)
+    specs = pa.Table.from_pylist(ep.plan_fragments(src))
+    assert specs.num_rows == 4
+
+    trained: list[str] = []
+    path = {}
+    real_choose, real_train = stripe.EncoderState.choose_bytes, fsst.train
+
+    def choose_bytes(self, p, *a):
+        path["now"] = p
+        return real_choose(self, p, *a)
+
+    def train(sample, *a, **k):
+        trained.append(path["now"])
+        return real_train(sample, *a, **k)
+
+    states: list[weakref.ref] = []
+    real_init = stripe.EncoderState.__init__
+
+    def init(self, *a, **k):
+        states.append(weakref.ref(self))
+        real_init(self, *a, **k)
+
+    monkeypatch.setattr(stripe.EncoderState, "choose_bytes", choose_bytes)
+    monkeypatch.setattr(stripe.EncoderState, "__init__", init)
+    monkeypatch.setattr(fsst, "train", train)
+
+    def alive() -> int:
+        gc.collect()
+        return sum(r() is not None for r in states)
+
+    for i in range(specs.num_rows):  # one task per fragment, same process
+        se.encode_fragments(specs.slice(i, 1), out_dir=f"{tmp_path}/a")
+        assert alive() == 1
+    assert sorted(trained) == ["html", "text", "url"]
+    trained.clear()
+    se.encode_fragments(specs.slice(0, 1), out_dir=f"{tmp_path}/b")
+    assert sorted(trained) == ["html", "text", "url"]
+    assert len(states) == 2 and alive() == 1
+
+
+def test_bytes_choice_follows_outer_codec():
+    """With no outer codec the trial compares plain sizes, so webtext
+    urls are stored FSST (about 13 KB of 57.5 KB raw) and round-trip;
+    under zstd they stay raw."""
+    t = fixtures.webtext_table(2000, seed=1).select(["url"])
+    blob = stripe.encode_table(t, outer_codec=outer.NONE)
+    data = stripe.read_footer(blob)["columns"][0]["streams"]["data"]
+    assert (data["codec"], data["outer"]) == ("fsst", "none")
+    assert data["size"] < data["raw_size"] / 3
+    assert stripe.decode_table(blob).equals(t)
+    zdata = stripe.read_footer(stripe.encode_table(t))["columns"][0]["streams"]["data"]
+    assert zdata["codec"] == "raw"
+
+
+def test_no_outer_codec_stores_large_streams_raw():
+    """Under NONE a stream larger than the outer codec's trial sample is
+    stored raw without a trial: NONE has no compressor to try."""
+    t = pa.table({"x": pa.array(range(100_000), pa.float64())})
+    blob = stripe.encode_table(t, outer_codec=outer.NONE)
+    assert stripe.read_footer(blob)["columns"][0]["streams"]["data"]["outer"] == "none"
+    assert stripe.decode_table(blob).equals(t)
