@@ -112,7 +112,8 @@ def run_bench() -> dict:
 
     # headline: webtext encode (fresh output dir every run). REPEATS>1
     # (scaling mode) stacks the fragment list k times with distinct
-    # stripe ids so pool-startup cost is amortized at every CPU level.
+    # stripe ids (``spec["salt"]``) so stage-startup cost is amortized
+    # at every CPU level.
     repeats = int(os.environ.get("BENCH_ENCODE_REPEATS", "1"))
     out_dir = os.path.join(BENCH_ROOT, f"enc_{NUM_CPUS}_{int(time.time())}")
     t0 = time.time()
@@ -121,14 +122,14 @@ def run_bench() -> dict:
     else:
         import ray.data as rdata
 
-        from datafusion_orc_ray.stages.encode import FragmentEncoder
+        from datafusion_orc_ray.stages.encode import encode_fragments
 
         frags = [
             {**f, "salt": str(e)} for e in range(repeats) for f in ep.plan_fragments(in_dir)
         ]
         rdata.from_items(frags).map_batches(
-            FragmentEncoder,
-            fn_constructor_kwargs={"out_dir": out_dir},
+            encode_fragments,
+            fn_kwargs={"out_dir": out_dir},
             batch_format="pyarrow",
             batch_size=1,
             concurrency=NUM_CPUS,
@@ -144,12 +145,12 @@ def run_bench() -> dict:
     extras["n_stripes"] = len(entries)
 
     # steady-state encode throughput: 3x-stacked fragments amortize the
-    # ~1 s pool startup that dominates a single sf0.1 pass (the 100-TB
-    # regime is all steady state; 0.94 GB/s measured at 32 CPUs)
+    # stage startup and first-task worker imports of a single sf0.1 pass
+    # (the 100-TB regime is all steady state)
     if not os.environ.get("BENCH_HEADLINE_ONLY"):
         import ray.data as rdata
 
-        from datafusion_orc_ray.stages.encode import FragmentEncoder
+        from datafusion_orc_ray.stages.encode import encode_fragments
 
         out_s = os.path.join(BENCH_ROOT, f"encs_{NUM_CPUS}_{int(time.time())}")
         frags3 = [
@@ -157,8 +158,8 @@ def run_bench() -> dict:
         ]
         t0 = time.time()
         rdata.from_items(frags3).map_batches(
-            FragmentEncoder,
-            fn_constructor_kwargs={"out_dir": out_s},
+            encode_fragments,
+            fn_kwargs={"out_dir": out_s},
             batch_format="pyarrow",
             batch_size=1,
             concurrency=NUM_CPUS,
@@ -195,8 +196,8 @@ def run_bench() -> dict:
 
         out_c = os.path.join(BENCH_ROOT, f"encc_{NUM_CPUS}_{int(time.time())}")
         t0 = time.time()
-        # dir input: encoders read row groups in-task (_FragmentFed) —
-        # no object-store hop of the raw corpus, same as the headline
+        # dir input: encode tasks read row groups in-task — no
+        # object-store hop of the raw corpus, same as the headline
         ep.encode_clustered(in_dir, out_c, rows_per_stripe=16384).materialize()
         t_clustered = time.time() - t0
         queries["encode_webtext_clustered"] = round(t_clustered, 3)
@@ -211,9 +212,10 @@ def run_bench() -> dict:
         )
         shutil.rmtree(out_c, ignore_errors=True)
 
-        # clustered encode, GLOBAL mode (salted-shard hive spill + encode:
-        # the real multi-node co-location path) — tracked per VERDICT r2
-        # next-round #10 so the spill-shuffle cost has a measured number
+        # clustered encode, GLOBAL mode (key-run IPC spill + per-shard
+        # encode: the real multi-node co-location path) — tracked per
+        # VERDICT r2 next-round #10 so the spill-shuffle cost has a
+        # measured number
         out_g = os.path.join(BENCH_ROOT, f"encg_{NUM_CPUS}_{int(time.time())}")
         t0 = time.time()
         ep.encode_clustered(in_dir, out_g, rows_per_stripe=16384, mode="global").materialize()
@@ -303,7 +305,7 @@ def run_scaling() -> dict:
             RAY_GRAFT_CPUS=str(ncpu),
             GRAFT_SF_DIR=SF_DIR,
             BENCH_HEADLINE_ONLY="1",
-            # 6 input repeats amortize the fixed pool-startup second so
+            # 6 input repeats amortize the fixed stage-startup second so
             # the faster leg isn't diluted (3 repeats under-measured the
             # 4-CPU leg by ~10% of efficiency: startup is ~9% of an 11 s
             # run but ~3% of a 36 s run)

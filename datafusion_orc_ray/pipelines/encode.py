@@ -14,11 +14,15 @@ Two encode modes, one core:
   re-runs only missing fragments (checkpoint/resume per the north rule).
   Reads are pruned to ``columns`` at the Parquet layer (S5).
 
-Both run as Ray Data TASK stages on pooled task workers: no actor pool
-starts per job, and each CPU slot is freed when its last task ends.
-Codec decisions are shared across a job's tasks through the worker's
+``encode_clustered`` (per-key stripes, local or global mode) and
+``compact_stripes`` (merge small stripes) build on the same encoder.
+
+Every stage here is a plain function mapped with ``fn_kwargs``, so Ray
+runs it as a TASK stage on pooled task workers: no actor pool starts
+per job, and each CPU slot is freed when its last task ends. Codec
+decisions are shared across a job's tasks through the worker's
 job-scoped encoder state (``stages.encode.job_state``), never across
-jobs.
+jobs. Parquet path/dir inputs are read in-task, one row group per task.
 
 Skew handling (north rule; SURVEY.md §4 "Skew / stragglers"): web corpora
 are Zipf-skewed in ``lang`` (and url host). ``cluster_for_compression``
@@ -26,7 +30,8 @@ optionally co-locates rows by a salted key before encoding so dictionary/
 FSST tables see homogeneous data: hot keys are SPLIT across
 ``ceil(freq / target_share)`` salt buckets (sampled frequencies), cold
 keys share a catch-all — bounded partition sizes regardless of skew.
-This is the pipeline's ONLY all-to-all shuffle and it is optional.
+It is optional. Global clustered encode splits hot keys by measured
+run bytes instead (``_plan_spill_tasks``).
 """
 
 from __future__ import annotations
@@ -36,11 +41,13 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..stages.encode import StripeEncoder, encode_batch, encode_fragments, manifest_row_schema
 from ..state import manifest as man
 from ..util import cluster_cpus as _cluster_cpus
+from ..util import estimate_num_rows_deep, estimate_size_bytes_deep
 
 
 def plan_fragments(input_paths: list[str] | str) -> list[dict]:
@@ -168,8 +175,6 @@ def salt_plan(
     count: hot keys (share > target_share) are split into
     ceil(share/target_share) buckets. Broadcast-sized output (one entry
     per distinct key)."""
-    import pyarrow.compute as pc
-
     if target_share is None:
         target_share = _default_target_share()
     # per-block head slices, not a contiguous head: input already sorted
@@ -209,8 +214,6 @@ def add_shard_column(
     plan_mods = np.array(list(plan.values()), dtype=np.uint64)
 
     def add_shard(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         from .relational import _stable_hash64
 
         keys = pc.fill_null(batch.column(key), "\x00null")
@@ -245,7 +248,6 @@ def encode_clustered(
     out_dir: str,
     key: str = "lang",
     salt_col: str = "url",
-    target_share: float | None = None,
     rows_per_stripe: int = 32768,
     target_stripe_bytes: int = 32 << 20,
     mode: str = "local",
@@ -271,92 +273,115 @@ def encode_clustered(
     write_tasks x shards files; 16.5 s -> see BENCH_r04). Spill file
     count = corpus_bytes / spill_batch_bytes, independent of key count.
     Skew (north rule): hot keys are split across tasks by MEASURED run
-    bytes in the pass-2 plan — the bytes-exact successor of the sampled
-    salt (``target_share`` is therefore ignored in this mode; it still
-    governs ``cluster_for_compression``'s groupby path). The spill dir +
-    ``_COMPLETE.json`` is the resume checkpoint between passes.
+    bytes in the pass-2 plan. The spill dir + ``_COMPLETE.json`` is the
+    resume checkpoint between passes.
+
+    A parquet path/dir input is read in-task, one row group per task, in
+    both modes. Every stage is a plain task function.
 
     Note: on the synthetic bench fixture the TEXT vocabulary is shared
     across langs by construction (fixtures._vocab), so lang-clustering
     cannot improve text compression there; the gain shows on the url
     column and on real per-lang corpora."""
-    if isinstance(ds, str) and mode == "local":
-        # parquet path/dir input: feed the encoder straight from row
-        # groups read IN-TASK — the raw corpus never crosses the object
-        # store (the same reason plain fragment encode is the fast path)
-        return ray.data.from_items(plan_fragments(ds)).map_batches(
-            _FragmentFed,
-            fn_constructor_kwargs={
-                "inner_cls": _ClusteredBatchEncoder,
-                "inner_kwargs": {
-                    "out_dir": out_dir,
-                    "key": key,
-                    "salt_col": salt_col,
-                    "rows_per_stripe": rows_per_stripe,
-                    "target_stripe_bytes": target_stripe_bytes,
-                },
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=_default_pool(),
-        )
-    if mode == "local":
-        # batch rows sized from a tiny probe so wide web rows still get
-        # ~target_stripe_bytes batches; the encoder then splits each
-        # batch at key boundaries (byte-capped) into per-key stripes
-        probe = ds.take_batch(256, batch_format="pyarrow")
-        bpr = max(1.0, probe.nbytes / max(1, probe.num_rows))
-        batch_rows = max(256, min(rows_per_stripe, int(target_stripe_bytes / bpr)))
-        return ds.map_batches(
-            _ClusteredBatchEncoder,
-            fn_constructor_kwargs={
-                "out_dir": out_dir,
-                "key": key,
-                "salt_col": salt_col,
-                "rows_per_stripe": rows_per_stripe,
-                "target_stripe_bytes": target_stripe_bytes,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_rows,
-            zero_copy_batch=True,
-            concurrency=_default_pool(),
-        )
-    if mode != "global":
+    if mode not in ("local", "global"):
         raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
-    return _encode_global(
-        ds,
-        out_dir,
-        key=key,
-        salt_col=salt_col,
-        rows_per_stripe=rows_per_stripe,
-        target_stripe_bytes=target_stripe_bytes,
+    if mode == "global":
+        return _encode_global(ds, out_dir, key, salt_col, rows_per_stripe, target_stripe_bytes)
+    kwargs = {
+        "out_dir": out_dir,
+        "key": key,
+        "salt_col": salt_col,
+        "rows_per_stripe": rows_per_stripe,
+        "target_stripe_bytes": target_stripe_bytes,
+    }
+    if isinstance(ds, str):
+        return _map_fragments(ds, _encode_key_runs, kwargs)
+    # batch rows sized from a tiny probe so wide web rows still get
+    # ~target_stripe_bytes batches; the encoder then splits each batch
+    # at key boundaries (byte-capped) into per-key stripes
+    bpr = _probe_bytes_per_row(ds)
+    batch_rows = max(256, min(rows_per_stripe, int(target_stripe_bytes / bpr)))
+    return ds.map_batches(
+        _encode_key_runs,
+        fn_kwargs=kwargs,
+        batch_format="pyarrow",
+        batch_size=batch_rows,
+        zero_copy_batch=True,
+        concurrency=_default_pool(),
     )
 
 
-class _FragmentFed:
-    """Feeds an encode/spill actor straight from parquet row groups
-    read IN-TASK (one spec row = one row group = one inner call): the
-    raw corpus never crosses the object store — at bench scale that hop
-    alone costs >1 s of shared-bus bandwidth, and on a multi-node
-    cluster it is a needless full-corpus network copy."""
+def _probe_bytes_per_row(ds: ray.data.Dataset) -> float:
+    """In-memory bytes per row of the first 256 rows; runs the plan on
+    its first blocks only."""
+    probe = ds.take_batch(256, batch_format="pyarrow")
+    return max(1.0, probe.nbytes / max(1, probe.num_rows))
 
-    def __init__(self, inner_cls: type, inner_kwargs: dict) -> None:
-        self.inner = inner_cls(**inner_kwargs)
 
-    def __call__(self, specs: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
+def _map_fragments(path: str, stage, kwargs: dict) -> ray.data.Dataset:
+    """Maps ``stage`` over the row groups of a parquet path/dir, each
+    read IN-TASK: the raw corpus never crosses the object store — at
+    bench scale that hop alone costs >1 s of shared-bus bandwidth, and
+    on a multi-node cluster it is a needless full-corpus network copy."""
+    return ray.data.from_items(plan_fragments(path)).map_batches(
+        _on_row_groups,
+        fn_kwargs={"stage": stage, "kwargs": kwargs},
+        batch_format="pyarrow",
+        batch_size=1,
+        concurrency=_default_pool(whole_pipeline=True),
+    )
 
-        outs = [
-            self.inner(
-                pq.ParquetFile(spec["path"]).read_row_group(spec["row_group"])
-            )
-            for spec in specs.to_pylist()
-        ]
-        return (
-            outs[0]
-            if len(outs) == 1
-            else pa.concat_tables(outs, promote_options="default")
-        )
+
+def _on_row_groups(specs: pa.Table, stage, kwargs: dict) -> pa.Table:
+    import pyarrow.parquet as pq
+
+    outs = []
+    for spec in specs.to_pylist():
+        with pq.ParquetFile(spec["path"]) as pf:
+            outs.append(stage(pf.read_row_group(spec["row_group"]), **kwargs))
+    return pa.concat_tables(outs)
+
+
+_NULL_KEY = "\x00null"  # the label of the null-key run
+
+
+def _key_runs(batch: pa.Table, key: str, salt_col: str) -> tuple[pa.Table, np.ndarray, list[str]]:
+    """Sorts ``batch`` by (key, salt_col) in the key's own type — IVF
+    keys its stripes on an int ``__cell`` — and splits it into key runs.
+    Returns the sorted table, the run bounds (one more than the runs) and
+    one label per run. Null keys form one run, whatever the key type."""
+    ck = batch.column(key)
+    if pa.types.is_dictionary(ck.type):  # Arrow cannot sort dictionaries
+        ck = ck.cast(ck.type.value_type)
+    sort_keys = [("__ck", "ascending")]
+    if salt_col in batch.column_names:
+        sort_keys.append((salt_col, "ascending"))
+    body = batch.append_column("__ck", ck).sort_by(sort_keys)
+    ck = body.column("__ck").combine_chunks()
+    body = body.drop_columns(["__ck"]).combine_chunks()
+    valid = ck.is_valid().to_numpy(zero_copy_only=False)
+    # a run starts where the value changes or the key turns (non-)null
+    changed = pc.fill_null(pc.not_equal(ck[1:], ck[:-1]), False).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.concatenate([[len(ck) > 0], changed | (valid[1:] != valid[:-1])]))
+    labels = [_NULL_KEY if v is None else str(v) for v in ck.take(starts).to_pylist()]
+    return body, np.append(starts, body.num_rows), labels
+
+
+def _encode_key_runs(
+    batch: pa.Table,
+    out_dir: str,
+    key: str,
+    salt_col: str,
+    rows_per_stripe: int,
+    target_stripe_bytes: int,
+) -> pa.Table:
+    """Local clustered encode's task stage: sorts the batch by
+    (key, salt_col) — url-host runs share dictionary/FSST locality — and
+    emits per-key stripes, so symbol tables always see homogeneous data."""
+    body, bounds, labels = _key_runs(batch, key, salt_col)
+    return _emit_keyed_stripes(
+        StripeEncoder(out_dir), body, bounds, labels, rows_per_stripe, target_stripe_bytes
+    )
 
 
 def _spill_codec() -> str:
@@ -364,16 +389,6 @@ def _spill_codec() -> str:
     wheel carries it (fastest), else zstd. Spill is transient shuffle
     state, not durable data — decode speed beats ratio."""
     return "lz4" if pa.Codec.is_available("lz4") else "zstd"
-
-
-def _est_dataset_bytes(ds: ray.data.Dataset) -> int:
-    """In-memory byte estimate without executing the pipeline: Ray's
-    metadata estimate when present, else a 256-row probe is the floor."""
-    est = ds.size_bytes()
-    if est:
-        return int(est)
-    probe = ds.limit(256).take_batch(256, batch_format="pyarrow")
-    return max(1, probe.nbytes)
 
 
 # one schema for BOTH the empty- and nonempty-batch returns (ADVICE r4:
@@ -390,141 +405,87 @@ _SPILL_INDEX_SCHEMA = pa.schema(
 )
 
 
-class _ShardSpillWriter:
-    """Pass-1 stage of the global clustered encode: a map-side shuffle
-    writer. Each input batch (sized ~``batch_bytes``) is sorted by
-    (key, salt_col), then written as ONE Arrow-IPC file whose record
-    batches are aligned to key runs; the returned index rows
-    (path, batch_index, shard, rows, bytes) are the shuffle's "map
-    output index". Pass 2 reads ONLY the record batches of its key
-    group — random access via the IPC footer — so no parquet re-encode,
-    no hive directory discovery, and file count = corpus_bytes /
-    batch_bytes regardless of key count (the r3 hive design paid
-    write_tasks x shards files plus a full snappy round-trip).
+def _spill_key_runs(batch: pa.Table, spill_dir: str, key: str, salt_col: str) -> pa.Table:
+    """Pass 1 of the global clustered encode: a map-side shuffle writer.
+    The batch (sized ~spill batch bytes) is sorted by (key, salt_col),
+    then written as ONE Arrow-IPC file whose record batches are aligned
+    to key runs; the returned index rows (path, batch_index, shard, rows,
+    bytes) are the shuffle's "map output index". Pass 2 reads ONLY the
+    record batches of its key group — random access via the IPC footer —
+    so no parquet re-encode, no hive directory discovery, and file count
+    = corpus_bytes / batch_bytes regardless of key count.
 
     No salt column: skew is defeated downstream — ``_plan_spill_tasks``
     splits a hot key's runs across as many tasks as its measured bytes
-    require (a dynamic, bytes-exact equivalent of the sampled salt the
-    groupby-based design needed, where one key had to fit one task)."""
+    require."""
+    import uuid
 
-    def __init__(self, spill_dir: str, key: str, salt_col: str) -> None:
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        from .. import io as dio
+    from .. import io as dio
 
-        self.spill_dir = spill_dir
-        self.key = key
-        self.salt_col = salt_col
-        self.codec = _spill_codec()
-        dio.makedirs(spill_dir)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import uuid
-
-        import pyarrow.compute as pc
-
-        from .. import io as dio
-
-        if batch.num_rows == 0:
-            return _SPILL_INDEX_SCHEMA.empty_table()
-        ck = batch.column(self.key)
-        if isinstance(ck, pa.ChunkedArray):
-            ck = ck.combine_chunks()
-        if ck.null_count and pa.types.is_string(ck.type):
-            ck = pc.fill_null(ck, "\x00null")
-        if not pa.types.is_string(ck.type):
-            ck = ck.cast(pa.string())
-        tmp = batch.append_column("__shard", ck)
-        keys = [("__shard", "ascending")]
-        if self.salt_col in batch.column_names:
-            keys.append((self.salt_col, "ascending"))
-        tmp = tmp.sort_by(keys)
-        shards = tmp.column("__shard").to_numpy(zero_copy_only=False)
-        bounds = np.flatnonzero(np.concatenate([[True], shards[1:] != shards[:-1]]))
-        bounds = np.append(bounds, len(shards))
-        body = tmp.drop_columns(["__shard"]).combine_chunks()
-
-        path = dio.join(self.spill_dir, f"run-{uuid.uuid4().hex}.arrow")
-        fs, p = dio.resolve(path)
-        opts = pa.ipc.IpcWriteOptions(compression=self.codec)
-        rows = []
-        with fs.open_output_stream(p) as sink:
-            with pa.ipc.new_file(sink, body.schema, options=opts) as w:
-                bi = 0
-                for i in range(len(bounds) - 1):
-                    s, e = int(bounds[i]), int(bounds[i + 1])
-                    run = body.slice(s, e - s)
-                    n_batches = 0
-                    for rb in run.to_batches():
-                        w.write_batch(rb)
-                        n_batches += 1
-                    # a run is normally ONE record batch (body is
-                    # combined); guard multi-chunk edges by indexing each
-                    for k in range(n_batches):
-                        part = run.num_rows if n_batches == 1 else run.to_batches()[k].num_rows
-                        rows.append(
-                            {"path": path, "batch_index": bi + k,
-                             "shard": str(shards[s]), "rows": int(part),
-                             "bytes": int(run.nbytes // max(1, n_batches))}
-                        )
-                    bi += n_batches
-        return pa.Table.from_pylist(rows, schema=_SPILL_INDEX_SCHEMA)
+    if batch.num_rows == 0:
+        return _SPILL_INDEX_SCHEMA.empty_table()
+    pa.set_cpu_count(1)
+    pa.set_io_thread_count(2)
+    body, bounds, labels = _key_runs(batch, key, salt_col)
+    dio.makedirs(spill_dir)
+    path = dio.join(spill_dir, f"run-{uuid.uuid4().hex}.arrow")
+    fs, p = dio.resolve(path)
+    opts = pa.ipc.IpcWriteOptions(compression=_spill_codec())
+    rows = []
+    with fs.open_output_stream(p) as sink, pa.ipc.new_file(sink, body.schema, options=opts) as w:
+        for label, s, e in zip(labels, bounds[:-1], bounds[1:]):
+            # a run is normally ONE record batch (body is combined)
+            for rb in body.slice(int(s), int(e - s)).to_batches():
+                rows.append({"path": path, "batch_index": len(rows), "shard": label,
+                             "rows": rb.num_rows, "bytes": rb.nbytes})
+                w.write_batch(rb)
+    return pa.Table.from_pylist(rows, schema=_SPILL_INDEX_SCHEMA)
 
 
-class _SpillTaskEncoder:
-    """Pass-2 stage: one task per planned shard group. Reads exactly its
+def _encode_spill_groups(
+    specs: pa.Table,
+    out_dir: str,
+    salt_col: str,
+    rows_per_stripe: int,
+    target_stripe_bytes: int,
+) -> pa.Table:
+    """Pass 2: one task per planned shard group. Reads exactly its
     shards' record batches from the spill files (IPC random access),
     re-sorts each shard by the salt column (restores dictionary/FSST
     locality lost at spill-file boundaries), and emits per-shard stripes
     via the same byte-capped / tiny-run-coalescing policy as local mode."""
+    import contextlib
+    import json as _json
 
-    def __init__(
-        self,
-        out_dir: str,
-        salt_col: str = "url",
-        rows_per_stripe: int = 32768,
-        target_stripe_bytes: int = 32 << 20,
-    ) -> None:
-        self.enc = StripeEncoder(out_dir)
-        self.salt_col = salt_col
-        self.rows_per_stripe = rows_per_stripe
-        self.target_stripe_bytes = target_stripe_bytes
-        self.seq = 0
+    from .. import io as dio
 
-    def __call__(self, specs: pa.Table) -> pa.Table:
-        import json as _json
-
-        from .. import io as dio
-
-        all_rows: list[dict] = []
-        for spec in specs.to_pylist():
-            groups = _json.loads(spec["task_json"])
-            readers: dict[str, pa.ipc.RecordBatchFileReader] = {}
-            tables, labels = [], []
-            for g in groups:
+    enc = StripeEncoder(out_dir)
+    out = []
+    for spec in specs.to_pylist():
+        readers: dict[str, pa.ipc.RecordBatchFileReader] = {}
+        tables, labels = [], []
+        with contextlib.ExitStack() as files:
+            for g in _json.loads(spec["task_json"]):
                 parts = []
                 for path, bi in g["parts"]:
                     r = readers.get(path)
                     if r is None:
                         fs, p = dio.resolve(path)
-                        r = pa.ipc.open_file(fs.open_input_file(p))
-                        readers[path] = r
+                        f = files.enter_context(fs.open_input_file(p))
+                        r = readers[path] = pa.ipc.open_file(f)
                     parts.append(pa.Table.from_batches([r.get_batch(int(bi))]))
                 t = pa.concat_tables(parts, promote_options="default")
-                if self.salt_col in t.column_names:
-                    t = t.sort_by(self.salt_col)
+                if salt_col in t.column_names:
+                    t = t.sort_by(salt_col)
                 tables.append(t)
                 labels.append(g["shard"])
-            if not tables:
-                continue
+        if tables:
             body = pa.concat_tables(tables, promote_options="default").combine_chunks()
             bounds = np.cumsum([0] + [t.num_rows for t in tables])
-            rows, self.seq = _emit_keyed_stripes(
-                self.enc, body, bounds, labels,
-                self.rows_per_stripe, self.target_stripe_bytes, self.seq,
-            )
-            all_rows.extend(rows)
-        return pa.Table.from_pylist(all_rows, schema=manifest_row_schema())
+            out.append(_emit_keyed_stripes(
+                enc, body, bounds, labels, rows_per_stripe, target_stripe_bytes
+            ))
+    return pa.concat_tables(out) if out else manifest_row_schema().empty_table()
 
 
 def _plan_spill_tasks(index_rows: list[dict], task_bytes: int) -> list[dict]:
@@ -585,13 +546,13 @@ def _encode_global(
     (``reuse_spill=True`` skips pass 1 when present)."""
     import json as _json
 
+    import pyarrow.fs as pafs
+
     from .. import io as dio
 
     spill = dio.join(out_dir, "_spill")
     marker = dio.join(spill, "_COMPLETE.json")
     fs, marker_p = dio.resolve(marker)
-    import pyarrow.fs as pafs
-
     have_marker = fs.get_file_info(marker_p).type != pafs.FileType.NotFound
     cpus = _cluster_cpus()
     if reuse_spill and have_marker:
@@ -605,38 +566,26 @@ def _encode_global(
             sfs.delete_dir(sp)
         except FileNotFoundError:
             pass
+        kwargs = {"spill_dir": spill, "key": key, "salt_col": salt_col}
         if isinstance(ds, str):
-            # parquet path/dir input: spill writers read row groups
-            # in-task (see _FragmentFed) — spill run size = row group.
-            # Plain TASKS, not an actor pool: the writer holds no
-            # cross-batch state and a second pool's cold start + ramp
-            # cost ~1.5 s of an ~4 s pass (measured at sf0.1/32)
-            def spill_fragments(specs: pa.Table) -> pa.Table:
-                return _FragmentFed(
-                    _ShardSpillWriter,
-                    {"spill_dir": spill, "key": key, "salt_col": salt_col},
-                )(specs)
-
-            index = ray.data.from_items(plan_fragments(ds)).map_batches(
-                spill_fragments, batch_format="pyarrow", batch_size=1
-            )
+            index = _map_fragments(ds, _spill_key_runs, kwargs)  # spill run = row group
         else:
-            est = _est_dataset_bytes(ds)
             # spill batches: big enough to bound file count, small enough
-            # to keep every slot busy at bench scale
-            batch_bytes = int(min(256 << 20, max(32 << 20, est / (2 * cpus))))
-            n_rows = ds.count()  # metadata pushdown on parquet reads
-            bpr = max(1.0, est / max(1, n_rows))
-            batch_rows = max(256, int(batch_bytes / bpr))
+            # to keep every slot busy. Sized from plan metadata, which
+            # never executes the input; the probe runs only when the
+            # metadata does not know the input's rows
+            est = estimate_size_bytes_deep(ds)
+            n_rows = estimate_num_rows_deep(ds)
+            if est is not None and n_rows is not None:
+                bpr = max(1.0, est / max(1, n_rows))
+            else:
+                bpr = _probe_bytes_per_row(ds)
+            batch_bytes = int(min(256 << 20, max(32 << 20, (est or 0) / (2 * cpus))))
             index = ds.map_batches(
-                _ShardSpillWriter,
-                fn_constructor_kwargs={
-                    "spill_dir": spill,
-                    "key": key,
-                    "salt_col": salt_col,
-                },
+                _spill_key_runs,
+                fn_kwargs=kwargs,
                 batch_format="pyarrow",
-                batch_size=batch_rows,
+                batch_size=max(256, int(batch_bytes / bpr)),
                 zero_copy_batch=True,
                 concurrency=_default_pool(),
             )
@@ -650,98 +599,50 @@ def _encode_global(
     # one task wave: total/cpus (floor 32 MB) measured 5.1 s vs 6.0 s
     # for the old total/(2*cpus) double wave at sf0.1/32 CPUs
     task_bytes = int(min(256 << 20, max(32 << 20, total / cpus)))
-    specs = _plan_spill_tasks(index_rows, task_bytes)
-
-    # plain tasks for the same cold-start reason as the spill pass; codec
-    # decisions carry across them in the worker's job-scoped state
-    def encode_group(batch: pa.Table) -> pa.Table:
-        return _SpillTaskEncoder(
-            out_dir,
-            salt_col=salt_col,
-            rows_per_stripe=rows_per_stripe,
-            target_stripe_bytes=target_stripe_bytes,
-        )(batch)
-
-    return ray.data.from_items(specs).map_batches(
-        encode_group, batch_format="pyarrow", batch_size=1
+    return ray.data.from_items(_plan_spill_tasks(index_rows, task_bytes)).map_batches(
+        _encode_spill_groups,
+        fn_kwargs={
+            "out_dir": out_dir,
+            "salt_col": salt_col,
+            "rows_per_stripe": rows_per_stripe,
+            "target_stripe_bytes": target_stripe_bytes,
+        },
+        batch_format="pyarrow",
+        batch_size=1,
     )
 
 
-class _ClusteredBatchEncoder:
-    """Encode actor for the clustered paths: sorts each batch by
-    (key, salt_col) — url-host runs share dictionary/FSST locality — and
-    emits one stripe per key run, so symbol tables always see
-    homogeneous data. The key column is dropped in "global" mode (it is
-    synthetic) and kept in "local" mode (it is a real data column)."""
-
-    def __init__(
-        self,
-        out_dir: str,
-        key: str = "lang",
-        salt_col: str = "url",
-        rows_per_stripe: int = 32768,
-        target_stripe_bytes: int = 32 << 20,
-    ) -> None:
-        self.enc = StripeEncoder(out_dir)
-        self.key = key
-        self.salt_col = salt_col
-        self.rows_per_stripe = rows_per_stripe
-        self.target_stripe_bytes = target_stripe_bytes
-        self.synthetic = key == "rstp_shard"
-        self.seq = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ck = batch.column(self.key)
-        if isinstance(ck, pa.ChunkedArray):
-            ck = ck.combine_chunks()
-        if ck.null_count and pa.types.is_string(ck.type):
-            ck = pc.fill_null(ck, "\x00null")  # cluster key only; data untouched
-        tmp = batch.append_column("__ck", ck)
-        keys = [("__ck", "ascending")]
-        if self.salt_col in batch.column_names:
-            keys.append((self.salt_col, "ascending"))
-        tmp = tmp.sort_by(keys)
-        shards = tmp.column("__ck").to_numpy(zero_copy_only=False)
-        bounds = np.flatnonzero(np.concatenate([[True], shards[1:] != shards[:-1]]))
-        bounds = np.append(bounds, len(shards))
-        drop = ["__ck"] + ([self.key] if self.synthetic else [])
-        body = tmp.drop_columns(drop)
-        labels = [str(shards[int(bounds[i])]) for i in range(len(bounds) - 1)]
-        rows, self.seq = _emit_keyed_stripes(
-            self.enc, body, bounds, labels,
-            self.rows_per_stripe, self.target_stripe_bytes, self.seq,
-        )
-        return pa.Table.from_pylist(rows, schema=manifest_row_schema())
+def _manifest_rows(entries: list[dict]) -> pa.Table:
+    # .get: resume can return a pre-upgrade entry without newer keys
+    names = manifest_row_schema().names
+    return pa.Table.from_pylist(
+        [{k: e.get(k) for k in names} for e in entries], schema=manifest_row_schema()
+    )
 
 
 def _emit_keyed_stripes(
-    enc,
+    enc: StripeEncoder,
     body: pa.Table,
     bounds: np.ndarray,
     labels: list[str],
     rows_per_stripe: int,
     target_stripe_bytes: int,
-    seq: int,
-) -> tuple[list[dict], int]:
+) -> pa.Table:
     """Shared per-key stripe emission: ``body`` holds contiguous key runs
     delimited by ``bounds`` (len(labels)+1 offsets); each run becomes one
     or more byte-capped stripes, and tiny runs (rare keys) are coalesced
     into contiguous "mixed" stripes — per-stripe overhead otherwise eats
-    the clustering gain. Returns (manifest rows, next seq)."""
+    the clustering gain. Lineage is ``shard=<label>:<n>``, ``n``
+    counting this call's stripes. Returns their manifest rows."""
     bytes_per_row = max(1.0, body.nbytes / max(1, body.num_rows))
     cap = max(256, min(rows_per_stripe, int(target_stripe_bytes / bytes_per_row)))
     min_rows = max(256, cap // 8)
-    rows: list[dict] = []
+    entries: list[dict] = []
 
     def emit(start: int, stop: int, label: str) -> None:
-        nonlocal seq
         for s in range(start, stop, cap):
             chunk = body.slice(s, min(cap, stop - s))
-            entry = enc.encode_one(chunk, lineage=f"shard={label}:{seq}")
-            seq += 1
-            rows.append({k: entry.get(k) for k in manifest_row_schema().names})
+            entries.append(enc.encode_one(chunk, lineage=f"shard={label}:{len(entries)}"))
 
     mixed_start = None
     for i in range(len(bounds) - 1):
@@ -756,7 +657,7 @@ def _emit_keyed_stripes(
         emit(run_start, run_stop, labels[i])
     if mixed_start is not None:
         emit(mixed_start, int(bounds[-1]), "mixed")
-    return rows, seq
+    return _manifest_rows(entries)
 
 
 # ----------------------------------------------------------------- compaction
@@ -784,65 +685,54 @@ def plan_compaction(
     return groups
 
 
-class _CompactWorker:
+def _compact_groups(batch: pa.Table, out_dir: str, schema: pa.Schema) -> pa.Table:
     """One task per compaction group: decode members, concat, encode ONE
     merged stripe whose manifest lists ``replaces`` (the commit point —
     once durable, members are invisible to readers/resume even before
     their files are cleaned), then best-effort delete member files."""
+    import hashlib
+    import json as _json
 
-    def __init__(self, out_dir: str, schema_b64: str) -> None:
-        import base64
+    from .. import io as dio
+    from .. import stripe as stripe_mod
+    from ..state.manifest import COMPACT_PREFIX
 
-        self.out_dir = out_dir
-        self.enc = StripeEncoder(out_dir)
-        self.schema = pa.schema([]) if not schema_b64 else __import__(
-            "pyarrow"
-        ).ipc.read_schema(pa.py_buffer(base64.b64decode(schema_b64)))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-        import json as _json
-
-        from .. import io as dio
-        from .. import stripe as stripe_mod
-        from ..state.manifest import COMPACT_PREFIX
-
-        rows = []
-        for spec in batch.to_pylist():
-            members = _json.loads(spec["members_json"])
-            member_ids = [m["stripe_id"] for m in members]
-            # inherit transitively so resume never re-encodes an ancestor
-            replaces = sorted(
-                set(member_ids)
-                | {rid for m in members for rid in m.get("replaces", [])}
-            )
-            new_id = COMPACT_PREFIX + hashlib.sha1(
-                ",".join(sorted(member_ids)).encode()
-            ).hexdigest()[:20]
-            tables = [
-                stripe_mod.decode_file(m["path"], unified_schema=self.schema)
-                for m in members
-            ]
-            merged = pa.concat_tables(tables).combine_chunks()
-            # through encode_one: compacted stripes keep per-column stats/
-            # codec metrics, so scan pruning still works after compaction
-            entry = self.enc.encode_one(
-                merged,
-                stripe_id=new_id,
-                lineage=f"compact:{len(members)}",
-                extra_entry={"replaces": replaces},
-            )
-            # cleanup (idempotent, best-effort — the replaces list is the
-            # source of truth; leftover files are ignored by readers)
-            for m in members:
-                for p in man.stripe_paths(self.out_dir, m["stripe_id"]):
-                    fs, fp = dio.resolve(p)
-                    try:
-                        fs.delete_file(fp)
-                    except OSError:  # already gone, or not deletable
-                        pass
-            rows.append({k: entry.get(k) for k in manifest_row_schema().names})
-        return pa.Table.from_pylist(rows, schema=manifest_row_schema())
+    enc = StripeEncoder(out_dir)
+    entries = []
+    for spec in batch.to_pylist():
+        members = _json.loads(spec["members_json"])
+        member_ids = [m["stripe_id"] for m in members]
+        # inherit transitively so resume never re-encodes an ancestor
+        replaces = sorted(
+            set(member_ids)
+            | {rid for m in members for rid in m.get("replaces", [])}
+        )
+        new_id = COMPACT_PREFIX + hashlib.sha1(
+            ",".join(sorted(member_ids)).encode()
+        ).hexdigest()[:20]
+        tables = [
+            stripe_mod.decode_file(m["path"], unified_schema=schema)
+            for m in members
+        ]
+        merged = pa.concat_tables(tables).combine_chunks()
+        # through encode_one: compacted stripes keep per-column stats/
+        # codec metrics, so scan pruning still works after compaction
+        entries.append(enc.encode_one(
+            merged,
+            stripe_id=new_id,
+            lineage=f"compact:{len(members)}",
+            extra_entry={"replaces": replaces},
+        ))
+        # cleanup (idempotent, best-effort — the replaces list is the
+        # source of truth; leftover files are ignored by readers)
+        for m in members:
+            for p in man.stripe_paths(out_dir, m["stripe_id"]):
+                fs, fp = dio.resolve(p)
+                try:
+                    fs.delete_file(fp)
+                except OSError:  # already gone, or not deletable
+                    pass
+    return _manifest_rows(entries)
 
 
 def compact_stripes(
@@ -851,22 +741,20 @@ def compact_stripes(
     """Merge small stripes into ~target_bytes ones (distributed, one Ray
     task per group; crash-safe via replaces-tombstones). Returns the
     number of merged stripes written."""
-    import base64
     import json as _json
+
+    from ..sources.stripes import stripes_schema
 
     groups = plan_compaction(out_dir, target_bytes, min_members)
     if not groups:
         return 0
-    from ..sources.stripes import stripes_schema
-
-    schema_b64 = base64.b64encode(stripes_schema(out_dir).serialize().to_pybytes()).decode()
     specs = [{"members_json": _json.dumps(g["members"])} for g in groups]
     mf = ray.data.from_items(specs).map_batches(
-        _CompactWorker,
-        fn_constructor_kwargs={"out_dir": out_dir, "schema_b64": schema_b64},
+        _compact_groups,
+        fn_kwargs={"out_dir": out_dir, "schema": stripes_schema(out_dir)},
         batch_format="pyarrow",
         batch_size=1,
-        concurrency=_default_pool(),
+        concurrency=_default_pool(whole_pipeline=True),
     )
     n = mf.count()
     # compaction is the natural maintenance point: consolidate manifest

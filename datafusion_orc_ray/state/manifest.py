@@ -123,7 +123,7 @@ def _read_snapshot(mdir: str) -> dict[str, str]:
         return dict(
             zip(tbl.column("name").to_pylist(), tbl.column("entry_json").to_pylist())
         )
-    except Exception:
+    except (pa.ArrowInvalid, KeyError):
         return {}  # torn/corrupt snapshot: correctness never depends on it
 
 

@@ -32,28 +32,18 @@ def estimate_size_bytes(ds) -> int | None:
         return None
 
 
-def _node_size(node) -> int | None:
+def _node_metadata(node, field: str) -> int | None:
     try:
-        return node.infer_metadata().size_bytes
+        return getattr(node.infer_metadata(), field)
     except Exception:
         return None
 
 
-def estimate_size_bytes_deep(ds) -> int | None:
-    """Metadata-only size estimate that falls back to UPSTREAM bytes:
-    when a node's own metadata is unknown (every map transform), walk
-    its logical-plan inputs and use the nearest known ancestor's bytes
-    as a proxy. Still never executes anything. The proxy is input
-    bytes, so it misestimates when a transform changes data volume a
-    lot (heavy filters, explodes) — callers sizing partitions should
-    treat it as an order-of-magnitude signal and accept explicit
-    ``n_buckets`` overrides. Returns None only when no ancestor down
-    to the leaves knows its size."""
-
+def _deep_metadata(ds, field: str) -> int | None:
     def resolve(node, depth: int) -> int | None:
-        sz = _node_size(node)
-        if sz is not None:
-            return sz
+        v = _node_metadata(node, field)
+        if v is not None:
+            return v
         if depth > 32:
             return None
         deps = getattr(node, "input_dependencies", None) or []
@@ -68,6 +58,25 @@ def estimate_size_bytes_deep(ds) -> int | None:
         return resolve(ds._logical_plan.dag, 0)
     except Exception:
         return None
+
+
+def estimate_size_bytes_deep(ds) -> int | None:
+    """Metadata-only size estimate that falls back to UPSTREAM bytes:
+    when a node's own metadata is unknown (every map transform), walk
+    its logical-plan inputs and use the nearest known ancestor's bytes
+    as a proxy. Still never executes anything. The proxy is input
+    bytes, so it misestimates when a transform changes data volume a
+    lot (heavy filters, explodes) — callers sizing partitions should
+    treat it as an order-of-magnitude signal and accept explicit
+    ``n_buckets`` overrides. Returns None only when no ancestor down
+    to the leaves knows its size."""
+    return _deep_metadata(ds, "size_bytes")
+
+
+def estimate_num_rows_deep(ds) -> int | None:
+    """Row count by the same metadata-only walk as
+    ``estimate_size_bytes_deep`` (the nearest known ancestor's rows)."""
+    return _deep_metadata(ds, "num_rows")
 
 
 def bytes_scaled_buckets(

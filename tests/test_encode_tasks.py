@@ -1,7 +1,8 @@
 """Encode runs as Ray task stages with a job-scoped codec cache: CPU slots
-are free as soon as a job's rows are taken, codec decisions are shared by
-one job's fragments in a process and never by two jobs, and the bytes
-codec trial compares sizes after the stripe's own outer codec."""
+are free as soon as a job's rows are taken (plain, clustered and
+compaction jobs alike), codec decisions are shared by one job's
+fragments in a process and never by two jobs, and the bytes codec
+trial compares sizes after the stripe's own outer codec."""
 
 import gc
 import time
@@ -51,8 +52,69 @@ def test_encode_jobs_free_cpu_slots_without_gc(ray_session, tmp_path):
         rows = ep.encode_dataset(ray.data.from_arrow(t), f"{tmp_path}/c").take_all()
         assert sum(r["n_rows"] for r in rows) == t.num_rows
         assert _all_cpus_free(2.0)
+        clustered = [
+            (ray.data.from_arrow(t), "local"),
+            (src, "local"),
+            (ray.data.from_arrow(t), "global"),
+        ]
+        for i, (inp, mode) in enumerate(clustered):
+            rows = ep.encode_clustered(
+                inp, f"{tmp_path}/k{i}", key="s", salt_col="x", mode=mode
+            ).take_all()
+            assert sum(r["n_rows"] for r in rows) == t.num_rows
+            assert _all_cpus_free(2.0)
+        assert ep.compact_stripes(f"{tmp_path}/a", target_bytes=1 << 30) == 1
+        assert _all_cpus_free(2.0)
     finally:
         gc.enable()
+
+
+def test_global_clustered_encode_runs_mapped_input_once(ray_session, tmp_path):
+    """Global mode sizes its spill batches from plan metadata, so every
+    row of a mapped input goes through the map exactly once."""
+    import ray.data
+
+    t = fixtures.webtext_table(2000, seed=1)
+    pq.write_table(t, f"{tmp_path}/in.parquet", row_group_size=500)
+    log = f"{tmp_path}/tagged"
+
+    def tag(batch: pa.Table) -> pa.Table:
+        with open(log, "a") as fh:
+            fh.write(f"{batch.num_rows}\n")
+        return batch
+
+    ds = ray.data.read_parquet(f"{tmp_path}/in.parquet").map_batches(tag, batch_format="pyarrow")
+    rows = ep.encode_clustered(ds, f"{tmp_path}/out", mode="global").take_all()
+    assert sum(r["n_rows"] for r in rows) == t.num_rows
+    with open(log) as fh:
+        assert sum(int(n) for n in fh.read().split()) == t.num_rows
+
+
+def test_key_runs_keep_nulls_in_one_run(tmp_path):
+    """Null keys form one run for every key type (dictionary keys too),
+    and the clustered encoder writes them as one stripe labelled with
+    the null key."""
+    t = pa.table({"k": pa.array([1, None, None, 2, None], pa.int64()),
+                  "u": pa.array(["e", "d", "c", "b", "a"])})
+    body, bounds, labels = ep._key_runs(t, "k", "u")
+    assert bounds.tolist() == [0, 1, 2, 5]
+    assert labels == ["1", "2", ep._NULL_KEY]
+    assert body.column("u").to_pylist() == ["e", "b", "a", "c", "d"]
+    s = pa.array(["x", None, "y", None])
+    for k in (s, s.dictionary_encode()):
+        assert ep._key_runs(pa.table({"k": k}), "k", "url")[2] == ["x", "y", ep._NULL_KEY]
+
+    n = 1200  # 400-row runs: above the 256-row floor for their own stripes
+    keys = pa.array([None if i % 3 == 0 else i % 3 for i in range(n)], pa.int64())
+    big = pa.table({"k": keys, "u": pa.array([f"u{i}" for i in range(n)])})
+    rows = ep._encode_key_runs(
+        big, f"{tmp_path}/out", key="k", salt_col="u",
+        rows_per_stripe=2048, target_stripe_bytes=32 << 20,
+    ).to_pylist()
+    assert [r["lineage"] for r in rows] == [
+        "shard=1:0", "shard=2:1", f"shard={ep._NULL_KEY}:2",
+    ]
+    assert [r["n_rows"] for r in rows] == [400, 400, 400]
 
 
 def test_job_state_scopes_codec_cache(tmp_path, monkeypatch):

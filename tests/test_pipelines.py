@@ -131,8 +131,9 @@ def test_cluster_for_compression(corpus):
 
 
 def test_encode_clustered_single_shuffle(corpus):
-    """The one-shuffle clustered encode (groupby shard -> encode inside
-    map_groups) round-trips and records shard lineage per stripe."""
+    """The zero-shuffle clustered encode (each batch sorted and split
+    into per-key stripes in one task) round-trips and records shard
+    lineage per stripe."""
     import ray.data
 
     base, wt = corpus
@@ -190,10 +191,11 @@ def test_manifest_snapshot_consolidation(ray_session, tmp_path):
     entries = man.load_manifest(out)
     assert len(entries) == 1 and entries[0]["stripe_id"].startswith("cmp-")
     # corrupt snapshot: readers silently fall back to per-row GETs
-    dio.write_bytes_atomic(
-        dio.join(out, man.MANIFEST_DIR, man.SNAPSHOT_NAME), b"garbage"
-    )
-    assert man.load_manifest(out) == entries
+    snap = dio.join(out, man.MANIFEST_DIR, man.SNAPSHOT_NAME)
+    valid = dio.read_bytes(snap)
+    for corrupt in (b"garbage", valid[: len(valid) // 2]):
+        dio.write_bytes_atomic(snap, corrupt)
+        assert man.load_manifest(out) == entries
 
 
 def test_multi_conjunct_predicate_pushdown(ray_session, tmp_path):
@@ -224,8 +226,8 @@ def test_multi_conjunct_predicate_pushdown(ray_session, tmp_path):
 
 
 def test_encode_clustered_dir_input_fragment_fed(corpus):
-    """String (parquet dir) input drives the _FragmentFed path — row
-    groups read in-task, no object-store hop — in BOTH modes, with
+    """String (parquet dir) input reads each row group inside the
+    encode/spill task — no object-store hop — in BOTH modes, with
     decode output identical to the Dataset-input path."""
     base, wt = corpus
     for mode in ("local", "global"):
@@ -427,7 +429,7 @@ def test_clustering_gain_on_per_key_vocabulary():
     fixture), key-clustered stripes encode ~20% smaller than mixed
     stripes AT EQUAL STRIPE COUNTS. (Equal counts matter: per-stripe
     overhead can eat the gain when clustering multiplies tiny stripes —
-    which is why _ClusteredBatchEncoder byte-caps runs and coalesces
+    which is why the clustered encoder byte-caps runs and coalesces
     small ones.)"""
     import numpy as np
 
