@@ -1,10 +1,10 @@
-"""Per-chunk Bloom filters for equality-predicate pruning.
+"""Per-stripe Bloom filters for equality-predicate pruning.
 
 ORC attaches optional bloom-filter indexes next to its row-group stats so
 point lookups on high-cardinality columns (where min/max stats prune
 nothing) can skip whole row groups before any column IO; the reference
 inherits orc-rust's format but its shim never surfaces them. Here blooms
-live in the STRIPE FOOTER's per-chunk column metadata — read via the
+live in the STRIPE FOOTER's per-column metadata — read via the
 existing tail-ranged footer fetch — and deliberately NOT in the driver
 manifests: at 10^12-doc scale a per-stripe bloom over a ~unique url
 column is tens of KB, which belongs in the per-stripe metadata each
@@ -121,7 +121,7 @@ def eligible(t: pa.DataType, nbytes: int = 0, n: int = 1) -> bool:
 
 
 def build(arr: pa.Array) -> dict | None:
-    """Bloom dict for a column chunk, or None when ineligible (type,
+    """Bloom dict for a stripe's column, or None when ineligible (type,
     width, or distinct-count gates). One unique pass + one vectorized
     hash pass over the distincts."""
     if len(arr) == 0 or arr.null_count == len(arr):
@@ -214,7 +214,7 @@ def contains_many(bits: np.ndarray, m: int, arr: pa.Array | pa.ChunkedArray) -> 
 
 
 def may_contain(bloom: dict, val, col_type: pa.DataType) -> bool:
-    """False only when the filter PROVES val absent from the chunk. Any
+    """False only when the filter PROVES val absent from the stripe. Any
     normalization failure (type mismatch etc.) means 'cannot prune'."""
     if val is None:
         return bool(bloom.get("has_null", True))

@@ -110,6 +110,7 @@ class RangedReader:
     def __init__(self, path: str) -> None:
         fs, p = resolve(path)
         self._f = fs.open_input_file(p)
+        self.path = path
         self.bytes_read = 0
 
     def read(self, offset: int, size: int) -> bytes:

@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..stages.encode import StripeEncoder, encode_batch, encode_fragments, manifest_row_schema
+from ..stages.encode import StripeEncoder, encode_batch, encode_fragments, manifest_rows
 from ..state import manifest as man
 from ..util import cluster_cpus as _cluster_cpus
 from ..util import estimate_num_rows_deep, estimate_size_bytes_deep
@@ -379,9 +379,8 @@ def _encode_key_runs(
     (key, salt_col) — url-host runs share dictionary/FSST locality — and
     emits per-key stripes, so symbol tables always see homogeneous data."""
     body, bounds, labels = _key_runs(batch, key, salt_col)
-    return _emit_keyed_stripes(
-        StripeEncoder(out_dir), body, bounds, labels, rows_per_stripe, target_stripe_bytes
-    )
+    enc = StripeEncoder(out_dir, target_stripe_bytes=target_stripe_bytes)
+    return _emit_keyed_stripes(enc, body, bounds, labels, rows_per_stripe)
 
 
 def _spill_codec() -> str:
@@ -459,7 +458,7 @@ def _encode_spill_groups(
 
     from .. import io as dio
 
-    enc = StripeEncoder(out_dir)
+    enc = StripeEncoder(out_dir, target_stripe_bytes=target_stripe_bytes)
     out = []
     for spec in specs.to_pylist():
         readers: dict[str, pa.ipc.RecordBatchFileReader] = {}
@@ -482,10 +481,8 @@ def _encode_spill_groups(
         if tables:
             body = pa.concat_tables(tables, promote_options="default").combine_chunks()
             bounds = np.cumsum([0] + [t.num_rows for t in tables])
-            out.append(_emit_keyed_stripes(
-                enc, body, bounds, labels, rows_per_stripe, target_stripe_bytes
-            ))
-    return pa.concat_tables(out) if out else manifest_row_schema().empty_table()
+            out.append(_emit_keyed_stripes(enc, body, bounds, labels, rows_per_stripe))
+    return pa.concat_tables(out) if out else manifest_rows([])
 
 
 def _plan_spill_tasks(index_rows: list[dict], task_bytes: int) -> list[dict]:
@@ -612,37 +609,30 @@ def _encode_global(
     )
 
 
-def _manifest_rows(entries: list[dict]) -> pa.Table:
-    # .get: resume can return a pre-upgrade entry without newer keys
-    names = manifest_row_schema().names
-    return pa.Table.from_pylist(
-        [{k: e.get(k) for k in names} for e in entries], schema=manifest_row_schema()
-    )
-
-
 def _emit_keyed_stripes(
     enc: StripeEncoder,
     body: pa.Table,
     bounds: np.ndarray,
     labels: list[str],
     rows_per_stripe: int,
-    target_stripe_bytes: int,
 ) -> pa.Table:
     """Shared per-key stripe emission: ``body`` holds contiguous key runs
     delimited by ``bounds`` (len(labels)+1 offsets); each run becomes one
-    or more byte-capped stripes, and tiny runs (rare keys) are coalesced
-    into contiguous "mixed" stripes — per-stripe overhead otherwise eats
-    the clustering gain. Lineage is ``shard=<label>:<n>``, ``n``
-    counting this call's stripes. Returns their manifest rows."""
+    or more stripes of ~``enc.target_stripe_bytes`` (cut at the average
+    row size, then bounded by ``enc.encode_split``), and tiny runs (rare
+    keys) are coalesced into contiguous "mixed" stripes — per-stripe
+    overhead otherwise eats the clustering gain. Lineage is
+    ``shard=<label>:<n>``, ``n`` counting this call's stripes. Returns
+    their manifest rows."""
     bytes_per_row = max(1.0, body.nbytes / max(1, body.num_rows))
-    cap = max(256, min(rows_per_stripe, int(target_stripe_bytes / bytes_per_row)))
+    cap = max(256, min(rows_per_stripe, int(enc.target_stripe_bytes / bytes_per_row)))
     min_rows = max(256, cap // 8)
     entries: list[dict] = []
 
     def emit(start: int, stop: int, label: str) -> None:
         for s in range(start, stop, cap):
             chunk = body.slice(s, min(cap, stop - s))
-            entries.append(enc.encode_one(chunk, lineage=f"shard={label}:{len(entries)}"))
+            entries.extend(enc.encode_split(chunk, lineage=f"shard={label}:{len(entries)}"))
 
     mixed_start = None
     for i in range(len(bounds) - 1):
@@ -657,7 +647,7 @@ def _emit_keyed_stripes(
         emit(run_start, run_stop, labels[i])
     if mixed_start is not None:
         emit(mixed_start, int(bounds[-1]), "mixed")
-    return _manifest_rows(entries)
+    return manifest_rows(entries)
 
 
 # ----------------------------------------------------------------- compaction
@@ -666,22 +656,27 @@ def plan_compaction(
     out_dir: str, target_bytes: int = 64 << 20, min_members: int = 2
 ) -> list[dict]:
     """Greedy plan: consecutive (path-sorted) stripes smaller than
-    ``target_bytes`` raw are grouped until the group reaches the target.
-    Returns group specs [{members: [manifest entries...]}]."""
+    ``target_bytes`` raw are grouped, and a group closes before a member
+    would take it past the target: each group becomes ONE stripe, because
+    its ``replaces`` manifest is the single commit point. Returns group
+    specs [{members: [manifest entries...]}]."""
     entries = sorted(man.load_manifest(out_dir), key=lambda e: e["path"])
     groups, cur, cur_bytes = [], [], 0
+
+    def close() -> None:
+        if len(cur) >= min_members:
+            groups.append({"members": cur})
+
     for e in entries:
         raw = e.get("raw_bytes", 0)
         if raw >= target_bytes:
             continue  # already big enough
+        if cur_bytes + raw > target_bytes:
+            close()
+            cur, cur_bytes = [], 0
         cur.append(e)
         cur_bytes += raw
-        if cur_bytes >= target_bytes:
-            if len(cur) >= min_members:
-                groups.append({"members": cur})
-            cur, cur_bytes = [], 0
-    if len(cur) >= min_members:
-        groups.append({"members": cur})
+    close()
     return groups
 
 
@@ -732,7 +727,7 @@ def _compact_groups(batch: pa.Table, out_dir: str, schema: pa.Schema) -> pa.Tabl
                     fs.delete_file(fp)
                 except OSError:  # already gone, or not deletable
                     pass
-    return _manifest_rows(entries)
+    return manifest_rows(entries)
 
 
 def compact_stripes(

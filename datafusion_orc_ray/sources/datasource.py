@@ -29,7 +29,6 @@ class StripeDatasource(Datasource):
         columns: list[str] | None = None,
         predicate: tuple[str, str, object] | list | None = None,
         rows_per_block: int = 32768,
-        split_bytes: int = 128 << 20,
         entries: list[dict] | None = None,
     ) -> None:
         from ..stripe import _pred_list, pred_flat_conjuncts
@@ -65,7 +64,6 @@ class StripeDatasource(Datasource):
         self._columns = columns
         self._predicate = preds or None
         self._rows_per_block = rows_per_block
-        self._split_bytes = split_bytes
         entries = manifest.load_manifest(out_dir) if entries is None else entries
         if not entries:
             raise FileNotFoundError(f"no manifest entries under {out_dir}")
@@ -101,58 +99,19 @@ class StripeDatasource(Datasource):
             else self._schema
         )
         tasks = []
-        for e in self._entries:
+        for e in self._entries:  # one stripe, one read task
             path = e["path"]
-            raw = e.get("raw_bytes") or 0
-            n_chunks = 1
-            if raw > self._split_bytes:
-                # oversized stripe (external compaction etc.): split the
-                # decode across its row chunks — one driver-side tail read
-                # of the footer, then one ReadTask per chunk group, each
-                # ranged-reading only its chunks' streams (reference
-                # byte-range splitting parity, src/physical_exec.rs:79-82)
-                from .. import stripe as stripe_mod
-
-                n_chunks = stripe_mod.n_chunks_of(stripe_mod.read_footer_from_file(path))
-            if n_chunks > 1:
-                n_tasks = max(1, -(-raw // self._split_bytes))
-                size = max(1, n_chunks // n_tasks)
-                groups = [
-                    (lo, min(lo + size, n_chunks)) for lo in range(0, n_chunks, size)
-                ]
-            else:
-                groups = [None]
-            for grp in groups:
-                if grp is None:
-
-                    def read_fn(path=path):
-                        return decoder(pa.table({"path": [path]}))
-
-                else:
-
-                    def read_fn(path=path, grp=grp):
-                        return decoder(
-                            pa.table(
-                                {
-                                    "path": [path],
-                                    "chunk_lo": [grp[0]],
-                                    "chunk_hi": [grp[1]],
-                                }
-                            )
-                        )
-
-                frac = 1.0 if grp is None else (grp[1] - grp[0]) / n_chunks
-                # with a residual predicate the true output rows are unknown
-                # until decode; report size as an estimate only
-                meta = BlockMetadata(
-                    num_rows=None
-                    if (self._predicate is not None or grp is not None)
-                    else e.get("n_rows"),
-                    size_bytes=int(raw * frac) if raw else e.get("raw_bytes"),
-                    exec_stats=None,
-                    input_files=[path],
-                )
-                tasks.append(ReadTask(read_fn, meta, schema=out_schema))
+            # with a residual predicate the true output rows are unknown
+            # until decode; report size as an estimate only
+            meta = BlockMetadata(
+                num_rows=None if self._predicate is not None else e.get("n_rows"),
+                size_bytes=e.get("raw_bytes"),
+                exec_stats=None,
+                input_files=[path],
+            )
+            tasks.append(
+                ReadTask(lambda path=path: decoder(pa.table({"path": [path]})), meta, schema=out_schema)
+            )
         if not tasks:
             # empty (fully pruned) scan: one no-op task keeps the schema
             empty = pa.Table.from_pylist([], schema=out_schema)

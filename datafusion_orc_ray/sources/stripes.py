@@ -18,25 +18,22 @@ from ..state import manifest
 
 # (stripe-path fingerprint, merged schema) per out_dir: one Catalog.sql
 # call otherwise re-derives the schema 3x (projection resolution, filter
-# pushdown, StripeDatasource.__init__) — each a TAIL-RANGED FOOTER READ
-# PER STRIPE, i.e. ~3N metadata GETs per interactive query at N stripes.
-# The fingerprint is the sorted stripe path list (one manifest listing,
-# no footer IO), so appends/compactions invalidate correctly.
+# pushdown, StripeDatasource.__init__) — each a schema parse per
+# distinct manifest schema and a merge. The fingerprint is the sorted
+# stripe path list, so appends/compactions invalidate correctly.
 _SCHEMA_CACHE: dict[str, tuple[tuple, object]] = {}
 
 
 def stripes_schema(out_dir: str, entries: list[dict] | None = None):
-    """Merged Arrow schema across all stripes (S3: deterministic — footers
-    read in sorted-path order, merged with pa.unify_schemas, mirroring
-    the reference's sort-for-determinism + Schema::try_merge at
-    src/file_format.rs:90-103), over ``entries`` if the caller loaded
-    them. Cached per out_dir against the stripe path list, so repeated
-    metadata calls in one process do footer IO once."""
+    """Merged Arrow schema across all stripes (S3: deterministic — the
+    manifests' schemas taken in sorted-path order, merged with
+    pa.unify_schemas, mirroring the reference's sort-for-determinism +
+    Schema::try_merge at src/file_format.rs:90-103), over ``entries`` if
+    the caller loaded them. Cached per out_dir against the stripe path
+    list."""
     import base64
 
     import pyarrow as pa
-
-    from .. import stripe as stripe_mod
 
     entries = sorted(entries or manifest.load_manifest(out_dir), key=lambda e: e["path"])
     fp = tuple(e["path"] for e in entries)
@@ -46,13 +43,14 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
     schemas = []
     seen: set[str] = set()
     for e in entries:
-        # manifests carry schema_b64 since round 4: metadata-only schema
-        # derivation, no per-stripe footer GET (millions of tail reads
-        # at 100-TB stripe counts). Pre-upgrade entries fall back to the
-        # footer's tail read.
+        # metadata-only schema derivation, no per-stripe footer GET
+        # (millions of tail reads at 100-TB stripe counts)
         b64 = e.get("schema_b64")
         if b64 is None:
-            b64 = stripe_mod.read_footer_from_file(e["path"])["schema_b64"]
+            raise ValueError(
+                f"manifest entry for stripe {e['path']} has no schema_b64: "
+                "written by an older format; re-encode the directory"
+            )
         if b64 not in seen:
             seen.add(b64)
             schemas.append(pa.ipc.read_schema(pa.py_buffer(base64.b64decode(b64))))
@@ -96,7 +94,7 @@ class Catalog:
 
     def _scan(self, name: str, columns=None, predicate=None, *, entries: list[dict]):
         """The one scan every sql() path reads (via ``_reader``): the
-        StripeDatasource (validation, stats pruning, chunk splitting) over
+        StripeDatasource (validation, stats pruning) over
         ``name``'s loaded manifest ``entries`` and its ``_executor``,
         recorded in ``last_pushdown["scans"]``."""
         from .datasource import StripeDatasource
@@ -159,7 +157,7 @@ class Catalog:
 
     def _resolve_filter_pushdown(self, query: str, referenced, schemas):
         """ALL pushable (col, op, literal) conjuncts per table from the
-        WHERE tree (AND semantics) for stats-driven stripe/chunk pruning.
+        WHERE tree (AND semantics) for stats-driven stripe pruning.
 
         A conjunct is pushed below a scan only when it provably applies
         to EVERY use of the table, so nothing is pushed at all unless the
@@ -628,8 +626,7 @@ def _stats_may_match(entry: dict, predicate) -> bool:
     Any conversion/comparison failure means 'cannot prune'. ``predicate``
     is one plain conjunct or an ``("or", [conj_list, ...])`` group — the
     group prunes only when NO disjunct may match (union of per-disjunct
-    may-match). The same core (stripe.stats_may_match) also prunes
-    per-ROW-CHUNK inside the decoder."""
+    may-match) — the core is stripe.stats_may_match."""
     import json
 
     from .. import stripe as stripe_mod

@@ -50,27 +50,25 @@ def make_stripe_decoder(
             "isnull": lambda c, _v: pc.is_null(c),
             "notnull": lambda c, _v: pc.is_valid(c),
         }
-        # `batch` is MANIFEST rows (one per stripe/chunk assigned to this
+        # `batch` is MANIFEST rows (one per stripe assigned to this
         # task), never data rows — to_pylist here is O(files-per-task)
         # metadata, and each loop iteration is a full file/range read.
-        has_range = "chunk_lo" in batch.column_names
-        los = batch.column("chunk_lo").to_pylist() if has_range else [None] * batch.num_rows
-        his = batch.column("chunk_hi").to_pylist() if has_range else [None] * batch.num_rows
-        for path, lo, hi in zip(batch.column("path").to_pylist(), los, his):
-            chunk_range = (lo, hi) if lo is not None else None
-            if read_cols is not None or chunk_range is not None or preds:
-                # projected / split / filtered: ranged reads of just the
-                # selected streams, only the selected row chunks, and only
-                # chunks whose stats may match (row-group skipping)
+        for path in batch.column("path").to_pylist():
+            if read_cols is not None or preds:
+                # projected / filtered: ranged reads of just the selected
+                # streams, none when the footer bloom rules the stripe out
                 t = stripe.decode_file(
                     path, columns=read_cols, unified_schema=unified_schema,
-                    chunk_range=chunk_range, predicate=preds or None,
+                    predicate=preds or None,
                 )
             else:
                 from .. import io as dio
 
                 # full decode: one sequential read (any pyarrow.fs URI)
-                t = stripe.decode_table(dio.read_bytes(path), unified_schema=unified_schema)
+                try:
+                    t = stripe.decode_table(dio.read_bytes(path), unified_schema=unified_schema)
+                except stripe.StripeCorruptError as e:  # name the file, not the bytes
+                    raise stripe.StripeCorruptError(path, e.column, e.stream, e.detail) from None
             if preds:
                 # residual AND filter; or-groups combine their disjuncts
                 # with SQL (Kleene) OR semantics — null OR true is true —

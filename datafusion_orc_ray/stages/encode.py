@@ -8,7 +8,8 @@ the worker process's ``job_state``: shared by the tasks of the job writing
 one ``out_dir``, never by another job. Every stripe embeds its own symbol
 tables, so decode needs no encoder state.
 
-One input batch -> one stripe blob on disk + one manifest row out.
+One input batch -> stripe blobs of at most ``target_stripe_bytes`` raw
+on disk (``StripeEncoder.encode_split``) + one manifest row each out.
 The output of the stage is the manifest Dataset — small rows — so the
 pipeline streams: heavy bytes go straight to storage from the worker,
 never back through the driver.
@@ -26,8 +27,42 @@ from ..codecs import outer
 from ..state import manifest
 
 
-def _content_id(blob: bytes) -> str:
-    return hashlib.sha1(blob).hexdigest()[:20]
+def _content_id(blobs: list[bytes]) -> str:
+    h = hashlib.sha1()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()[:20]
+
+
+def _piece_id(stripe_id: str, i: int, n: int) -> str:
+    """Id of piece ``i`` of ``n``: piece 0 keeps the id, and ``_`` sorts
+    after the ``.`` of ``<id>.rstp``, so a path sort of the pieces is row
+    order (the index is zero-padded to one width per batch)."""
+    return stripe_id if i == 0 else f"{stripe_id}_c{i:0{max(4, len(str(n - 1)))}d}"
+
+
+def row_slices(table: pa.Table, max_bytes: int) -> list[pa.Table]:
+    """``table`` cut into ⌈nbytes / max_bytes⌉ even row slices, any slice
+    still above ``max_bytes`` (uneven rows) cut again; a single row is
+    never cut."""
+    if table.nbytes <= max_bytes or table.num_rows <= 1:
+        return [table]
+    if any(pa.types.is_dictionary(f.type) for f in table.schema):
+        # a sliced dictionary array counts its whole dictionary in
+        # nbytes; stripes store values densely anyway (encode_table)
+        table = table.cast(pa.schema(
+            [f.with_type(f.type.value_type) if pa.types.is_dictionary(f.type) else f
+             for f in table.schema],
+            metadata=table.schema.metadata,
+        ))
+        return row_slices(table, max_bytes)
+    n = min(-(-table.nbytes // max_bytes), table.num_rows)
+    step = -(-table.num_rows // n)
+    return [
+        piece
+        for start in range(0, table.num_rows, step)
+        for piece in row_slices(table.slice(start, step), max_bytes)
+    ]
 
 
 def manifest_row_schema() -> pa.Schema:
@@ -43,10 +78,18 @@ def manifest_row_schema() -> pa.Schema:
             # serialized Arrow schema: schema derivation from manifests
             # alone (stripes_schema) — no per-stripe footer GETs, which
             # at 100 TB / 32 MB stripes would be millions of tail reads
-            # on the driver. Old manifests without it fall back to
-            # footer reads.
+            # on the driver
             ("schema_b64", pa.string()),
         ]
+    )
+
+
+def manifest_rows(entries: list[dict]) -> pa.Table:
+    """Manifest entries as rows of ``manifest_row_schema`` (entry keys
+    outside it, such as compaction's ``replaces``, are dropped)."""
+    names = manifest_row_schema().names
+    return pa.Table.from_pylist(
+        [{k: e.get(k) for k in names} for e in entries], schema=manifest_row_schema()
     )
 
 
@@ -66,9 +109,19 @@ def job_state(out_dir: str) -> stripe.EncoderState:
 
 class StripeEncoder:
     """Encodes tables into stripes under ``out_dir``; ``encode_batch``
-    is its task-stage form."""
+    is its task-stage form. ``target_stripe_bytes`` bounds every stripe
+    that ``encode_split`` writes: one stripe is one decode unit and one
+    read task, so a 512 MB input batch must never become one 512 MB
+    decode block (reference batches at fixed size,
+    src/file_source.rs:45)."""
 
-    def __init__(self, out_dir: str, outer_codec: int = outer.ZSTD, lineage: str = "") -> None:
+    def __init__(
+        self,
+        out_dir: str,
+        outer_codec: int = outer.ZSTD,
+        lineage: str = "",
+        target_stripe_bytes: int = 64 << 20,
+    ) -> None:
         # a task holds one CPU slot: pin Arrow's internal pools so a
         # num_cpus=N session really uses N cores (otherwise parquet reads
         # fan out to every host core and distort per-stage accounting)
@@ -77,8 +130,36 @@ class StripeEncoder:
         self.out_dir = out_dir
         self.outer_codec = outer_codec
         self.lineage = lineage
+        self.target_stripe_bytes = target_stripe_bytes
         self.state = job_state(out_dir)
         manifest.ensure_dirs(out_dir)
+
+    def encode_split(
+        self, batch: pa.Table, stripe_id: str | None = None, lineage: str = ""
+    ) -> list[dict]:
+        """Writes ``batch`` as ``row_slices`` of at most
+        ``target_stripe_bytes`` raw, one stripe each, and returns their
+        manifest entries in row order. Piece ids come from ``_piece_id``.
+        Piece 0 is written LAST, so a caller that resumes on
+        ``stripe_id`` sees it only once every piece is durable. Without
+        ``stripe_id`` the pieces share one content id, hashed over all
+        of their blobs."""
+        pieces = row_slices(batch, self.target_stripe_bytes)
+        if len(pieces) == 1:
+            return [self.encode_one(batch, stripe_id, lineage)]
+        lineage = lineage or self.lineage
+        blobs = None
+        if stripe_id is None:  # content-addressed: the id needs every blob
+            blobs = [self._encode(p) for p in pieces]
+            stripe_id = _content_id(blobs)
+        entries = [None] * len(pieces)
+        for i in reversed(range(len(pieces))):  # piece 0 (the resume marker) last
+            sid, lin = _piece_id(stripe_id, i, len(pieces)), f"{lineage}#c{i}"
+            if blobs is None:
+                entries[i] = self.encode_one(pieces[i], sid, lin)
+            else:
+                entries[i] = self._write(pieces[i], blobs[i], sid, lin)
+        return entries
 
     def encode_one(
         self,
@@ -87,17 +168,31 @@ class StripeEncoder:
         lineage: str = "",
         extra_entry: dict | None = None,
     ) -> dict:
+        """Writes ``batch`` as ONE stripe, whatever its size."""
         if stripe_id is not None:
             # deterministic (fragment-addressed) ids are known BEFORE
-            # encoding: a chunk made durable by an interrupted attempt
+            # encoding: a stripe made durable by an interrupted attempt
             # skips the whole re-encode on resume (content-addressed ids
             # genuinely need encode-first to learn their id)
             got = manifest.existing_entry(self.out_dir, stripe_id)
             if got is not None:
                 return got
-        blob = stripe.encode_table(batch, state=self.state, outer_codec=self.outer_codec)
+        blob = self._encode(batch)
         if stripe_id is None:
-            stripe_id = _content_id(blob)  # content-addressed -> idempotent rewrite
+            stripe_id = _content_id([blob])  # content-addressed -> idempotent rewrite
+        return self._write(batch, blob, stripe_id, lineage, extra_entry)
+
+    def _encode(self, batch: pa.Table) -> bytes:
+        return stripe.encode_table(batch, state=self.state, outer_codec=self.outer_codec)
+
+    def _write(
+        self,
+        batch: pa.Table,
+        blob: bytes,
+        stripe_id: str,
+        lineage: str = "",
+        extra_entry: dict | None = None,
+    ) -> dict:
         footer = stripe.read_footer(blob)
         col_metrics = [
             {
@@ -126,43 +221,29 @@ class StripeEncoder:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        entry = self.encode_one(batch)
-        # .get: resume can return a pre-upgrade entry without newer keys
-        return pa.Table.from_pylist(
-            [{k: entry.get(k) for k in manifest_row_schema().names}],
-            schema=manifest_row_schema(),
-        )
+        return manifest_rows(self.encode_split(batch))
 
 
 class FragmentEncoder(StripeEncoder):
     """Deterministic-partition variant: the batch rows are fragment specs
     ``{path, row_group}`` (planned by pipelines.encode.plan_fragments);
     the task reads its row group straight from Parquet (columns pruned
-    at the read, S5). A row group larger than ``target_stripe_bytes``
-    raw is split into multiple stripes (chunk count is deterministic
-    from the data, so reruns produce identical ids) — a 512 MB input
-    row group must never become one 512 MB stripe/decode block
-    (reference batches at fixed size, src/file_source.rs:45).
+    at the read, S5) and writes it through ``encode_split``.
 
-    Resume unit stays the FRAGMENT: chunk 0 carries the fragment hash id
+    Resume unit stays the FRAGMENT: piece 0 carries the fragment hash id
     that ``completed_ids`` checks, and it is written LAST, so a fragment
-    is only ever marked complete once every chunk stripe is durable."""
+    is only ever marked complete once every piece is durable. The piece
+    count is deterministic from the data, so reruns produce identical
+    ids."""
 
-    def __init__(
-        self,
-        out_dir: str,
-        columns: list[str] | None = None,
-        target_stripe_bytes: int = 64 << 20,
-        **kw,
-    ) -> None:
+    def __init__(self, out_dir: str, columns: list[str] | None = None, **kw) -> None:
         super().__init__(out_dir, **kw)
         self.columns = columns
-        self.target_stripe_bytes = target_stripe_bytes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        rows = []
+        entries = []
         # `batch` is FRAGMENT SPECS (one row per parquet row-group), not
         # data — the loop is O(row-groups-per-task) and each iteration
         # reads + encodes a whole row group.
@@ -172,28 +253,14 @@ class FragmentEncoder(StripeEncoder):
             if spec.get("salt"):  # e.g. bench epochs: distinct stripe per salt
                 frag_key += f":{spec['salt']}"
             frag_id = hashlib.sha1(frag_key.encode()).hexdigest()[:20]
-            pf = pq.ParquetFile(path)
-            data = pf.read_row_group(rg, columns=self.columns)
-            n_chunks = max(1, -(-data.nbytes // self.target_stripe_bytes))
-            rows_per_chunk = -(-data.num_rows // n_chunks) if data.num_rows else 1
-            chunks = [
-                data.slice(s, rows_per_chunk)
-                for s in range(0, max(data.num_rows, 1), rows_per_chunk)
-            ]
-            entries = [None] * len(chunks)
-            for i in range(len(chunks) - 1, -1, -1):  # chunk 0 (marker) last
-                sid = frag_id if i == 0 else f"{frag_id}-c{i}"
-                lineage = frag_key if len(chunks) == 1 else f"{frag_key}#c{i}"
-                entries[i] = self.encode_one(chunks[i], stripe_id=sid, lineage=lineage)
-            for entry in entries:
-                # .get: resume can return pre-upgrade entries lacking
-                # newer keys (schema_b64)
-                rows.append({k: entry.get(k) for k in manifest_row_schema().names})
-        return pa.Table.from_pylist(rows, schema=manifest_row_schema())
+            with pq.ParquetFile(path) as pf:
+                data = pf.read_row_group(rg, columns=self.columns)
+            entries.extend(self.encode_split(data, stripe_id=frag_id, lineage=frag_key))
+        return manifest_rows(entries)
 
 
 def encode_batch(batch: pa.Table, out_dir: str) -> pa.Table:
-    """``encode_dataset``'s task stage: one batch -> one stripe."""
+    """``encode_dataset``'s task stage: one batch -> bounded stripes."""
     return StripeEncoder(out_dir)(batch)
 
 

@@ -14,7 +14,8 @@ Decode is the exact inverse and reproduces every column bit-identically
 (ORC round-trip contract, reference golden test src/lib.rs:194-207).
 Column pruning on decode mirrors the shim's ProjectionMask pushdown
 (src/physical_exec.rs:68-78): non-requested columns' streams are never
-touched.
+touched. Every stream carries the CRC-32 of its stored bytes, checked on
+each read; bad bytes raise ``StripeCorruptError``.
 
 Pure pyarrow/numpy — no Ray dependency; the Ray stages in
 ``datafusion_orc_ray.stages`` wrap these functions in ``map_batches``.
@@ -36,7 +37,7 @@ from .codecs.bitpack import pack_bits, unpack_bits
 from .codecs.integers import codec_name, decode_ints, encode_ints
 
 MAGIC = b"RSTP1"
-FORMAT = "rstp3"  # bump on any layout change: decode refuses older blobs
+FORMAT = "rstp4"  # bump on any layout change: decode refuses older blobs
                   # loudly and cached encode dirs key on this string
 
 # stream kinds (cf. ORC stream kinds PRESENT/DATA/LENGTH/SECONDARY/
@@ -60,7 +61,7 @@ class EncoderState:
     still embeds the symbol table it used, so stripes stay independently
     decodable (decode-state discipline, SURVEY.md §7 hard part d)."""
 
-    REVALIDATE_EVERY = 16          # int decisions: cheap, per-chunk TTL
+    REVALIDATE_EVERY = 16          # int decisions: cheap, per-stripe TTL
     REVALIDATE_BYTES = 256 << 20   # bytes/dict decisions: per column data volume
 
     def __init__(self, blooms: bool = True) -> None:
@@ -70,7 +71,7 @@ class EncoderState:
         self.dict_decisions: dict[str, list] = {}
         # path -> [int_codec_id, ttl]
         self.int_decisions: dict[str, list] = {}
-        # writer option: per-chunk bloom indexes (codecs/bloom). ~1% of
+        # writer option: per-stripe bloom indexes (codecs/bloom). ~1% of
         # encode CPU on key-like columns; flip off for corpora that never
         # run point lookups
         self.blooms = blooms
@@ -311,7 +312,7 @@ def encode_column(
         # byte-stream-split trial: grouping sign/exponent byte planes often
         # makes otherwise-incompressible floats compressible by the outer
         # codec (same role as ORC's DIRECT float stream + block codec, E6,
-        # with the Parquet BYTE_STREAM_SPLIT idea applied per chunk)
+        # with the Parquet BYTE_STREAM_SPLIT idea applied per stripe)
         use_bss = False
         if v.size >= 256:
             import pyarrow as _pa
@@ -447,7 +448,7 @@ def encode_column(
         # plain: RAW vs FSST by sampled trial (E8/E16/E17). LENGTHS is
         # written only here — a dict column's lengths are recomputed
         # from the gathered dictionary values at decode, so persisting
-        # them wasted stream bytes and a decode pass per dict chunk
+        # them wasted stream bytes and a decode pass per dict stripe
         len_buf = encode_ints(lengths)
         _add(meta, blobs, LENGTHS, {"codec": codec_name(len_buf[0])}, len_buf)
         if state is not None:
@@ -508,7 +509,7 @@ def encode_column(
         # read type codes / value offsets from the raw buffers with
         # explicit offset slicing: the .type_codes/.offsets properties are
         # NOT offset-adjusted on sliced arrays (they return the buffer
-        # head), which silently corrupts chunked encodes
+        # head), which silently corrupts encodes of sliced stripes
         tc = np.frombuffer(arr.buffers()[1], dtype=np.int8)[arr.offset : arr.offset + n]
         tc_buf = encode_ints(tc.astype(np.int64))
         _add(meta, blobs, DATA, {"codec": codec_name(tc_buf[0])}, tc_buf)
@@ -534,133 +535,49 @@ def encode_column(
     raise NotImplementedError(f"unsupported type {t} at {path}")
 
 
-# Stripes whose raw Arrow size exceeds this encode as independently
-# decodable ROW CHUNKS inside one blob (our equivalent of the reference's
-# byte-range file splitting, src/physical_exec.rs:79-82): the footer lists
-# per-chunk stream ranges, so one oversized stripe can decode in parallel
-# tasks with bounded peak memory instead of becoming a straggler block.
-CHUNK_BYTES = 64 << 20
-
-
-def _merge_chunk_cmetas(per_chunk: list[list[dict]]) -> list[dict]:
-    """Stripe-level column metadata merged across row chunks — for stats
-    pruning and codec/size metrics ONLY (stream offsets live per chunk;
-    these merged entries carry aggregated sizes and min/max envelopes)."""
-    out = []
-    for i in range(len(per_chunk[0])):
-        metas = [chunk[i] for chunk in per_chunk]
-        streams: dict = {}
-        for m in metas:
-            for k, s in m["streams"].items():
-                agg = streams.setdefault(
-                    k,
-                    {"codec": s.get("codec"), "outer": s.get("outer"), "size": 0, "pre_outer_size": 0},
-                )
-                agg["size"] += s.get("size", 0)
-                agg["pre_outer_size"] += s.get("pre_outer_size", 0)
-        st_list = [m.get("stats", {}) for m in metas]
-        stats: dict = {
-            "n": sum(s.get("n", 0) for s in st_list),
-            "null_count": sum(s.get("null_count", 0) for s in st_list),
-        }
-        # merge bounds: an exact min/max merged with a safe bound stays a
-        # safe bound; any missing side disables that side's pruning
-        mins = [s.get("min", s.get("min_bound")) for s in st_list]
-        maxs = [s.get("max", s.get("max_bound")) for s in st_list]
-        if not any(v is None for v in mins):
-            key = "min" if all("min" in s and s["min"] is not None for s in st_list) else "min_bound"
-            stats[key] = min(mins)
-        if not any(v is None for v in maxs):
-            key = "max" if all("max" in s and s["max"] is not None for s in st_list) else "max_bound"
-            stats[key] = max(maxs)
-        units = {s.get("temporal_unit") for s in st_list} - {None}
-        if len(units) == 1:
-            stats["temporal_unit"] = units.pop()
-        out.append(
-            {
-                "path": metas[0]["path"],
-                "enc": metas[0]["enc"],
-                "n": sum(m["n"] for m in metas),
-                "null_count": sum(m["null_count"] for m in metas),
-                "streams": streams,
-                "stats": stats,
-                "merged": True,  # decode must use the per-chunk metas
-            }
-        )
-    return out
-
-
 def encode_table(
     table: pa.Table,
     state: EncoderState | None = None,
     outer_codec: int = outer.ZSTD,
-    chunk_bytes: int | None = CHUNK_BYTES,
 ) -> bytes:
     """Encode a pyarrow Table into one self-describing stripe blob.
-    Tables above ``chunk_bytes`` raw are laid out as independently
-    decodable row chunks (footer key ``chunks``); pass ``chunk_bytes=None``
-    to force a single chunk."""
+    ``stages.encode.StripeEncoder`` bounds the table's size first."""
     table = table.combine_chunks()
-    n_rows = table.num_rows
-    n_chunks = 1
-    if chunk_bytes and table.nbytes > chunk_bytes and n_rows > 1:
-        n_chunks = min(-(-table.nbytes // chunk_bytes), n_rows)
-    rows_per = -(-n_rows // n_chunks) if n_chunks > 1 else n_rows
-    # derive chunk starts from the actual stride: with very wide rows
-    # (n_chunks > ~sqrt(n_rows)) the ceil stride overshoots and the
-    # fixed-count loop would compute a NEGATIVE final slice length
-    starts = list(range(0, n_rows, rows_per)) if n_rows and rows_per else [0]
-    n_chunks = len(starts) if n_chunks > 1 else 1
-
-    # densify dictionary input once (dict encoding is re-chosen per stripe
-    # by the E9 trial); footer schema records the value type
-    cols: dict[str, pa.Array] = {}
+    parts: list[bytes] = [MAGIC]
+    pos = len(MAGIC)
+    columns_meta = []
     fields = []
     for name in table.column_names:
         col = table.column(name)
         if isinstance(col, pa.ChunkedArray):
             col = pa.concat_arrays(col.chunks) if col.num_chunks else pa.array([], type=col.type)
+        # densify dictionary input (dict encoding is re-chosen per stripe
+        # by the E9 trial); the footer schema records the value type
         if pa.types.is_dictionary(col.type):
             col = col.cast(col.type.value_type)
         fields.append(pa.field(name, col.type))
-        cols[name] = col
-
-    parts: list[bytes] = [MAGIC]
-    pos = len(MAGIC)
-    chunks_meta = []
-    for ci in range(n_chunks):
-        row_start = starts[ci] if n_chunks > 1 else 0
-        n_c = min(rows_per, n_rows - row_start) if n_chunks > 1 else n_rows
-        columns_meta = []
-        for name in table.column_names:
-            col = cols[name] if n_chunks == 1 else cols[name].slice(row_start, n_c)
-            cmeta, blobs = encode_column(col, name, state, outer_codec)
-            for smeta, payload in blobs:
-                framed_parts = outer.compress_auto(payload, outer_codec)
-                framed_len = sum(len(p) for p in framed_parts)
-                smeta["offset"] = pos
-                smeta["size"] = framed_len
-                smeta["pre_outer_size"] = len(memoryview(payload).cast("B"))
-                smeta["outer"] = outer.outer_name(framed_parts[0][0])
-                crc = 0
-                for p in framed_parts:
-                    crc = zlib.crc32(p, crc)
-                smeta["crc32"] = crc
-                parts.extend(framed_parts)
-                pos += framed_len
-            columns_meta.append(cmeta)
-        chunks_meta.append({"row_start": row_start, "n_rows": n_c, "columns": columns_meta})
+        cmeta, blobs = encode_column(col, name, state, outer_codec)
+        for smeta, payload in blobs:
+            framed_parts = outer.compress_auto(payload, outer_codec)
+            framed_len = sum(len(p) for p in framed_parts)
+            smeta["offset"] = pos
+            smeta["size"] = framed_len
+            smeta["pre_outer_size"] = len(memoryview(payload).cast("B"))
+            smeta["outer"] = outer.outer_name(framed_parts[0][0])
+            crc = 0
+            for p in framed_parts:
+                crc = zlib.crc32(p, crc)
+            smeta["crc32"] = crc
+            parts.extend(framed_parts)
+            pos += framed_len
+        columns_meta.append(cmeta)
     schema = pa.schema(fields, metadata=table.schema.metadata)
     footer = {
         "format": FORMAT,
-        "n_rows": n_rows,
+        "n_rows": table.num_rows,
         "schema_b64": base64.b64encode(schema.serialize().to_pybytes()).decode(),
-        "columns": chunks_meta[0]["columns"] if n_chunks == 1 else _merge_chunk_cmetas(
-            [c["columns"] for c in chunks_meta]
-        ),
+        "columns": columns_meta,
     }
-    if n_chunks > 1:
-        footer["chunks"] = chunks_meta
     fbytes = json.dumps(footer, separators=(",", ":")).encode()
     parts.append(fbytes)
     parts.append(struct.pack("<I", len(fbytes)))
@@ -670,17 +587,64 @@ def encode_table(
 
 # --------------------------------------------------------------------- decode
 
-def read_footer(blob: bytes) -> dict:
-    if blob[: len(MAGIC)] != MAGIC or blob[-len(MAGIC) :] != MAGIC:
-        raise ValueError("not a stripe blob")
-    (flen,) = struct.unpack_from("<I", blob, len(blob) - len(MAGIC) - 4)
-    fstart = len(blob) - len(MAGIC) - 4 - flen
-    footer = json.loads(blob[fstart : fstart + flen])
+class StripeCorruptError(ValueError):
+    """Bad stripe bytes: a stream whose CRC-32 does not match, bad magic,
+    a torn footer or a truncated blob. ``stripe`` is the file path when
+    decoding a file; ``column`` is the column path (None for the footer)
+    and ``stream`` the stream kind."""
+
+    def __init__(self, stripe: str, column: str | None, stream: str, detail: str) -> None:
+        self.stripe, self.column, self.stream, self.detail = stripe, column, stream, detail
+        where = stream if column is None else f"column {column!r} stream {stream!r}"
+        super().__init__(f"corrupt stripe {stripe}: {where}: {detail}")
+
+    def __reduce__(self):  # task errors travel pickled
+        return type(self), (self.stripe, self.column, self.stream, self.detail)
+
+
+_IN_MEMORY = "<in-memory blob>"  # the stripe name of a decode from bytes
+
+
+def _parse_footer(tail: bytes, name: str, read_tail=None) -> dict:
+    """The footer from a blob's last bytes: the whole blob, or a tail
+    read that ``read_tail(n)`` re-reads when the footer is longer."""
+    if len(tail) < 2 * len(MAGIC) + 4 or tail[-len(MAGIC) :] != MAGIC:
+        raise StripeCorruptError(name, None, "footer", "bad magic: not a stripe blob, or truncated")
+    (flen,) = struct.unpack_from("<I", tail, len(tail) - len(MAGIC) - 4)
+    if flen + 4 + 2 * len(MAGIC) > len(tail) and read_tail is not None:
+        tail = read_tail(flen + 4 + 2 * len(MAGIC))
+    fstart = len(tail) - len(MAGIC) - 4 - flen
+    if fstart < len(MAGIC):
+        raise StripeCorruptError(name, None, "footer", "torn footer: longer than the blob")
+    try:
+        footer = json.loads(tail[fstart : fstart + flen])
+    except ValueError as exc:
+        raise StripeCorruptError(name, None, "footer", f"torn footer: {exc}") from None
     if footer.get("format") != FORMAT:
         raise ValueError(
-            f"stripe format {footer.get('format')!r} != {FORMAT!r} — stale blob; re-encode"
+            f"stripe {name} format {footer.get('format')!r} != {FORMAT!r} — stale blob; re-encode"
         )
     return footer
+
+
+def read_footer(blob: bytes) -> dict:
+    if blob[: len(MAGIC)] != MAGIC:
+        raise StripeCorruptError(_IN_MEMORY, None, "footer", "bad magic: not a stripe blob")
+    return _parse_footer(blob, _IN_MEMORY)
+
+
+def read_footer_from_file(path: str, tail_guess: int = 1 << 20) -> dict:
+    """Footer via tail-ranged reads only — metadata ops never scan stripe
+    bodies (mirrors the reference's postscript/footer tail reads,
+    src/object_store_reader.rs:48-58 + ArrowReaderBuilder). ``path`` may
+    be a local path or any pyarrow.fs URI (file://, s3://...)."""
+    from . import io as dio
+
+    src = dio.RangedReader(path)
+    try:
+        return _parse_footer(src.read_tail(tail_guess), path, src.read_tail)
+    finally:
+        src.close()
 
 
 def _walk_stream_metas(cmeta: dict):
@@ -692,20 +656,30 @@ def _walk_stream_metas(cmeta: dict):
         yield from _walk_stream_metas(child)
 
 
+def _stored_stream(blob, cpath: str, kind: str, s: dict):
+    """A stream's stored (framed) bytes from a blob or a ``RangedReader``,
+    checked against the CRC-32 recorded at encode."""
+    if isinstance(blob, (bytes, bytearray, memoryview)):
+        raw, name = blob[s["offset"] : s["offset"] + s["size"]], _IN_MEMORY
+    else:
+        raw, name = blob.read(s["offset"], s["size"]), blob.path
+    if len(raw) != s["size"]:
+        raise StripeCorruptError(name, cpath, kind, f"truncated: {len(raw)} of {s['size']} bytes")
+    if zlib.crc32(raw) != s["crc32"]:
+        raise StripeCorruptError(name, cpath, kind, "CRC-32 mismatch")
+    return raw
+
+
 def validate_blob(blob: bytes) -> dict:
-    """Integrity audit of one stripe blob: magic framing, footer parse,
-    and the per-stream CRC-32 recorded at encode time (``crc32`` in each
-    stream meta) recomputed over the stored framed bytes. Returns
-    ``{"ok", "n_streams", "n_checked", "bad"}`` where ``bad`` lists
-    ``column/stream`` names that fail. Streams written before checksums
-    existed are counted in ``n_streams`` but not ``n_checked`` — absence
-    of a CRC is not corruption. Never decompresses or decodes, so the
-    audit cost is one crc32 pass over the file bytes (~GB/s/core)."""
-    n_streams = n_checked = 0
-    bad: list[str] = []
+    """Integrity audit of one stripe blob: magic framing, footer parse
+    and every stream's CRC-32 (the same check decode makes). Returns
+    ``{"ok", "n_streams", "n_checked", "n_rows", "bad"}`` where ``bad``
+    lists the ``column/stream`` names that fail. Never decompresses or
+    decodes, so the audit cost is one crc32 pass over the file bytes
+    (~GB/s/core)."""
     try:
         footer = read_footer(blob)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         return {
             "ok": False,
             "n_streams": 0,
@@ -713,22 +687,17 @@ def validate_blob(blob: bytes) -> dict:
             "n_rows": -1,
             "bad": [f"footer: {exc}"],
         }
-    groups = footer.get("chunks") or [{"columns": footer["columns"]}]
-    for ci, ch in enumerate(groups):
-        for cmeta in ch["columns"]:
-            for cpath, kind, s in _walk_stream_metas(cmeta):
-                n_streams += 1
-                want = s.get("crc32")
-                if want is None or "offset" not in s:
-                    continue
-                n_checked += 1
-                raw = blob[s["offset"] : s["offset"] + s["size"]]
-                if len(raw) != s["size"] or zlib.crc32(raw) != want:
-                    bad.append(f"chunk{ci}/{cpath}/{kind}")
+    streams = [x for cmeta in footer["columns"] for x in _walk_stream_metas(cmeta)]
+    bad: list[str] = []
+    for cpath, kind, s in streams:
+        try:
+            _stored_stream(blob, cpath, kind, s)
+        except StripeCorruptError:
+            bad.append(f"{cpath}/{kind}")
     return {
         "ok": not bad,
-        "n_streams": n_streams,
-        "n_checked": n_checked,
+        "n_streams": len(streams),
+        "n_checked": len(streams),
         # the audit already parsed the footer — surfacing n_rows here
         # saves callers a second (tail-ranged) footer read per stripe
         "n_rows": int(footer.get("n_rows", -1)),
@@ -755,42 +724,11 @@ def validate_file(path: str) -> dict:
     return validate_blob(blob)
 
 
-def read_footer_from_file(path: str, tail_guess: int = 1 << 20) -> dict:
-    """Footer via tail-ranged reads only — metadata ops never scan stripe
-    bodies (mirrors the reference's postscript/footer tail reads,
-    src/object_store_reader.rs:48-58 + ArrowReaderBuilder). ``path`` may
-    be a local path or any pyarrow.fs URI (file://, s3://...)."""
-    from . import io as dio
-
-    src = dio.RangedReader(path)
-    try:
-        tail = src.read_tail(tail_guess)
-        if tail[-len(MAGIC) :] != MAGIC:
-            raise ValueError("not a stripe blob")
-        (flen,) = struct.unpack_from("<I", tail, len(tail) - len(MAGIC) - 4)
-        needed = flen + 4 + 2 * len(MAGIC)
-        if needed > len(tail):
-            tail = src.read_tail(needed)
-        fstart = len(tail) - len(MAGIC) - 4 - flen
-        footer = json.loads(tail[fstart : fstart + flen])
-    finally:
-        src.close()
-    if footer.get("format") != FORMAT:
-        raise ValueError(
-            f"stripe format {footer.get('format')!r} != {FORMAT!r} — stale blob; re-encode"
-        )
-    return footer
-
-
 def _get_stream(blob, cmeta: dict, kind: str) -> bytes | None:
     s = cmeta["streams"].get(kind)
     if s is None:
         return None
-    if isinstance(blob, (bytes, bytearray, memoryview)):
-        raw = blob[s["offset"] : s["offset"] + s["size"]]
-    else:
-        raw = blob.read(s["offset"], s["size"])
-    return outer.decompress(raw)
+    return outer.decompress(_stored_stream(blob, cmeta["path"], kind, s))
 
 
 def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
@@ -905,12 +843,10 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
     if enc in ("plain", "dict"):
         if enc == "dict":
             # no LENGTHS stream for dict columns: lengths are recomputed
-            # from the gathered dictionary values below (older blobs that
-            # still carry one are simply not read — ranged decode never
-            # touches unread streams)
+            # from the gathered dictionary values below
             idx = decode_ints(_get_stream(blob, cmeta, DATA), n_valid)
             child_meta = cmeta["children"][0]
-            dict_vals = decode_column(blob, child_meta, _value_type(dtype))
+            dict_vals = decode_column(blob, child_meta, dtype)
             # gather dict values by index, then rebuild buffer
             gathered = dict_vals.take(pa.array(idx, type=pa.int64()))
             gdata, goffs = _binary_parts(gathered)
@@ -934,7 +870,7 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
 
     if enc == "list":
         lengths = decode_ints(_get_stream(blob, cmeta, LENGTHS), n_valid)
-        child = decode_column(blob, cmeta["children"][0], _list_value_type(dtype))
+        child = decode_column(blob, cmeta["children"][0], dtype.value_type)
         full_lengths = _scatter(lengths.astype(np.int64), mask, n)
         offsets = np.concatenate([[0], np.cumsum(full_lengths)])
         big = pa.types.is_large_list(dtype)
@@ -968,18 +904,6 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
     raise ValueError(f"unknown column encoding {enc}")
 
 
-def _value_type(dtype: pa.DataType) -> pa.DataType:
-    return dtype
-
-
-def _list_value_type(dtype: pa.DataType) -> pa.DataType:
-    return dtype.value_type
-
-
-def n_chunks_of(footer: dict) -> int:
-    return len(footer["chunks"]) if "chunks" in footer else 1
-
-
 _STAT_OPS = {
     "<": lambda mn, mx, v: mn is None or mn < v,
     "<=": lambda mn, mx, v: mn is None or mn <= v,
@@ -995,7 +919,7 @@ def stats_may_match(st: dict, op: str, val) -> bool:
     stats stored as epoch ints — datetime predicate values convert).
     Any conversion/comparison failure means 'cannot prune'. ``isnull``
     / ``notnull`` (val ignored) prune on the null-count stats: a
-    stripe/chunk with zero nulls has no IS NULL match; one that is all
+    stripe with zero nulls has no IS NULL match; one that is all
     nulls has no IS NOT NULL match."""
     if op == "isnull":
         return st.get("null_count") != 0  # missing stat (None) -> cannot prune
@@ -1070,7 +994,6 @@ def _decode_from(
     blob,
     columns: list[str] | None,
     unified_schema: pa.Schema | None = None,
-    chunk_range: tuple[int, int] | None = None,
     predicate: tuple[str, str, object] | list | None = None,
 ) -> pa.Table:
     """``unified_schema`` (the directory-wide merged schema from
@@ -1078,71 +1001,10 @@ def _decode_from(
     requested columns absent from THIS stripe's footer are null-filled to
     the unified type instead of silently dropped, and a column unknown to
     both the footer and the unified schema raises (misspelling guard —
-    ADVICE r1, low). ``chunk_range=(lo, hi)`` decodes only row chunks
-    [lo, hi) of a chunked stripe — the parallel-split decode path.
-    ``predicate`` prunes chunks whose per-chunk column stats prove no
-    match (ORC row-group-index skipping at chunk granularity; the caller
-    still applies the residual row filter)."""
+    ADVICE r1, low). ``predicate`` skips the whole stripe when a footer
+    bloom proves a point lookup absent (the caller still applies the
+    residual row filter)."""
     preds = _pred_list(predicate)
-    if "chunks" in footer:
-        chunks = footer["chunks"]
-        lo, hi = chunk_range if chunk_range is not None else (0, len(chunks))
-        picked = chunks[lo:hi]
-        if preds:
-            fschema = pa.ipc.read_schema(
-                pa.py_buffer(base64.b64decode(footer["schema_b64"]))
-            )
-
-            def chunk_may_match(ch: dict) -> bool:
-                by_path = {c["path"]: c for c in ch["columns"]}
-
-                def conj_ok(col: str, op: str, val) -> bool:
-                    c = by_path.get(col)
-                    if c is None:
-                        return True  # unknown column -> cannot prune on it
-                    if not stats_may_match(c.get("stats", {}), op, val):
-                        return False
-                    if (
-                        op == "=="
-                        and "bloom" in c
-                        and col in fschema.names
-                        and not bloom.may_contain(
-                            c["bloom"], val, fschema.field(col).type
-                        )
-                    ):
-                        return False
-                    return True
-
-                # AND across elements; an or-group prunes only when
-                # EVERY disjunct is proven empty (pred_may_match)
-                return all(pred_may_match(p, conj_ok) for p in preds)
-
-            picked = [ch for ch in picked if chunk_may_match(ch)]
-        tabs = [
-            _decode_from(
-                {
-                    "schema_b64": footer["schema_b64"],
-                    "n_rows": ch["n_rows"],
-                    "columns": ch["columns"],
-                },
-                blob,
-                columns,
-                unified_schema,
-            )
-            for ch in picked
-        ]
-        if tabs:
-            return pa.concat_tables(tabs)
-        # every chunk pruned: empty table with the right projected schema
-        schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(footer["schema_b64"])))
-        base = unified_schema if unified_schema is not None else schema
-        wanted = columns if columns is not None else list(base.names)
-        fields = [
-            base.field(n) if n in base.names else schema.field(n) for n in wanted
-        ]
-        return pa.schema(fields).empty_table()
-    if chunk_range is not None and chunk_range != (0, 1):
-        raise IndexError(f"chunk_range {chunk_range} on a single-chunk stripe")
     schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(footer["schema_b64"])))
     by_name = {c["path"]: c for c in footer["columns"]}
 
@@ -1202,37 +1064,29 @@ def decode_table(
     blob: bytes,
     columns: list[str] | None = None,
     unified_schema: pa.Schema | None = None,
-    chunk_range: tuple[int, int] | None = None,
     predicate: tuple[str, str, object] | None = None,
 ) -> pa.Table:
     """Decode a stripe blob; ``columns`` prunes decoding to the requested
-    top-level columns (projection pushdown, S5); ``predicate`` skips row
-    chunks whose stats prove no match (row-group skipping — the caller
-    still applies the residual row filter)."""
-    return _decode_from(
-        read_footer(blob), blob, columns, unified_schema, chunk_range, predicate
-    )
+    top-level columns (projection pushdown, S5); ``predicate`` skips the
+    stripe when its bloom proves a point lookup absent (the caller still
+    applies the residual row filter)."""
+    return _decode_from(read_footer(blob), blob, columns, unified_schema, predicate)
 
 
 def decode_file(
     path: str,
     columns: list[str] | None = None,
     unified_schema: pa.Schema | None = None,
-    chunk_range: tuple[int, int] | None = None,
     predicate: tuple[str, str, object] | None = None,
 ) -> pa.Table:
     """Decode straight from a stripe file: footer via tail read, then
-    ranged reads of only the projected columns' streams (S5 + S8) — and,
-    with ``chunk_range``, only the selected row chunks' streams, so a
-    split task reads a bounded byte range of an oversized stripe.
+    ranged reads of only the projected columns' streams (S5 + S8).
     ``path`` may be local or any pyarrow.fs URI."""
     from . import io as dio
 
     footer = read_footer_from_file(path)
     src = dio.RangedReader(path)
     try:
-        return _decode_from(
-            footer, src, columns, unified_schema, chunk_range, predicate
-        )
+        return _decode_from(footer, src, columns, unified_schema, predicate)
     finally:
         src.close()

@@ -2,7 +2,7 @@
 useful false-positive rate, eligibility gates) and end-to-end point-lookup
 pruning through the stripe footer (ORC attaches optional bloom indexes next
 to its row-group stats; the reference shim never surfaces them — here they
-prune chunks and whole stripes on `==` predicates, SURVEY E13/S4)."""
+prune whole stripes on `==` predicates, SURVEY E13/S4)."""
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -89,7 +89,7 @@ def test_point_lookup_prunes_whole_stripe(tmp_path):
             "n": pa.array(list(range(2000)), pa.int64()),
         }
     )
-    blob = stripe.encode_table(t, chunk_bytes=None)
+    blob = stripe.encode_table(t)
     p = str(tmp_path / "s.rstp")
     open(p, "wb").write(blob)
     # absent value inside the [min,max] range: stats can't prune, bloom can
@@ -113,29 +113,43 @@ def test_point_lookup_prunes_whole_stripe(tmp_path):
 
 
 def test_point_lookup_prunes_chunks(tmp_path):
-    # small chunk_bytes -> many row chunks; a probe present in exactly one
-    # chunk must decode only chunks the bloom admits, exactly
-    n = 20_000
-    t = pa.table({"a": pa.array(list(range(n)), pa.int64())})
-    blob = stripe.encode_table(t, chunk_bytes=16_000)
-    footer = stripe.read_footer(blob)
-    assert stripe.n_chunks_of(footer) > 4
-    out = stripe.decode_table(blob, predicate=("a", "==", 12_345))
-    assert 12_345 in out.column("a").to_pylist()
-    # chunks are range-partitioned here so min/max alone would also prune;
-    # shuffle-ish data defeats stats but not the bloom
+    # a small target_stripe_bytes -> many stripes; a probe present in
+    # exactly one of them must decode only the stripes that may hold it
     import numpy as np
 
+    from datafusion_orc_ray.sources.datasource import StripeDatasource
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+
+    n = 20_000
+    t = pa.table({"a": pa.array(list(range(n)), pa.int64())})
+    out = str(tmp_path / "sorted")
+    entries = StripeEncoder(out, target_stripe_bytes=16_000).encode_split(t)
+    assert len(entries) > 4
+    # pieces are range-partitioned here, so min/max stats prune all but one
+    src = StripeDatasource(out, predicate=("a", "==", 12_345))
+    tasks = src.get_read_tasks(1)
+    assert len(tasks) == 1
+    assert [b for task in tasks for b in task()][0].column("a").to_pylist() == [12_345]
+    # shuffled data defeats stats but not the bloom
     rng = np.random.default_rng(42)
     vals = rng.permutation(n).astype(np.int64)
-    blob2 = stripe.encode_table(pa.table({"a": pa.array(vals)}), chunk_bytes=16_000)
-    absent = n + 5  # outside -> stats prune; also test inside-range absent
-    out2 = stripe.decode_table(blob2, predicate=("a", "==", absent))
-    assert out2.num_rows == 0
-    # every value is present exactly once -> no false negative ever
+    out2 = str(tmp_path / "shuffled")
+    entries2 = StripeEncoder(out2, target_stripe_bytes=16_000).encode_split(
+        pa.table({"a": pa.array(vals)})
+    )
+    absent = n + 5  # outside -> stats prune every piece
+    assert StripeDatasource(out2, predicate=("a", "==", absent)).get_read_tasks(1)[0].metadata.num_rows == 0
+    # every value is present exactly once -> no false negative ever, and
+    # the footer bloom skips the pieces that lack it before any stream read
     probe = int(vals[777])
-    got = stripe.decode_table(blob2, predicate=("a", "==", probe))
-    assert probe in got.column("a").to_pylist()
+    src2 = StripeDatasource(out2, predicate=("a", "==", probe))
+    assert len(src2.get_read_tasks(1)) == len(entries2)
+    decoded = [
+        stripe.decode_file(e["path"], predicate=("a", "==", probe)).num_rows for e in entries2
+    ]
+    assert sum(1 for d in decoded if d) == 1
+    got = [b for task in src2.get_read_tasks(1) for b in task()]
+    assert pa.concat_tables(got).column("a").to_pylist() == [probe]
 
 
 def test_build_bits_or_merge_and_contains_many():

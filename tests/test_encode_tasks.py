@@ -185,3 +185,37 @@ def test_no_outer_codec_stores_large_streams_raw():
     blob = stripe.encode_table(t, outer_codec=outer.NONE)
     assert stripe.read_footer(blob)["columns"][0]["streams"]["data"]["outer"] == "none"
     assert stripe.decode_table(blob).equals(t)
+
+
+def test_split_pieces_read_back_in_row_order(tmp_path):
+    """A row group FragmentEncoder splits 11+ ways, and a batch over the
+    target written as encode_batch writes it, read back through
+    StripeDatasource in input row order with no sort; every piece is
+    within the target. Piece names once sorted c1, c10, c11, c2, ..., c0."""
+    from datafusion_orc_ray.sources.datasource import StripeDatasource
+    from datafusion_orc_ray.state import manifest as man
+
+    n = 120_000
+    t = pa.table({"x": pa.array(range(n), pa.int64()),
+                  "s": pa.array([f"row-{i}" for i in range(n)])})
+    pq.write_table(t, f"{tmp_path}/big.parquet", row_group_size=n)
+    target = t.nbytes // 11
+    cases = {
+        "frag": lambda out: se.FragmentEncoder(out, target_stripe_bytes=target)(
+            pa.table({"path": [f"{tmp_path}/big.parquet"], "row_group": [0]})
+        ),
+        "batch": lambda out: se.StripeEncoder(out, target_stripe_bytes=target)(t),
+    }
+    for name, write in cases.items():
+        out = f"{tmp_path}/{name}"
+        rows = write(out)
+        entries = man.load_manifest(out)
+        assert len(entries) >= 11 and rows.num_rows == len(entries), name
+        assert all(e["raw_bytes"] <= target for e in entries), name
+        src = StripeDatasource(out)
+        got = pa.concat_tables(b for task in src.get_read_tasks(1) for b in task())
+        assert got.equals(t), name
+        # the manifest rows come back in row order too
+        assert rows.column("n_rows").to_pylist() == [
+            e["n_rows"] for e in sorted(entries, key=lambda e: e["path"])
+        ], name

@@ -60,7 +60,7 @@ def test_dictionary_input_densified():
 
 def test_union_roundtrip_dense_sparse_and_sliced():
     """Arrow unions (the last loud-fail type gap): dense and sparse round
-    trip bit-identically, including through sliced row chunks where the
+    trip bit-identically, including through split row slices where the
     .type_codes/.offsets properties are not offset-adjusted."""
     import pyarrow as pa
 
@@ -83,10 +83,13 @@ def test_union_roundtrip_dense_sparse_and_sliced():
     )
     t2 = pa.table({"u": sparse})
     assert stripe.decode_table(stripe.encode_table(t2)).equals(t2)
-    # chunked (sliced) paths preserve logical values
+    # row slices from the stripe splitter preserve logical values
+    from datafusion_orc_ray.stages.encode import row_slices
+
     t3 = pa.table({"u": dense, "pad": pa.array([b"x" * 200] * 5, pa.binary())})
-    out3 = stripe.decode_table(stripe.encode_table(t3, chunk_bytes=400))
-    assert out3.to_pydict() == t3.to_pydict()
     t4 = pa.table({"u": sparse, "pad": pa.array([b"y" * 200] * 4, pa.binary())})
-    out4 = stripe.decode_table(stripe.encode_table(t4, chunk_bytes=300))
-    assert out4.to_pydict() == t4.to_pydict()
+    for t, target in ((t3, 400), (t4, 300)):
+        pieces = row_slices(t, target)
+        assert len(pieces) > 1
+        out = pa.concat_tables(stripe.decode_table(stripe.encode_table(p)) for p in pieces)
+        assert out.to_pydict() == t.to_pydict()
