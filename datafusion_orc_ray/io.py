@@ -105,13 +105,15 @@ def list_dir(path: str) -> list[str]:
 class RangedReader:
     """Ranged reads from one file — the decode path's equivalent of the
     reference's AsyncChunkReader ranged GETs (S8): a projected decode
-    touches only the selected columns' stream byte ranges."""
+    touches only the selected columns' stream byte ranges, and ``get``
+    takes a range the last tail read already holds from memory."""
 
     def __init__(self, path: str) -> None:
         fs, p = resolve(path)
         self._f = fs.open_input_file(p)
         self.path = path
         self.bytes_read = 0
+        self._tail, self._tail_start = b"", 0
 
     def read(self, offset: int, size: int) -> bytes:
         self._f.seek(offset)
@@ -121,7 +123,16 @@ class RangedReader:
     def read_tail(self, size: int) -> bytes:
         total = self._f.size()
         start = max(0, total - size)
-        return self.read(start, total - start)
+        self._tail, self._tail_start = self.read(start, total - start), start
+        return self._tail
+
+    def get(self, offset: int, size: int) -> bytes:
+        """``size`` bytes at ``offset``: sliced from the last ``read_tail``
+        when it holds them, else a ranged read."""
+        lo = offset - self._tail_start
+        if lo >= 0 and lo + size <= len(self._tail):
+            return self._tail[lo : lo + size]
+        return self.read(offset, size)
 
     def size(self) -> int:
         return self._f.size()

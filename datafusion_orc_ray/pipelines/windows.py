@@ -1292,10 +1292,9 @@ def _grouped_string_agg_chunked(
                     ]
                 )
             )
-            offsets = pa.array(
-                np.append(cb, len(segv)).astype(np.int32), pa.int32()
-            )
-            agg = pc.binary_join(pa.ListArray.from_arrays(offsets, vals), sep)
+            # int64 offsets: a bin over 2^31 values would wrap int32 ones
+            offsets = pa.array(np.append(cb, len(segv)), pa.int64())
+            agg = pc.binary_join(pa.LargeListArray.from_arrays(offsets, vals), sep)
             chunk_keys = all_keys.take(pa.array(segv[cb]))
             chunk_ids = (np.int64(bin_idx) << 32) + chunk_local[cb]
             parts = [

@@ -13,9 +13,11 @@ streaming path, so a pushdown can never change a result):
 * ``plan_join_prefilter`` — other inner equi-joins: the small side's
   distinct keys filter the big scan worker-side (semi-join reduction).
 
-Each partial runs on every decoded batch where the scan runs — in the
-driver for a small scan, inside ``map_batches`` on the Ray workers for a
-large one (DuckDB over the Arrow batch: full SQL expression semantics,
+When every scan of the query runs in the driver, the catalog runs the
+query as written, one DuckDB statement: partial and final fuse, as no
+row would cross a process boundary between them. When a scan runs on
+Ray, each partial runs on every decoded batch inside ``map_batches`` on
+the workers (DuckDB over the Arrow batch: full SQL expression semantics,
 no row leaves its worker unaggregated); the FINAL merge runs on the
 driver over the partial stream only:
 
@@ -51,7 +53,7 @@ streaming path, as does text that does not parse):
   references only select aliases, group columns, positions and
   operators over them; LIMIT is an integer literal without OFFSET
 * both rewritten queries must BIND in DuckDB (partial against the real
-  table schema, final against the partial schema)
+  table schema, final against the partial); nothing is executed
 * float caveat: partial sums re-associate floating-point addition, so
   sum/avg over non-integer-valued doubles can differ from single-node
   execution in the last ulp (exact for integers and integer-valued
@@ -703,18 +705,19 @@ def plan_join_topk(query: str, schemas: dict) -> JoinAggPlan | None:
 
 
 def _binds(partial_sql: str, batch_name: str, schema, final_sql: str) -> bool:
-    """Both rewritten queries must bind in DuckDB: the partial against an
-    empty table with the real schema, the final against the partial's
-    OUTPUT schema. Any error (type mismatches, unknown identifiers,
-    shapes the tree gates missed) vetoes the pushdown."""
+    """Both rewritten queries must bind in DuckDB, and neither runs: the
+    partial against an empty table with the real schema, the final
+    against a temporary view of the partial (cursor-local; a relation's
+    ``create_view`` would make a view every cursor of the database sees).
+    Any error (type mismatches, unknown identifiers, shapes the tree
+    gates missed) vetoes the pushdown."""
     import duckdb
 
     try:
         with cursor() as con:
             con.register(batch_name, schema.empty_table())
-            partial_schema = con.sql(partial_sql).fetch_arrow_table().schema
-            con.register("__partials", partial_schema.empty_table())
-            con.sql(final_sql).fetch_arrow_table()
+            con.execute(f"CREATE TEMP VIEW __partials AS {partial_sql}")
+            con.sql(final_sql)
     except duckdb.Error:
         return False
     return True
@@ -722,8 +725,8 @@ def _binds(partial_sql: str, batch_name: str, schema, final_sql: str) -> bool:
 
 def run_partial(partial_sql: str):
     """Per-batch fn: evaluate the partial aggregate over one Arrow batch on
-    a cursor of the running process's one DuckDB database (the driver's
-    for a small scan, a Ray worker's for a large one)."""
+    a cursor of the process the scan runs in: a Ray worker, or the
+    driver when only the other table of a join scans on Ray."""
 
     def fn(batch):
         with cursor() as con:

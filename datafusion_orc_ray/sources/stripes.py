@@ -93,22 +93,15 @@ class Catalog:
         return sorted(self._tables)
 
     def _scan(self, name: str, columns=None, predicate=None, *, entries: list[dict]):
-        """The one scan every sql() path reads (via ``_reader``): the
-        StripeDatasource (validation, stats pruning) over
-        ``name``'s loaded manifest ``entries`` and its ``_executor``,
-        recorded in ``last_pushdown["scans"]``."""
+        """A scan (read via ``_reader``): the StripeDatasource
+        (validation, stats pruning) over ``name``'s loaded manifest
+        ``entries`` and its ``_executor``."""
         from .datasource import StripeDatasource
 
         src = StripeDatasource(
             self._tables[name], columns=columns, predicate=predicate, entries=entries
         )
-        raw = src.estimate_inmemory_data_size() or 0
-        executor = self._executor(raw)
-        self.last_pushdown["scans"][name] = dict(
-            executor=executor, stripes=len(src._entries), stripes_total=len(entries),
-            raw_bytes=raw,
-        )
-        return src, executor
+        return src, self._executor(src.estimate_inmemory_data_size() or 0)
 
     def _executor(self, raw: int) -> str:
         """Where a scan of ``raw`` surviving bytes runs: ``"driver"``
@@ -122,11 +115,11 @@ class Catalog:
         width for every SQL query, VERDICT r2 missing #2).
 
         The candidate set is every name in the parse tree's column
-        references and USING lists (a star reads full width), then a
-        DuckDB BINDER pre-check against empty tables with exactly those
-        columns catches anything the tree walk missed — on any bind
-        error every table falls back to full width, so pruning can
-        never change results."""
+        references and USING lists (a star reads full width), then
+        DuckDB BINDS the query (nothing runs) over empty tables with
+        exactly those columns, which catches anything the tree walk
+        missed — on any bind error every table falls back to full
+        width, so pruning can never change results."""
         import duckdb
 
         from . import sqlagg
@@ -150,7 +143,7 @@ class Catalog:
             with sqlagg.cursor() as vcon:
                 for name, schema in schemas.items():
                     vcon.register(name, _projected(schema, cols[name]).empty_table())
-                vcon.sql(query).fetch_arrow_table()
+                vcon.sql(query)
         except duckdb.Error:
             return full
         return cols
@@ -270,10 +263,13 @@ class Catalog:
         referenced tables (the parse tree's base tables), their manifest
         entries (loaded once per call, so appends stay visible) and
         schemas, the projections and predicates pushed into each scan,
-        and the first planner whose gates the query passes — ``kind`` is
+        the first planner whose gates the query passes — ``kind`` is
         the ``last_plan`` value sql() records for it (join kinds still
-        face sql()'s byte gate). ``prefilter``: a two-table query's
-        semi-join candidate."""
+        face sql()'s byte gate) — and each table's ``scans`` entry (none
+        for a stats answer, which decodes no stripe).
+        ``fused``: a planned shape whose scans all run in this process,
+        so sql() runs partial and final as the one original statement.
+        ``prefilter``: a two-table query's semi-join candidate."""
         from . import sqlagg
 
         tree = sqlagg.parse(query)
@@ -311,6 +307,15 @@ class Catalog:
             if plan is not None:
                 p.update(kind=kind, plan=plan)
                 break
+        p["scans"] = {
+            name: self._scan(name, p["projections"][name], p["predicates"][name],
+                             entries=entries[name])
+            for name in referenced
+            if p["kind"] != "stats_answer"
+        }
+        p["fused"] = p["kind"] in _SPLIT_KINDS and all(
+            executor == "driver" for _, executor in p["scans"].values()
+        )
         return p
 
     def explain(self, query: str) -> str:
@@ -321,19 +326,23 @@ class Catalog:
         ``sql()``; ``executor`` is where the table's scan (with its
         pushed predicate) would run."""
         p = self._plan(query)
-        lines = ["plan: " + _EXPLAIN[p["kind"]]]
+        fused = " (partial and final fused: one DuckDB statement in this process)"
+        lines = ["plan: " + _EXPLAIN[p["kind"]] + (fused if p["fused"] else "")]
         for name in p["referenced"]:
-            entries, preds = p["entries"][name], p["predicates"][name]
-            kept = [e for e in entries if all(_stats_may_match(e, pr) for pr in preds or ())]
-            cols = p["projections"][name]
-            lines.append(
+            cols, preds = p["projections"][name], p["predicates"][name]
+            line = (
                 f"scan {name}: columns="
                 + ("ALL" if cols is None else f"[{', '.join(cols)}]")
                 + ", predicate="
                 + (" AND ".join(_pred_str(pr) for pr in preds) if preds else "none")
-                + f", stripes={len(kept)}/{len(entries)} after stats pruning"
-                + f", executor={self._executor(_raw_bytes(kept))}"
             )
+            if name in p["scans"]:
+                src, executor = p["scans"][name]
+                line += (
+                    f", stripes={len(src._entries)}/{len(p['entries'][name])} after stats"
+                    f" pruning, executor={executor}"
+                )
+            lines.append(line)
         if p["kind"] == "stream" and p["prefilter"] is not None:
             ta, ka, tb, kb = p["prefilter"]
             lines.append(
@@ -353,17 +362,15 @@ class Catalog:
     # MB it ships back); where Ray decodes in parallel it is unmeasured
     _LOCAL_SCAN_BYTES = 32 << 20
 
-    def _collect_capped(self, name: str, columns, predicate, entries: list[dict]):
-        """Stream a registered table's scan onto the driver under the
-        prefilter byte cap; None when the cap is exceeded (the byte
+    def _collect_capped(self, scan, schema):
+        """Stream ``scan`` (batches of ``schema``) onto the driver under
+        the prefilter byte cap; None when the cap is exceeded (the byte
         estimate lied — caller stays on its plain path). An empty table
-        keeps the projected schema."""
+        keeps the schema."""
         import pyarrow as pa
 
-        schema = _projected(stripes_schema(self._tables[name], entries), columns)
         batches: list[pa.RecordBatch] = []
         got = 0
-        scan = self._scan(name, columns, predicate, entries=entries)
         for b in _reader(scan, schema):
             batches.append(b)
             got += b.nbytes
@@ -371,18 +378,19 @@ class Catalog:
                 return None
         return pa.Table.from_batches(batches, schema).combine_chunks()
 
-    def _plan_semijoin_prefilter(self, join_keys, predicates, entries):
+    def _plan_semijoin_prefilter(self, p):
         """Semi-join reduction for a streamed two-table INNER equi-join
-        (``join_keys`` from sqlagg.plan_join_prefilter): broadcast the
-        small side's DISTINCT join keys (one byte-capped key-column scan
-        with its pushed predicate) and return a batch filter for the BIG
-        side's scan, so batches shed non-joining rows where the scan
-        runs. Returns {"big", "fn", "keys"} (``fn(batch, keys)``) or
-        None."""
+        (``p``: its ``_plan``, whose ``prefilter`` holds the join keys):
+        broadcast the small side's DISTINCT join keys (one byte-capped
+        key-column scan with its pushed predicate) and return a batch
+        filter for the BIG side's scan, so batches shed non-joining rows
+        where the scan runs. Returns {"big", "fn", "keys"}
+        (``fn(batch, keys)``) or None."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        ta, ka, tb, kb = join_keys
+        ta, ka, tb, kb = p["prefilter"]
+        entries = p["entries"]
         ba, bb = _raw_bytes(entries[ta]), _raw_bytes(entries[tb])
         (small, skey, big, bkey) = (ta, ka, tb, kb) if ba <= bb else (tb, kb, ta, ka)
         if min(ba, bb) > self._PREFILTER_SMALL_BYTES:
@@ -390,7 +398,8 @@ class Catalog:
         if max(ba, bb) < self._PREFILTER_ASYMMETRY * min(ba, bb):
             return None  # near-symmetric: the key pass wouldn't pay
 
-        key_tbl = self._collect_capped(small, [skey], predicates[small], entries[small])
+        scan = self._scan(small, [skey], p["predicates"][small], entries=entries[small])
+        key_tbl = self._collect_capped(scan, _projected(p["schemas"][small], [skey]))
         if key_tbl is None:
             return None  # byte estimate lied: stay on the plain path
         keys = pc.unique(key_tbl.column(skey).combine_chunks()).drop_null()
@@ -412,8 +421,8 @@ class Catalog:
     def _prepare_join_aggregate(self, jp, p):
         """Setup for a join-aggregate / join-topk plan ``jp`` (``p``: its
         ``_plan``): pick the small side by manifest raw bytes and collect
-        its scan — projected to the resolved columns plus the join key,
-        with its pushed predicate — under the prefilter byte cap. Returns
+        its scan (the resolved columns, which hold the join key, and its
+        pushed predicate) under the prefilter byte cap. Returns
         (small, skey, big, bkey, small_table), or None for the
         prefilter/stream paths."""
         b1, b2 = _raw_bytes(p["entries"][jp.t1]), _raw_bytes(p["entries"][jp.t2])
@@ -422,9 +431,8 @@ class Catalog:
         )
         if min(b1, b2) > self._PREFILTER_SMALL_BYTES:
             return None
-        proj = p["projections"][small]
-        cols = None if proj is None else sorted({*proj, skey})
-        small_tbl = self._collect_capped(small, cols, p["predicates"][small], p["entries"][small])
+        schema = _projected(p["schemas"][small], p["projections"][small])
+        small_tbl = self._collect_capped(p["scans"][small], schema)
         if small_tbl is None:
             return None  # byte estimate lied: don't broadcast it
         return small, skey, big, bkey, small_tbl
@@ -436,35 +444,45 @@ class Catalog:
         query's columns and WHERE conjuncts pushed in (S5): in this
         process when its surviving stripes' raw bytes are under
         ``_LOCAL_SCAN_BYTES`` (as DataFusion opens each partition in the
-        query's process), else as a Ray Dataset. Tables reach DuckDB as
-        STREAMING Arrow readers; shapes a sqlagg planner accepts run a
+        query's process), else as a Ray Dataset. Tables reach DuckDB, on
+        a cursor of the process's one database, as STREAMING Arrow
+        readers. With every scan here, the query runs as that one
+        statement even when a sqlagg planner accepted it: partial and
+        final fuse, as DataFusion folds them when no exchange sits
+        between. With a scan on Ray, an accepted shape runs its
         per-batch partial aggregate or local top-n where the scan runs,
         merged here (DataFusion's partial/final split and SortExec fetch
-        pushdown). DuckDB runs on cursors of the process's one database.
-        ``self.last_plan`` records which path ran: a ``_plan`` kind, or
-        'stream' / 'stream+semijoin_prefilter'."""
+        pushdown). ``self.last_plan`` names the planner that accepted
+        the query (a ``_plan`` kind), or 'stream' /
+        'stream+semijoin_prefilter'."""
         from . import sqlagg
 
         p = self._plan(query)
-        kind, plan, schemas, entries = p["kind"], p["plan"], p["schemas"], p["entries"]
-        projections, predicates = p["projections"], p["predicates"]
+        kind, plan, schemas, scans = p["kind"], p["plan"], p["schemas"], p["scans"]
+        projections, fused = p["projections"], p["fused"]
         # observability: what this query actually pushed into each
         # scan and where each scan ran (last_plan: which path ran)
         self.last_pushdown = {
-            "projections": dict(projections), "predicates": dict(predicates), "scans": {},
+            "projections": dict(projections), "predicates": dict(p["predicates"]),
+            "scans": {
+                name: dict(
+                    executor=executor, stripes=len(src._entries),
+                    stripes_total=len(p["entries"][name]),
+                    raw_bytes=src.estimate_inmemory_data_size() or 0,
+                )
+                for name, (src, executor) in scans.items()
+            },
         }
+        self.last_plan = kind
         if kind == "stats_answer":
-            self.last_plan = kind
             return plan
-        if kind in ("aggregate_pushdown", "topk_pushdown"):
+        if kind in ("aggregate_pushdown", "topk_pushdown") and not fused:
             name = p["referenced"][0]
-            scan = self._scan(name, projections[name], predicates[name], entries=entries[name])
-            self.last_plan = kind
             empty = _projected(schemas[name], projections[name]).empty_table()
             partial_fn = sqlagg.run_partial(plan.partial_sql)
-            return _run_partials(scan, lambda b, _: partial_fn(b), empty, plan)
+            return _run_partials(scans[name], lambda b, _: partial_fn(b), empty, plan)
         prepared = None
-        if kind in ("join_aggregate_pushdown", "join_topk_pushdown"):
+        if kind in ("join_aggregate_pushdown", "join_topk_pushdown") and not fused:
             prepared = self._prepare_join_aggregate(plan, p)
         if prepared is not None:
             small, skey, big, bkey, small_tbl = prepared
@@ -480,36 +498,34 @@ class Catalog:
             def join_partial(batch, right):
                 return partial_fn(join(batch, right))
 
-            big_cols = projections[big]
-            if big_cols is not None and bkey not in big_cols:
-                big_cols = [*big_cols, bkey]
-            scan = self._scan(big, big_cols, predicates[big], entries=entries[big])
             # an empty JOINED table pins the partial schema, so a
             # fully-pruned big scan still yields the right 0-row/identity
             # answer
             empty = join(
-                _projected(schemas[big], big_cols).empty_table(),
+                _projected(schemas[big], projections[big]).empty_table(),
                 small_tbl.schema.empty_table(),
             )
-            self.last_plan = kind
-            return _run_partials(scan, join_partial, empty, plan.agg, small_tbl)
-        prefilter = p["prefilter"] and self._plan_semijoin_prefilter(
-            p["prefilter"], predicates, entries
-        )
+            return _run_partials(scans[big], join_partial, empty, plan.agg, small_tbl)
+        prefilter = None
+        if not fused:
+            prefilter = p["prefilter"] and self._plan_semijoin_prefilter(p)
+            self.last_plan = "stream+semijoin_prefilter" if prefilter else "stream"
         with sqlagg.cursor() as con:
             readers = []  # keep referenced readers alive until fetch
             for name in p["referenced"]:
                 fn = keys = None
-                if prefilter is not None and name == prefilter["big"]:
+                if prefilter and name == prefilter["big"]:
                     fn, keys = prefilter["fn"], prefilter["keys"]
-                scan = self._scan(name, projections[name], predicates[name], entries=entries[name])
                 schema = _projected(schemas[name], projections[name])
-                readers.append(_reader(scan, schema, fn, keys))
+                readers.append(_reader(scans[name], schema, fn, keys))
                 con.register(name, readers[-1])
-            self.last_plan = "stream+semijoin_prefilter" if prefilter is not None else "stream"
             return con.sql(query).fetch_arrow_table()
 
 
+# the plan kinds that split into a partial and a final
+_SPLIT_KINDS = (
+    "aggregate_pushdown", "topk_pushdown", "join_aggregate_pushdown", "join_topk_pushdown",
+)
 _EXPLAIN = {
     "stats_answer": "metadata-only stats answer (zero stripes decoded)",
     "aggregate_pushdown": "distributed aggregate pushdown",

@@ -633,18 +633,21 @@ def read_footer(blob: bytes) -> dict:
     return _parse_footer(blob, _IN_MEMORY)
 
 
-def read_footer_from_file(path: str, tail_guess: int = 1 << 20) -> dict:
+def read_footer_from_file(path: str, tail_guess: int = 1 << 20, src=None) -> dict:
     """Footer via tail-ranged reads only — metadata ops never scan stripe
     bodies (mirrors the reference's postscript/footer tail reads,
     src/object_store_reader.rs:48-58 + ArrowReaderBuilder). ``path`` may
-    be a local path or any pyarrow.fs URI (file://, s3://...)."""
+    be a local path or any pyarrow.fs URI (file://, s3://...). ``src``:
+    an open ``io.RangedReader`` on ``path`` to read through; the caller
+    closes it."""
     from . import io as dio
 
-    src = dio.RangedReader(path)
+    reader = dio.RangedReader(path) if src is None else src
     try:
-        return _parse_footer(src.read_tail(tail_guess), path, src.read_tail)
+        return _parse_footer(reader.read_tail(tail_guess), path, reader.read_tail)
     finally:
-        src.close()
+        if src is None:
+            reader.close()
 
 
 def _walk_stream_metas(cmeta: dict):
@@ -662,7 +665,7 @@ def _stored_stream(blob, cpath: str, kind: str, s: dict):
     if isinstance(blob, (bytes, bytearray, memoryview)):
         raw, name = blob[s["offset"] : s["offset"] + s["size"]], _IN_MEMORY
     else:
-        raw, name = blob.read(s["offset"], s["size"]), blob.path
+        raw, name = blob.get(s["offset"], s["size"]), blob.path
     if len(raw) != s["size"]:
         raise StripeCorruptError(name, cpath, kind, f"truncated: {len(raw)} of {s['size']} bytes")
     if zlib.crc32(raw) != s["crc32"]:
@@ -1079,14 +1082,16 @@ def decode_file(
     unified_schema: pa.Schema | None = None,
     predicate: tuple[str, str, object] | None = None,
 ) -> pa.Table:
-    """Decode straight from a stripe file: footer via tail read, then
-    ranged reads of only the projected columns' streams (S5 + S8).
-    ``path`` may be local or any pyarrow.fs URI."""
+    """Decode straight from a stripe file through one reader: footer via
+    tail read, then only the projected columns' streams (S5 + S8), each
+    sliced from the tail read when it holds it (a stripe under the tail
+    guess takes one read in all), else range-read. ``path`` may be local
+    or any pyarrow.fs URI."""
     from . import io as dio
 
-    footer = read_footer_from_file(path)
     src = dio.RangedReader(path)
     try:
+        footer = read_footer_from_file(path, src=src)
         return _decode_from(footer, src, columns, unified_schema, predicate)
     finally:
         src.close()

@@ -8,6 +8,7 @@ import pytest
 
 from datafusion_orc_ray import fixtures
 from datafusion_orc_ray.pipelines import encode as ep
+from datafusion_orc_ray.sources import stripes
 from datafusion_orc_ray.sources.stripes import Catalog, stripes_schema
 
 
@@ -20,6 +21,39 @@ def encoded_dir(ray_session, tmp_path_factory):
     out = f"{base}/enc"
     ep.encode_parquet(f"{base}/in", out, concurrency=2).take_all()
     return out, wt
+
+
+@pytest.fixture
+def sql_both(monkeypatch):
+    """Returns sql(cat, q), which runs q on both executors. Every table
+    here is under ``Catalog._LOCAL_SCAN_BYTES``, so under the default
+    gate a planned query runs as one fused DuckDB statement and no
+    partial runs; under gate 0 every scan runs on Ray and a planned
+    query runs the partial/final rewrite (``stripes._run_partials``)
+    once. Both runs must agree on plan and answer; returns the answer."""
+    calls = []
+    run_partials = stripes._run_partials
+
+    def spied(*a, **kw):
+        calls.append(a)
+        return run_partials(*a, **kw)
+
+    monkeypatch.setattr(stripes, "_run_partials", spied)
+
+    def sql(cat, q):
+        fused = cat.sql(q)
+        plan = cat.last_plan
+        assert not calls, (q, plan)
+        with monkeypatch.context() as m:
+            m.setattr(Catalog, "_LOCAL_SCAN_BYTES", 0)
+            got = cat.sql(q)
+        assert cat.last_plan == plan, (q, plan, cat.last_plan)
+        assert len(calls) == (plan in stripes._SPLIT_KINDS), (q, plan, len(calls))
+        calls.clear()
+        assert got.equals(fused), (q, got.to_pydict(), fused.to_pydict())
+        return got
+
+    return sql
 
 
 def test_stripes_schema_merge(encoded_dir):
@@ -236,11 +270,12 @@ def test_catalog_is_null_pushdown(ray_session, tmp_path, monkeypatch):
     assert out3.column("n")[0].as_py() == 3
 
 
-def test_catalog_sql_aggregate_pushdown(ray_session, tmp_path):
-    """Single-table aggregates run DISTRIBUTED: per-batch partials via
-    per-worker DuckDB, driver merges partials only. Every pushed query
-    must equal DuckDB executed directly over the source table; unsafe
-    shapes fall back to the streaming path (and stay correct)."""
+def test_catalog_sql_aggregate_pushdown(ray_session, tmp_path, sql_both):
+    """Single-table aggregates: on Ray, per-batch partials via per-worker
+    DuckDB, and the driver merges partials only; in the driver, one
+    fused statement. Every pushed query must equal DuckDB executed
+    directly over the source table on both executors; unsafe shapes
+    fall back to the streaming path (and stay correct)."""
     import duckdb
 
     rows = 600
@@ -280,7 +315,7 @@ def test_catalog_sql_aggregate_pushdown(ray_session, tmp_path):
     con.register("agt", t)
     try:
         for q in stats_answered + pushed + fallback:
-            got = cat.sql(q)
+            got = sql_both(cat, q)
             want = con.sql(q).fetch_arrow_table()
             expect_plan = (
                 "stats_answer"
@@ -323,6 +358,9 @@ def test_aggregate_planner_shapes():
         "SELECT k, sum(v) AS s FROM t GROUP BY k ORDER BY count(v)",  # agg in ORDER BY
         # an aggregate without a merge rule would re-aggregate partial rows
         "SELECT k, count(*) AS c, string_agg(k, ',') AS s FROM t GROUP BY k",
+        # passes every tree gate and the partial binds, but the final's
+        # ungrouped `n` does not bind over the partials
+        "SELECT k, sum(v) AS s, n FROM t GROUP BY k",
     ]
     for q in rejected:
         assert sqlagg.plan_aggregate_pushdown(q, "t", sch) is None, q
@@ -479,12 +517,13 @@ def test_catalog_or_pushdown(ray_session, tmp_path, monkeypatch):
     assert got == [2.0, 5.0, 6.0]
 
 
-def test_catalog_sql_topk_pushdown(ray_session, tmp_path):
-    """Single-table ORDER BY ... LIMIT n runs DISTRIBUTED top-k: each
+def test_catalog_sql_topk_pushdown(ray_session, tmp_path, sql_both):
+    """Single-table ORDER BY ... LIMIT n runs as top-k: on Ray each
     batch keeps its local top-n (order keys aliased __ob{i} so partials
-    can re-sort even when the select list drops them), the driver
-    re-sorts partial rows only. Every pushed query must equal DuckDB
-    over the source table; unsafe shapes fall back to streaming."""
+    can re-sort even when the select list drops them), and the driver
+    re-sorts partial rows only; in the driver it is one fused
+    statement. Every pushed query must equal DuckDB over the source
+    table on both executors; unsafe shapes fall back to streaming."""
     import duckdb
     import math
 
@@ -536,7 +575,7 @@ def test_catalog_sql_topk_pushdown(ray_session, tmp_path):
     con.register("tk", t)
     try:
         for q in pushed + fallback:
-            got = cat.sql(q)
+            got = sql_both(cat, q)
             want = con.sql(q).fetch_arrow_table()
             expect_plan = "topk_pushdown" if q in pushed else "stream"
             assert cat.last_plan == expect_plan, (q, cat.last_plan)
@@ -717,7 +756,7 @@ def test_stats_answer_textual_precheck():
         assert not sqlagg.stats_calls(q, "t"), q
 
 
-def test_catalog_sql_semijoin_prefilter(ray_session, tmp_path, monkeypatch):
+def test_catalog_sql_semijoin_prefilter(ray_session, tmp_path, monkeypatch, sql_both):
     """Two-table INNER equi-join with a small side: the big scan sheds
     non-joining rows worker-side (semi-join reduction) and every query
     still equals DuckDB over the raw tables; unsafe shapes stay on the
@@ -771,7 +810,7 @@ def test_catalog_sql_semijoin_prefilter(ray_session, tmp_path, monkeypatch):
     con.register("small_t", small)
     try:
         for q in prefiltered:
-            got = cat.sql(q)
+            got = sql_both(cat, q)
             assert cat.last_plan == "stream+semijoin_prefilter", (q, cat.last_plan)
             info = cat.last_pushdown["semijoin_prefilter"]
             assert info["big"] == "big_t" and info["small"] == "small_t"
@@ -779,12 +818,12 @@ def test_catalog_sql_semijoin_prefilter(ray_session, tmp_path, monkeypatch):
             want = con.sql(q).fetch_arrow_table()
             assert got.equals(want), (q, got.to_pydict(), want.to_pydict())
         for q in join_agg:
-            got = cat.sql(q)
+            got = sql_both(cat, q)
             assert cat.last_plan == "join_aggregate_pushdown", (q, cat.last_plan)
             want = con.sql(q).fetch_arrow_table()
             assert got.equals(want), (q, got.to_pydict(), want.to_pydict())
         for q in plain:
-            got = cat.sql(q)
+            got = sql_both(cat, q)
             assert cat.last_plan == "stream", (q, cat.last_plan)
             want = con.sql(q).fetch_arrow_table()
             assert got.equals(want), q
@@ -793,7 +832,7 @@ def test_catalog_sql_semijoin_prefilter(ray_session, tmp_path, monkeypatch):
         con.close()
 
 
-def test_semijoin_prefilter_gates(ray_session, tmp_path):
+def test_semijoin_prefilter_gates(ray_session, tmp_path, sql_both):
     """Near-symmetric sides refuse the prefilter (the key pass would not
     pay); the result is still correct on the plain path."""
     t = pa.table({"k": pa.array(list(range(100)), pa.int64())})
@@ -806,12 +845,12 @@ def test_semijoin_prefilter_gates(ray_session, tmp_path):
     cat.register_stripes("tb", f"{tmp_path}/eb")
     # aggregate join: the join-agg pushdown has no asymmetry gate (the
     # partial-agg win doesn't depend on side sizes), only smallness
-    got = cat.sql("SELECT count(*) AS n FROM ta JOIN tb ON ta.k = tb.k")
+    got = sql_both(cat, "SELECT count(*) AS n FROM ta JOIN tb ON ta.k = tb.k")
     assert cat.last_plan == "join_aggregate_pushdown"
     assert got.column("n")[0].as_py() == 100
     # non-aggregate join between near-equal sides: the prefilter's
     # asymmetry gate refuses, plain streaming answers
-    got2 = cat.sql("SELECT ta.k AS k FROM ta JOIN tb ON ta.k = tb.k ORDER BY ta.k")
+    got2 = sql_both(cat, "SELECT ta.k AS k FROM ta JOIN tb ON ta.k = tb.k ORDER BY ta.k")
     assert cat.last_plan == "stream"
     assert got2.num_rows == 100
 
@@ -844,12 +883,13 @@ def test_join_prefilter_planner_shapes():
         assert sqlagg.plan_join_prefilter(q, schemas) is None, q
 
 
-def test_catalog_sql_join_aggregate_pushdown(ray_session, tmp_path):
-    """Two-table inner equi-join + decomposable aggregate runs fully
-    DISTRIBUTED: broadcast small side, per-batch Acero join + DuckDB
-    partial on the workers, driver merges partials only. Every pushed
-    query equals DuckDB over the raw tables; non-aggregate join shapes
-    fall to the semijoin-prefilter/stream paths and stay correct."""
+def test_catalog_sql_join_aggregate_pushdown(ray_session, tmp_path, sql_both):
+    """Two-table inner equi-join + decomposable aggregate: on Ray, a
+    broadcast small side, per-batch Acero join + DuckDB partial on the
+    workers, and the driver merges partials only; in the driver, one
+    fused statement. Every pushed query equals DuckDB over the raw
+    tables on both executors; a non-aggregate join takes another plan
+    and stays correct."""
     import duckdb
 
     n_big = 4000
@@ -887,19 +927,19 @@ def test_catalog_sql_join_aggregate_pushdown(ray_session, tmp_path):
     con.register("small_t", small)
     try:
         for q in pushed:
-            got = cat.sql(q)
+            got = sql_both(cat, q)
             assert cat.last_plan == "join_aggregate_pushdown", (q, cat.last_plan)
             want = con.sql(q).fetch_arrow_table()
             assert got.equals(want), (q, got.to_pydict(), want.to_pydict())
         # a filtered-to-empty big side still returns the right identity
-        got0 = cat.sql(
-            "SELECT count(*) AS n FROM big_t JOIN small_t ON k = ck WHERE v > 1e9"
+        got0 = sql_both(
+            cat, "SELECT count(*) AS n FROM big_t JOIN small_t ON k = ck WHERE v > 1e9"
         )
         assert cat.last_plan == "join_aggregate_pushdown"
         assert got0.column("n").to_pylist() == [0]
-        # non-aggregate join: falls through (prefilter or stream), correct
+        # non-aggregate join: another plan (join top-k here), correct
         q2 = "SELECT k, v, seg FROM big_t JOIN small_t ON k = ck ORDER BY v, k, seg LIMIT 7"
-        got2 = cat.sql(q2)
+        got2 = sql_both(cat, q2)
         assert cat.last_plan != "join_aggregate_pushdown"
         assert got2.equals(con.sql(q2).fetch_arrow_table())
     finally:
@@ -920,10 +960,12 @@ def test_explain_join_aggregate(ray_session, tmp_path):
     assert "distributed join-aggregate pushdown" in plan
 
 
-def test_catalog_sql_join_topk_pushdown(ray_session, tmp_path):
-    """ORDER BY ... LIMIT over a two-table inner equi-join: each batch
-    joins against the broadcast small side and keeps its local top-n;
-    the driver re-sorts partials only."""
+def test_catalog_sql_join_topk_pushdown(ray_session, tmp_path, sql_both):
+    """ORDER BY ... LIMIT over a two-table inner equi-join: on Ray each
+    batch joins against the broadcast small side and keeps its local
+    top-n, and the driver re-sorts partials only; in the driver it is
+    one fused statement. Both executors equal DuckDB over the raw
+    tables."""
     import duckdb
 
     big = pa.table(
@@ -956,7 +998,7 @@ def test_catalog_sql_join_topk_pushdown(ray_session, tmp_path):
             "SELECT tag, v FROM bt JOIN st2 ON st2.ck = bt.k "
             "WHERE v > 100 ORDER BY v, tag LIMIT 5",
         ]:
-            got = cat.sql(q)
+            got = sql_both(cat, q)
             assert cat.last_plan == "join_topk_pushdown", (q, cat.last_plan)
             want = con.sql(q).fetch_arrow_table()
             assert got.equals(want), (q, got.to_pydict(), want.to_pydict())
@@ -1004,7 +1046,7 @@ def test_having_pushdown_shapes():
     )
 
 
-def test_r5_review2_fixes(ray_session, tmp_path):
+def test_r5_review2_fixes(ray_session, tmp_path, sql_both):
     """Second-review regressions: (1) qualifier stripping must not touch
     string literals; (2) SELECT * over a same-name ON join vetoes (the
     joined batch coalesces the key, DuckDB's streaming star keeps both);
@@ -1060,7 +1102,7 @@ def test_r5_review2_fixes(ray_session, tmp_path):
     cat.register_stripes("st3", f"{tmp_path}/es")
     jq = "SELECT bt3.k AS k, v, g FROM bt3 JOIN st3 ON k = ck ORDER BY v LIMIT 2"
     assert "distributed join top-k pushdown" in cat.explain(jq)
-    got = cat.sql(jq)
+    got = sql_both(cat, jq)
     assert cat.last_plan == "join_topk_pushdown"
     con = duckdb.connect()
     try:
@@ -1098,7 +1140,7 @@ def test_join_small_side_projection_applied(ray_session, tmp_path):
     assert sorted(small_tbl.column_names) == ["ck", "g"]  # wide_unused pruned
 
 
-def test_join_aggregate_dotted_column_name(ray_session, tmp_path):
+def test_join_aggregate_dotted_column_name(ray_session, tmp_path, sql_both):
     """A column whose NAME contains a dot ("t1.x") is not a qualified
     reference: the join rewrite must sum that column, not t1's x."""
     import duckdb
@@ -1116,7 +1158,7 @@ def test_join_aggregate_dotted_column_name(ray_session, tmp_path):
     cat.register_stripes("t1", f"{tmp_path}/e1")
     cat.register_stripes("t2", f"{tmp_path}/e2")
     q = 'SELECT g, sum("t1.x") AS s FROM t1 JOIN t2 USING (k) GROUP BY g ORDER BY g'
-    got = cat.sql(q)
+    got = sql_both(cat, q)
     assert cat.last_plan == "join_aggregate_pushdown"
     con = duckdb.connect()
     try:
@@ -1128,7 +1170,7 @@ def test_join_aggregate_dotted_column_name(ray_session, tmp_path):
     assert got.equals(want), (got.to_pydict(), want.to_pydict())
 
 
-def test_table_name_in_literal_is_not_a_reference(ray_session, tmp_path):
+def test_table_name_in_literal_is_not_a_reference(ray_session, tmp_path, sql_both):
     """A registered table's name inside a string literal does not make
     the query a two-table query: the single-table pushdown still runs."""
     import duckdb
@@ -1145,7 +1187,7 @@ def test_table_name_in_literal_is_not_a_reference(ray_session, tmp_path):
     cat.register_stripes("lineitem", f"{tmp_path}/l")
     cat.register_stripes("orders", f"{tmp_path}/o")
     q = "SELECT count(*) AS n FROM lineitem WHERE l_comment = 'orders'"
-    got = cat.sql(q)
+    got = sql_both(cat, q)
     assert cat.last_plan == "aggregate_pushdown"
     assert cat.last_pushdown["predicates"] == {"lineitem": [("l_comment", "==", "orders")]}
     con = duckdb.connect()

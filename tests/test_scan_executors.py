@@ -12,6 +12,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from datafusion_orc_ray.pipelines import encode as ep
+from datafusion_orc_ray.sources import stripes
 from datafusion_orc_ray.sources.stripes import Catalog, _stats_may_match
 from datafusion_orc_ray.state import manifest
 
@@ -110,7 +111,10 @@ def test_both_executors_match_duckdb(catalog, gate, monkeypatch):
     gate at dim's full size, so unpruned dim and fact scans go to Ray and
     pruned ones stay here). explain() names the executor each scan
     really ran on. The Ray path never asks a Dataset for its schema (a
-    hidden execution); the driver path never starts a Dataset."""
+    hidden execution); the driver path never starts a Dataset. A planned
+    shape runs partials (``_run_partials``) exactly when one of its scans
+    runs on Ray; with every scan in the driver the query runs as one
+    statement, and explain()'s plan line says partial and final fuse."""
     import ray.data
 
     cat, tables = catalog
@@ -130,12 +134,21 @@ def test_both_executors_match_duckdb(catalog, gate, monkeypatch):
         return read_datasource(src, **kw)
 
     monkeypatch.setattr(ray.data, "read_datasource", counted)
+    partials: list = []
+    run_partials = stripes._run_partials
+
+    def spied(*a, **kw):
+        partials.append(a)
+        return run_partials(*a, **kw)
+
+    monkeypatch.setattr(stripes, "_run_partials", spied)
     # one stripe per row group: the predicates prune some, none or all
     assert len(manifest.load_manifest(cat._tables["fact"])) == N_FACT // STRIPE_ROWS
     wants = _duckdb_answers(tables, [q for q, _, _ in QUERIES])
     executors = set()
     for (q, plan, preds), want in zip(QUERIES, wants):
         started.clear()
+        partials.clear()
         got = cat.sql(q)
         assert cat.last_plan == plan, (q, cat.last_plan)
         assert got.equals(want), (q, got.to_pydict(), want.to_pydict())
@@ -158,7 +171,11 @@ def test_both_executors_match_duckdb(catalog, gate, monkeypatch):
             line = next(ln for ln in cat.explain(q).splitlines() if ln.startswith(f"scan {name}:"))
             assert line.endswith(f", executor={rec['executor']}"), (q, line)
             executors.add(rec["executor"])
-        assert bool(started) == ("ray" in {r["executor"] for r in scans.values()}), q
+        on_ray = "ray" in {r["executor"] for r in scans.values()}
+        assert bool(started) == on_ray, q
+        assert len(partials) == (plan in stripes._SPLIT_KINDS and on_ray), q
+        fused = plan in stripes._SPLIT_KINDS and not on_ray
+        assert ("fused" in cat.explain(q).splitlines()[0]) == fused, q
     assert executors == ({"driver", "ray"} if gate == "mixed" else {gate})
 
 

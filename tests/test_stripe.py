@@ -97,6 +97,36 @@ def test_projected_decode_reads_only_selected_streams(tmp_path):
     assert stripe.decode_file(path).equals(t)
 
 
+def test_small_stripe_decode_file_reads_once(tmp_path, monkeypatch):
+    """A stripe under the footer's tail guess is read whole by the tail
+    read, so decode_file opens one reader and issues one read, for a
+    full and a projected decode."""
+    from datafusion_orc_ray import io as dio
+
+    t = pa.table({"i": pa.array(range(3000), pa.int64()), "s": [f"v{i % 13}" for i in range(3000)]})
+    path = str(tmp_path / "x.rstp")
+    with open(path, "wb") as f:
+        f.write(stripe.encode_table(t))
+    opened, reads = [], []
+    init, read = dio.RangedReader.__init__, dio.RangedReader.read
+
+    def counted_init(self, p):
+        opened.append(p)
+        init(self, p)
+
+    def counted_read(self, offset, size):
+        reads.append((offset, size))
+        return read(self, offset, size)
+
+    monkeypatch.setattr(dio.RangedReader, "__init__", counted_init)
+    monkeypatch.setattr(dio.RangedReader, "read", counted_read)
+    for cols in (None, ["s"]):
+        opened.clear()
+        reads.clear()
+        assert stripe.decode_file(path, columns=cols).equals(t if cols is None else t.select(cols))
+        assert (len(opened), len(reads)) == (1, 1), (cols, opened, reads)
+
+
 def test_reference_fixture_values_roundtrip():
     """Golden cross-check (SURVEY.md §5.2): pyarrow.orc's decode of the
     Apache ORC corpus files is the oracle; encoding those same values
