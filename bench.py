@@ -192,8 +192,6 @@ def run_bench() -> dict:
     # sort + per-key stripes) over the FULL corpus so the per-byte cost
     # is directly comparable to the plain headline above
     if not os.environ.get("BENCH_HEADLINE_ONLY"):
-        import ray.data as rdata
-
         out_c = os.path.join(BENCH_ROOT, f"encc_{NUM_CPUS}_{int(time.time())}")
         t0 = time.time()
         # dir input: encode tasks read row groups in-task — no
@@ -211,16 +209,6 @@ def run_bench() -> dict:
             round((t_clustered / raw_c) / (t_encode / raw), 2) if raw_c and raw else None
         )
         shutil.rmtree(out_c, ignore_errors=True)
-
-        # clustered encode, GLOBAL mode (key-run IPC spill + per-shard
-        # encode: the real multi-node co-location path) — tracked per
-        # VERDICT r2 next-round #10 so the spill-shuffle cost has a
-        # measured number
-        out_g = os.path.join(BENCH_ROOT, f"encg_{NUM_CPUS}_{int(time.time())}")
-        t0 = time.time()
-        ep.encode_clustered(in_dir, out_g, rows_per_stripe=16384, mode="global").materialize()
-        queries["encode_webtext_clustered_global"] = round(time.time() - t0, 3)
-        shutil.rmtree(out_g, ignore_errors=True)
 
     # operator pipelines over the driver tables (skipped in scaling
     # children — headline is encode)

@@ -14,7 +14,7 @@ Two encode modes, one core:
   re-runs only missing fragments (checkpoint/resume per the north rule).
   Reads are pruned to ``columns`` at the Parquet layer (S5).
 
-``encode_clustered`` (per-key stripes, local or global mode) and
+``encode_clustered`` (per-key stripes, one sort per batch) and
 ``compact_stripes`` (merge small stripes) build on the same encoder.
 
 Every stage here is a plain function mapped with ``fn_kwargs``, so Ray
@@ -30,8 +30,9 @@ optionally co-locates rows by a salted key before encoding so dictionary/
 FSST tables see homogeneous data: hot keys are SPLIT across
 ``ceil(freq / target_share)`` salt buckets (sampled frequencies), cold
 keys share a catch-all — bounded partition sizes regardless of skew.
-It is optional. Global clustered encode splits hot keys by measured
-run bytes instead (``_plan_spill_tasks``).
+It is optional: ``encode_clustered`` on its output co-locates a key
+across batches, where ``encode_clustered`` alone groups it only within
+each batch.
 """
 
 from __future__ import annotations
@@ -250,43 +251,34 @@ def encode_clustered(
     salt_col: str = "url",
     rows_per_stripe: int = 32768,
     target_stripe_bytes: int = 32 << 20,
-    mode: str = "local",
 ) -> ray.data.Dataset:
     """Clustered encode: stripes are single-``key`` (plus ``salt_col``
     sort order within), so dictionaries/FSST symbol tables always see
     homogeneous data.
 
-    ``mode="local"`` (default, the scale path): ZERO shuffle. Every
-    encode batch is sorted in-memory by (key, salt_col) and split at key
-    boundaries into per-key stripes. Because symbol tables and
-    dictionaries live PER STRIPE, within-stripe homogeneity is the whole
-    compression win — global co-location adds nothing unless one key's
-    run must span multiple batches, which byte-aware batch sizing makes
-    rare. Cost over plain encode is one in-memory sort per batch.
+    ZERO shuffle: every encode batch is sorted in-memory by (key,
+    salt_col) and split at key boundaries into per-key stripes. Because
+    symbol tables and dictionaries live PER STRIPE, within-stripe
+    homogeneity is the whole compression win — co-locating a key across
+    batches adds nothing unless one key's run must span multiple
+    batches, which byte-aware batch sizing makes rare. Cost over plain
+    encode is one in-memory sort per batch. Where keys must be
+    co-located across batches anyway, sort first (the skew-aware
+    shuffle splits hot keys across salts)::
 
-    ``mode="global"``: a map-side shuffle — pass 1 streams the input
-    once, writing key-run-aligned Arrow-IPC spill files plus a run
-    index; pass 2 is a driver-planned fan-out where each task reads ONLY
-    its key group's record batches (IPC random access) and encodes
-    per-key stripes. No repartition barrier and no parquet re-encode
-    (the r3 hive-spill design paid a full snappy round-trip plus
-    write_tasks x shards files; 16.5 s -> see BENCH_r04). Spill file
-    count = corpus_bytes / spill_batch_bytes, independent of key count.
-    Skew (north rule): hot keys are split across tasks by MEASURED run
-    bytes in the pass-2 plan. The spill dir + ``_COMPLETE.json`` is the
-    resume checkpoint between passes.
+        encode_clustered(
+            cluster_for_compression(ds, key, salt_col).drop_columns(["__shard"]),
+            out_dir, key=key)
 
-    A parquet path/dir input is read in-task, one row group per task, in
-    both modes. Every stage is a plain task function.
+    A parquet path/dir input is read in-task, one row group per task;
+    a Dataset input is batched to ~``target_stripe_bytes``, sized from
+    plan metadata so the input runs once. Every stage is a plain task
+    function.
 
     Note: on the synthetic bench fixture the TEXT vocabulary is shared
     across langs by construction (fixtures._vocab), so lang-clustering
     cannot improve text compression there; the gain shows on the url
     column and on real per-lang corpora."""
-    if mode not in ("local", "global"):
-        raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
-    if mode == "global":
-        return _encode_global(ds, out_dir, key, salt_col, rows_per_stripe, target_stripe_bytes)
     kwargs = {
         "out_dir": out_dir,
         "key": key,
@@ -296,11 +288,10 @@ def encode_clustered(
     }
     if isinstance(ds, str):
         return _map_fragments(ds, _encode_key_runs, kwargs)
-    # batch rows sized from a tiny probe so wide web rows still get
-    # ~target_stripe_bytes batches; the encoder then splits each batch
-    # at key boundaries (byte-capped) into per-key stripes
-    bpr = _probe_bytes_per_row(ds)
-    batch_rows = max(256, min(rows_per_stripe, int(target_stripe_bytes / bpr)))
+    # wide web rows still get ~target_stripe_bytes batches; the encoder
+    # then splits each batch at key boundaries (byte-capped) into
+    # per-key stripes
+    batch_rows = max(256, min(rows_per_stripe, int(target_stripe_bytes / _bytes_per_row(ds))))
     return ds.map_batches(
         _encode_key_runs,
         fn_kwargs=kwargs,
@@ -311,11 +302,16 @@ def encode_clustered(
     )
 
 
-def _probe_bytes_per_row(ds: ray.data.Dataset) -> float:
-    """In-memory bytes per row of the first 256 rows; runs the plan on
-    its first blocks only."""
-    probe = ds.take_batch(256, batch_format="pyarrow")
-    return max(1.0, probe.nbytes / max(1, probe.num_rows))
+def _bytes_per_row(ds: ray.data.Dataset) -> float:
+    """In-memory bytes per row of ``ds`` from plan metadata, which never
+    executes the input. Only when the metadata does not know the input's
+    size and rows does a probe take the first 256 rows, and so run the
+    plan's first blocks a second time."""
+    size, rows = estimate_size_bytes_deep(ds), estimate_num_rows_deep(ds)
+    if size is None or rows is None:
+        probe = ds.take_batch(256, batch_format="pyarrow")
+        size, rows = probe.nbytes, probe.num_rows
+    return max(1.0, size / max(1, rows))
 
 
 def _map_fragments(path: str, stage, kwargs: dict) -> ray.data.Dataset:
@@ -375,257 +371,19 @@ def _encode_key_runs(
     rows_per_stripe: int,
     target_stripe_bytes: int,
 ) -> pa.Table:
-    """Local clustered encode's task stage: sorts the batch by
-    (key, salt_col) — url-host runs share dictionary/FSST locality — and
-    emits per-key stripes, so symbol tables always see homogeneous data."""
-    body, bounds, labels = _key_runs(batch, key, salt_col)
-    enc = StripeEncoder(out_dir, target_stripe_bytes=target_stripe_bytes)
-    return _emit_keyed_stripes(enc, body, bounds, labels, rows_per_stripe)
-
-
-def _spill_codec() -> str:
-    """IPC body compression for shuffle spill files: lz4 frame when the
-    wheel carries it (fastest), else zstd. Spill is transient shuffle
-    state, not durable data — decode speed beats ratio."""
-    return "lz4" if pa.Codec.is_available("lz4") else "zstd"
-
-
-# one schema for BOTH the empty- and nonempty-batch returns (ADVICE r4:
-# the empty path typed batch_index int32 while from_pylist inferred
-# int64, so mixed blocks could fail Ray's concat in iter_batches)
-_SPILL_INDEX_SCHEMA = pa.schema(
-    [
-        ("path", pa.string()),
-        ("batch_index", pa.int64()),
-        ("shard", pa.string()),
-        ("rows", pa.int64()),
-        ("bytes", pa.int64()),
-    ]
-)
-
-
-def _spill_key_runs(batch: pa.Table, spill_dir: str, key: str, salt_col: str) -> pa.Table:
-    """Pass 1 of the global clustered encode: a map-side shuffle writer.
-    The batch (sized ~spill batch bytes) is sorted by (key, salt_col),
-    then written as ONE Arrow-IPC file whose record batches are aligned
-    to key runs; the returned index rows (path, batch_index, shard, rows,
-    bytes) are the shuffle's "map output index". Pass 2 reads ONLY the
-    record batches of its key group — random access via the IPC footer —
-    so no parquet re-encode, no hive directory discovery, and file count
-    = corpus_bytes / batch_bytes regardless of key count.
-
-    No salt column: skew is defeated downstream — ``_plan_spill_tasks``
-    splits a hot key's runs across as many tasks as its measured bytes
-    require."""
-    import uuid
-
-    from .. import io as dio
-
-    if batch.num_rows == 0:
-        return _SPILL_INDEX_SCHEMA.empty_table()
-    pa.set_cpu_count(1)
-    pa.set_io_thread_count(2)
-    body, bounds, labels = _key_runs(batch, key, salt_col)
-    dio.makedirs(spill_dir)
-    path = dio.join(spill_dir, f"run-{uuid.uuid4().hex}.arrow")
-    fs, p = dio.resolve(path)
-    opts = pa.ipc.IpcWriteOptions(compression=_spill_codec())
-    rows = []
-    with fs.open_output_stream(p) as sink, pa.ipc.new_file(sink, body.schema, options=opts) as w:
-        for label, s, e in zip(labels, bounds[:-1], bounds[1:]):
-            # a run is normally ONE record batch (body is combined)
-            for rb in body.slice(int(s), int(e - s)).to_batches():
-                rows.append({"path": path, "batch_index": len(rows), "shard": label,
-                             "rows": rb.num_rows, "bytes": rb.nbytes})
-                w.write_batch(rb)
-    return pa.Table.from_pylist(rows, schema=_SPILL_INDEX_SCHEMA)
-
-
-def _encode_spill_groups(
-    specs: pa.Table,
-    out_dir: str,
-    salt_col: str,
-    rows_per_stripe: int,
-    target_stripe_bytes: int,
-) -> pa.Table:
-    """Pass 2: one task per planned shard group. Reads exactly its
-    shards' record batches from the spill files (IPC random access),
-    re-sorts each shard by the salt column (restores dictionary/FSST
-    locality lost at spill-file boundaries), and emits per-shard stripes
-    via the same byte-capped / tiny-run-coalescing policy as local mode."""
-    import contextlib
-    import json as _json
-
-    from .. import io as dio
-
-    enc = StripeEncoder(out_dir, target_stripe_bytes=target_stripe_bytes)
-    out = []
-    for spec in specs.to_pylist():
-        readers: dict[str, pa.ipc.RecordBatchFileReader] = {}
-        tables, labels = [], []
-        with contextlib.ExitStack() as files:
-            for g in _json.loads(spec["task_json"]):
-                parts = []
-                for path, bi in g["parts"]:
-                    r = readers.get(path)
-                    if r is None:
-                        fs, p = dio.resolve(path)
-                        f = files.enter_context(fs.open_input_file(p))
-                        r = readers[path] = pa.ipc.open_file(f)
-                    parts.append(pa.Table.from_batches([r.get_batch(int(bi))]))
-                t = pa.concat_tables(parts, promote_options="default")
-                if salt_col in t.column_names:
-                    t = t.sort_by(salt_col)
-                tables.append(t)
-                labels.append(g["shard"])
-        if tables:
-            body = pa.concat_tables(tables, promote_options="default").combine_chunks()
-            bounds = np.cumsum([0] + [t.num_rows for t in tables])
-            out.append(_emit_keyed_stripes(enc, body, bounds, labels, rows_per_stripe))
-    return pa.concat_tables(out) if out else manifest_rows([])
-
-
-def _plan_spill_tasks(index_rows: list[dict], task_bytes: int) -> list[dict]:
-    """Greedy shard-group packing: runs of one shard stay together (split
-    only when the shard alone exceeds ``task_bytes``); small shards are
-    packed into shared tasks. Driver-side over the map-output index —
-    O(spill runs) rows, ~100 B each (at 100 TB / 256 MB spill batches x
-    ~64 shards that is a few million rows: acceptable on a job driver,
-    and the packing is a single sort + linear scan)."""
-    import json as _json
-
-    by_shard: dict[str, list[dict]] = {}
-    for r in index_rows:
-        by_shard.setdefault(r["shard"], []).append(r)
-    tasks: list[list[dict]] = []
-    cur: list[dict] = []
-    cur_bytes = 0
-
-    def close() -> None:
-        nonlocal cur, cur_bytes
-        if cur:
-            tasks.append(cur)
-            cur, cur_bytes = [], 0
-
-    for shard in sorted(by_shard):
-        runs = by_shard[shard]
-        group: dict = {"shard": shard, "parts": []}
-        g_bytes = 0
-        for r in runs:
-            group["parts"].append([r["path"], r["batch_index"]])
-            g_bytes += r["bytes"]
-            if g_bytes >= task_bytes:  # huge shard: split across tasks
-                close()
-                tasks.append([group])
-                group, g_bytes = {"shard": shard, "parts": []}, 0
-        if group["parts"]:
-            if cur_bytes + g_bytes > task_bytes:
-                close()
-            cur.append(group)
-            cur_bytes += g_bytes
-    close()
-    return [{"task_json": _json.dumps(t)} for t in tasks]
-
-
-def _encode_global(
-    ds: ray.data.Dataset | str,
-    out_dir: str,
-    key: str,
-    salt_col: str,
-    rows_per_stripe: int,
-    target_stripe_bytes: int,
-    reuse_spill: bool = False,
-) -> ray.data.Dataset:
-    """Global clustered encode = map-side shuffle (pass 1: streaming
-    shard+sort+IPC spill with a run index) + driver-planned reduce
-    (pass 2: per-shard-group read+encode). The spill dir plus its
-    ``_COMPLETE.json`` index is the resume checkpoint between passes
-    (``reuse_spill=True`` skips pass 1 when present)."""
-    import json as _json
-
-    import pyarrow.fs as pafs
-
-    from .. import io as dio
-
-    spill = dio.join(out_dir, "_spill")
-    marker = dio.join(spill, "_COMPLETE.json")
-    fs, marker_p = dio.resolve(marker)
-    have_marker = fs.get_file_info(marker_p).type != pafs.FileType.NotFound
-    cpus = _cluster_cpus()
-    if reuse_spill and have_marker:
-        index_rows = _json.loads(dio.read_bytes(marker))
-    else:
-        # delete via the filesystem layer, not shutil: shutil.rmtree is a
-        # no-op on object-store URIs (errors swallowed), so a stale
-        # _spill from a previous run would surface as ghost rows
-        sfs, sp = dio.resolve(spill)
-        try:
-            sfs.delete_dir(sp)
-        except FileNotFoundError:
-            pass
-        kwargs = {"spill_dir": spill, "key": key, "salt_col": salt_col}
-        if isinstance(ds, str):
-            index = _map_fragments(ds, _spill_key_runs, kwargs)  # spill run = row group
-        else:
-            # spill batches: big enough to bound file count, small enough
-            # to keep every slot busy. Sized from plan metadata, which
-            # never executes the input; the probe runs only when the
-            # metadata does not know the input's rows
-            est = estimate_size_bytes_deep(ds)
-            n_rows = estimate_num_rows_deep(ds)
-            if est is not None and n_rows is not None:
-                bpr = max(1.0, est / max(1, n_rows))
-            else:
-                bpr = _probe_bytes_per_row(ds)
-            batch_bytes = int(min(256 << 20, max(32 << 20, (est or 0) / (2 * cpus))))
-            index = ds.map_batches(
-                _spill_key_runs,
-                fn_kwargs=kwargs,
-                batch_format="pyarrow",
-                batch_size=max(256, int(batch_bytes / bpr)),
-                zero_copy_batch=True,
-                concurrency=_default_pool(),
-            )
-        index_rows = []
-        for b in index.iter_batches(batch_format="pyarrow", batch_size=65536):
-            index_rows.extend(b.to_pylist())
-        dio.write_bytes_atomic(marker, _json.dumps(index_rows).encode())
-    if not index_rows:
-        return ray.data.from_items([])
-    total = sum(r["bytes"] for r in index_rows)
-    # one task wave: total/cpus (floor 32 MB) measured 5.1 s vs 6.0 s
-    # for the old total/(2*cpus) double wave at sf0.1/32 CPUs
-    task_bytes = int(min(256 << 20, max(32 << 20, total / cpus)))
-    return ray.data.from_items(_plan_spill_tasks(index_rows, task_bytes)).map_batches(
-        _encode_spill_groups,
-        fn_kwargs={
-            "out_dir": out_dir,
-            "salt_col": salt_col,
-            "rows_per_stripe": rows_per_stripe,
-            "target_stripe_bytes": target_stripe_bytes,
-        },
-        batch_format="pyarrow",
-        batch_size=1,
-    )
-
-
-def _emit_keyed_stripes(
-    enc: StripeEncoder,
-    body: pa.Table,
-    bounds: np.ndarray,
-    labels: list[str],
-    rows_per_stripe: int,
-) -> pa.Table:
-    """Shared per-key stripe emission: ``body`` holds contiguous key runs
-    delimited by ``bounds`` (len(labels)+1 offsets); each run becomes one
-    or more stripes of ~``enc.target_stripe_bytes`` (cut at the average
-    row size, then bounded by ``enc.encode_split``), and tiny runs (rare
-    keys) are coalesced into contiguous "mixed" stripes — per-stripe
-    overhead otherwise eats the clustering gain. Lineage is
-    ``shard=<label>:<n>``, ``n`` counting this call's stripes. Returns
+    """Clustered encode's task stage: sorts the batch by (key, salt_col)
+    — url-host runs share dictionary/FSST locality — and emits per-key
+    stripes, so symbol tables always see homogeneous data. Each key run
+    becomes one or more stripes of ~``target_stripe_bytes`` (cut at the
+    average row size, then bounded by ``encode_split``), and tiny runs
+    (rare keys) are coalesced into contiguous "mixed" stripes —
+    per-stripe overhead otherwise eats the clustering gain. Lineage is
+    ``shard=<label>:<n>``, ``n`` counting this batch's stripes. Returns
     their manifest rows."""
+    body, bounds, labels = _key_runs(batch, key, salt_col)
+    enc = StripeEncoder(out_dir, target_stripe_bytes=target_stripe_bytes)
     bytes_per_row = max(1.0, body.nbytes / max(1, body.num_rows))
-    cap = max(256, min(rows_per_stripe, int(enc.target_stripe_bytes / bytes_per_row)))
+    cap = max(256, min(rows_per_stripe, int(target_stripe_bytes / bytes_per_row)))
     min_rows = max(256, cap // 8)
     entries: list[dict] = []
 

@@ -23,7 +23,6 @@ import json
 import pyarrow as pa
 
 from .. import stripe
-from ..codecs import outer
 from ..state import manifest
 
 
@@ -115,21 +114,13 @@ class StripeEncoder:
     decode block (reference batches at fixed size,
     src/file_source.rs:45)."""
 
-    def __init__(
-        self,
-        out_dir: str,
-        outer_codec: int = outer.ZSTD,
-        lineage: str = "",
-        target_stripe_bytes: int = 64 << 20,
-    ) -> None:
+    def __init__(self, out_dir: str, target_stripe_bytes: int = 64 << 20) -> None:
         # a task holds one CPU slot: pin Arrow's internal pools so a
         # num_cpus=N session really uses N cores (otherwise parquet reads
         # fan out to every host core and distort per-stage accounting)
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
         self.out_dir = out_dir
-        self.outer_codec = outer_codec
-        self.lineage = lineage
         self.target_stripe_bytes = target_stripe_bytes
         self.state = job_state(out_dir)
         manifest.ensure_dirs(out_dir)
@@ -147,7 +138,6 @@ class StripeEncoder:
         pieces = row_slices(batch, self.target_stripe_bytes)
         if len(pieces) == 1:
             return [self.encode_one(batch, stripe_id, lineage)]
-        lineage = lineage or self.lineage
         blobs = None
         if stripe_id is None:  # content-addressed: the id needs every blob
             blobs = [self._encode(p) for p in pieces]
@@ -183,7 +173,7 @@ class StripeEncoder:
         return self._write(batch, blob, stripe_id, lineage, extra_entry)
 
     def _encode(self, batch: pa.Table) -> bytes:
-        return stripe.encode_table(batch, state=self.state, outer_codec=self.outer_codec)
+        return stripe.encode_table(batch, state=self.state)
 
     def _write(
         self,
@@ -213,7 +203,7 @@ class StripeEncoder:
             {
                 "n_rows": batch.num_rows,
                 "raw_bytes": batch.nbytes,
-                "lineage": lineage or self.lineage,
+                "lineage": lineage,
                 "columns_json": json.dumps(col_metrics, separators=(",", ":")),
                 "schema_b64": footer["schema_b64"],
                 **(extra_entry or {}),

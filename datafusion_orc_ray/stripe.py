@@ -64,17 +64,13 @@ class EncoderState:
     REVALIDATE_EVERY = 16          # int decisions: cheap, per-stripe TTL
     REVALIDATE_BYTES = 256 << 20   # bytes/dict decisions: per column data volume
 
-    def __init__(self, blooms: bool = True) -> None:
+    def __init__(self) -> None:
         # path -> [codec_id, table, est_ratio, bytes_budget]
         self.bytes_decisions: dict[str, list] = {}
         # path -> [use_dict, bytes_budget]
         self.dict_decisions: dict[str, list] = {}
         # path -> [int_codec_id, ttl]
         self.int_decisions: dict[str, list] = {}
-        # writer option: per-stripe bloom indexes (codecs/bloom). ~1% of
-        # encode CPU on key-like columns; flip off for corpora that never
-        # run point lookups
-        self.blooms = blooms
 
     def encode_ints_cached(self, path: str, v) -> bytes:
         from .codecs.integers import encode_ints, encode_ints_with
@@ -281,7 +277,7 @@ def encode_column(
     if present is not None:
         _add(meta, blobs, PRESENT, {"codec": "bitpack"}, present)
     meta["stats"] = _stats(arr) if not pa.types.is_nested(t) else {"n": n, "null_count": null_count}
-    if not pa.types.is_nested(t) and (state is None or state.blooms):
+    if not pa.types.is_nested(t):
         # bloom-filter index for point-lookup pruning (footer-only: the
         # manifest writer copies path/enc/streams/stats and drops this,
         # keeping driver metadata O(stats) while each ReadTask's footer

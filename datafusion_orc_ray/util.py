@@ -20,23 +20,26 @@ def cluster_cpus(default: int = 8) -> int:
 TARGET_BUCKET_BYTES = 256 << 20  # one co-location bucket ~= one task's heap
 
 
+def _node_metadata(node, field: str) -> int | None:
+    """``field`` of a logical-plan node's ``infer_metadata()``, None when
+    unknown. ``infer_metadata`` is Ray's private planner API: which
+    operators implement it, and what the others raise, changes between
+    Ray releases, so any failure here means "unknown" and the caller
+    falls back (a probe, a CPU floor). The one broad handler of the
+    metadata estimates."""
+    try:
+        return getattr(node.infer_metadata(), field)
+    except Exception:
+        return None
+
+
 def estimate_size_bytes(ds) -> int | None:
     """Metadata-only in-memory size estimate of a Dataset — NEVER
     executes the plan (Dataset.size_bytes() materializes the whole
     pipeline when metadata is missing, which would defeat streaming).
     Known for reads (parquet footers, column-pruned) and in-memory
     tables; None after map transforms."""
-    try:
-        return ds._logical_plan.dag.infer_metadata().size_bytes
-    except Exception:
-        return None
-
-
-def _node_metadata(node, field: str) -> int | None:
-    try:
-        return getattr(node.infer_metadata(), field)
-    except Exception:
-        return None
+    return _node_metadata(ds._logical_plan.dag, "size_bytes")
 
 
 def _deep_metadata(ds, field: str) -> int | None:
@@ -54,10 +57,7 @@ def _deep_metadata(ds, field: str) -> int | None:
             return None
         return sum(parts)
 
-    try:
-        return resolve(ds._logical_plan.dag, 0)
-    except Exception:
-        return None
+    return resolve(ds._logical_plan.dag, 0)
 
 
 def estimate_size_bytes_deep(ds) -> int | None:
@@ -144,7 +144,7 @@ def read_parquet_clean(path: str, columns: list[str] | None = None, **kwargs):
             target = cand[0] if cand else None
         try:
             schema = pq.read_schema(target).remove_metadata() if target else None
-        except Exception:
+        except (OSError, pa.ArrowInvalid):  # unreadable: let read_parquet report it
             schema = None
     if schema is not None and columns is not None:
         try:

@@ -52,15 +52,8 @@ def test_encode_jobs_free_cpu_slots_without_gc(ray_session, tmp_path):
         rows = ep.encode_dataset(ray.data.from_arrow(t), f"{tmp_path}/c").take_all()
         assert sum(r["n_rows"] for r in rows) == t.num_rows
         assert _all_cpus_free(2.0)
-        clustered = [
-            (ray.data.from_arrow(t), "local"),
-            (src, "local"),
-            (ray.data.from_arrow(t), "global"),
-        ]
-        for i, (inp, mode) in enumerate(clustered):
-            rows = ep.encode_clustered(
-                inp, f"{tmp_path}/k{i}", key="s", salt_col="x", mode=mode
-            ).take_all()
+        for i, inp in enumerate([ray.data.from_arrow(t), src]):
+            rows = ep.encode_clustered(inp, f"{tmp_path}/k{i}", key="s", salt_col="x").take_all()
             assert sum(r["n_rows"] for r in rows) == t.num_rows
             assert _all_cpus_free(2.0)
         assert ep.compact_stripes(f"{tmp_path}/a", target_bytes=1 << 30) == 1
@@ -69,9 +62,10 @@ def test_encode_jobs_free_cpu_slots_without_gc(ray_session, tmp_path):
         gc.enable()
 
 
-def test_global_clustered_encode_runs_mapped_input_once(ray_session, tmp_path):
-    """Global mode sizes its spill batches from plan metadata, so every
-    row of a mapped input goes through the map exactly once."""
+def test_clustered_encode_runs_mapped_input_once(ray_session, tmp_path):
+    """Clustered encode sizes its batches from plan metadata, not by
+    probing the input, so every row of a mapped input goes through the
+    map exactly once."""
     import ray.data
 
     t = fixtures.webtext_table(2000, seed=1)
@@ -84,7 +78,7 @@ def test_global_clustered_encode_runs_mapped_input_once(ray_session, tmp_path):
         return batch
 
     ds = ray.data.read_parquet(f"{tmp_path}/in.parquet").map_batches(tag, batch_format="pyarrow")
-    rows = ep.encode_clustered(ds, f"{tmp_path}/out", mode="global").take_all()
+    rows = ep.encode_clustered(ds, f"{tmp_path}/out").take_all()
     assert sum(r["n_rows"] for r in rows) == t.num_rows
     with open(log) as fh:
         assert sum(int(n) for n in fh.read().split()) == t.num_rows

@@ -4,7 +4,6 @@ decode, checkpoint/resume, projection pushdown, skew-aware clustering
 
 import glob
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -227,17 +226,16 @@ def test_multi_conjunct_predicate_pushdown(ray_session, tmp_path):
 
 def test_encode_clustered_dir_input_fragment_fed(corpus):
     """String (parquet dir) input reads each row group inside the
-    encode/spill task — no object-store hop — in BOTH modes, with
-    decode output identical to the Dataset-input path."""
+    encode task — no object-store hop — with decode output identical to
+    the Dataset-input path."""
     base, wt = corpus
-    for mode in ("local", "global"):
-        out = f"{base}/enc_dir_{mode}"
-        mf = ep.encode_clustered(f"{base}/in", out, rows_per_stripe=400, mode=mode)
-        assert mf.count() >= 1
-        entries = man.load_manifest(out)
-        assert all(e["lineage"].startswith("shard=") for e in entries)
-        got = collect(ep.decode_stripes(out)).sort_by("url")
-        assert got.equals(wt.sort_by("url"))
+    out = f"{base}/enc_dir"
+    mf = ep.encode_clustered(f"{base}/in", out, rows_per_stripe=400)
+    assert mf.count() >= 1
+    entries = man.load_manifest(out)
+    assert all(e["lineage"].startswith("shard=") for e in entries)
+    got = collect(ep.decode_stripes(out)).sort_by("url")
+    assert got.equals(wt.sort_by("url"))
 
 
 def test_predicate_pushdown_prunes_stripes(ray_session, tmp_path):
@@ -491,18 +489,17 @@ def test_validate_stripes_audit(corpus):
     assert job.main(["validate", "--stripes", out]) == 3
 
 
-def test_encode_clustered_global_roundtrip(corpus):
-    """Global mode = map-side shuffle (IPC spill + run index) + planned
-    per-shard encode: exact roundtrip, per-shard stripe lineage, spill
-    checkpoint marker, and resume via reuse_spill."""
-    import json
-
+def test_encode_clustered_after_salted_sort(corpus):
+    """Co-location across batches by composition: the skew-aware salted
+    sort feeding clustered encode round-trips exactly, labels every
+    stripe with its shard, and gives at least one key its own stripe."""
     import ray.data
 
     base, wt = corpus
     ds = ray.data.read_parquet(f"{base}/in")
-    out = f"{base}/enc_global"
-    mf = ep.encode_clustered(ds, out, rows_per_stripe=400, mode="global")
+    out = f"{base}/enc_sorted"
+    sorted_ds = ep.cluster_for_compression(ds, key="lang", salt_col="url")
+    mf = ep.encode_clustered(sorted_ds.drop_columns(["__shard"]), out, rows_per_stripe=400)
     assert mf.count() >= 1
     entries = man.load_manifest(out)
     assert all(e["lineage"].startswith("shard=") for e in entries)
@@ -510,26 +507,3 @@ def test_encode_clustered_global_roundtrip(corpus):
     assert any("mixed" not in e["lineage"] for e in entries)
     got = collect(ep.decode_stripes(out)).sort_by("url")
     assert got.equals(wt.sort_by("url"))
-    # the spill checkpoint exists and indexes every spilled row
-    marker = f"{out}/_spill/_COMPLETE.json"
-    index = json.loads(open(marker).read())
-    assert sum(r["rows"] for r in index) == wt.num_rows
-    # spill file count is bounded by batches, NOT batches x shards
-    spill_files = glob.glob(f"{out}/_spill/run-*.arrow")
-    assert 0 < len(spill_files) <= len({r["path"] for r in index})
-    # resume: reuse_spill skips pass 1 (spill untouched), output intact
-    import datafusion_orc_ray.pipelines.encode as enc_mod
-
-    before = {p: os.path.getmtime(p) for p in spill_files}
-    out2 = f"{base}/enc_global2"
-    shutil.copytree(f"{out}/_spill", f"{out2}/_spill")
-    mf2 = enc_mod._encode_global(
-        ds, out2, key="lang", salt_col="url",
-        rows_per_stripe=400, target_stripe_bytes=32 << 20, reuse_spill=True,
-    )
-    assert mf2.count() >= 1
-    got2 = collect(ep.decode_stripes(out2)).sort_by("url")
-    # reads the COPIED spill (paths in the index point at the original
-    # files, which must be untouched)
-    assert got2.equals(wt.sort_by("url"))
-    assert {p: os.path.getmtime(p) for p in glob.glob(f"{out}/_spill/run-*.arrow")} == before
