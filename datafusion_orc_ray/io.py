@@ -6,8 +6,8 @@ everything through an object_store ranged-GET abstraction
 
 Local paths keep the fast-and-atomic os-level path (rename for
 manifests, fsync); URI paths use the pyarrow FileSystem API (S3 'move'
-is copy+delete — not atomic, but manifest writes are idempotent and
-content-addressed so a duplicate PUT is harmless).
+is copy+delete — not atomic, but a stripe is named by its source
+position and its writes are idempotent, so a duplicate PUT is harmless).
 """
 
 from __future__ import annotations

@@ -130,8 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         n = ep.compact_stripes(args.stripes, target_bytes=args.target_mb << 20)
         print(json.dumps({"merged_stripes": n}))
     elif args.cmd == "snapshot":
-        from .state import manifest as man
-
         print(json.dumps({"snapshotted_rows": man.write_snapshot(args.stripes)}))
     elif args.cmd == "validate":
         import pyarrow.compute as pc

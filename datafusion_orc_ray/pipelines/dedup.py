@@ -101,12 +101,6 @@ class MinHasher:
         self.a = rng.integers(1, _MERSENNE, k, dtype=np.uint64)
         self.b = rng.integers(0, _MERSENNE, k, dtype=np.uint64)
 
-    def shingle_hashes(self, text: str) -> np.ndarray:
-        """Unique shingle hashes of one doc (kept for tests/verify)."""
-        th, offs = tk.token_hashes(pa.array([text]))
-        sh, _ = tk.rolling_shingles(th, offs, self.shingle)
-        return np.unique(sh)
-
     def signatures(self, texts: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
         """(n_docs, k) uint64 signature matrix + bool mask of docs WITH
         tokens (empty/null docs are excluded from LSH). Work is chunked

@@ -5,14 +5,15 @@ Two encode modes, one core:
 
 * ``encode_dataset`` — composable Dataset mode: any ``ray.data.Dataset``
   -> ``map_batches(encode_batch)`` task stage -> manifest Dataset.
-  Streaming, backpressured; stripe ids are content hashes (idempotent
-  but not resume-planned).
+  Streaming, backpressured; stripes are named by (run, task, batch), so
+  a retried task rewrites its own stripes and a rerun appends.
 
 * ``encode_parquet`` — the production mode for the 100 TB job: the unit
-  of work is an input Parquet fragment (file x row-group), giving
-  deterministic partition ids. Restart lists the manifest directory and
-  re-runs only missing fragments (checkpoint/resume per the north rule).
-  Reads are pruned to ``columns`` at the Parquet layer (S5).
+  of work is an input Parquet fragment (file x row-group), named by its
+  position. Restart lists the manifest directory and re-runs only
+  missing fragments (checkpoint/resume per the north rule). Reads are
+  pruned to ``columns`` at the Parquet layer (S5). ``sources.orc.
+  ingest_orc`` runs the same stage over ORC stripes.
 
 ``encode_clustered`` (per-key stripes, one sort per batch) and
 ``compact_stripes`` (merge small stripes) build on the same encoder.
@@ -45,30 +46,31 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..stages.encode import StripeEncoder, encode_batch, encode_fragments, manifest_rows
+from ..stages import encode as se
+from ..stages.encode import fragment_stripe_id
 from ..state import manifest as man
 from ..util import cluster_cpus as _cluster_cpus
 from ..util import estimate_num_rows_deep, estimate_size_bytes_deep
 
 
-def plan_fragments(input_paths: list[str] | str) -> list[dict]:
-    """Deterministic work list: one spec per (file, row_group), sorted by
+def input_files(paths: list[str] | str, suffix: str) -> list[str]:
+    """A directory's ``*<suffix>`` files, or the given files, sorted by
     path for run-to-run stability (mirrors the reference's sort-by-path
     determinism in infer_schema, src/file_format.rs:90-96)."""
+    if isinstance(paths, str):
+        return sorted(glob.glob(os.path.join(paths, f"*{suffix}"))) if os.path.isdir(paths) else [paths]
+    return sorted(paths)
+
+
+def plan_fragments(input_paths: list[str] | str) -> list[dict]:
+    """Deterministic work list: one spec per (file, row_group)."""
     import pyarrow.parquet as pq
 
-    if isinstance(input_paths, str):
-        if os.path.isdir(input_paths):
-            paths = sorted(glob.glob(os.path.join(input_paths, "*.parquet")))
-        else:
-            paths = [input_paths]
-    else:
-        paths = sorted(input_paths)
-    frags = []
-    for p in paths:
-        n_rg = pq.ParquetFile(p).num_row_groups
-        frags.extend({"path": p, "row_group": rg} for rg in range(n_rg))
-    return frags
+    return [
+        {"path": p, "row_group": rg}
+        for p in input_files(input_paths, ".parquet")
+        for rg in range(pq.ParquetFile(p).num_row_groups)
+    ]
 
 
 def _default_pool(whole_pipeline: bool = False) -> int:
@@ -80,12 +82,6 @@ def _default_pool(whole_pipeline: bool = False) -> int:
     return cpus if whole_pipeline else max(1, cpus - 2)
 
 
-def fragment_stripe_id(spec: dict) -> str:
-    import hashlib
-
-    return hashlib.sha1(f"{spec['path']}:rg{spec['row_group']}".encode()).hexdigest()[:20]
-
-
 def encode_parquet(
     input_paths: list[str] | str,
     out_dir: str,
@@ -95,21 +91,38 @@ def encode_parquet(
 ) -> ray.data.Dataset:
     """Resumable fragment-mode encode. Returns the manifest Dataset of
     stripes written THIS run (skipped fragments excluded)."""
-    frags = plan_fragments(input_paths)
+    return encode_fragment_specs(
+        plan_fragments(input_paths), out_dir, kwargs={"columns": columns},
+        concurrency=concurrency, resume=resume,
+    )
+
+
+def encode_fragment_specs(
+    frags: list[dict],
+    out_dir: str,
+    stage=se.encode_fragments,
+    kwargs: dict | None = None,
+    concurrency: int | None = None,
+    resume: bool = True,
+) -> ray.data.Dataset:
+    """Maps ``stage`` over fragment specs (Parquet row groups or ORC
+    stripes), one per task — the resume and parallelism unit. Each task
+    reads its fragment itself (``read_fragment``): the raw corpus never
+    crosses the object store — at bench scale that hop alone costs >1 s
+    of shared-bus bandwidth, and on a multi-node cluster it is a needless
+    full-corpus network copy. With ``resume``, fragments whose
+    ``fragment_stripe_id`` is durable are skipped."""
     if resume:
         done = man.completed_ids(out_dir)
         frags = [f for f in frags if fragment_stripe_id(f) not in done]
     if not frags:
         return ray.data.from_items([])
-    if concurrency is None:
-        concurrency = _default_pool(whole_pipeline=True)
-    ds = ray.data.from_items(frags)
-    return ds.map_batches(
-        encode_fragments,
-        fn_kwargs={"out_dir": out_dir, "columns": columns},
+    return ray.data.from_items(frags).map_batches(
+        stage,
+        fn_kwargs={"out_dir": out_dir, **(kwargs or {})},
         batch_format="pyarrow",
-        batch_size=1,  # one fragment per task: the resume/parallelism unit
-        concurrency=concurrency,
+        batch_size=1,
+        concurrency=concurrency or _default_pool(whole_pipeline=True),
     )
 
 
@@ -119,12 +132,14 @@ def encode_dataset(
     rows_per_stripe: int = 32768,
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
-    """Composable Dataset-mode encode (content-addressed stripe ids)."""
+    """Composable Dataset-mode encode. Stripes are named by (run, task,
+    batch) (``stages.encode.batch_position``), with the run drawn here:
+    a rerun into ``out_dir`` appends after the earlier runs' stripes."""
     if concurrency is None:
         concurrency = _default_pool()
     return ds.map_batches(
-        encode_batch,
-        fn_kwargs={"out_dir": out_dir},
+        se.encode_batch,
+        fn_kwargs={"out_dir": out_dir, "run": se.run_token()},
         batch_format="pyarrow",
         batch_size=rows_per_stripe,
         zero_copy_batch=True,
@@ -149,11 +164,9 @@ def decode_to_parquet(
     """Decode stripes straight to partitioned Parquet — the streaming
     sink (never materializes; one part file per ~min_rows_per_file so a
     rerun can skip finished partitions)."""
-    ds = decode_stripes(out_dir, columns=columns)
-    try:
-        ds.write_parquet(parquet_dir, min_rows_per_file=min_rows_per_file)
-    except TypeError:  # older Ray releases
-        ds.write_parquet(parquet_dir, num_rows_per_file=min_rows_per_file)
+    decode_stripes(out_dir, columns=columns).write_parquet(
+        parquet_dir, min_rows_per_file=min_rows_per_file
+    )
 
 
 # ----------------------------------------------------------------- skew/salt
@@ -240,7 +253,9 @@ def cluster_for_compression(
 ) -> ray.data.Dataset:
     """Co-locate rows by (key, salt) with hot keys split across salts —
     the skew-aware shuffle. Sorting by the combined shard key range-
-    partitions the stream so each encode batch sees homogeneous data."""
+    partitions the stream so each encode batch sees homogeneous data.
+    It runs ``ds`` twice (``salt_plan``'s sample, then the sort), so
+    materialize a costly upstream map first."""
     return add_shard_column(ds, key, salt_col, target_share).sort("__shard")
 
 
@@ -270,10 +285,12 @@ def encode_clustered(
             cluster_for_compression(ds, key, salt_col).drop_columns(["__shard"]),
             out_dir, key=key)
 
-    A parquet path/dir input is read in-task, one row group per task;
-    a Dataset input is batched to ~``target_stripe_bytes``, sized from
-    plan metadata so the input runs once. Every stage is a plain task
-    function.
+    which runs ``ds`` twice: materialize a costly upstream map first.
+    A parquet path/dir input is read in-task, one row group per task,
+    its stripes named by the row group's position; a Dataset input is
+    batched to ~``target_stripe_bytes``, sized from plan metadata so the
+    input runs once, its stripes named by (run, task, batch). Every
+    stage is a plain task function.
 
     Note: on the synthetic bench fixture the TEXT vocabulary is shared
     across langs by construction (fixtures._vocab), so lang-clustering
@@ -287,14 +304,16 @@ def encode_clustered(
         "target_stripe_bytes": target_stripe_bytes,
     }
     if isinstance(ds, str):
-        return _map_fragments(ds, _encode_key_runs, kwargs)
+        return encode_fragment_specs(
+            plan_fragments(ds), out_dir, _encode_key_run_fragments, kwargs, resume=False
+        )
     # wide web rows still get ~target_stripe_bytes batches; the encoder
     # then splits each batch at key boundaries (byte-capped) into
     # per-key stripes
     batch_rows = max(256, min(rows_per_stripe, int(target_stripe_bytes / _bytes_per_row(ds))))
     return ds.map_batches(
         _encode_key_runs,
-        fn_kwargs=kwargs,
+        fn_kwargs={**kwargs, "run": se.run_token()},
         batch_format="pyarrow",
         batch_size=batch_rows,
         zero_copy_batch=True,
@@ -312,30 +331,6 @@ def _bytes_per_row(ds: ray.data.Dataset) -> float:
         probe = ds.take_batch(256, batch_format="pyarrow")
         size, rows = probe.nbytes, probe.num_rows
     return max(1.0, size / max(1, rows))
-
-
-def _map_fragments(path: str, stage, kwargs: dict) -> ray.data.Dataset:
-    """Maps ``stage`` over the row groups of a parquet path/dir, each
-    read IN-TASK: the raw corpus never crosses the object store — at
-    bench scale that hop alone costs >1 s of shared-bus bandwidth, and
-    on a multi-node cluster it is a needless full-corpus network copy."""
-    return ray.data.from_items(plan_fragments(path)).map_batches(
-        _on_row_groups,
-        fn_kwargs={"stage": stage, "kwargs": kwargs},
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=_default_pool(whole_pipeline=True),
-    )
-
-
-def _on_row_groups(specs: pa.Table, stage, kwargs: dict) -> pa.Table:
-    import pyarrow.parquet as pq
-
-    outs = []
-    for spec in specs.to_pylist():
-        with pq.ParquetFile(spec["path"]) as pf:
-            outs.append(stage(pf.read_row_group(spec["row_group"]), **kwargs))
-    return pa.concat_tables(outs)
 
 
 _NULL_KEY = "\x00null"  # the label of the null-key run
@@ -363,34 +358,27 @@ def _key_runs(batch: pa.Table, key: str, salt_col: str) -> tuple[pa.Table, np.nd
     return body, np.append(starts, body.num_rows), labels
 
 
-def _encode_key_runs(
-    batch: pa.Table,
-    out_dir: str,
-    key: str,
-    salt_col: str,
-    rows_per_stripe: int,
-    target_stripe_bytes: int,
-) -> pa.Table:
-    """Clustered encode's task stage: sorts the batch by (key, salt_col)
-    — url-host runs share dictionary/FSST locality — and emits per-key
-    stripes, so symbol tables always see homogeneous data. Each key run
-    becomes one or more stripes of ~``target_stripe_bytes`` (cut at the
-    average row size, then bounded by ``encode_split``), and tiny runs
-    (rare keys) are coalesced into contiguous "mixed" stripes —
-    per-stripe overhead otherwise eats the clustering gain. Lineage is
-    ``shard=<label>:<n>``, ``n`` counting this batch's stripes. Returns
-    their manifest rows."""
+def _key_run_pieces(
+    batch: pa.Table, key: str, salt_col: str, rows_per_stripe: int, target_stripe_bytes: int
+) -> list[tuple[pa.Table, str]]:
+    """Sorts the batch by (key, salt_col) — url-host runs share
+    dictionary/FSST locality — and cuts it into per-key stripes, so
+    symbol tables always see homogeneous data. Each key run becomes one
+    or more stripes of ~``target_stripe_bytes`` (cut at the average row
+    size, then bounded by ``se.split``), and tiny runs (rare keys) are
+    coalesced into contiguous "mixed" stripes — per-stripe overhead
+    otherwise eats the clustering gain. Returns (stripe, lineage) pieces;
+    lineage is ``shard=<label>:<n>``, ``n`` counting the batch's stripes."""
     body, bounds, labels = _key_runs(batch, key, salt_col)
-    enc = StripeEncoder(out_dir, target_stripe_bytes=target_stripe_bytes)
     bytes_per_row = max(1.0, body.nbytes / max(1, body.num_rows))
     cap = max(256, min(rows_per_stripe, int(target_stripe_bytes / bytes_per_row)))
     min_rows = max(256, cap // 8)
-    entries: list[dict] = []
+    pieces: list[tuple[pa.Table, str]] = []
 
     def emit(start: int, stop: int, label: str) -> None:
         for s in range(start, stop, cap):
             chunk = body.slice(s, min(cap, stop - s))
-            entries.extend(enc.encode_split(chunk, lineage=f"shard={label}:{len(entries)}"))
+            pieces.extend(se.split(chunk, target_stripe_bytes, f"shard={label}:{len(pieces)}"))
 
     mixed_start = None
     for i in range(len(bounds) - 1):
@@ -405,7 +393,34 @@ def _encode_key_runs(
         emit(run_start, run_stop, labels[i])
     if mixed_start is not None:
         emit(mixed_start, int(bounds[-1]), "mixed")
-    return manifest_rows(entries)
+    return pieces
+
+
+def _encode_key_runs(
+    batch: pa.Table,
+    out_dir: str,
+    key: str,
+    salt_col: str,
+    rows_per_stripe: int,
+    target_stripe_bytes: int,
+    run: str | None = None,
+) -> pa.Table:
+    """Clustered encode's task stage for Dataset input: the batch's
+    ``_key_run_pieces`` written at its ``batch_position`` in ``run``."""
+    enc = se.StripeEncoder(out_dir, target_stripe_bytes=target_stripe_bytes)
+    pieces = _key_run_pieces(batch, key, salt_col, rows_per_stripe, target_stripe_bytes)
+    return se.manifest_rows(enc.encode_pieces(pieces, se.batch_position(run)))
+
+
+def _encode_key_run_fragments(specs: pa.Table, out_dir: str, **kw) -> pa.Table:
+    """Clustered encode's task stage for path input: each fragment read
+    in-task, its ``_key_run_pieces`` written at its position."""
+    enc = se.StripeEncoder(out_dir, target_stripe_bytes=kw["target_stripe_bytes"])
+    entries = []
+    for spec in specs.to_pylist():
+        pieces = _key_run_pieces(se.read_fragment(spec), **kw)
+        entries.extend(enc.encode_pieces(pieces, se.fragment_position(spec)[0]))
+    return se.manifest_rows(entries)
 
 
 # ----------------------------------------------------------------- compaction
@@ -413,25 +428,25 @@ def _encode_key_runs(
 def plan_compaction(
     out_dir: str, target_bytes: int = 64 << 20, min_members: int = 2
 ) -> list[dict]:
-    """Greedy plan: consecutive (path-sorted) stripes smaller than
-    ``target_bytes`` raw are grouped, and a group closes before a member
-    would take it past the target: each group becomes ONE stripe, because
-    its ``replaces`` manifest is the single commit point. Returns group
-    specs [{members: [manifest entries...]}]."""
-    entries = sorted(man.load_manifest(out_dir), key=lambda e: e["path"])
+    """Greedy plan: source neighbours (consecutive in ordinal order)
+    smaller than ``target_bytes`` raw are grouped, and a group closes
+    before a member would take it past the target, and at a stripe
+    already that big: each group becomes ONE stripe at its first
+    member's ordinal, because its ``replaces`` manifest is the single
+    commit point. Returns group specs [{members: [manifest entries...]}]."""
     groups, cur, cur_bytes = [], [], 0
 
     def close() -> None:
         if len(cur) >= min_members:
             groups.append({"members": cur})
 
-    for e in entries:
+    for e in man.load_manifest(out_dir):
         raw = e.get("raw_bytes", 0)
-        if raw >= target_bytes:
-            continue  # already big enough
-        if cur_bytes + raw > target_bytes:
+        if raw >= target_bytes or cur_bytes + raw > target_bytes:
             close()
             cur, cur_bytes = [], 0
+        if raw >= target_bytes:
+            continue  # already big enough
         cur.append(e)
         cur_bytes += raw
     close()
@@ -450,7 +465,7 @@ def _compact_groups(batch: pa.Table, out_dir: str, schema: pa.Schema) -> pa.Tabl
     from .. import stripe as stripe_mod
     from ..state.manifest import COMPACT_PREFIX
 
-    enc = StripeEncoder(out_dir)
+    enc = se.StripeEncoder(out_dir)
     entries = []
     for spec in batch.to_pylist():
         members = _json.loads(spec["members_json"])
@@ -473,6 +488,7 @@ def _compact_groups(batch: pa.Table, out_dir: str, schema: pa.Schema) -> pa.Tabl
         entries.append(enc.encode_one(
             merged,
             stripe_id=new_id,
+            ordinal=members[0]["ordinal"],
             lineage=f"compact:{len(members)}",
             extra_entry={"replaces": replaces},
         ))
@@ -485,7 +501,7 @@ def _compact_groups(batch: pa.Table, out_dir: str, schema: pa.Schema) -> pa.Tabl
                     fs.delete_file(fp)
                 except OSError:  # already gone, or not deletable
                     pass
-    return manifest_rows(entries)
+    return se.manifest_rows(entries)
 
 
 def compact_stripes(

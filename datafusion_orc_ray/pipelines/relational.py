@@ -367,10 +367,7 @@ def hash_join(
     # raw_bytes for stripe scans, parquet metadata for parquet reads —
     # sources/datasource.py:57): 500k rows of wide web rows can be
     # gigabytes, and a row-only gate would ray.put them into every task
-    try:
-        right_count = right.count()
-    except Exception:
-        right_count = None
+    right_count = right.count()
     # metadata-only byte estimate (ADVICE r4: Dataset.size_bytes()
     # MATERIALIZES the whole right pipeline when metadata is missing —
     # a full extra execution just to pick the join path). A known-big
@@ -382,8 +379,7 @@ def hash_join(
 
     right_bytes = _est_bytes(right)
     small_right = (
-        right_count is not None
-        and right_count <= broadcast_rows
+        right_count <= broadcast_rows
         and (right_bytes is None or right_bytes <= broadcast_bytes)
     )
     right_tbl: pa.Table | None = None
@@ -433,7 +429,7 @@ def hash_join(
     parts: list[ray.data.Dataset] = []
 
     # ---- optional bloom prefilter of the left side (large-large only)
-    if bloom_prefilter and right_count is not None:
+    if bloom_prefilter:
         from ..codecs import bloom as bloom_codec
 
         rk_type = r_schema.field(right_key).type

@@ -169,9 +169,9 @@ class IVFIndex:
         persisted cell-clustered stripes remain valid and nothing is
         rebuilt. In-memory mode unions the assigned rows; persisted mode
         encodes them as additional cell-clustered stripes into the same
-        directory (stripe ids are content-addressed, so the append is
-        idempotent, and load_manifest's snapshot+delta listing picks the
-        new rows up on the next probe). Returns — and accumulates in
+        directory (each append is a new encode run, whose stripes scan
+        after the earlier ones', and load_manifest's snapshot+delta
+        listing picks the new rows up on the next probe). Returns — and accumulates in
         ``drift_log`` / ``ivf_drift.json`` — centroid-drift stats for
         the appended batch: per-cell counts and mean cosine of new
         members to their assigned centroid. A falling mean_cos across
@@ -232,7 +232,7 @@ class IVFIndex:
             dpath = dio.join(self.out_dir, "ivf_drift.json")
             try:
                 log = _json.loads(dio.read_bytes(dpath))
-            except Exception:
+            except FileNotFoundError:  # the first append; a corrupt log raises
                 log = []
             log.append(drift)
             dio.write_bytes_atomic(dpath, _json.dumps(log).encode())

@@ -31,7 +31,7 @@ class StripeDatasource(Datasource):
         rows_per_block: int = 32768,
         entries: list[dict] | None = None,
     ) -> None:
-        from ..stripe import _pred_list, pred_flat_conjuncts
+        from ..stripe import _is_or, _pred_list, pred_flat_conjuncts
         from .stripes import _stats_may_match, stripes_schema
 
         preds = _pred_list(predicate)
@@ -40,9 +40,7 @@ class StripeDatasource(Datasource):
         # would silently skip it (stronger filter) or crash on an
         # all-empty group — and stats pruning would disagree. Reject on
         # the driver before any task launches.
-        from ..stripe import _is_or
-
-        for p in preds or []:
+        for p in preds:
             if _is_or(p):
                 if not p[1] or any(not d for d in p[1]):
                     raise ValueError(
@@ -60,7 +58,6 @@ class StripeDatasource(Datasource):
                     f"unsupported predicate op {p[1]!r} "
                     "(use one of <, <=, >, >=, ==, isnull, notnull)"
                 )
-        self._out_dir = out_dir
         self._columns = columns
         self._predicate = preds or None
         self._rows_per_block = rows_per_block
@@ -68,13 +65,9 @@ class StripeDatasource(Datasource):
         if not entries:
             raise FileNotFoundError(f"no manifest entries under {out_dir}")
         self._schema = stripes_schema(out_dir, entries)
-        if preds:
-            # AND semantics: a stripe survives only if EVERY conjunct
-            # may match its stats
-            entries = [
-                e for e in entries if all(_stats_may_match(e, p) for p in preds)
-            ]
-        self._entries = sorted(entries, key=lambda e: e["path"])
+        # ordinal order, one read task per stripe; AND semantics: a
+        # stripe survives only if EVERY conjunct may match its stats
+        self._entries = [e for e in entries if all(_stats_may_match(e, p) for p in preds)]
 
     def estimate_inmemory_data_size(self) -> int | None:
         return sum(e.get("raw_bytes", 0) for e in self._entries) or None

@@ -6,9 +6,9 @@ north-rule addition. Shape: Ray Data's native distributed readers
 (`read_json` / `read_csv` — per-file read tasks, streaming) -> an
 optional schema-normalization map (JSON type inference can drift
 per block: an all-null column infers null-typed, ints become doubles)
--> the composable actor-pool stripe encoder. Nothing materializes; a
-100-TB dump streams file-by-file into content-addressed stripes with
-the same manifests / resume behavior as parquet-sourced encodes.
+-> the composable task-stage stripe encoder. Nothing materializes; a
+100-TB dump streams file-by-file into stripes named by (run, task,
+batch).
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def ingest_to_stripes(
 ) -> pa.Table:
     """Encode any ingested Dataset into stripes; returns the per-stripe
     manifest rows (id, rows, bytes) the encoder emits. Streaming
-    end-to-end: reader tasks feed the encoder actor pool under
-    backpressure, and stripe ids are content-addressed so a re-run after
-    a crash rewrites only unfinished stripes."""
+    end-to-end: reader tasks feed the encoder task stage under
+    backpressure. A retried task rewrites its own stripes; a re-run
+    appends (``encode_parquet`` and ``ingest_orc`` resume)."""
     from ..pipelines.encode import encode_dataset
     from ..pipelines.relational import collect
 

@@ -15,6 +15,7 @@ rules); everything else in the engine works without it.
 
 from __future__ import annotations
 
+import pyarrow as pa
 import ray.data
 
 try:
@@ -36,27 +37,18 @@ def _require_orc() -> None:
 
 def plan_orc_stripes(paths: list[str] | str) -> list[dict]:
     """Deterministic work list: one spec per (file, stripe), sorted by
-    path (same sort-for-determinism as parquet fragment planning)."""
-    import glob
-    import os
+    path (same sort-for-determinism as parquet fragment planning). A
+    valid ORC file CAN hold zero stripes (an empty table): it gets one
+    spec with stripe -1, which reads as the file's empty, typed table."""
+    from ..pipelines.encode import input_files
 
     _require_orc()
-    if isinstance(paths, str):
-        if os.path.isdir(paths):
-            paths = sorted(glob.glob(os.path.join(paths, "*.orc")))
-        else:
-            paths = [paths]
-    else:
-        paths = sorted(paths)
     specs = []
-    for p in paths:
-        f = pa_orc.ORCFile(p)
-        specs.extend({"path": p, "stripe": i} for i in range(f.nstripes))
-    if not specs and paths:
-        # a valid ORC file CAN hold zero stripes (empty table): emit one
-        # schema-carrying marker spec so callers get an empty Dataset
-        # with the right schema instead of a spurious file-not-found
-        specs.append({"path": paths[0], "stripe": -1})
+    for p in input_files(paths, ".orc"):
+        n = pa_orc.ORCFile(p).nstripes
+        specs.extend({"path": p, "stripe": i} for i in (range(n) if n else [-1]))
+    if not specs:
+        raise FileNotFoundError(f"no ORC files under {paths!r}")
     return specs
 
 
@@ -67,43 +59,12 @@ def read_orc(
 ) -> ray.data.Dataset:
     """External ORC -> Dataset; one decode task per ORC stripe, column
     pruning pushed into the ORC reader."""
-    _require_orc()
-    specs = plan_orc_stripes(paths)
-    if not specs:
-        raise FileNotFoundError(f"no ORC files under {paths!r}")
-    cols = columns
+    from ..stages.encode import read_fragment
 
-    def decode(batch):
-        import pyarrow as pa
-
-        for row in batch.to_pylist():
-            f = pa_orc.ORCFile(row["path"])
-            if row["stripe"] < 0:  # zero-stripe marker: empty, typed
-                sch = f.schema
-                if cols is not None:
-                    sch = pa.schema([sch.field(c) for c in cols])
-                yield sch.empty_table()
-                continue
-            t = f.read_stripe(row["stripe"], columns=cols)
-            yield t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-
-    return ray.data.from_items(specs).map_batches(
-        decode, batch_format="pyarrow", batch_size=1, concurrency=concurrency
+    return ray.data.from_items(plan_orc_stripes(paths)).map_batches(
+        lambda spec: read_fragment(spec.to_pylist()[0], columns),
+        batch_format="pyarrow", batch_size=1, concurrency=concurrency,
     )
-
-
-_ORC_MANIFEST_SCHEMA = None
-
-
-def _orc_manifest_schema():
-    import pyarrow as pa
-
-    global _ORC_MANIFEST_SCHEMA
-    if _ORC_MANIFEST_SCHEMA is None:
-        _ORC_MANIFEST_SCHEMA = pa.schema(
-            [("path", pa.string()), ("rows", pa.int64()), ("bytes", pa.int64())]
-        )
-    return _ORC_MANIFEST_SCHEMA
 
 
 def write_orc(
@@ -130,25 +91,19 @@ def write_orc(
     from .. import io as dio
 
     dio.makedirs(out_dir)
+    schema = pa.schema([("path", pa.string()), ("rows", pa.int64()), ("bytes", pa.int64())])
 
     def write_batch(batch):
         import uuid
 
-        import pyarrow as pa
-
         if batch.num_rows == 0:
-            return _orc_manifest_schema().empty_table()
+            return schema.empty_table()
         path = dio.join(out_dir, f"part-{uuid.uuid4().hex}.orc")
         fs, p = dio.resolve(path)
         with fs.open_output_stream(p) as sink:
             pa_orc.write_table(batch, sink, compression=compression)
-        return pa.table(
-            {
-                "path": [path],
-                "rows": pa.array([batch.num_rows], pa.int64()),
-                "bytes": pa.array([dio.file_size(path)], pa.int64()),
-            }
-        )
+        row = {"path": path, "rows": batch.num_rows, "bytes": dio.file_size(path)}
+        return pa.Table.from_pylist([row], schema=schema)
 
     kwargs = {"batch_format": "pyarrow", "concurrency": concurrency}
     if batch_rows is not None:
@@ -160,9 +115,13 @@ def ingest_orc(
     paths: list[str] | str,
     out_dir: str,
     columns: list[str] | None = None,
-    rows_per_stripe: int = 32768,
 ) -> ray.data.Dataset:
-    """External ORC -> RSTP stripe dir (manifest Dataset out)."""
-    from ..pipelines.encode import encode_dataset
+    """External ORC -> RSTP stripe dir: ``encode_parquet``'s fragment
+    stage over ORC stripes, one task per stripe, each read in-task and
+    named by its position, so the stripes scan in file order and a rerun
+    skips completed stripes. A zero-stripe file writes one 0-row stripe
+    carrying its schema. Returns the manifest Dataset of stripes written
+    THIS run."""
+    from ..pipelines.encode import encode_fragment_specs
 
-    return encode_dataset(read_orc(paths, columns), out_dir, rows_per_stripe=rows_per_stripe)
+    return encode_fragment_specs(plan_orc_stripes(paths), out_dir, kwargs={"columns": columns})

@@ -727,13 +727,15 @@ def run_partial(partial_sql: str):
     """Per-batch fn: evaluate the partial aggregate over one Arrow batch on
     a cursor of the process the scan runs in: a Ray worker, or the
     driver when only the other table of a join scans on Ray."""
+    import duckdb
+    import pyarrow as pa
 
     def fn(batch):
         with cursor() as con:
             try:
                 con.register("__batch", batch)
                 return con.sql(partial_sql).fetch_arrow_table()
-            except Exception as exc:  # annotate for remote-traceback debugging
+            except (duckdb.Error, pa.ArrowException) as exc:  # annotate for remote tracebacks
                 raise RuntimeError(
                     f"partial aggregate failed: sql={partial_sql!r} "
                     f"batch_rows={batch.num_rows} schema={batch.schema!r}"

@@ -5,8 +5,8 @@ A stripe directory (blobs + manifests) becomes a ``ray.data.Dataset``:
 the manifest list is the file listing, one decode task per stripe, with
 column pruning pushed into the decoder (S5). Schema comes from the
 manifests' serialized Arrow schema — deterministic merge across stripes
-sorted by path, mirroring infer_schema's sort-for-determinism
-(src/file_format.rs:90-103).
+in manifest (ordinal) order, mirroring infer_schema's
+sort-for-determinism (src/file_format.rs:90-103).
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ from ..state import manifest
 # (stripe-path fingerprint, merged schema) per out_dir: one Catalog.sql
 # call otherwise re-derives the schema 3x (projection resolution, filter
 # pushdown, StripeDatasource.__init__) — each a schema parse per
-# distinct manifest schema and a merge. The fingerprint is the sorted
-# stripe path list, so appends/compactions invalidate correctly.
+# distinct manifest schema and a merge. The fingerprint is the stripe
+# path list, so appends/compactions invalidate correctly.
 _SCHEMA_CACHE: dict[str, tuple[tuple, object]] = {}
 
 
 def stripes_schema(out_dir: str, entries: list[dict] | None = None):
     """Merged Arrow schema across all stripes (S3: deterministic — the
-    manifests' schemas taken in sorted-path order, merged with
+    manifests' schemas taken in ordinal order, merged with
     pa.unify_schemas, mirroring the reference's sort-for-determinism +
     Schema::try_merge at src/file_format.rs:90-103), over ``entries`` if
     the caller loaded them. Cached per out_dir against the stripe path
@@ -35,7 +35,7 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
 
     import pyarrow as pa
 
-    entries = sorted(entries or manifest.load_manifest(out_dir), key=lambda e: e["path"])
+    entries = entries or manifest.load_manifest(out_dir)
     fp = tuple(e["path"] for e in entries)
     got = _SCHEMA_CACHE.get(out_dir)
     if got is not None and got[0] == fp:
@@ -632,7 +632,10 @@ def read_stripes(
     from .datasource import StripeDatasource
 
     src = StripeDatasource(out_dir, columns=columns, predicate=predicate)
-    return ray.data.read_datasource(src, concurrency=concurrency)
+    ds = ray.data.read_datasource(src, concurrency=concurrency)
+    # rows in ordinal order, not task-completion order (a per-Dataset context)
+    ds.context.execution_options.preserve_order = True
+    return ds
 
 
 def _stats_may_match(entry: dict, predicate) -> bool:
@@ -688,43 +691,26 @@ def validate_stripes(out_dir: str, concurrency: int | None = None) -> ray.data.D
 
     entries = [
         {"path": e["path"], "n_rows": int(e.get("n_rows", -1))}
-        for e in sorted(manifest.load_manifest(out_dir), key=lambda e: e["path"])
+        for e in manifest.load_manifest(out_dir)
     ]
     if not entries:
         raise FileNotFoundError(f"no manifest entries under {out_dir}")
 
+    schema = pa.schema([("path", pa.string()), ("ok", pa.bool_()), ("n_streams", pa.int64()),
+                        ("n_checked", pa.int64()), ("n_rows", pa.int64()), ("bad", pa.string())])
+
     def audit(batch: pa.Table) -> pa.Table:
-        paths = batch.column("path").to_pylist()
-        want_rows = batch.column("n_rows").to_pylist()
-        oks, n_streams, n_checked, n_rows, bads = [], [], [], [], []
-        for p, wr in zip(paths, want_rows):
-            r = stripe_mod.validate_file(p)
+        out = []
+        for p, want in zip(batch.column("path").to_pylist(), batch.column("n_rows").to_pylist()):
             # validate_file already parsed the footer from the full read
             # — re-opening the file for a tail footer read would double
             # the metadata IO of a 100-TB audit
-            rows = int(r.get("n_rows", -1))
-            if r["ok"]:
-                if rows != wr and wr >= 0 and rows >= 0:
-                    r = {
-                        **r,
-                        "ok": False,
-                        "bad": r["bad"] + [f"rows: manifest {wr} != footer {rows}"],
-                    }
-            oks.append(r["ok"])
-            n_streams.append(r["n_streams"])
-            n_checked.append(r["n_checked"])
-            n_rows.append(rows)
-            bads.append("; ".join(r["bad"]))
-        return pa.table(
-            {
-                "path": pa.array(paths, pa.string()),
-                "ok": pa.array(oks, pa.bool_()),
-                "n_streams": pa.array(n_streams, pa.int64()),
-                "n_checked": pa.array(n_checked, pa.int64()),
-                "n_rows": pa.array(n_rows, pa.int64()),
-                "bad": pa.array(bads, pa.string()),
-            }
-        )
+            r = stripe_mod.validate_file(p)
+            bad = r["bad"]
+            if r["ok"] and want >= 0 and r["n_rows"] >= 0 and r["n_rows"] != want:
+                bad = [f"rows: manifest {want} != footer {r['n_rows']}"]
+            out.append({**r, "path": p, "ok": not bad, "bad": "; ".join(bad)})
+        return pa.Table.from_pylist(out, schema=schema)
 
     return ray.data.from_items(entries).map_batches(
         audit, batch_format="pyarrow", concurrency=concurrency

@@ -13,12 +13,18 @@ on disk (``StripeEncoder.encode_split``) + one manifest row each out.
 The output of the stage is the manifest Dataset — small rows — so the
 pipeline streams: heavy bytes go straight to storage from the worker,
 never back through the driver.
+
+Every stripe is named before it is encoded by where its rows came from
+(``fragment_position`` or ``batch_position``, then the piece), so a
+rerun or a retried task rewrites the same names and skips durable ones.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import json
+import secrets
+import time
 
 import pyarrow as pa
 
@@ -26,18 +32,64 @@ from .. import stripe
 from ..state import manifest
 
 
-def _content_id(blobs: list[bytes]) -> str:
-    h = hashlib.sha1()
-    for blob in blobs:
-        h.update(blob)
-    return h.hexdigest()[:20]
+def run_token() -> str:
+    """A Dataset encode run's token: fixed-width hex nanoseconds, so a
+    later run sorts after earlier ones, then random bits."""
+    return f"{time.time_ns():016x}-{secrets.token_hex(4)}"
 
 
-def _piece_id(stripe_id: str, i: int, n: int) -> str:
-    """Id of piece ``i`` of ``n``: piece 0 keeps the id, and ``_`` sorts
-    after the ``.`` of ``<id>.rstp``, so a path sort of the pieces is row
-    order (the index is zero-padded to one width per batch)."""
-    return stripe_id if i == 0 else f"{stripe_id}_c{i:0{max(4, len(str(n - 1)))}d}"
+def batch_position(run: str | None) -> tuple[str, int, int] | None:
+    """The next Dataset batch's position (run, task, batch). In a Ray
+    task, ``task`` is its index in the map operator and ``batch`` counts
+    its batches in ``TaskContext.kwargs`` (the private API Ray's own
+    ``Dataset.random_sample`` uses), so a retried task rewrites the same
+    names. None outside a Ray task or with no ``run``: the encoder then
+    numbers the batch as an in-process call."""
+    from ray.data._internal.execution.interfaces.task_context import TaskContext
+
+    ctx = TaskContext.get_current()
+    if run is None or ctx is None:
+        return None
+    key = f"datafusion_orc_ray.batches:{run}"
+    n = ctx.kwargs.get(key, 0)
+    ctx.kwargs[key] = n + 1
+    return run, ctx.task_idx, n
+
+
+def fragment_position(spec: dict) -> tuple[tuple[str, int], str]:
+    """A file fragment's position (source, unit) and its lineage. A spec
+    is ``{path, row_group}`` (``pipelines.encode.plan_fragments``) or
+    ``{path, stripe}`` (``sources.orc.plan_orc_stripes``). A ``salt``
+    (bench epochs over one corpus) joins the source, so salted copies
+    are distinct stripes."""
+    path = spec["path"]
+    kind = "stripe" if "stripe" in spec else "row_group"
+    source = f"{path}#{spec['salt']}" if spec.get("salt") else path
+    lineage = f"{path}:{'stripe' if kind == 'stripe' else 'rg'}{spec[kind]}"
+    return (source, spec[kind]), lineage
+
+
+def fragment_stripe_id(spec: dict) -> str:
+    """The id that marks a fragment done: its piece 0, which
+    ``StripeEncoder.encode_pieces`` writes last."""
+    return manifest.stripe_name(*fragment_position(spec)[0], 0)[0]
+
+
+def read_fragment(spec: dict, columns: list[str] | None = None) -> pa.Table:
+    """A fragment's rows, read inside the task (columns pruned at the
+    read, S5): a Parquet row group or an ORC stripe (stripe -1: a
+    zero-stripe file, read whole as its schema's empty table)."""
+    if "stripe" in spec:
+        from pyarrow import orc
+
+        f = orc.ORCFile(spec["path"])
+        if spec["stripe"] < 0:
+            return f.read(columns=columns)
+        return pa.Table.from_batches([f.read_stripe(spec["stripe"], columns=columns)])
+    import pyarrow.parquet as pq
+
+    with pq.ParquetFile(spec["path"]) as pf:
+        return pf.read_row_group(spec["row_group"], columns=columns)
 
 
 def row_slices(table: pa.Table, max_bytes: int) -> list[pa.Table]:
@@ -62,6 +114,15 @@ def row_slices(table: pa.Table, max_bytes: int) -> list[pa.Table]:
         for start in range(0, table.num_rows, step)
         for piece in row_slices(table.slice(start, step), max_bytes)
     ]
+
+
+def split(batch: pa.Table, max_bytes: int, lineage: str = "") -> list[tuple[pa.Table, str]]:
+    """``batch``'s ``row_slices`` with their lineages: ``lineage`` when
+    uncut, else ``lineage#c<i>``."""
+    pieces = row_slices(batch, max_bytes)
+    if len(pieces) == 1:
+        return [(batch, lineage)]
+    return [(p, f"{lineage}#c{i}") for i, p in enumerate(pieces)]
 
 
 def manifest_row_schema() -> pa.Schema:
@@ -123,66 +184,49 @@ class StripeEncoder:
         self.out_dir = out_dir
         self.target_stripe_bytes = target_stripe_bytes
         self.state = job_state(out_dir)
+        # in-process calls (no Ray task): this encoder's run, and its
+        # batches numbered in call order under task -1
+        self._run, self._calls = run_token(), itertools.count()
         manifest.ensure_dirs(out_dir)
 
     def encode_split(
-        self, batch: pa.Table, stripe_id: str | None = None, lineage: str = ""
+        self, batch: pa.Table, position: tuple | None = None, lineage: str = ""
     ) -> list[dict]:
-        """Writes ``batch`` as ``row_slices`` of at most
-        ``target_stripe_bytes`` raw, one stripe each, and returns their
-        manifest entries in row order. Piece ids come from ``_piece_id``.
-        Piece 0 is written LAST, so a caller that resumes on
-        ``stripe_id`` sees it only once every piece is durable. Without
-        ``stripe_id`` the pieces share one content id, hashed over all
-        of their blobs."""
-        pieces = row_slices(batch, self.target_stripe_bytes)
-        if len(pieces) == 1:
-            return [self.encode_one(batch, stripe_id, lineage)]
-        blobs = None
-        if stripe_id is None:  # content-addressed: the id needs every blob
-            blobs = [self._encode(p) for p in pieces]
-            stripe_id = _content_id(blobs)
+        """Writes ``batch`` at ``position`` (default: the next in-process
+        batch) as ``split`` pieces of at most ``target_stripe_bytes`` raw;
+        returns their manifest entries in row order."""
+        return self.encode_pieces(split(batch, self.target_stripe_bytes, lineage), position)
+
+    def encode_pieces(
+        self, pieces: list[tuple[pa.Table, str]], position: tuple | None = None
+    ) -> list[dict]:
+        """Writes each ``(table, lineage)`` piece as one stripe at ordinal
+        ``(*position, i)`` and returns their manifest entries in order.
+        Piece 0 is written LAST, so a fragment whose piece 0 is durable
+        (``fragment_stripe_id``) has every piece durable."""
+        position = position or (self._run, -1, next(self._calls))
         entries = [None] * len(pieces)
-        for i in reversed(range(len(pieces))):  # piece 0 (the resume marker) last
-            sid, lin = _piece_id(stripe_id, i, len(pieces)), f"{lineage}#c{i}"
-            if blobs is None:
-                entries[i] = self.encode_one(pieces[i], sid, lin)
-            else:
-                entries[i] = self._write(pieces[i], blobs[i], sid, lin)
+        for i in reversed(range(len(pieces))):
+            sid, ordinal = manifest.stripe_name(*position, i)
+            entries[i] = self.encode_one(pieces[i][0], sid, ordinal, pieces[i][1])
         return entries
 
     def encode_one(
         self,
         batch: pa.Table,
-        stripe_id: str | None = None,
-        lineage: str = "",
-        extra_entry: dict | None = None,
-    ) -> dict:
-        """Writes ``batch`` as ONE stripe, whatever its size."""
-        if stripe_id is not None:
-            # deterministic (fragment-addressed) ids are known BEFORE
-            # encoding: a stripe made durable by an interrupted attempt
-            # skips the whole re-encode on resume (content-addressed ids
-            # genuinely need encode-first to learn their id)
-            got = manifest.existing_entry(self.out_dir, stripe_id)
-            if got is not None:
-                return got
-        blob = self._encode(batch)
-        if stripe_id is None:
-            stripe_id = _content_id([blob])  # content-addressed -> idempotent rewrite
-        return self._write(batch, blob, stripe_id, lineage, extra_entry)
-
-    def _encode(self, batch: pa.Table) -> bytes:
-        return stripe.encode_table(batch, state=self.state)
-
-    def _write(
-        self,
-        batch: pa.Table,
-        blob: bytes,
         stripe_id: str,
+        ordinal: list | None = None,
         lineage: str = "",
         extra_entry: dict | None = None,
     ) -> dict:
+        """Writes ``batch`` as ONE stripe, whatever its size, named
+        ``stripe_id`` at ``ordinal`` (default ``[stripe_id]``: a stripe
+        named by its caller scans in name order), unless an earlier
+        attempt made it durable."""
+        got = manifest.existing_entry(self.out_dir, stripe_id)
+        if got is not None:
+            return got
+        blob = stripe.encode_table(batch, state=self.state)
         footer = stripe.read_footer(blob)
         col_metrics = [
             {
@@ -201,6 +245,7 @@ class StripeEncoder:
             stripe_id,
             blob,
             {
+                "ordinal": ordinal or [stripe_id],
                 "n_rows": batch.num_rows,
                 "raw_bytes": batch.nbytes,
                 "lineage": lineage,
@@ -216,44 +261,37 @@ class StripeEncoder:
 
 class FragmentEncoder(StripeEncoder):
     """Deterministic-partition variant: the batch rows are fragment specs
-    ``{path, row_group}`` (planned by pipelines.encode.plan_fragments);
-    the task reads its row group straight from Parquet (columns pruned
-    at the read, S5) and writes it through ``encode_split``.
+    (``fragment_position``); the task reads each fragment itself
+    (``read_fragment``) and writes it through ``encode_split``.
 
-    Resume unit stays the FRAGMENT: piece 0 carries the fragment hash id
-    that ``completed_ids`` checks, and it is written LAST, so a fragment
-    is only ever marked complete once every piece is durable. The piece
-    count is deterministic from the data, so reruns produce identical
-    ids."""
+    The resume unit stays the FRAGMENT: piece 0 carries the
+    ``fragment_stripe_id`` that ``completed_ids`` checks, and it is
+    written LAST, so a fragment is only ever marked complete once every
+    piece is durable. The piece count is deterministic from the data,
+    so reruns produce identical names."""
 
     def __init__(self, out_dir: str, columns: list[str] | None = None, **kw) -> None:
         super().__init__(out_dir, **kw)
         self.columns = columns
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         entries = []
-        # `batch` is FRAGMENT SPECS (one row per parquet row-group), not
-        # data — the loop is O(row-groups-per-task) and each iteration
-        # reads + encodes a whole row group.
+        # `batch` is FRAGMENT SPECS (one row per row group or ORC
+        # stripe), not data — each iteration reads and encodes one
         for spec in batch.to_pylist():
-            path, rg = spec["path"], spec["row_group"]
-            frag_key = f"{path}:rg{rg}"
-            if spec.get("salt"):  # e.g. bench epochs: distinct stripe per salt
-                frag_key += f":{spec['salt']}"
-            frag_id = hashlib.sha1(frag_key.encode()).hexdigest()[:20]
-            with pq.ParquetFile(path) as pf:
-                data = pf.read_row_group(rg, columns=self.columns)
-            entries.extend(self.encode_split(data, stripe_id=frag_id, lineage=frag_key))
+            position, lineage = fragment_position(spec)
+            data = read_fragment(spec, self.columns)
+            entries.extend(self.encode_split(data, position, lineage))
         return manifest_rows(entries)
 
 
-def encode_batch(batch: pa.Table, out_dir: str) -> pa.Table:
-    """``encode_dataset``'s task stage: one batch -> bounded stripes."""
-    return StripeEncoder(out_dir)(batch)
+def encode_batch(batch: pa.Table, out_dir: str, run: str | None = None) -> pa.Table:
+    """``encode_dataset``'s task stage: one batch of run ``run`` ->
+    bounded stripes."""
+    return manifest_rows(StripeEncoder(out_dir).encode_split(batch, batch_position(run)))
 
 
 def encode_fragments(specs: pa.Table, out_dir: str, columns: list[str] | None = None) -> pa.Table:
-    """``encode_parquet``'s task stage: fragment specs -> stripes."""
+    """``encode_parquet``'s and ``ingest_orc``'s task stage: fragment
+    specs -> stripes."""
     return FragmentEncoder(out_dir, columns=columns)(specs)

@@ -6,7 +6,11 @@ durably (temp name + move) AFTER its blob is durable, so:
   * a failed run never leaves a manifest row for a half-written stripe;
   * restart lists ``manifest/``, skips completed partition ids, and
     re-runs only the missing ones;
-  * stripe writes are idempotent (content-/fragment-addressed names).
+  * stripe writes are idempotent: a stripe is named by its ordinal,
+    where its rows came from, before it is encoded (``stripe_name``);
+  * ``load_manifest`` returns ordinal order, so every reader scans in
+    source order, as the reference scans an ORC file's stripes in file
+    order (src/physical_exec.rs:79-82).
 
 All IO goes through ``datafusion_orc_ray.io`` (pyarrow.fs), so an
 out_dir may be a local path, file:// URI, or object-store URI — the
@@ -18,12 +22,30 @@ manifests".
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from .. import io as dio
 
 MANIFEST_DIR = "manifest"
 STRIPE_DIR = "stripes"
+
+
+def stripe_name(source: str, *position: int) -> tuple[str, list]:
+    """(id, ordinal) of the stripe at ``position`` in ``source`` (an input
+    path or a Dataset run token): the ordinal ``[source, *position]`` is
+    its place in scan order, and the id hashes it."""
+    ordinal = [source, *(int(p) for p in position)]
+    return hashlib.sha1(json.dumps(ordinal).encode()).hexdigest()[:20], ordinal
+
+
+def _scan_order(entry: dict) -> tuple[list, str]:
+    if "ordinal" not in entry:
+        raise ValueError(
+            f"manifest entry for stripe {entry.get('path')} has no ordinal: "
+            "written by an older format; re-encode the directory"
+        )
+    return entry["ordinal"], entry["stripe_id"]
 
 
 def stripe_paths(out_dir: str, stripe_id: str) -> tuple[str, str]:
@@ -40,9 +62,9 @@ def ensure_dirs(out_dir: str) -> None:
 
 def existing_entry(out_dir: str, stripe_id: str) -> dict | None:
     """The manifest entry for ``stripe_id`` if that stripe is already
-    durable, else None — lets deterministic-id encoders skip the whole
-    encode on resume instead of re-compressing just to have
-    write_stripe discard the result."""
+    durable, else None — lets an encoder skip the whole encode on resume
+    or task retry instead of re-compressing just to have write_stripe
+    discard the result."""
     _, man_path = stripe_paths(out_dir, stripe_id)
     try:
         return json.loads(dio.read_bytes(man_path))
@@ -52,15 +74,9 @@ def existing_entry(out_dir: str, stripe_id: str) -> dict | None:
 
 def write_stripe(out_dir: str, stripe_id: str, blob: bytes, entry: dict) -> dict:
     """Durably write blob then manifest row; returns the manifest entry.
-
-    Idempotent: an existing manifest row for ``stripe_id`` short-circuits
-    (the stripe was already completed by a previous attempt/run)."""
-    ensure_dirs(out_dir)
+    Callers check ``existing_entry`` first; a racing second attempt
+    rewrites the same bytes under the same name."""
     blob_path, man_path = stripe_paths(out_dir, stripe_id)
-    try:
-        return json.loads(dio.read_bytes(man_path))
-    except (FileNotFoundError, OSError):
-        pass
     dio.write_bytes_atomic(blob_path, blob)
     entry = {
         "stripe_id": stripe_id,
@@ -127,9 +143,7 @@ def _read_snapshot(mdir: str) -> dict[str, str]:
         return {}  # torn/corrupt snapshot: correctness never depends on it
 
 
-def _replaced_ids(
-    out_dir: str, names: list[str], snap: dict[str, str] | None = None
-) -> set[str]:
+def _replaced_ids(out_dir: str, names: list[str], snap: dict[str, str]) -> set[str]:
     """Stripe ids superseded by compacted stripes: each ``cmp-*``
     manifest lists the member ids it replaces. Reading only those
     manifests keeps the common path names-only; snapshot-covered rows
@@ -138,7 +152,7 @@ def _replaced_ids(
     replaced: set[str] = set()
     for f in names:
         if f.startswith(COMPACT_PREFIX) and f.endswith(".json"):
-            raw = (snap or {}).get(f)
+            raw = snap.get(f)
             entry = json.loads(raw if raw is not None else dio.read_bytes(dio.join(mdir, f)))
             replaced.update(entry.get("replaces", []))
     return replaced
@@ -155,21 +169,18 @@ def completed_ids(out_dir: str) -> set[str]:
 
 
 def load_manifest(out_dir: str) -> list[dict]:
-    """Current manifest entries. Entries whose id is listed in a
+    """Current manifest entries in ordinal (scan) order; an entry with no
+    ordinal raises ``ValueError``. Entries whose id is listed in a
     compacted stripe's ``replaces`` are EXCLUDED even if their files
     still exist — the compaction commit point is the merged manifest
     write, so a crash between that write and member cleanup never
     surfaces duplicate rows."""
     mdir = dio.join(out_dir, MANIFEST_DIR)
-    names = [f for f in dio.list_dir(mdir) if f.endswith(".json")]
     snap = _read_snapshot(mdir)
-    replaced = _replaced_ids(out_dir, names, snap)
-    entries = []
-    for f in names:
-        if f[: -len(".json")] in replaced:
-            continue
-        raw = snap.get(f)
-        entries.append(
-            json.loads(raw if raw is not None else dio.read_bytes(dio.join(mdir, f)))
-        )
-    return entries
+    entries = [
+        json.loads(snap[f] if f in snap else dio.read_bytes(dio.join(mdir, f)))
+        for f in dio.list_dir(mdir)
+        if f.endswith(".json")
+    ]
+    replaced = {rid for e in entries for rid in e.get("replaces", [])}
+    return sorted((e for e in entries if e["stripe_id"] not in replaced), key=_scan_order)

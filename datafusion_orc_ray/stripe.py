@@ -8,14 +8,16 @@ footer with the stream directory, per-column codec choices and sizes
 (E17 metrics), per-column min/max/null-count stats (E13), and the
 serialized Arrow schema. Layout::
 
-    b"RSTP1" | stream bytes... | footer_json | uint32 footer_len | b"RSTP1"
+    b"RSTP1" | stream bytes... | footer_json | uint32 footer_crc32
+             | uint32 footer_len | b"RSTP1"
 
 Decode is the exact inverse and reproduces every column bit-identically
 (ORC round-trip contract, reference golden test src/lib.rs:194-207).
 Column pruning on decode mirrors the shim's ProjectionMask pushdown
 (src/physical_exec.rs:68-78): non-requested columns' streams are never
 touched. Every stream carries the CRC-32 of its stored bytes, checked on
-each read; bad bytes raise ``StripeCorruptError``.
+each read, and the footer's CRC-32 follows it (``footer_len`` counts
+both); bad bytes raise ``StripeCorruptError``.
 
 Pure pyarrow/numpy — no Ray dependency; the Ray stages in
 ``datafusion_orc_ray.stages`` wrap these functions in ``map_batches``.
@@ -37,7 +39,7 @@ from .codecs.bitpack import pack_bits, unpack_bits
 from .codecs.integers import codec_name, decode_ints, encode_ints
 
 MAGIC = b"RSTP1"
-FORMAT = "rstp4"  # bump on any layout change: decode refuses older blobs
+FORMAT = "rstp5"  # bump on any layout change: decode refuses older blobs
                   # loudly and cached encode dirs key on this string
 
 # stream kinds (cf. ORC stream kinds PRESENT/DATA/LENGTH/SECONDARY/
@@ -576,7 +578,7 @@ def encode_table(
     }
     fbytes = json.dumps(footer, separators=(",", ":")).encode()
     parts.append(fbytes)
-    parts.append(struct.pack("<I", len(fbytes)))
+    parts.append(struct.pack("<II", zlib.crc32(fbytes), len(fbytes) + 4))
     parts.append(MAGIC)
     return b"".join(parts)
 
@@ -612,15 +614,26 @@ def _parse_footer(tail: bytes, name: str, read_tail=None) -> dict:
     fstart = len(tail) - len(MAGIC) - 4 - flen
     if fstart < len(MAGIC):
         raise StripeCorruptError(name, None, "footer", "torn footer: longer than the blob")
-    try:
-        footer = json.loads(tail[fstart : fstart + flen])
-    except ValueError as exc:
-        raise StripeCorruptError(name, None, "footer", f"torn footer: {exc}") from None
+    payload = tail[fstart : fstart + flen]  # footer JSON, then its CRC-32
+    if flen < 4 or zlib.crc32(payload[:-4]) != struct.unpack("<I", payload[-4:])[0]:
+        raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload))
+    footer = json.loads(payload[:-4])
     if footer.get("format") != FORMAT:
-        raise ValueError(
-            f"stripe {name} format {footer.get('format')!r} != {FORMAT!r} — stale blob; re-encode"
-        )
+        raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload[:-4]))
     return footer
+
+
+def _footer_mismatch(footer_json: bytes) -> str:
+    """Why a footer is refused: an older format (whose footer is plain
+    JSON, no CRC after it) names its own format; anything else is bad
+    bytes."""
+    try:
+        fmt = json.loads(footer_json).get("format")
+    except (ValueError, AttributeError):
+        fmt = FORMAT
+    if fmt == FORMAT:
+        return "CRC-32 mismatch"
+    return f"format {fmt!r} != {FORMAT!r} — stale blob; re-encode"
 
 
 def read_footer(blob: bytes) -> dict:
@@ -678,14 +691,8 @@ def validate_blob(blob: bytes) -> dict:
     (~GB/s/core)."""
     try:
         footer = read_footer(blob)
-    except ValueError as exc:
-        return {
-            "ok": False,
-            "n_streams": 0,
-            "n_checked": 0,
-            "n_rows": -1,
-            "bad": [f"footer: {exc}"],
-        }
+    except StripeCorruptError as exc:
+        return _audit_failed(f"footer: {exc}")
     streams = [x for cmeta in footer["columns"] for x in _walk_stream_metas(cmeta)]
     bad: list[str] = []
     for cpath, kind, s in streams:
@@ -713,14 +720,12 @@ def validate_file(path: str) -> dict:
     try:
         blob = dio.read_bytes(path)
     except OSError as exc:
-        return {
-            "ok": False,
-            "n_streams": 0,
-            "n_checked": 0,
-            "n_rows": -1,
-            "bad": [f"read: {exc}"],
-        }
+        return _audit_failed(f"read: {exc}")
     return validate_blob(blob)
+
+
+def _audit_failed(why: str) -> dict:
+    return {"ok": False, "n_streams": 0, "n_checked": 0, "n_rows": -1, "bad": [why]}
 
 
 def _get_stream(blob, cmeta: dict, kind: str) -> bytes | None:

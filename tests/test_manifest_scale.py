@@ -41,6 +41,7 @@ def big_manifest(tmp_path_factory):
         sid = f"frag-{i:07d}"
         row = {
             "stripe_id": sid,
+            "ordinal": ["/corpus/in.parquet", i, 0],
             "path": os.path.join(out, man.STRIPE_DIR, f"{sid}.rstp"),
             "encoded_bytes": 1 << 20,
             "rows": 10_000,
@@ -92,6 +93,7 @@ def test_manifest_100k_snapshot_one_get_plus_delta(big_manifest, monkeypatch):
         sid = f"late-{i:03d}"
         with open(os.path.join(mdir, f"{sid}.json"), "w") as f:
             f.write(json.dumps({"stripe_id": sid, "path": f"/x/{sid}.rstp",
+                                "ordinal": ["/corpus/late.parquet", i, 0],
                                 "encoded_bytes": 1}))
 
     ctr = _GetCounter(monkeypatch)
