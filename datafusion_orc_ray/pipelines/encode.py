@@ -134,17 +134,27 @@ def encode_dataset(
 ) -> ray.data.Dataset:
     """Composable Dataset-mode encode. Stripes are named by (run, task,
     batch) (``stages.encode.batch_position``), with the run drawn here:
-    a rerun into ``out_dir`` appends after the earlier runs' stripes."""
+    a rerun into ``out_dir`` appends after the earlier runs' stripes.
+    Batches reach the encoder in source order (``_in_source_order``)."""
     if concurrency is None:
         concurrency = _default_pool()
-    return ds.map_batches(
+    return _in_source_order(ds.map_batches(
         se.encode_batch,
         fn_kwargs={"out_dir": out_dir, "run": se.run_token()},
         batch_format="pyarrow",
         batch_size=rows_per_stripe,
         zero_copy_batch=True,
         concurrency=concurrency,
-    )
+    ))
+
+
+def _in_source_order(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` run with ``preserve_order``, so blocks enter each stage in
+    source order: an encode names its stripes by the order its batches
+    arrive, which a concurrent upstream stage would otherwise scramble.
+    The context is the pipeline's, so its input's runs keep order too."""
+    ds.context.execution_options.preserve_order = True
+    return ds
 
 
 def decode_stripes(
@@ -311,14 +321,14 @@ def encode_clustered(
     # then splits each batch at key boundaries (byte-capped) into
     # per-key stripes
     batch_rows = max(256, min(rows_per_stripe, int(target_stripe_bytes / _bytes_per_row(ds))))
-    return ds.map_batches(
+    return _in_source_order(ds.map_batches(
         _encode_key_runs,
         fn_kwargs={**kwargs, "run": se.run_token()},
         batch_format="pyarrow",
         batch_size=batch_rows,
         zero_copy_batch=True,
         concurrency=_default_pool(),
-    )
+    ))
 
 
 def _bytes_per_row(ds: ray.data.Dataset) -> float:

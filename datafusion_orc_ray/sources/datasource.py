@@ -27,46 +27,21 @@ class StripeDatasource(Datasource):
         self,
         out_dir: str,
         columns: list[str] | None = None,
-        predicate: tuple[str, str, object] | list | None = None,
-        rows_per_block: int = 32768,
+        predicate: tuple | list | None = None,
         entries: list[dict] | None = None,
     ) -> None:
-        from ..stripe import _is_or, _pred_list, pred_flat_conjuncts
+        from ..predicate import normalize
         from .stripes import _stats_may_match, stripes_schema
 
-        preds = _pred_list(predicate)
-        # or-group SHAPE validation (r5 review finding #3): an empty
-        # disjunct means (empty AND) == TRUE, but the residual filter
-        # would silently skip it (stronger filter) or crash on an
-        # all-empty group — and stats pruning would disagree. Reject on
-        # the driver before any task launches.
-        for p in preds:
-            if _is_or(p):
-                if not p[1] or any(not d for d in p[1]):
-                    raise ValueError(
-                        "or-group predicate with an empty disjunct list: "
-                        "an empty conjunct list means TRUE — drop the "
-                        "predicate instead of passing a vacuous branch"
-                    )
-        for p in pred_flat_conjuncts(preds):  # incl. inside or-groups
-            if p[1] not in ("<", "<=", ">", ">=", "==", "isnull", "notnull"):
-                # fail fast on the driver: an unsupported op would pass
-                # stats pruning as "cannot prune" and then crash every
-                # read task mid-job with a bare KeyError from the
-                # residual filter
-                raise ValueError(
-                    f"unsupported predicate op {p[1]!r} "
-                    "(use one of <, <=, >, >=, ==, isnull, notnull)"
-                )
+        # a bad shape or op fails here, on the driver, before any task
+        self._predicate = preds = normalize(predicate)
         self._columns = columns
-        self._predicate = preds or None
-        self._rows_per_block = rows_per_block
         entries = manifest.load_manifest(out_dir) if entries is None else entries
         if not entries:
             raise FileNotFoundError(f"no manifest entries under {out_dir}")
         self._schema = stripes_schema(out_dir, entries)
         # ordinal order, one read task per stripe; AND semantics: a
-        # stripe survives only if EVERY conjunct may match its stats
+        # stripe survives only if EVERY item may match its stats
         self._entries = [e for e in entries if all(_stats_may_match(e, p) for p in preds)]
 
     def estimate_inmemory_data_size(self) -> int | None:
@@ -84,7 +59,6 @@ class StripeDatasource(Datasource):
             self._columns,
             predicate=self._predicate,
             unified_schema=self._schema,
-            rows_per_block=self._rows_per_block,
         )
         out_schema = (
             pa.schema([self._schema.field(c) for c in self._columns])
@@ -97,7 +71,7 @@ class StripeDatasource(Datasource):
             # with a residual predicate the true output rows are unknown
             # until decode; report size as an estimate only
             meta = BlockMetadata(
-                num_rows=None if self._predicate is not None else e.get("n_rows"),
+                num_rows=None if self._predicate else e.get("n_rows"),
                 size_bytes=e.get("raw_bytes"),
                 exec_stats=None,
                 input_files=[path],

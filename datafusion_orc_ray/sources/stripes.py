@@ -325,6 +325,8 @@ class Catalog:
         run. The text comes from the same planning function as
         ``sql()``; ``executor`` is where the table's scan (with its
         pushed predicate) would run."""
+        from ..predicate import describe
+
         p = self._plan(query)
         fused = " (partial and final fused: one DuckDB statement in this process)"
         lines = ["plan: " + _EXPLAIN[p["kind"]] + (fused if p["fused"] else "")]
@@ -334,7 +336,7 @@ class Catalog:
                 f"scan {name}: columns="
                 + ("ALL" if cols is None else f"[{', '.join(cols)}]")
                 + ", predicate="
-                + (" AND ".join(_pred_str(pr) for pr in preds) if preds else "none")
+                + describe(preds)
             )
             if name in p["scans"]:
                 src, executor = p["scans"][name]
@@ -362,47 +364,51 @@ class Catalog:
     # MB it ships back); where Ray decodes in parallel it is unmeasured
     _LOCAL_SCAN_BYTES = 32 << 20
 
-    def _collect_capped(self, scan, schema):
-        """Stream ``scan`` (batches of ``schema``) onto the driver under
-        the prefilter byte cap; None when the cap is exceeded (the byte
-        estimate lied — caller stays on its plain path). An empty table
-        keeps the schema."""
+    def _collect_small_side(self, p, sides, asymmetry=1):
+        """The smaller side, by manifest raw bytes, of a join of
+        ``sides`` = (t1, k1, t2, k2) on ``t1.k1 = t2.k2`` (``p``: its
+        ``_plan``), collected onto the driver from its planned scan (the
+        resolved columns, which hold the join key, and its pushed
+        predicate): (small, skey, big, bkey, small_table). None when
+        the small side is over ``_PREFILTER_SMALL_BYTES`` — by manifest
+        or, as it streams in, by batch bytes — or the big side is under
+        ``asymmetry`` times its bytes. An empty table keeps the schema."""
         import pyarrow as pa
 
+        t1, k1, t2, k2 = sides
+        b1, b2 = _raw_bytes(p["entries"][t1]), _raw_bytes(p["entries"][t2])
+        small, skey, big, bkey = (t1, k1, t2, k2) if b1 <= b2 else (t2, k2, t1, k1)
+        lo, hi = sorted((b1, b2))
+        if lo > self._PREFILTER_SMALL_BYTES or hi < asymmetry * lo:
+            return None
+        schema = _projected(p["schemas"][small], p["projections"][small])
         batches: list[pa.RecordBatch] = []
         got = 0
-        for b in _reader(scan, schema):
+        for b in _reader(p["scans"][small], schema):
             batches.append(b)
             got += b.nbytes
             if got > self._PREFILTER_SMALL_BYTES:
-                return None
-        return pa.Table.from_batches(batches, schema).combine_chunks()
+                return None  # the byte estimate lied: don't broadcast it
+        return small, skey, big, bkey, pa.Table.from_batches(batches, schema).combine_chunks()
 
     def _plan_semijoin_prefilter(self, p):
         """Semi-join reduction for a streamed two-table INNER equi-join
         (``p``: its ``_plan``, whose ``prefilter`` holds the join keys):
-        broadcast the small side's DISTINCT join keys (one byte-capped
-        key-column scan with its pushed predicate) and return a batch
-        filter for the BIG side's scan, so batches shed non-joining rows
-        where the scan runs. Returns {"big", "fn", "keys"}
-        (``fn(batch, keys)``) or None."""
+        collect the small side (``_collect_small_side``, gated on
+        asymmetry too: the key pass must pay), broadcast its DISTINCT
+        join keys and return a batch filter for the BIG side's scan, so
+        batches shed non-joining rows where the scan runs. Returns
+        {"big", "fn", "keys", "small", "small_table"} (``fn(batch,
+        keys)``; DuckDB reads ``small_table`` as the small side) or
+        None."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        ta, ka, tb, kb = p["prefilter"]
-        entries = p["entries"]
-        ba, bb = _raw_bytes(entries[ta]), _raw_bytes(entries[tb])
-        (small, skey, big, bkey) = (ta, ka, tb, kb) if ba <= bb else (tb, kb, ta, ka)
-        if min(ba, bb) > self._PREFILTER_SMALL_BYTES:
+        side = self._collect_small_side(p, p["prefilter"], self._PREFILTER_ASYMMETRY)
+        if side is None:
             return None
-        if max(ba, bb) < self._PREFILTER_ASYMMETRY * min(ba, bb):
-            return None  # near-symmetric: the key pass wouldn't pay
-
-        scan = self._scan(small, [skey], p["predicates"][small], entries=entries[small])
-        key_tbl = self._collect_capped(scan, _projected(p["schemas"][small], [skey]))
-        if key_tbl is None:
-            return None  # byte estimate lied: stay on the plain path
-        keys = pc.unique(key_tbl.column(skey).combine_chunks()).drop_null()
+        small, skey, big, bkey, small_tbl = side
+        keys = pc.unique(small_tbl.column(skey)).drop_null()
 
         def prefilter(batch: pa.Table, keys: pa.Array, _col=bkey) -> pa.Table:
             import pyarrow.compute as _pc
@@ -416,26 +422,12 @@ class Catalog:
             "small_key": skey,
             "n_keys": len(keys),
         }
-        return {"big": big, "fn": prefilter, "keys": keys}
+        return {"big": big, "fn": prefilter, "keys": keys, "small": small, "small_table": small_tbl}
 
     def _prepare_join_aggregate(self, jp, p):
-        """Setup for a join-aggregate / join-topk plan ``jp`` (``p``: its
-        ``_plan``): pick the small side by manifest raw bytes and collect
-        its scan (the resolved columns, which hold the join key, and its
-        pushed predicate) under the prefilter byte cap. Returns
-        (small, skey, big, bkey, small_table), or None for the
-        prefilter/stream paths."""
-        b1, b2 = _raw_bytes(p["entries"][jp.t1]), _raw_bytes(p["entries"][jp.t2])
-        small, skey, big, bkey = (
-            (jp.t1, jp.k1, jp.t2, jp.k2) if b1 <= b2 else (jp.t2, jp.k2, jp.t1, jp.k1)
-        )
-        if min(b1, b2) > self._PREFILTER_SMALL_BYTES:
-            return None
-        schema = _projected(p["schemas"][small], p["projections"][small])
-        small_tbl = self._collect_capped(p["scans"][small], schema)
-        if small_tbl is None:
-            return None  # byte estimate lied: don't broadcast it
-        return small, skey, big, bkey, small_tbl
+        """The small side of join-aggregate / join-topk plan ``jp``
+        (``p``: its ``_plan``), as ``_collect_small_side`` returns it."""
+        return self._collect_small_side(p, (jp.t1, jp.k1, jp.t2, jp.k2))
 
     def sql(self, query: str):
         """SQL over registered stripe tables (the reference's headline UX:
@@ -513,6 +505,9 @@ class Catalog:
         with sqlagg.cursor() as con:
             readers = []  # keep referenced readers alive until fetch
             for name in p["referenced"]:
+                if prefilter and name == prefilter["small"]:
+                    con.register(name, prefilter["small_table"])  # collected once
+                    continue
                 fn = keys = None
                 if prefilter and name == prefilter["big"]:
                     fn, keys = prefilter["fn"], prefilter["keys"]
@@ -623,10 +618,12 @@ def read_stripes(
     """Stripe scan via ``StripeDatasource`` (a first-class
     ray.data.Datasource: one read task per stripe carrying row/byte
     metadata from the manifests, so the executor schedules with real
-    size estimates). ``predicate`` = (column, op, value) with op in
-    <, <=, >, >=, == enables stats-driven scan pruning (E13/S4: the
-    per-stripe min/max recorded in the manifests — which the reference
-    stubs entirely — skip whole stripes before any IO) plus a vectorized
+    size estimates). ``predicate`` = (column, op, value) with op one of
+    <, <=, >, >=, ==, isnull, notnull — or an AND list of such conjuncts
+    and ``("or", [conj_list, ...])`` groups (``predicate.py``) — enables
+    stats-driven scan pruning (E13/S4: the per-stripe min/max and null
+    counts recorded in the manifests — which the reference stubs
+    entirely — skip whole stripes before any IO) plus a vectorized
     residual filter inside the decode stage, mirroring ORC's row-index
     skipping at stripe granularity."""
     from .datasource import StripeDatasource
@@ -639,41 +636,21 @@ def read_stripes(
 
 
 def _stats_may_match(entry: dict, predicate) -> bool:
-    """False only when the stripe PROVABLY has no matching row. min/max are
-    exact; min_bound/max_bound are safe outer bounds for truncated string
-    stats (a truncated max is never a plain prefix — see stripe._inc_prefix).
-    Any conversion/comparison failure means 'cannot prune'. ``predicate``
-    is one plain conjunct or an ``("or", [conj_list, ...])`` group — the
-    group prunes only when NO disjunct may match (union of per-disjunct
-    may-match) — the core is stripe.stats_may_match."""
+    """False only when the stripe of manifest ``entry`` PROVABLY has no
+    row that ``predicate`` — one conjunct or or-group — keeps, by its
+    column stats (``predicate.stats_may_match``); a column without stats
+    cannot prune."""
     import json
 
-    from .. import stripe as stripe_mod
+    from ..predicate import may_match, stats_may_match
 
     cols = {c["path"]: c for c in json.loads(entry.get("columns_json", "[]"))}
 
     def conj_ok(col: str, op: str, val) -> bool:
         c = cols.get(col)
-        if c is None:
-            return True  # unknown column/stats -> cannot prune
-        return stripe_mod.stats_may_match(c.get("stats", {}), op, val)
+        return c is None or stats_may_match(c.get("stats", {}), op, val)
 
-    return stripe_mod.pred_may_match(predicate, conj_ok)
-
-
-def _pred_str(p) -> str:
-    """Human-readable predicate element for explain()/logs."""
-    if isinstance(p, tuple) and len(p) == 2 and p[0] == "or":
-        return (
-            "("
-            + " OR ".join(
-                "(" + " AND ".join(f"{c} {op} {v!r}" for c, op, v in d) + ")"
-                for d in p[1]
-            )
-            + ")"
-        )
-    c, op, v = p
-    return f"{c} {op} {v!r}"
+    return may_match([predicate], conj_ok)
 
 
 def validate_stripes(out_dir: str, concurrency: int | None = None) -> ray.data.Dataset:

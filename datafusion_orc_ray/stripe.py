@@ -37,6 +37,7 @@ import pyarrow.compute as pc
 from .codecs import bloom, bytes_codec, outer
 from .codecs.bitpack import pack_bits, unpack_bits
 from .codecs.integers import codec_name, decode_ints, encode_ints
+from .predicate import may_match, normalize
 
 MAGIC = b"RSTP1"
 FORMAT = "rstp5"  # bump on any layout change: decode refuses older blobs
@@ -211,7 +212,7 @@ def _temporal_unit(t: pa.DataType) -> str:
 
 def _stats(arr: pa.Array) -> dict:
     """Per-column min/max/null-count (E13). Contract for the pruning code
-    in sources.stripes._stats_may_match: ``min``/``max`` are EXACT values;
+    in predicate.stats_may_match: ``min``/``max`` are EXACT values;
     ``min_bound``/``max_bound`` are safe outer bounds for truncated string
     stats (bound-only stats never appear in manifest_column_stats output).
     Temporal stats are epoch integers + a ``temporal_unit`` marker so the
@@ -642,7 +643,11 @@ def read_footer(blob: bytes) -> dict:
     return _parse_footer(blob, _IN_MEMORY)
 
 
-def read_footer_from_file(path: str, tail_guess: int = 1 << 20, src=None) -> dict:
+# bytes one footer read takes from a stripe file's end (a smaller stripe whole)
+_TAIL_GUESS = 1 << 20
+
+
+def read_footer_from_file(path: str, tail_guess: int = _TAIL_GUESS, src=None) -> dict:
     """Footer via tail-ranged reads only — metadata ops never scan stripe
     bodies (mirrors the reference's postscript/footer tail reads,
     src/object_store_reader.rs:48-58 + ArrowReaderBuilder). ``path`` may
@@ -908,97 +913,12 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
     raise ValueError(f"unknown column encoding {enc}")
 
 
-_STAT_OPS = {
-    "<": lambda mn, mx, v: mn is None or mn < v,
-    "<=": lambda mn, mx, v: mn is None or mn <= v,
-    ">": lambda mn, mx, v: mx is None or mx > v,
-    ">=": lambda mn, mx, v: mx is None or mx >= v,
-    "==": lambda mn, mx, v: (mn is None or mn <= v) and (mx is None or mx >= v),
-}
-
-
-def stats_may_match(st: dict, op: str, val) -> bool:
-    """False only when stats PROVE no row matches (min/max exact;
-    min_bound/max_bound safe outer bounds for truncated strings; temporal
-    stats stored as epoch ints — datetime predicate values convert).
-    Any conversion/comparison failure means 'cannot prune'. ``isnull``
-    / ``notnull`` (val ignored) prune on the null-count stats: a
-    stripe with zero nulls has no IS NULL match; one that is all
-    nulls has no IS NOT NULL match."""
-    if op == "isnull":
-        return st.get("null_count") != 0  # missing stat (None) -> cannot prune
-    if op == "notnull":
-        nc, n = st.get("null_count"), st.get("n")
-        return not (nc is not None and n is not None and nc >= n)
-    mn = st.get("min", st.get("min_bound"))
-    mx = st.get("max", st.get("max_bound"))
-    unit = st.get("temporal_unit")
-    try:
-        if unit is not None and not isinstance(val, int):
-            if unit == "date32":
-                val = pa.scalar(val, pa.date32()).cast(pa.int32()).as_py()
-            elif unit == "date64":
-                val = pa.scalar(val, pa.date64()).cast(pa.int64()).as_py()
-            else:
-                val = pa.scalar(val, pa.timestamp(unit)).cast(pa.int64()).as_py()
-        return _STAT_OPS[op](mn, mx, val)
-    except (TypeError, ValueError, OverflowError, KeyError):
-        return True
-
-
-def _pred_list(predicate) -> list:
-    """Normalize a predicate argument: None -> [], a single (col, op,
-    val) tuple -> [tuple], a list (AND semantics) -> as-is. Elements are
-    either plain conjuncts ``(col, op, val)`` or a DISJUNCTION group
-    ``("or", [conj_list, ...])`` whose disjuncts are each a list of
-    plain conjuncts — i.e. the list is an AND of atoms and OR-of-AND
-    groups. The reference feeds arbitrary DataFusion filter trees above
-    its scan (src/file_source.rs:95-102); the "or" group is the shape
-    that lets our stats pruning act on the common disjunctive filters
-    (a = 1 OR a = 5) instead of scanning unpruned."""
-    if predicate is None:
-        return []
-    if isinstance(predicate, tuple):
-        return [predicate]
-    return list(predicate)
-
-
-def _is_or(p) -> bool:
-    """True for an ``("or", [conj_list, ...])`` predicate element (2-tuple
-    marker; plain conjuncts are 3-tuples, so the shapes never collide)."""
-    return isinstance(p, tuple) and len(p) == 2 and p[0] == "or"
-
-
-def pred_flat_conjuncts(preds) -> list[tuple[str, str, object]]:
-    """Every plain conjunct reachable in a predicate list, including
-    those inside or-groups (for column collection / op validation)."""
-    out = []
-    for p in _pred_list(preds):
-        if _is_or(p):
-            for d in p[1]:
-                out.extend(d)
-        else:
-            out.append(p)
-    return out
-
-
-def pred_may_match(pred, conj_may_match) -> bool:
-    """Evaluate one predicate element against a stats oracle:
-    ``conj_may_match(col, op, val)`` returns False only when stats PROVE
-    no row matches that conjunct. An or-group may match unless EVERY
-    disjunct is proven empty (a disjunct is empty when any of its
-    conjuncts is)."""
-    if _is_or(pred):
-        return any(all(conj_may_match(*c) for c in d) for d in pred[1])
-    return conj_may_match(*pred)
-
-
 def _decode_from(
     footer: dict,
     blob,
     columns: list[str] | None,
     unified_schema: pa.Schema | None = None,
-    predicate: tuple[str, str, object] | list | None = None,
+    predicate: tuple | list | None = None,
 ) -> pa.Table:
     """``unified_schema`` (the directory-wide merged schema from
     stripes_schema) makes schema-evolved directories decode consistently:
@@ -1008,7 +928,6 @@ def _decode_from(
     ADVICE r1, low). ``predicate`` skips the whole stripe when a footer
     bloom proves a point lookup absent (the caller still applies the
     residual row filter)."""
-    preds = _pred_list(predicate)
     schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(footer["schema_b64"])))
     by_name = {c["path"]: c for c in footer["columns"]}
 
@@ -1026,7 +945,7 @@ def _decode_from(
             and not bloom.may_contain(cmeta["bloom"], val, schema.field(col).type)
         )
 
-    if preds and not all(pred_may_match(p, _footer_conj_ok) for p in preds):
+    if not may_match(normalize(predicate), _footer_conj_ok):
         base = unified_schema if unified_schema is not None else schema
         wanted = columns if columns is not None else list(base.names)
         return pa.schema(
@@ -1068,7 +987,7 @@ def decode_table(
     blob: bytes,
     columns: list[str] | None = None,
     unified_schema: pa.Schema | None = None,
-    predicate: tuple[str, str, object] | None = None,
+    predicate: tuple | list | None = None,
 ) -> pa.Table:
     """Decode a stripe blob; ``columns`` prunes decoding to the requested
     top-level columns (projection pushdown, S5); ``predicate`` skips the
@@ -1081,18 +1000,21 @@ def decode_file(
     path: str,
     columns: list[str] | None = None,
     unified_schema: pa.Schema | None = None,
-    predicate: tuple[str, str, object] | None = None,
+    predicate: tuple | list | None = None,
 ) -> pa.Table:
     """Decode straight from a stripe file through one reader: footer via
     tail read, then only the projected columns' streams (S5 + S8), each
     sliced from the tail read when it holds it (a stripe under the tail
-    guess takes one read in all), else range-read. ``path`` may be local
-    or any pyarrow.fs URI."""
+    guess takes one read in all), else range-read; ``predicate`` as in
+    ``decode_table``, so a stripe its bloom rules out costs the footer
+    read alone. Every column with no predicate reads the whole file in
+    one sequential read. ``path`` may be local or any pyarrow.fs URI."""
     from . import io as dio
 
     src = dio.RangedReader(path)
     try:
-        footer = read_footer_from_file(path, src=src)
+        whole = columns is None and not predicate
+        footer = read_footer_from_file(path, src.size() if whole else _TAIL_GUESS, src)
         return _decode_from(footer, src, columns, unified_schema, predicate)
     finally:
         src.close()

@@ -1234,3 +1234,37 @@ def test_positional_join_pushes_no_filter(ray_session, tmp_path):
         con.close()
     assert want.to_pydict() == {"a": [2], "b": [10]}
     assert got.equals(want), got.to_pydict()
+
+
+def test_semijoin_prefilter_decodes_small_side_once(tmp_path, monkeypatch):
+    """The prefilter takes its keys from the small side's one collected
+    scan and hands DuckDB that same table: each small stripe decodes
+    once per query."""
+    from datafusion_orc_ray import stripe
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+
+    big = pa.table({"id": pa.array(range(4000), pa.int64()), "fk": pa.array([i % 50 for i in range(4000)])})
+    small = pa.table({"dk": pa.array(range(0, 20, 2)), "name": pa.array([f"n{i}" for i in range(10)])})
+    enc = StripeEncoder(f"{tmp_path}/big")
+    for lo in range(0, 4000, 1000):
+        enc.encode_split(big.slice(lo, 1000))
+    StripeEncoder(f"{tmp_path}/small").encode_split(small)
+    cat = Catalog()
+    cat.register_stripes("big", f"{tmp_path}/big")
+    cat.register_stripes("small", f"{tmp_path}/small")
+    calls = []
+    decode_file = stripe.decode_file
+
+    def counted(path, *a, **kw):
+        calls.append(path)
+        return decode_file(path, *a, **kw)
+
+    monkeypatch.setattr(stripe, "decode_file", counted)
+    q = "SELECT id, name FROM big JOIN small ON fk = dk WHERE id >= 10 ORDER BY id"
+    got = cat.sql(q)
+    assert cat.last_plan == "stream+semijoin_prefilter"
+    assert sum(p.startswith(f"{tmp_path}/small") for p in calls) == 1, calls
+    assert sum(p.startswith(f"{tmp_path}/big") for p in calls) == 4, calls
+    names = dict(zip(small.column("dk").to_pylist(), small.column("name").to_pylist()))
+    want = [(i, names[i % 50]) for i in range(10, 4000) if i % 50 in names]
+    assert list(zip(got.column("id").to_pylist(), got.column("name").to_pylist())) == want

@@ -152,3 +152,32 @@ def test_ingest_orc_resume_after_interrupt_equals_clean_run(ray_session, tmp_pat
     assert len(redone) == 5
     assert _manifest(f"{tmp_path}/resumed") == _manifest(f"{tmp_path}/clean")
     assert ingest_orc(DATE1900, f"{tmp_path}/resumed").count() == 0  # all done
+
+
+@pytest.mark.parametrize("encoder", ["plain", "clustered"])
+def test_dataset_encode_keeps_order_of_a_concurrent_input(ray_session, tmp_path, encoder):
+    """Blocks that a concurrent stage finishes out of order still encode
+    in source order: the first block's task sleeps longest. Each block
+    is one key run, already sorted, so clustering leaves it as it is."""
+    import time
+
+    import ray.data
+
+    blocks = [
+        pa.table({"k": pa.array([f"k{b}"] * 1000), "x": pa.array(range(b * 1000, (b + 1) * 1000))})
+        for b in range(8)
+    ]
+
+    def late_first(batch: pa.Table) -> pa.Table:
+        time.sleep(1.0 if batch.column("x")[0].as_py() == 0 else 0.0)
+        return batch
+
+    ds = ray.data.from_arrow(blocks).map_batches(
+        late_first, batch_format="pyarrow", batch_size=None, concurrency=4
+    )
+    out = f"{tmp_path}/out"
+    if encoder == "plain":
+        ep.encode_dataset(ds, out, rows_per_stripe=1000, concurrency=2).take_all()
+    else:
+        ep.encode_clustered(ds, out, key="k", salt_col="x", rows_per_stripe=1000).take_all()
+    assert collect(ep.decode_stripes(out)).equals(pa.concat_tables(blocks))
