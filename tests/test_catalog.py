@@ -1243,8 +1243,8 @@ def test_semijoin_prefilter_decodes_small_side_once(tmp_path, monkeypatch):
     from datafusion_orc_ray import stripe
     from datafusion_orc_ray.stages.encode import StripeEncoder
 
-    big = pa.table({"id": pa.array(range(4000), pa.int64()), "fk": pa.array([i % 50 for i in range(4000)])})
-    small = pa.table({"dk": pa.array(range(0, 20, 2)), "name": pa.array([f"n{i}" for i in range(10)])})
+    big = pa.table({"id": pa.array(range(4000)), "fk": pa.array([i % 50 for i in range(4000)])})
+    small = pa.table({"dk": pa.array(range(0, 20, 2)), "name": [f"n{i}" for i in range(10)]})
     enc = StripeEncoder(f"{tmp_path}/big")
     for lo in range(0, 4000, 1000):
         enc.encode_split(big.slice(lo, 1000))

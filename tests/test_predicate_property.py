@@ -66,7 +66,8 @@ def _table(draw):
         c: draw(st.lists(st.one_of(st.none(), VALUES[c]), min_size=n, max_size=n)) for c in TYPES
     }
     k = draw(st.integers(2, min(5, n)))
-    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    cut = st.integers(1, n - 1)
+    cuts = sorted(draw(st.lists(cut, min_size=k - 1, max_size=k - 1, unique=True)))
     return pa.table({c: pa.array(v, TYPES[c]) for c, v in cols.items()}), cuts
 
 

@@ -127,6 +127,43 @@ def test_small_stripe_decode_file_reads_once(tmp_path, monkeypatch):
         assert (len(opened), len(reads)) == (1, 1), (cols, opened, reads)
 
 
+def test_stripe_over_tail_guess_reads(tmp_path, monkeypatch):
+    """A stripe longer than the footer's tail guess: a full-width decode
+    with no predicate is still one read of the whole file, a projected
+    decode reads the tail and then its streams, and a point lookup that
+    the bloom rules out reads no more than the footer does."""
+    from datafusion_orc_ray import io as dio
+
+    t = pa.table({"i": pa.array(range(3000), pa.int64()), "s": [f"v{i % 13}" for i in range(3000)]})
+    path = str(tmp_path / "x.rstp")
+    with open(path, "wb") as f:
+        f.write(stripe.encode_table(t))
+    monkeypatch.setattr(stripe, "_TAIL_GUESS", 512)
+    reads = []
+    read = dio.RangedReader.read
+
+    def counted_read(self, offset, size):
+        reads.append((offset, size))
+        return read(self, offset, size)
+
+    monkeypatch.setattr(dio.RangedReader, "read", counted_read)
+
+    def decode_reads(**kw):
+        reads.clear()
+        got = stripe.decode_file(path, **kw)
+        return got, list(reads)
+
+    got, full = decode_reads()
+    assert got.equals(t) and full == [(0, os.path.getsize(path))]
+    got, projected = decode_reads(columns=["s"])
+    assert got.equals(t.select(["s"])) and len(projected) > 1
+    reads.clear()
+    stripe.read_footer_from_file(path, 512)
+    footer_reads = list(reads)
+    got, point = decode_reads(columns=["s"], predicate=("i", "==", 10**9))
+    assert got.num_rows == 0 and point == footer_reads
+
+
 def test_reference_fixture_values_roundtrip():
     """Golden cross-check (SURVEY.md §5.2): pyarrow.orc's decode of the
     Apache ORC corpus files is the oracle; encoding those same values
