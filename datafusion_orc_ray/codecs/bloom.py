@@ -86,14 +86,11 @@ def _insert_probes(bits: np.ndarray, m: int, h1: np.ndarray, h2: np.ndarray) -> 
     (build_bits); a drifted copy would make filters and probes silently
     incompatible."""
     mask = np.uint64(m - 1)
+    hit = np.zeros(m, bool)  # bit p is byte p >> 3, bit p & 7 (LSB first)
     for i in range(K):
         with np.errstate(over="ignore"):
-            pos = (h1 + np.uint64(i) * h2) & mask
-        np.bitwise_or.at(
-            bits,
-            (pos >> np.uint64(3)).astype(np.int64),
-            np.uint8(1) << (pos & np.uint64(7)).astype(np.uint8),
-        )
+            hit[((h1 + np.uint64(i) * h2) & mask).astype(np.intp)] = True
+    bits |= np.packbits(hit, bitorder="little")
 
 
 def _normalize(arr: pa.Array) -> np.ndarray | None:

@@ -27,6 +27,13 @@ _TRAIN_SAMPLE = 16384  # training sample budget, bytes
 _TRAIN_STRATA = 16     # at least this many rows share the budget
 _TRIAL_SAMPLE = 65536
 
+# average value length (bytes) past which a trial cannot pay: such
+# columns get no dictionary trial (stripe.encode_column) and, under
+# zstd, no FSST trial, since zstd alone wins on long text (every
+# long-valued column in tools/selector_regret.py). No other outer codec
+# was measured, so under those the FSST trial still runs.
+LONG_VALUE_BYTES = 64
+
 
 def bytes_codec_name(codec_id: int) -> str:
     return _NAMES[codec_id]
@@ -55,18 +62,20 @@ def _final_size(buf, outer_codec: int) -> int:
 
 def choose(data: np.ndarray, row_offsets: np.ndarray, table: fsst.SymbolTable | None = None,
            outer_codec: int = outer.ZSTD):
-    """Sampled trial: returns (codec_id, trained_table_or_None, est_ratio).
+    """Sampled trial: returns (codec_id, trained_table_or_None).
 
     The decision compares FINAL stream sizes — i.e. after the stripe's
     ``outer_codec`` — because FSST only earns its decode state when
     fsst+outer beats raw+outer (long documents: outer zstd alone
     usually wins; short repetitive strings like urls, or no outer codec:
-    FSST wins). A caller holding a cached table (the job's encoder
-    state) passes it in; it is re-validated on this chunk's sample
-    before reuse, so drifting data retrains instead of bloating (E16)."""
+    FSST wins). Values longer than ``LONG_VALUE_BYTES`` on average under
+    zstd stay raw untried. A caller holding a cached table
+    (the job's encoder state) passes it in; it is re-validated on this
+    chunk's sample before reuse, so drifting data retrains instead of
+    bloating (E16)."""
     n = int(data.size)
-    if n < 64:
-        return BYTES_RAW, None, 1.0
+    if n < 64 or (outer_codec == outer.ZSTD and n > LONG_VALUE_BYTES * (row_offsets.size - 1)):
+        return BYTES_RAW, None
     sample_end = int(np.searchsorted(row_offsets, min(n, _TRIAL_SAMPLE)))
     sample_end = max(1, min(sample_end, row_offsets.size - 1))
     s_data = data[: row_offsets[sample_end]]
@@ -78,8 +87,8 @@ def choose(data: np.ndarray, row_offsets: np.ndarray, table: fsst.SymbolTable | 
     # the table is stored once per stream: charge the sample its share
     fsst_final = _final_size(enc, outer_codec) + len(table.to_bytes()) * s_data.size / n
     if fsst_final >= 0.98 * raw_final:
-        return BYTES_RAW, None, s_data.size / max(raw_final, 1)
-    return BYTES_FSST, table, s_data.size / max(fsst_final, 1)
+        return BYTES_RAW, None
+    return BYTES_FSST, table
 
 
 def encode(

@@ -38,8 +38,6 @@ PATCHED_FOR = 4
 
 _NAMES = {RAW: "raw", FOR_BP: "for_bp", DELTA: "delta", RLE: "rle", PATCHED_FOR: "patched_for"}
 
-_POWERS = np.concatenate([[np.uint64(1) << np.uint64(k) for k in range(64)]]).astype(np.uint64)
-
 
 def codec_name(codec_id: int) -> str:
     return _NAMES[codec_id]
@@ -50,8 +48,15 @@ def _as_i64(values: np.ndarray) -> np.ndarray:
 
 
 def _widths_of(offsets: np.ndarray) -> np.ndarray:
-    """bit width of each uint64 offset (0 for 0)."""
-    return np.searchsorted(_POWERS, offsets, side="right").astype(np.int64)
+    """bit width of each uint64 offset (0 for 0): the binary exponent of
+    its float64, exact below 2^53. Above that the cast may round up to
+    the next power of two, so those take 32 + the high word's width."""
+    widths = np.frexp(offsets.astype(np.float64))[1].astype(np.int64)
+    big = np.flatnonzero(offsets >> np.uint64(53))
+    if big.size:
+        high = (offsets[big] >> np.uint64(32)).astype(np.float64)
+        widths[big] = 32 + np.frexp(high)[1]
+    return widths
 
 
 def _offsets(v: np.ndarray) -> tuple[int, np.ndarray]:
@@ -88,7 +93,7 @@ def _enc_for_bp(v: np.ndarray) -> bytes:
     if v.size == 0:
         return bytes([FOR_BP]) + struct.pack("<qB", 0, 0)
     base, off = _offsets(v)
-    w = int(_widths_of(off.max(initial=np.uint64(0))[None])[0]) if v.size else 0
+    w = int(off.max()).bit_length()
     return bytes([FOR_BP]) + struct.pack("<qB", base, w) + pack_bits(off, w)
 
 
@@ -96,7 +101,7 @@ def _enc_delta(v: np.ndarray) -> bytes:
     zz = _wrapped_deltas(v)
     zmin = int(zz.min()) if zz.size else 0
     off = zz - np.uint64(zmin)
-    w = int(_widths_of(off.max(initial=np.uint64(0))[None])[0]) if zz.size else 0
+    w = int(off.max(initial=0)).bit_length()
     head = struct.pack("<qQB", int(v[0]) if v.size else 0, zmin, w)
     return bytes([DELTA]) + head + pack_bits(off, w)
 
@@ -121,7 +126,7 @@ def _patched_plan(off: np.ndarray, n: int) -> tuple[int, int, int, int] | None:
     full_w = int(widths.max(initial=0))
     if full_w <= 1 or n == 0:
         return None
-    pos_w = int(_widths_of(np.array([max(n - 1, 0)], dtype=np.uint64))[0])
+    pos_w = max(n - 1, 0).bit_length()
     counts = np.bincount(widths, minlength=full_w + 1)
     tail = np.cumsum(counts[::-1])[::-1]  # tail[w] = #values with width >= w
     best = None
@@ -152,7 +157,7 @@ def _enc_patched_for(v: np.ndarray) -> bytes:
     w, pw, _, _ = plan
     widths = _widths_of(off)
     patch_idx = np.flatnonzero(widths > w).astype(np.uint64)
-    pos_w = int(_widths_of(np.array([max(v.size - 1, 0)], dtype=np.uint64))[0])
+    pos_w = max(v.size - 1, 0).bit_length()
     low = off & ((np.uint64(1) << np.uint64(w)) - np.uint64(1)) if w < 64 else off
     high = off[patch_idx] >> np.uint64(w)
     head = struct.pack("<qBBB", base, w, pw, pos_w)
@@ -178,13 +183,13 @@ def estimate_sizes(v: np.ndarray) -> dict[int, int]:
         return sizes
     _, off = _offsets(v)
     max_off = off.max()
-    w = int(_widths_of(max_off[None])[0])
+    w = int(max_off).bit_length()
     sizes[FOR_BP] = 1 + 9 + (n * w + 7) // 8
 
     zz = _wrapped_deltas(v)
     if zz.size:
         zoff = zz - zz.min()
-        dw = int(_widths_of(zoff.max()[None])[0])
+        dw = int(zoff.max()).bit_length()
     else:
         dw = 0
     sizes[DELTA] = 1 + 17 + ((n - 1) * dw + 7) // 8
@@ -194,7 +199,7 @@ def estimate_sizes(v: np.ndarray) -> dict[int, int]:
         rv_sizes = estimate_sizes(rv)
         rv_best = min(s for c, s in rv_sizes.items() if c != RLE)
         _, rl_off = _offsets(rl)
-        rl_w = int(_widths_of(rl_off.max()[None])[0])
+        rl_w = int(rl_off.max()).bit_length()
         lens_block = 10 + (rv.size * rl_w + 7) // 8
         sizes[RLE] = (
             1
@@ -236,11 +241,11 @@ def decode_ints(buf: bytes, n: int) -> np.ndarray:
         return np.frombuffer(body, dtype="<i8", count=n).astype(np.int64)
     if codec == FOR_BP:
         base, w = struct.unpack_from("<qB", body, 0)
-        off = unpack_bits(bytes(body[9:]), w, n)
+        off = unpack_bits(body[9:], w, n)
         return (off + np.array(base, dtype=np.int64).view(np.uint64)).view(np.int64)
     if codec == DELTA:
         first, zmin, w = struct.unpack_from("<qQB", body, 0)
-        off = unpack_bits(bytes(body[17:]), w, n - 1)
+        off = unpack_bits(body[17:], w, n - 1)
         zz = off + np.uint64(zmin)
         d = zigzag_decode(zz).view(np.uint64)  # shared bitpack un-zigzag
         out = np.empty(n, dtype=np.uint64)
@@ -248,20 +253,19 @@ def decode_ints(buf: bytes, n: int) -> np.ndarray:
         out[1:] = np.cumsum(d, dtype=np.uint64) + out[0]
         return out.view(np.int64)
     if codec == RLE:
-        n_runs, pos = read_uvarint(bytes(body[:10]), 0)
-        vlen, pos = read_uvarint(bytes(body[:20]), pos)
-        vals = decode_ints(bytes(body[pos : pos + vlen]), n_runs)
-        lens = decode_ints(bytes(body[pos + vlen :]), n_runs)
+        n_runs, pos = read_uvarint(body, 0)
+        vlen, pos = read_uvarint(body, pos)
+        vals = decode_ints(body[pos : pos + vlen], n_runs)
+        lens = decode_ints(body[pos + vlen :], n_runs)
         return np.repeat(vals, lens)
     if codec == PATCHED_FOR:
         base, w, pw, pos_w = struct.unpack_from("<qBBB", body, 0)
-        n_patch, pos = read_uvarint(bytes(body[11:21]), 0)
-        pos += 11
+        n_patch, pos = read_uvarint(body, 11)
         low_nbytes = (n * w + 7) // 8
         idx_nbytes = (n_patch * pos_w + 7) // 8
-        low = unpack_bits(bytes(body[pos : pos + low_nbytes]), w, n)
-        idx = unpack_bits(bytes(body[pos + low_nbytes : pos + low_nbytes + idx_nbytes]), pos_w, n_patch)
-        high = unpack_bits(bytes(body[pos + low_nbytes + idx_nbytes :]), pw, n_patch)
+        low = unpack_bits(body[pos : pos + low_nbytes], w, n)
+        idx = unpack_bits(body[pos + low_nbytes : pos + low_nbytes + idx_nbytes], pos_w, n_patch)
+        high = unpack_bits(body[pos + low_nbytes + idx_nbytes :], pw, n_patch)
         low[idx.astype(np.int64)] |= high << np.uint64(w)
         return (low + np.array(base, dtype=np.int64).view(np.uint64)).view(np.int64)
     raise ValueError(f"unknown int codec id {codec}")

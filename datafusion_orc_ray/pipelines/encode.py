@@ -10,8 +10,9 @@ Two encode modes, one core:
 
 * ``encode_parquet`` — the production mode for the 100 TB job: the unit
   of work is an input Parquet fragment (file x row-group), named by its
-  position. Restart lists the manifest directory and re-runs only
-  missing fragments (checkpoint/resume per the north rule). Reads are
+  position. Restart reads the manifest (its snapshot plus the rows
+  written since) and re-runs only missing or torn fragments
+  (checkpoint/resume per the north rule). Reads are
   pruned to ``columns`` at the Parquet layer (S5). ``sources.orc.
   ingest_orc`` runs the same stage over ORC stripes.
 
@@ -23,7 +24,8 @@ runs it as a TASK stage on pooled task workers: no actor pool starts
 per job, and each CPU slot is freed when its last task ends. Codec
 decisions are shared across a job's tasks through the worker's
 job-scoped encoder state (``stages.encode.job_state``), never across
-jobs. Parquet path/dir inputs are read in-task, one row group per task.
+jobs. Parquet path/dir inputs are read in-task, consecutive row groups
+under the stripe bound sharing a task (``task_groups``).
 
 Skew handling (north rule; SURVEY.md §4 "Skew / stragglers"): web corpora
 are Zipf-skewed in ``lang`` (and url host). ``cluster_for_compression``
@@ -39,6 +41,7 @@ each batch.
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 import numpy as np
@@ -63,13 +66,15 @@ def input_files(paths: list[str] | str, suffix: str) -> list[str]:
 
 
 def plan_fragments(input_paths: list[str] | str) -> list[dict]:
-    """Deterministic work list: one spec per (file, row_group)."""
+    """Deterministic work list: one spec per (file, row_group), with the
+    row group's uncompressed ``bytes``."""
     import pyarrow.parquet as pq
 
     return [
-        {"path": p, "row_group": rg}
+        {"path": p, "row_group": rg, "bytes": md.row_group(rg).total_byte_size}
         for p in input_files(input_paths, ".parquet")
-        for rg in range(pq.ParquetFile(p).num_row_groups)
+        for md in [pq.ParquetFile(p).metadata]
+        for rg in range(md.num_row_groups)
     ]
 
 
@@ -106,24 +111,56 @@ def encode_fragment_specs(
     resume: bool = True,
 ) -> ray.data.Dataset:
     """Maps ``stage`` over fragment specs (Parquet row groups or ORC
-    stripes), one per task — the resume and parallelism unit. Each task
-    reads its fragment itself (``read_fragment``): the raw corpus never
-    crosses the object store — at bench scale that hop alone costs >1 s
-    of shared-bus bandwidth, and on a multi-node cluster it is a needless
-    full-corpus network copy. With ``resume``, fragments whose
-    ``fragment_stripe_id`` is durable are skipped."""
+    stripes), the resume unit, in groups of consecutive fragments, one
+    group per task (``task_groups``). Each task reads its fragments
+    itself (``read_fragment``): the raw corpus never crosses the object
+    store — at bench scale that hop alone costs >1 s of shared-bus
+    bandwidth, and on a multi-node cluster it is a needless full-corpus
+    network copy. With ``resume``, fragments whose
+    ``fragment_stripe_id`` is durable (``completed_ids``) are skipped.
+    A group is one item (its specs as JSON), so the input is as few
+    blocks as ``from_items`` makes for any number of groups."""
     if resume:
         done = man.completed_ids(out_dir)
         frags = [f for f in frags if fragment_stripe_id(f) not in done]
     if not frags:
         return ray.data.from_items([])
-    return ray.data.from_items(frags).map_batches(
-        stage,
-        fn_kwargs={"out_dir": out_dir, **(kwargs or {})},
+    concurrency = concurrency or _default_pool(whole_pipeline=True)
+    groups = task_groups(frags, concurrency, se.TARGET_STRIPE_BYTES)
+    return ray.data.from_items([{"specs_json": json.dumps(g)} for g in groups]).map_batches(
+        _encode_group,
+        fn_kwargs={"stage": stage, "out_dir": out_dir, **(kwargs or {})},
         batch_format="pyarrow",
         batch_size=1,
-        concurrency=concurrency or _default_pool(whole_pipeline=True),
+        concurrency=concurrency,
     )
+
+
+def _encode_group(batch: pa.Table, stage, **kwargs) -> pa.Table:
+    """One fragment group (a one-row batch) through ``stage`` as a table
+    of its specs."""
+    specs = json.loads(batch.column("specs_json")[0].as_py())
+    return stage(pa.Table.from_pylist(specs), **kwargs)
+
+
+def task_groups(frags: list[dict], slots: int, max_bytes: int) -> list[list[dict]]:
+    """Consecutive ``frags`` cut into groups, in order, one task each: a
+    task costs the pipeline a fixed overhead (about 14 ms on one core),
+    so small fragments share one. Groups leave at least 2 tasks per CPU
+    slot when there are that many fragments, and hold at most
+    ``max_bytes`` of row-group ``bytes``, so a fragment that large, or
+    of unknown size (an ORC stripe), takes a task alone."""
+    per_task = max(1, len(frags) // (2 * max(1, slots)))
+    groups: list[list[dict]] = []
+    held = 0
+    for f in frags:
+        b = f.get("bytes", max_bytes)
+        if not groups or len(groups[-1]) == per_task or held + b > max_bytes:
+            groups.append([])
+            held = 0
+        groups[-1].append(f)
+        held += b
+    return groups
 
 
 def encode_dataset(
@@ -296,8 +333,9 @@ def encode_clustered(
             out_dir, key=key)
 
     which runs ``ds`` twice: materialize a costly upstream map first.
-    A parquet path/dir input is read in-task, one row group per task,
-    its stripes named by the row group's position; a Dataset input is
+    A parquet path/dir input is read in-task, in groups of consecutive
+    row groups (``task_groups``), its stripes named by the row group's
+    position; a Dataset input is
     batched to ~``target_stripe_bytes``, sized from plan metadata so the
     input runs once, its stripes named by (run, task, batch). Every
     stage is a plain task function.
@@ -406,6 +444,7 @@ def _key_run_pieces(
     return pieces
 
 
+@se.one_slot
 def _encode_key_runs(
     batch: pa.Table,
     out_dir: str,
@@ -422,6 +461,7 @@ def _encode_key_runs(
     return se.manifest_rows(enc.encode_pieces(pieces, se.batch_position(run)))
 
 
+@se.one_slot
 def _encode_key_run_fragments(specs: pa.Table, out_dir: str, **kw) -> pa.Table:
     """Clustered encode's task stage for path input: each fragment read
     in-task, its ``_key_run_pieces`` written at its position."""
@@ -463,6 +503,7 @@ def plan_compaction(
     return groups
 
 
+@se.one_slot
 def _compact_groups(batch: pa.Table, out_dir: str, schema: pa.Schema) -> pa.Table:
     """One task per compaction group: decode members, concat, encode ONE
     merged stripe whose manifest lists ``replaces`` (the commit point —

@@ -21,6 +21,7 @@ rerun or a retried task rewrites the same names and skips durable ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import secrets
@@ -153,6 +154,30 @@ def manifest_rows(entries: list[dict]) -> pa.Table:
     )
 
 
+TARGET_STRIPE_BYTES = 64 << 20  # default raw bytes bound of one stripe
+
+
+def one_slot(stage):
+    """``stage`` run with Arrow's pools pinned to one task's CPU slot,
+    then restored: a num_cpus=N session really uses N cores (Parquet
+    reads would otherwise fan out to every host core and distort
+    per-stage accounting), and an in-process call leaves the caller's
+    pools as they were."""
+
+    @functools.wraps(stage)
+    def pinned(*args, **kwargs):
+        cpu, io = pa.cpu_count(), pa.io_thread_count()
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(2)
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            pa.set_cpu_count(cpu)
+            pa.set_io_thread_count(io)
+
+    return pinned
+
+
 _JOB_STATE: tuple[str, stripe.EncoderState] | None = None  # (out_dir, state)
 
 
@@ -175,12 +200,7 @@ class StripeEncoder:
     decode block (reference batches at fixed size,
     src/file_source.rs:45)."""
 
-    def __init__(self, out_dir: str, target_stripe_bytes: int = 64 << 20) -> None:
-        # a task holds one CPU slot: pin Arrow's internal pools so a
-        # num_cpus=N session really uses N cores (otherwise parquet reads
-        # fan out to every host core and distort per-stage accounting)
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
+    def __init__(self, out_dir: str, target_stripe_bytes: int = TARGET_STRIPE_BYTES) -> None:
         self.out_dir = out_dir
         self.target_stripe_bytes = target_stripe_bytes
         self.state = job_state(out_dir)
@@ -285,12 +305,14 @@ class FragmentEncoder(StripeEncoder):
         return manifest_rows(entries)
 
 
+@one_slot
 def encode_batch(batch: pa.Table, out_dir: str, run: str | None = None) -> pa.Table:
     """``encode_dataset``'s task stage: one batch of run ``run`` ->
     bounded stripes."""
     return manifest_rows(StripeEncoder(out_dir).encode_split(batch, batch_position(run)))
 
 
+@one_slot
 def encode_fragments(specs: pa.Table, out_dir: str, columns: list[str] | None = None) -> pa.Table:
     """``encode_parquet``'s and ``ingest_orc``'s task stage: fragment
     specs -> stripes."""

@@ -31,6 +31,29 @@ MANIFEST_DIR = "manifest"
 STRIPE_DIR = "stripes"
 
 
+class ManifestCorruptError(ValueError):
+    """A manifest row that does not parse as an entry (a torn or
+    truncated write); ``row`` is its path."""
+
+    def __init__(self, row: str, detail: str) -> None:
+        self.row, self.detail = row, detail
+        super().__init__(f"corrupt manifest row {row}: {detail}")
+
+    def __reduce__(self):  # task errors travel pickled
+        return type(self), (self.row, self.detail)
+
+
+def _parse_row(row: str, raw) -> dict:
+    """The entry in manifest row ``row`` (its bytes or JSON text)."""
+    try:
+        entry = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ManifestCorruptError(row, str(exc)) from None
+    if not isinstance(entry, dict) or "stripe_id" not in entry:
+        raise ManifestCorruptError(row, "no stripe_id")
+    return entry
+
+
 def stripe_name(source: str, *position: int) -> tuple[str, list]:
     """(id, ordinal) of the stripe at ``position`` in ``source`` (an input
     path or a Dataset run token): the ordinal ``[source, *position]`` is
@@ -64,11 +87,12 @@ def existing_entry(out_dir: str, stripe_id: str) -> dict | None:
     """The manifest entry for ``stripe_id`` if that stripe is already
     durable, else None — lets an encoder skip the whole encode on resume
     or task retry instead of re-compressing just to have write_stripe
-    discard the result."""
+    discard the result. A torn row counts as absent, so the encode
+    rewrites it."""
     _, man_path = stripe_paths(out_dir, stripe_id)
     try:
-        return json.loads(dio.read_bytes(man_path))
-    except (FileNotFoundError, OSError):
+        return _parse_row(man_path, dio.read_bytes(man_path))
+    except (OSError, ManifestCorruptError):
         return None
 
 
@@ -99,24 +123,31 @@ def write_snapshot(out_dir: str) -> int:
     counts the per-row GETs are hours of driver metadata IO). Safe by
     construction: rows are immutable once written (append-only, atomic
     rename), stale snapshot names are ignored because readers iterate
-    the CURRENT listing, and the replaced-id filter runs after the
-    merge — so a snapshot can only be slow (bigger delta), never wrong.
+    the CURRENT listing, the replaced-id filter runs after the merge,
+    and a torn row is left out (it stays in the delta until rewritten)
+    — so a snapshot can only be slow (bigger delta), never wrong.
+    Costs the old snapshot's GET plus one per row it does not hold.
     Returns the number of rows snapshotted. Run it from maintenance
-    points (compaction does automatically)."""
+    points (compaction and resume do automatically)."""
+    mdir = dio.join(out_dir, MANIFEST_DIR)
+    return _write_snapshot(mdir, _rows(mdir, _read_snapshot(mdir)))
+
+
+def _write_snapshot(mdir: str, rows: dict[str, dict | ManifestCorruptError]) -> int:
+    import io as _io
+
     import pyarrow as pa
     import pyarrow.ipc
 
-    mdir = dio.join(out_dir, MANIFEST_DIR)
-    names = sorted(f for f in dio.list_dir(mdir) if f.endswith(".json"))
-    blobs = [dio.read_bytes(dio.join(mdir, f)) for f in names]
+    names = sorted(f for f, e in rows.items() if isinstance(e, dict))
     tbl = pa.table(
         {
             "name": pa.array(names, pa.string()),
-            "entry_json": pa.array([b.decode() for b in blobs], pa.string()),
+            "entry_json": pa.array(
+                [json.dumps(rows[f], separators=(",", ":")) for f in names], pa.string()
+            ),
         }
     )
-    import io as _io
-
     buf = _io.BytesIO()
     with pa.ipc.new_file(buf, tbl.schema) as w:
         w.write_table(tbl)
@@ -143,44 +174,63 @@ def _read_snapshot(mdir: str) -> dict[str, str]:
         return {}  # torn/corrupt snapshot: correctness never depends on it
 
 
-def _replaced_ids(out_dir: str, names: list[str], snap: dict[str, str]) -> set[str]:
-    """Stripe ids superseded by compacted stripes: each ``cmp-*``
-    manifest lists the member ids it replaces. Reading only those
-    manifests keeps the common path names-only; snapshot-covered rows
-    need no GET at all."""
-    mdir = dio.join(out_dir, MANIFEST_DIR)
-    replaced: set[str] = set()
-    for f in names:
-        if f.startswith(COMPACT_PREFIX) and f.endswith(".json"):
-            raw = snap.get(f)
-            entry = json.loads(raw if raw is not None else dio.read_bytes(dio.join(mdir, f)))
-            replaced.update(entry.get("replaces", []))
-    return replaced
+def _rows(mdir: str, snap: dict[str, str]) -> dict[str, dict | ManifestCorruptError]:
+    """Row name -> entry of every listed manifest row, or the error of a
+    row that does not parse. Rows the snapshot ``snap`` holds need no
+    GET."""
+    rows: dict[str, dict | ManifestCorruptError] = {}
+    for f in dio.list_dir(mdir):
+        if not f.endswith(".json"):
+            continue
+        path = dio.join(mdir, f)
+        try:
+            rows[f] = _parse_row(path, snap[f] if f in snap else dio.read_bytes(path))
+        except ManifestCorruptError as exc:
+            rows[f] = exc
+    return rows
 
 
 def completed_ids(out_dir: str) -> set[str]:
-    """Ids that need no re-encode: present manifests PLUS ids replaced by
-    compaction (their files may be gone, but the data lives on in the
-    merged stripes — resume must not redo those fragments)."""
+    """The ids a resume may skip: rows that parse, less the first piece
+    of a source position one of whose later pieces is torn (the first
+    piece marks a fragment done), PLUS ids replaced by compaction (their
+    files may be gone, but the data lives on in the merged stripes).
+
+    Costs one snapshot GET plus one per row the snapshot does not hold,
+    as ``load_manifest`` does. When it GETs any, it folds the rows that
+    parse into a new snapshot (one PUT), so a row written since the last
+    snapshot is read by one resume, not by every later one."""
     mdir = dio.join(out_dir, MANIFEST_DIR)
-    names = [f for f in dio.list_dir(mdir) if f.endswith(".json")]
-    ids = {f[: -len(".json")] for f in names}
-    return ids | _replaced_ids(out_dir, names, _read_snapshot(mdir))
+    snap = _read_snapshot(mdir)
+    rows = _rows(mdir, snap)
+    if any(f not in snap for f in rows):
+        _write_snapshot(mdir, rows)
+    by_id = {f[: -len(".json")]: e for f, e in rows.items()}
+    done = {sid for sid, e in by_id.items() if isinstance(e, dict)}
+    if len(done) < len(by_id):
+        for sid in list(done):
+            *position, piece = by_id[sid].get("ordinal", [None])
+            i = 1
+            while piece == 0 and (later := stripe_name(*position, i)[0]) in by_id:
+                if later not in done:
+                    done.discard(sid)
+                    break
+                i += 1
+    return done | {rid for sid in done for rid in by_id[sid].get("replaces", [])}
 
 
 def load_manifest(out_dir: str) -> list[dict]:
     """Current manifest entries in ordinal (scan) order; an entry with no
-    ordinal raises ``ValueError``. Entries whose id is listed in a
+    ordinal raises ``ValueError``, a row that does not parse
+    ``ManifestCorruptError``. Entries whose id is listed in a
     compacted stripe's ``replaces`` are EXCLUDED even if their files
     still exist — the compaction commit point is the merged manifest
     write, so a crash between that write and member cleanup never
     surfaces duplicate rows."""
     mdir = dio.join(out_dir, MANIFEST_DIR)
-    snap = _read_snapshot(mdir)
-    entries = [
-        json.loads(snap[f] if f in snap else dio.read_bytes(dio.join(mdir, f)))
-        for f in dio.list_dir(mdir)
-        if f.endswith(".json")
-    ]
+    entries = list(_rows(mdir, _read_snapshot(mdir)).values())
+    for e in entries:
+        if isinstance(e, ManifestCorruptError):
+            raise e
     replaced = {rid for e in entries for rid in e.get("replaces", [])}
     return sorted((e for e in entries if e["stripe_id"] not in replaced), key=_scan_order)

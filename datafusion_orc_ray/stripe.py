@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .codecs import bloom, bytes_codec, outer
-from .codecs.bitpack import pack_bits, unpack_bits
+from .codecs.bitpack import pack_bits, unpack_bools
 from .codecs.integers import codec_name, decode_ints, encode_ints
 from .predicate import may_match, normalize
 
@@ -68,7 +68,7 @@ class EncoderState:
     REVALIDATE_BYTES = 256 << 20   # bytes/dict decisions: per column data volume
 
     def __init__(self) -> None:
-        # path -> [codec_id, table, est_ratio, bytes_budget]
+        # path -> [codec_id, table, bytes_budget]
         self.bytes_decisions: dict[str, list] = {}
         # path -> [use_dict, bytes_budget]
         self.dict_decisions: dict[str, list] = {}
@@ -88,13 +88,13 @@ class EncoderState:
 
     def choose_bytes(self, path: str, data, offs, outer_codec: int):
         cached = self.bytes_decisions.get(path)
-        if cached is not None and cached[3] > 0:
-            cached[3] -= int(data.size)
-            return cached[0], cached[1], cached[2]
+        if cached is not None and cached[2] > 0:
+            cached[2] -= int(data.size)
+            return cached[0], cached[1]
         prev_table = cached[1] if cached is not None else None
-        codec_id, table, est = bytes_codec.choose(data, offs, prev_table, outer_codec)
-        self.bytes_decisions[path] = [codec_id, table, est, self.REVALIDATE_BYTES]
-        return codec_id, table, est
+        codec_id, table = bytes_codec.choose(data, offs, prev_table, outer_codec)
+        self.bytes_decisions[path] = [codec_id, table, self.REVALIDATE_BYTES]
+        return codec_id, table
 
 
 # --------------------------------------------------------------------- helpers
@@ -103,14 +103,7 @@ def _validity(arr: pa.Array) -> tuple[bytes | None, int]:
     nulls = arr.null_count
     if nulls == 0:
         return None, 0
-    mask = arr.is_valid().to_numpy(zero_copy_only=False)
-    return pack_bits(mask.astype(np.uint64), 1), nulls
-
-
-def _unpack_validity(buf: bytes | None, n: int) -> np.ndarray | None:
-    if buf is None:
-        return None
-    return unpack_bits(buf, 1, n).astype(bool)
+    return pack_bits(arr.is_valid().to_numpy(zero_copy_only=False), 1), nulls
 
 
 def _np_nonnull_ints(arr: pa.Array) -> np.ndarray:
@@ -176,7 +169,7 @@ def _scatter(values: np.ndarray, mask: np.ndarray | None, n: int, fill=0) -> np.
 def _arrow_validity_buffer(mask: np.ndarray | None) -> pa.Buffer | None:
     if mask is None:
         return None
-    return pa.py_buffer(np.packbits(mask, bitorder="little").tobytes())
+    return pa.py_buffer(np.packbits(mask, bitorder="little"))
 
 
 _STR_STAT_LIMIT = 48
@@ -280,21 +273,13 @@ def encode_column(
     if present is not None:
         _add(meta, blobs, PRESENT, {"codec": "bitpack"}, present)
     meta["stats"] = _stats(arr) if not pa.types.is_nested(t) else {"n": n, "null_count": null_count}
-    if not pa.types.is_nested(t):
-        # bloom-filter index for point-lookup pruning (footer-only: the
-        # manifest writer copies path/enc/streams/stats and drops this,
-        # keeping driver metadata O(stats) while each ReadTask's footer
-        # fetch gets the filter)
-        bl = bloom.build(arr)
-        if bl is not None:
-            meta["bloom"] = bl
 
     if pa.types.is_null(t):
         meta["enc"] = "null"
         return meta, blobs
 
     if pa.types.is_boolean(t):
-        vals = arr.drop_null().to_numpy(zero_copy_only=False).astype(np.uint64)
+        vals = arr.drop_null().to_numpy(zero_copy_only=False)
         meta["enc"] = "bool_bitpack"
         _add(meta, blobs, DATA, {"codec": "bitpack"}, pack_bits(vals, 1))
         return meta, blobs
@@ -410,7 +395,8 @@ def encode_column(
         n_valid = lengths.size
         # dictionary trial (E9): sample distinct ratio. Long values never
         # pay for a dictionary and hashing them is the trial's whole cost,
-        # so the probe is gated on average length; the verdict is cached
+        # so the probe is gated on average length (the bytes codec's FSST
+        # gate under zstd, too); the verdict is cached
         # per column in the encoder state (same TTL discipline as bytes).
         avg_len = data.size / max(n_valid, 1)
         cached_dict = state.dict_decisions.get(path) if state is not None else None
@@ -419,7 +405,7 @@ def encode_column(
             use_dict = cached_dict[0]
         else:
             use_dict = False
-            if n_valid >= 64 and avg_len <= 64:
+            if n_valid >= 64 and avg_len <= bytes_codec.LONG_VALUE_BYTES:
                 sample = arr.drop_null().slice(0, min(4096, n_valid))
                 distinct = pc.count_distinct(sample).as_py()
                 use_dict = distinct / max(len(sample), 1) <= 0.4
@@ -451,20 +437,16 @@ def encode_column(
         len_buf = encode_ints(lengths)
         _add(meta, blobs, LENGTHS, {"codec": codec_name(len_buf[0])}, len_buf)
         if state is not None:
-            codec_id, table, est_ratio = state.choose_bytes(path, data, offs, outer_codec)
+            codec_id, table = state.choose_bytes(path, data, offs, outer_codec)
         else:
-            codec_id, table, est_ratio = bytes_codec.choose(data, offs, None, outer_codec)
+            codec_id, table = bytes_codec.choose(data, offs, None, outer_codec)
         payload = bytes_codec.encode(data, offs, codec_id, table)
         meta["enc"] = "plain"
         _add(
             meta,
             blobs,
             DATA,
-            {
-                "codec": bytes_codec.bytes_codec_name(codec_id),
-                "raw_size": int(data.size),
-                "est_ratio": round(float(est_ratio), 3),
-            },
+            {"codec": bytes_codec.bytes_codec_name(codec_id), "raw_size": int(data.size)},
             payload,
         )
         return meta, blobs
@@ -548,7 +530,11 @@ def encode_table(
     fields = []
     for name in table.column_names:
         col = table.column(name)
-        if isinstance(col, pa.ChunkedArray):
+        # one chunk after combine_chunks: take it as is (a slice keeps its
+        # offset), since concat_arrays would copy even a single chunk
+        if col.num_chunks == 1:
+            col = col.chunk(0)
+        else:
             col = pa.concat_arrays(col.chunks) if col.num_chunks else pa.array([], type=col.type)
         # densify dictionary input (dict encoding is re-chosen per stripe
         # by the E9 trial); the footer schema records the value type
@@ -556,6 +542,14 @@ def encode_table(
             col = col.cast(col.type.value_type)
         fields.append(pa.field(name, col.type))
         cmeta, blobs = encode_column(col, name, state, outer_codec)
+        # bloom-filter index for point-lookup pruning, on top-level
+        # columns only: a probe names a top-level column. Footer-only:
+        # the manifest writer copies path/enc/streams/stats and drops
+        # it, keeping driver metadata O(stats) while each ReadTask's
+        # footer fetch gets the filter
+        bl = bloom.build(col)
+        if bl is not None:
+            cmeta["bloom"] = bl
         for smeta, payload in blobs:
             framed_parts = outer.compress_auto(payload, outer_codec)
             framed_len = sum(len(p) for p in framed_parts)
@@ -743,7 +737,7 @@ def _get_stream(blob, cmeta: dict, kind: str) -> bytes | None:
 def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
     n = cmeta["n"]
     present = _get_stream(blob, cmeta, PRESENT)
-    mask = _unpack_validity(present, n)
+    mask = None if present is None else unpack_bools(present, n)
     n_valid = n - cmeta["null_count"]
     vbuf = _arrow_validity_buffer(mask)
     enc = cmeta["enc"]
@@ -752,30 +746,27 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
         return pa.nulls(n, type=dtype)
 
     if enc == "bool_bitpack":
-        bits = unpack_bits(_get_stream(blob, cmeta, DATA), 1, n_valid).astype(bool)
+        bits = unpack_bools(_get_stream(blob, cmeta, DATA), n_valid)
         full = _scatter(bits, mask, n, fill=False)
         return pa.Array.from_buffers(
-            pa.bool_(), n, [vbuf, pa.py_buffer(np.packbits(full, bitorder="little").tobytes())]
+            pa.bool_(), n, [vbuf, pa.py_buffer(np.packbits(full, bitorder="little"))]
         )
 
     if enc == "int":
         v = decode_ints(_get_stream(blob, cmeta, DATA), n_valid)
         full = _scatter(v, mask, n)
         bw = dtype.bit_width // 8
-        np_dtype = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}[bw]
         if pa.types.is_unsigned_integer(dtype):
-            data = full.astype(np.uint64).astype({1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[bw], copy=False)
-            if bw == 8:
-                data = full.view(np.uint64)
+            data = full.view(np.uint64).astype(f"u{bw}", copy=False)
         else:
-            data = full.astype(np_dtype, copy=False)
-        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(data.tobytes())])
+            data = full.astype(f"i{bw}", copy=False)
+        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(data)])
 
     if enc == "float_raw":
         np_dtype = {2: np.float16, 4: np.float32, 8: np.float64}[dtype.bit_width // 8]
         v = np.frombuffer(_get_stream(blob, cmeta, DATA), dtype=np_dtype)
         full = _scatter(v, mask, n, fill=np_dtype(0.0))
-        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full.tobytes())])
+        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full)])
 
     if enc == "float_bss":
         np_dtype = {2: np.float16, 4: np.float32, 8: np.float64}[dtype.bit_width // 8]
@@ -783,7 +774,7 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
         planes = np.frombuffer(_get_stream(blob, cmeta, DATA), dtype=np.uint8)
         v = np.ascontiguousarray(planes.reshape(itemsize, -1).T).view(np_dtype).reshape(-1)
         full = _scatter(v, mask, n, fill=np_dtype(0.0))
-        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full.tobytes())])
+        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full)])
 
     if enc == "fixed_binary":
         data = _get_stream(blob, cmeta, DATA)
@@ -810,10 +801,10 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
             d128 = pa.Array.from_buffers(
                 pa.decimal128(min(dtype.precision, 38), dtype.scale),
                 n,
-                [vbuf, pa.py_buffer(full.tobytes())],
+                [vbuf, pa.py_buffer(full)],
             )
             return d128.cast(dtype)
-        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full.tobytes())])
+        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full)])
 
     if enc == "decimal256_split":
         raw = np.empty(4 * n_valid, dtype=np.uint64)
@@ -826,7 +817,7 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
             full = raw.reshape(n, 4)
         else:
             full[mask] = raw.reshape(n_valid, 4)
-        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full.tobytes())])
+        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full)])
 
     if enc in ("union_dense", "union_sparse"):
         codes = pa.array(
@@ -849,32 +840,25 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
             codes, children, field_names=names, type_codes=dtype.type_codes
         )
 
-    if enc in ("plain", "dict"):
-        if enc == "dict":
-            # no LENGTHS stream for dict columns: lengths are recomputed
-            # from the gathered dictionary values below
-            idx = decode_ints(_get_stream(blob, cmeta, DATA), n_valid)
-            child_meta = cmeta["children"][0]
-            dict_vals = decode_column(blob, child_meta, dtype)
-            # gather dict values by index, then rebuild buffer
-            gathered = dict_vals.take(pa.array(idx, type=pa.int64()))
-            gdata, goffs = _binary_parts(gathered)
-            values_bytes, lengths = gdata, np.diff(goffs)
-        else:
-            lengths = decode_ints(_get_stream(blob, cmeta, LENGTHS), n_valid)
-            values_bytes = bytes_codec.decode(
-                _get_stream(blob, cmeta, DATA), cmeta["streams"][DATA]["codec"]
-            )
-        offs_valid = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    if enc == "dict":
+        # no LENGTHS stream: one take of the dictionary values, its
+        # indices null where the column is
+        idx = decode_ints(_get_stream(blob, cmeta, DATA), n_valid)
+        dict_vals = decode_column(blob, cmeta["children"][0], dtype)
+        return dict_vals.take(pa.array(_scatter(idx, mask, n), mask=None if mask is None else ~mask))
+
+    if enc == "plain":
+        lengths = decode_ints(_get_stream(blob, cmeta, LENGTHS), n_valid)
+        values_bytes = bytes_codec.decode(
+            _get_stream(blob, cmeta, DATA), cmeta["streams"][DATA]["codec"]
+        )
         # rebuild full offsets with zero-length at null slots
-        full_lengths = _scatter(lengths.astype(np.int64), mask, n)
+        full_lengths = _scatter(lengths, mask, n)
         offsets = np.concatenate([[0], np.cumsum(full_lengths)])
         big = pa.types.is_large_string(dtype) or pa.types.is_large_binary(dtype)
         off_np = offsets.astype(np.int64 if big else np.int32)
         return pa.Array.from_buffers(
-            dtype,
-            n,
-            [vbuf, pa.py_buffer(off_np.tobytes()), pa.py_buffer(np.ascontiguousarray(values_bytes).tobytes())],
+            dtype, n, [vbuf, pa.py_buffer(off_np), pa.py_buffer(values_bytes)]
         )
 
     if enc == "list":
@@ -885,7 +869,7 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
         big = pa.types.is_large_list(dtype)
         off_np = offsets.astype(np.int64 if big else np.int32)
         return pa.Array.from_buffers(
-            dtype, n, [vbuf, pa.py_buffer(off_np.tobytes())], children=[child]
+            dtype, n, [vbuf, pa.py_buffer(off_np)], children=[child]
         )
 
     if enc == "map_as_list":

@@ -12,7 +12,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from datafusion_orc_ray import fixtures, stripe
-from datafusion_orc_ray.codecs import fsst, outer
+from datafusion_orc_ray.codecs import bytes_codec, fsst, outer
 from datafusion_orc_ray.pipelines import encode as ep
 from datafusion_orc_ray.stages import encode as se
 
@@ -113,21 +113,29 @@ def test_key_runs_keep_nulls_in_one_run(tmp_path):
 
 def test_job_state_scopes_codec_cache(tmp_path, monkeypatch):
     """The task function, called in-process once per fragment: one job
-    trains each string column once across its fragments, a job for
-    another out_dir trains again, and one state at most is alive."""
+    decides each string column's bytes codec once across its fragments,
+    a job for another out_dir decides again, and one state at most is
+    alive. Under zstd only the short-valued url column trains FSST."""
     t = fixtures.webtext_table(480, seed=3)
     src = f"{tmp_path}/in.parquet"
     pq.write_table(t, src, row_group_size=120)
     specs = pa.Table.from_pylist(ep.plan_fragments(src))
     assert specs.num_rows == 4
 
+    decided: list[str] = []  # bytes_codec.choose calls: cache misses
     trained: list[str] = []
     path = {}
-    real_choose, real_train = stripe.EncoderState.choose_bytes, fsst.train
+    real_choose_bytes, real_choose, real_train = (
+        stripe.EncoderState.choose_bytes, bytes_codec.choose, fsst.train
+    )
 
     def choose_bytes(self, p, *a):
         path["now"] = p
-        return real_choose(self, p, *a)
+        return real_choose_bytes(self, p, *a)
+
+    def choose(*a, **k):
+        decided.append(path["now"])
+        return real_choose(*a, **k)
 
     def train(sample, *a, **k):
         trained.append(path["now"])
@@ -142,6 +150,7 @@ def test_job_state_scopes_codec_cache(tmp_path, monkeypatch):
 
     monkeypatch.setattr(stripe.EncoderState, "choose_bytes", choose_bytes)
     monkeypatch.setattr(stripe.EncoderState, "__init__", init)
+    monkeypatch.setattr(bytes_codec, "choose", choose)
     monkeypatch.setattr(fsst, "train", train)
 
     def alive() -> int:
@@ -151,10 +160,14 @@ def test_job_state_scopes_codec_cache(tmp_path, monkeypatch):
     for i in range(specs.num_rows):  # one task per fragment, same process
         se.encode_fragments(specs.slice(i, 1), out_dir=f"{tmp_path}/a")
         assert alive() == 1
-    assert sorted(trained) == ["html", "text", "url"]
+    # one decision per bytes column (lang is stored as a dictionary)
+    assert sorted(decided) == ["html", "lang.dict", "text", "url"]
+    assert trained == ["url"]
+    decided.clear()
     trained.clear()
     se.encode_fragments(specs.slice(0, 1), out_dir=f"{tmp_path}/b")
-    assert sorted(trained) == ["html", "text", "url"]
+    assert sorted(decided) == ["html", "lang.dict", "text", "url"]
+    assert trained == ["url"]
     assert len(states) == 2 and alive() == 1
 
 
@@ -212,3 +225,62 @@ def test_split_pieces_read_back_in_row_order(tmp_path):
         # the manifest rows come back in row order too, as does the manifest
         assert rows.column("n_rows").to_pylist() == [e["n_rows"] for e in entries], name
         assert [e["ordinal"][-1] for e in entries] == list(range(len(entries))), name
+
+
+def test_long_values_trial_fsst_only_without_outer_codec(monkeypatch):
+    """Values longer than ``LONG_VALUE_BYTES`` on average stay raw
+    untried under zstd, and still train and trial FSST with no outer
+    codec (the stripe then round-trips) or under an outer codec other
+    than zstd."""
+    t = fixtures.webtext_table(200, seed=2).select(["text"])
+    data, offs = stripe._binary_parts(t.column(0))
+    assert data.size > bytes_codec.LONG_VALUE_BYTES * (offs.size - 1)
+    trained = []
+    real_train = fsst.train
+    monkeypatch.setattr(fsst, "train", lambda s, *a, **k: trained.append(len(s)) or real_train(s, *a, **k))
+    assert bytes_codec.choose(data, offs, None, outer.ZSTD) == (bytes_codec.BYTES_RAW, None)
+    assert trained == []
+    bytes_codec.choose(data, offs, None, outer.NONE)
+    assert len(trained) == 1
+    blob = stripe.encode_table(t, outer_codec=outer.NONE)
+    assert len(trained) == 2
+    assert stripe.decode_table(blob).equals(t)
+    for codec in (outer.LZ4, outer.SNAPPY, outer.GZIP):
+        bytes_codec.choose(data, offs, None, codec)
+    assert len(trained) == 5
+
+
+def test_in_process_encode_leaves_arrow_pools(tmp_path):
+    """Encoding in-process (an encoder, or a task function called
+    directly) leaves the caller's Arrow pool sizes as they were."""
+    before = pa.cpu_count(), pa.io_thread_count()
+    pa.set_cpu_count(3)
+    pa.set_io_thread_count(5)
+    try:
+        se.StripeEncoder(f"{tmp_path}/a")(pa.table({"x": list(range(100))}))
+        assert (pa.cpu_count(), pa.io_thread_count()) == (3, 5)
+        src = f"{tmp_path}/in.parquet"
+        pq.write_table(pa.table({"x": list(range(100))}), src)
+        se.encode_fragments(pa.Table.from_pylist(ep.plan_fragments(src)), out_dir=f"{tmp_path}/b")
+        assert (pa.cpu_count(), pa.io_thread_count()) == (3, 5)
+    finally:
+        pa.set_cpu_count(before[0])
+        pa.set_io_thread_count(before[1])
+
+
+def test_task_groups_share_tasks_between_small_fragments():
+    """Consecutive small fragments share a task, leaving at least 2 tasks
+    per CPU slot; a fragment over the byte bound, or of unknown size (an
+    ORC stripe), runs alone."""
+    mb = 1 << 20
+    small = [{"path": "p", "row_group": i, "bytes": 8 * mb} for i in range(12)]
+    sizes = lambda groups: [len(g) for g in groups]  # noqa: E731
+    assert sizes(ep.task_groups(small, 1, 64 * mb)) == [6, 6]
+    assert sizes(ep.task_groups(small, 3, 64 * mb)) == [2] * 6
+    assert sizes(ep.task_groups(small, 8, 64 * mb)) == [1] * 12
+    assert sizes(ep.task_groups(small, 1, 20 * mb)) == [2] * 6
+    mixed = small[:3] + [{"path": "p", "row_group": 3, "bytes": 128 * mb}] + small[4:6]
+    assert sizes(ep.task_groups(mixed, 1, 64 * mb)) == [3, 1, 2]
+    orc = [{"path": "o", "stripe": i} for i in range(4)]
+    assert sizes(ep.task_groups(orc, 1, 64 * mb)) == [1, 1, 1, 1]
+    assert [f for g in ep.task_groups(mixed, 1, 64 * mb) for f in g] == mixed

@@ -110,18 +110,37 @@ def test_manifest_100k_snapshot_one_get_plus_delta(big_manifest, monkeypatch):
     # bytes (O(rows x snapshot))
     assert peak < 256 * 1024 * 1024
 
-    # completed_ids: names come from the listing, the replaced-id scan
-    # needs only the snapshot (no cmp- rows here -> 1 GET, 0 row GETs)
-    ctr2 = _GetCounter(monkeypatch)
-    ids = man.completed_ids(big_manifest)
-    assert len(ids) == N_SNAP + N_DELTA
-    assert ctr2.count == 1
-
 
 def test_snapshot_refresh_rebounds_delta(big_manifest, monkeypatch):
     """A second write_snapshot after deltas folds them in: load is back
-    to exactly one GET. (The previous test left N_DELTA late- rows.)"""
+    to exactly one GET. (The previous test left N_DELTA late- rows.)
+    The refresh itself GETs the old snapshot and the delta rows only."""
+    ctr0 = _GetCounter(monkeypatch)
     assert man.write_snapshot(big_manifest) == N_SNAP + N_DELTA
+    assert ctr0.count == 1 + N_DELTA
     ctr = _GetCounter(monkeypatch)
     assert len(man.load_manifest(big_manifest)) == N_SNAP + N_DELTA
     assert ctr.count == 1
+
+
+def test_resume_ids_cost_one_get_plus_delta(big_manifest, monkeypatch):
+    """``completed_ids``, resume's skip list, reads rows as
+    ``load_manifest`` does: the snapshot plus one GET per row written
+    since (it must parse them: a torn row is not done). It folds those
+    rows into the snapshot, so the next resume GETs the snapshot alone.
+    (The previous test snapshotted every row so far.)"""
+    mdir = os.path.join(big_manifest, man.MANIFEST_DIR)
+    for i in range(N_DELTA):
+        sid = f"resume-{i:03d}"
+        with open(os.path.join(mdir, f"{sid}.json"), "w") as f:
+            f.write(json.dumps({"stripe_id": sid, "path": f"/x/{sid}.rstp",
+                                "ordinal": ["/corpus/resume.parquet", i, 0],
+                                "encoded_bytes": 1}))
+
+    ctr = _GetCounter(monkeypatch)
+    ids = man.completed_ids(big_manifest)
+    assert len(ids) == N_SNAP + 2 * N_DELTA
+    assert ctr.count == 1 + N_DELTA
+    ctr2 = _GetCounter(monkeypatch)
+    assert man.completed_ids(big_manifest) == ids
+    assert ctr2.count == 1

@@ -141,6 +141,59 @@ def test_parquet_resume_after_interrupt_equals_clean_run(ray_session, tmp_path):
     assert _manifest(f"{tmp_path}/resumed") == _manifest(f"{tmp_path}/clean")
 
 
+def test_torn_manifest_row_is_named_and_resume_rewrites_it(ray_session, tmp_path):
+    """A truncated manifest row: ``load_manifest`` names it, resume
+    re-encodes its fragment alone and ends with a clean run's rows."""
+    import pickle
+
+    src = f"{tmp_path}/in.parquet"
+    t = _ten_row_groups(src)
+    ep.encode_parquet(src, f"{tmp_path}/clean").take_all()
+    out = f"{tmp_path}/torn"
+    ep.encode_parquet(src, out).take_all()
+    sid = se.fragment_stripe_id(ep.plan_fragments(src)[3])
+    _, row = man.stripe_paths(out, sid)
+    with open(row, "rb") as f:
+        raw = f.read()
+    with open(row, "wb") as f:
+        f.write(raw[: len(raw) // 2])
+    with pytest.raises(man.ManifestCorruptError) as err:
+        man.load_manifest(out)
+    assert err.value.row == row and row in str(err.value)
+    assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
+    assert sid not in man.completed_ids(out)
+    # completed_ids snapshotted the rows it read, all but the torn one
+    assert f"{sid}.json" not in man._read_snapshot(f"{out}/{man.MANIFEST_DIR}")
+    assert man.existing_entry(out, sid) is None
+    redone = ep.encode_parquet(src, out).take_all()
+    assert [r["stripe_id"] for r in redone] == [sid]
+    assert _manifest(out) == _manifest(f"{tmp_path}/clean")
+    assert collect(ep.decode_stripes(out)).equals(t)
+
+
+def test_torn_later_piece_reopens_its_fragment(tmp_path):
+    """The first piece marks a fragment done, so a torn later piece
+    takes the first out of ``completed_ids``; re-encoding the fragment
+    rewrites only the torn piece."""
+    src = f"{tmp_path}/in.parquet"
+    _ten_row_groups(src)
+    specs = pa.Table.from_pylist(ep.plan_fragments(src)).slice(0, 2)
+    out = f"{tmp_path}/out"
+    se.FragmentEncoder(out, target_stripe_bytes=8 << 10)(specs)
+    entries = man.load_manifest(out)
+    first = se.fragment_stripe_id(specs.to_pylist()[0])
+    later = next(e for e in entries if e["ordinal"][1:] == [0, 2])
+    _, row = man.stripe_paths(out, later["stripe_id"])
+    with open(row, "r+b") as f:
+        f.truncate(10)
+    done = man.completed_ids(out)
+    assert first not in done and later["stripe_id"] not in done
+    assert len(done) == len(entries) - 2
+    rows = se.FragmentEncoder(out, target_stripe_bytes=8 << 10)(specs.slice(0, 1))
+    assert man.load_manifest(out) == entries
+    assert rows.num_rows == len([e for e in entries if e["ordinal"][1] == 0])
+
+
 def test_ingest_orc_resume_after_interrupt_equals_clean_run(ray_session, tmp_path):
     """The same for ``ingest_orc`` over the 8-stripe ORC file, stopped
     after 3 stripes."""

@@ -87,7 +87,7 @@ def _stored(payload, outer_codec: int) -> int:
 def regret(arr: pa.Array, outer_codec: int = outer.ZSTD) -> dict:
     """Selector choice against the exhaustive best for one column."""
     data, offs = stripe._binary_parts(arr)
-    codec, table, _ = bytes_codec.choose(data, offs, None, outer_codec)
+    codec, table = bytes_codec.choose(data, offs, None, outer_codec)
     chosen = _stored(bytes_codec.encode(data, offs, codec, table), outer_codec)
     raw = _stored(data, outer_codec)
     best = raw
