@@ -141,7 +141,7 @@ def _roundtrip_union(sf_dir: str):
 
 def _roundtrip_decimal256(sf_dir: str):
     """>128-bit decimal256 through the full Ray encode->decode pipeline
-    (stripe.py decimal256_split: four RLE int64 limb streams). DuckDB
+    (stripe.py decimal_limbs: four int64 limb streams). DuckDB
     DECIMAL caps at 38 digits, so the value under compare is the exact
     decimal STRING: 56+ digits built from (doc_id, n_chars), scale 2."""
     import tempfile

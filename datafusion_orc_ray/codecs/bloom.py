@@ -219,19 +219,8 @@ def may_contain(bloom: dict, val, col_type: pa.DataType) -> bool:
         # writer hashed with a different pandas hash (or the bloom
         # predates the tag) — probing would be meaningless; never prune
         return True
+    bits = np.frombuffer(base64.b64decode(bloom["b64"]), np.uint8)
     try:
-        vals = _normalize(pa.array([val], type=col_type))
+        return bool(contains_many(bits, bloom["m"], pa.array([val], type=col_type))[0])
     except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError):
         return True
-    if vals is None:
-        return True
-    bits = np.frombuffer(base64.b64decode(bloom["b64"]), np.uint8)
-    m, k = bloom["m"], bloom["k"]
-    h1, h2 = _hash_values(vals)
-    mask = np.uint64(m - 1)
-    for i in range(k):
-        with np.errstate(over="ignore"):
-            pos = int((h1[0] + np.uint64(i) * h2[0]) & mask)
-        if not (bits[pos >> 3] >> (pos & 7)) & 1:
-            return False
-    return True

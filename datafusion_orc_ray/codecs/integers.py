@@ -217,14 +217,18 @@ def estimate_sizes(v: np.ndarray) -> dict[int, int]:
 
 # ---------------------------------------------------------------- public API
 
+def choose_codec(values: np.ndarray, allow_rle: bool = True) -> int:
+    """The codec whose estimated encoding of ``values`` is smallest."""
+    sizes = estimate_sizes(_as_i64(values))
+    if not allow_rle:
+        sizes.pop(RLE, None)
+    return min(sizes, key=sizes.get)
+
+
 def encode_ints(values: np.ndarray, allow_rle: bool = True) -> bytes:
     """Encode int64 array with the minimal-size codec (auto-selected)."""
     v = _as_i64(values)
-    sizes = estimate_sizes(v)
-    if not allow_rle:
-        sizes.pop(RLE, None)
-    codec = min(sizes, key=sizes.get)
-    return _ENCODERS[codec](v)
+    return _ENCODERS[choose_codec(v, allow_rle)](v)
 
 
 def encode_ints_with(values: np.ndarray, codec: int) -> bytes:

@@ -189,9 +189,11 @@ def _in_source_order(ds: ray.data.Dataset) -> ray.data.Dataset:
     """``ds`` run with ``preserve_order``, so blocks enter each stage in
     source order: an encode names its stripes by the order its batches
     arrive, which a concurrent upstream stage would otherwise scramble.
-    The context is the pipeline's, so its input's runs keep order too."""
-    ds.context.execution_options.preserve_order = True
-    return ds
+    ``map_batches`` shares its input's context, so the flag goes on a
+    deep copy: the caller's input Dataset keeps its own setting."""
+    out = ray.data.Dataset.copy(ds, _deep_copy=True)
+    out.context.execution_options.preserve_order = True
+    return out
 
 
 def decode_stripes(

@@ -3,8 +3,9 @@
 The pipelines map plain functions (``encode_batch``, ``encode_fragments``),
 so Ray runs them as task stages on pooled workers, each CPU slot freed
 when its task ends (SURVEY.md §3.3 Ray lifecycle). Their ``EncoderState``
-(cached FSST/dict codec decisions, re-validated periodically — E16) is
-the worker process's ``job_state``: shared by the tasks of the job writing
+(one store of int/dict/bytes codec decisions and FSST tables, each
+re-tried when its budget runs out — E16) is the worker process's
+``job_state``: shared by the tasks of the job writing
 one ``out_dir``, never by another job. Every stripe embeds its own symbol
 tables, so decode needs no encoder state.
 

@@ -36,65 +36,53 @@ import pyarrow.compute as pc
 
 from .codecs import bloom, bytes_codec, outer
 from .codecs.bitpack import pack_bits, unpack_bools
-from .codecs.integers import codec_name, decode_ints, encode_ints
+from .codecs.integers import choose_codec, codec_name, decode_ints, encode_ints, encode_ints_with
 from .predicate import may_match, normalize
 
 MAGIC = b"RSTP1"
-FORMAT = "rstp5"  # bump on any layout change: decode refuses older blobs
+FORMAT = "rstp6"  # bump on any layout change: decode refuses older blobs
                   # loudly and cached encode dirs key on this string
 
 # stream kinds (cf. ORC stream kinds PRESENT/DATA/LENGTH/SECONDARY/
 # DICTIONARY_DATA observed in the reference fixtures)
 PRESENT = "present"
 DATA = "data"
-EXTRA = "extra"  # decimal128 high 64 bits / decimal256 limb 1
+EXTRA = "extra"  # decimal limb 1 / dense union value offsets
 EXTRA2 = "extra2"  # decimal256 limb 2
 EXTRA3 = "extra3"  # decimal256 limb 3 (highest, sign-carrying)
 LENGTHS = "lengths"
+_LIMB_STREAMS = (DATA, EXTRA, EXTRA2, EXTRA3)  # a decimal's int64 limbs, lowest first
 
 
 class EncoderState:
-    """Mutable encoder state of one encode job in one worker process
-    (E16; ``stages.encode.job_state`` scopes it to the job's output dir):
-    cached codec decisions + FSST symbol tables per column path, re-trialed
-    after ``REVALIDATE_BYTES`` of column data (byte-based, not stripe-based:
-    clustered encodes emit many small stripes and a per-stripe TTL made
-    FSST training dominate wall time) so drifting data retrains instead of
-    bloating. The cache only avoids re-training/trialing — every stripe
-    still embeds the symbol table it used, so stripes stay independently
-    decodable (decode-state discipline, SURVEY.md §7 hard part d)."""
+    """Codec decisions of one encode job in one worker process (E16;
+    ``stages.encode.job_state`` scopes it to the job's output dir), one
+    store keyed by (column path, trial). An int codec is re-tried every
+    ``REVALIDATE_EVERY`` stripes; a dictionary or bytes/FSST verdict
+    after ``REVALIDATE_BYTES`` of column data (byte-based: clustered
+    encodes emit many small stripes, and a per-stripe TTL made FSST
+    training dominate wall time), so drifting data retrains instead of
+    bloating. The store only saves trials: every stripe still embeds
+    the symbol table it used, so stripes stay independently decodable
+    (decode-state discipline, SURVEY.md §7 hard part d)."""
 
-    REVALIDATE_EVERY = 16          # int decisions: cheap, per-stripe TTL
-    REVALIDATE_BYTES = 256 << 20   # bytes/dict decisions: per column data volume
+    REVALIDATE_EVERY = 16          # int codecs: stripes per trial
+    REVALIDATE_BYTES = 256 << 20   # dict/bytes verdicts: column bytes per trial
 
     def __init__(self) -> None:
-        # path -> [codec_id, table, bytes_budget]
-        self.bytes_decisions: dict[str, list] = {}
-        # path -> [use_dict, bytes_budget]
-        self.dict_decisions: dict[str, list] = {}
-        # path -> [int_codec_id, ttl]
-        self.int_decisions: dict[str, list] = {}
+        self.decisions: dict[tuple[str, str], list] = {}  # key -> [decision, budget left]
 
-    def encode_ints_cached(self, path: str, v) -> bytes:
-        from .codecs.integers import encode_ints, encode_ints_with
-
-        cached = self.int_decisions.get(path)
+    def decide(self, key: tuple[str, str], spend: int, budget: int, trial):
+        """The decision stored under ``key`` while its budget lasts, each
+        call spending ``spend`` of it; else ``trial(previous decision or
+        None)``, stored with a fresh ``budget``."""
+        cached = self.decisions.get(key)
         if cached is not None and cached[1] > 0:
-            cached[1] -= 1
-            return encode_ints_with(v, cached[0])
-        buf = encode_ints(v)
-        self.int_decisions[path] = [buf[0], self.REVALIDATE_EVERY]
-        return buf
-
-    def choose_bytes(self, path: str, data, offs, outer_codec: int):
-        cached = self.bytes_decisions.get(path)
-        if cached is not None and cached[2] > 0:
-            cached[2] -= int(data.size)
-            return cached[0], cached[1]
-        prev_table = cached[1] if cached is not None else None
-        codec_id, table = bytes_codec.choose(data, offs, prev_table, outer_codec)
-        self.bytes_decisions[path] = [codec_id, table, self.REVALIDATE_BYTES]
-        return codec_id, table
+            cached[1] -= spend
+            return cached[0]
+        decision = trial(None if cached is None else cached[0])
+        self.decisions[key] = [decision, budget]
+        return decision
 
 
 # --------------------------------------------------------------------- helpers
@@ -161,7 +149,7 @@ def _binary_parts(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
 def _scatter(values: np.ndarray, mask: np.ndarray | None, n: int, fill=0) -> np.ndarray:
     if mask is None:
         return values
-    out = np.full(n, fill, dtype=values.dtype)
+    out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
     out[mask] = values
     return out
 
@@ -247,13 +235,22 @@ def _stats(arr: pa.Array) -> dict:
 
 # --------------------------------------------------------------------- encode
 
+def _planes(v: np.ndarray) -> np.ndarray:
+    """Byte-stream split: byte i of every value in plane i."""
+    return np.ascontiguousarray(v.view(np.uint8).reshape(-1, v.dtype.itemsize).T)
+
+
+def _outer_size(buf, outer_codec: int) -> int:
+    return len(outer.compress(buf, outer_codec)[1])
+
+
 def _add(meta: dict, blobs: list, kind: str, smeta: dict, payload: bytes) -> None:
     meta.setdefault("streams", {})[kind] = smeta
     blobs.append((smeta, payload))
 
 
 def encode_column(
-    arr: pa.Array, path: str, state: EncoderState | None = None, outer_codec: int = outer.ZSTD
+    arr: pa.Array, path: str, state: EncoderState, outer_codec: int = outer.ZSTD
 ) -> tuple[dict, list[tuple[dict, bytes]]]:
     """Encode one array. Returns (column_meta, [(stream_meta, bytes)]).
 
@@ -262,7 +259,7 @@ def encode_column(
     they carry codec decisions + raw/encoded sizes for the manifest
     metrics (E17). Child columns own their stream directories.
     ``outer_codec`` is the stripe's outer codec, which the bytes codec
-    trial compares sizes after.
+    and byte-stream-split trials compare sizes after.
     """
     t = arr.type
     n = len(arr)
@@ -286,7 +283,8 @@ def encode_column(
 
     if pa.types.is_integer(t) or (pa.types.is_temporal(t) and not pa.types.is_interval(t)):
         v = _np_nonnull_ints(arr)
-        buf = state.encode_ints_cached(path, v) if state is not None else encode_ints(v)
+        codec = state.decide((path, "int"), 1, state.REVALIDATE_EVERY, lambda _: choose_codec(v))
+        buf = encode_ints_with(v, codec)
         meta["enc"] = "int"
         _add(meta, blobs, DATA, {"codec": codec_name(buf[0]), "raw_size": 8 * v.size}, buf)
         return meta, blobs
@@ -296,25 +294,16 @@ def encode_column(
         # byte-stream-split trial: grouping sign/exponent byte planes often
         # makes otherwise-incompressible floats compressible by the outer
         # codec (same role as ORC's DIRECT float stream + block codec, E6,
-        # with the Parquet BYTE_STREAM_SPLIT idea applied per stripe)
+        # with the Parquet BYTE_STREAM_SPLIT idea applied per stripe).
+        # With no outer codec the planes store as many bytes as raw
         use_bss = False
-        if v.size >= 256:
-            import pyarrow as _pa
-
-            itemsize = v.dtype.itemsize
-            sample = v[: 16384 // itemsize]
-            s_raw = memoryview(sample).cast("B")
-            s_bss = np.ascontiguousarray(
-                sample.view(np.uint8).reshape(-1, itemsize).T
-            )
-            zstd = _pa.Codec("zstd")
-            raw_sz = len(zstd.compress(_pa.py_buffer(s_raw), asbytes=True))
-            bss_sz = len(zstd.compress(_pa.py_buffer(s_bss), asbytes=True))
-            use_bss = bss_sz < 0.95 * raw_sz
+        if v.size >= 256 and outer_codec != outer.NONE:
+            sample = v[: 16384 // v.dtype.itemsize]
+            bss, plain = _outer_size(_planes(sample), outer_codec), _outer_size(sample, outer_codec)
+            use_bss = bss < 0.95 * plain
         if use_bss:
-            planes = np.ascontiguousarray(v.view(np.uint8).reshape(-1, v.dtype.itemsize).T)
             meta["enc"] = "float_bss"
-            _add(meta, blobs, DATA, {"codec": "bss"}, planes)
+            _add(meta, blobs, DATA, {"codec": "bss"}, _planes(v))
         else:
             meta["enc"] = "float_raw"
             _add(meta, blobs, DATA, {"codec": "raw"}, v)  # buffer view, no copy
@@ -339,49 +328,17 @@ def encode_column(
         blobs.extend(child_blobs)
         return meta, blobs
 
-    if pa.types.is_decimal(t) and not pa.types.is_decimal128(t):
-        narrowed = False
-        if pa.types.is_decimal256(t) and t.scale <= 38:
-            # lossless cast-at-ingest fast path (VERDICT r2 missing #3):
-            # values that FIT 128 bits encode through the split-int64
-            # path; the footer schema keeps decimal256, so decode casts
-            # back and the round trip stays bit-identical.
-            try:
-                arr = arr.cast(pa.decimal128(min(t.precision, 38), t.scale))
-                t = arr.type
-                narrowed = True
-            except pa.ArrowInvalid:
-                pass  # genuinely >128-bit values: full 256-bit path below
-        if not narrowed:
-            # full 256-bit path (closes the last loud-fail type hole,
-            # VERDICT r3 missing #1): four little-endian int64 limb
-            # streams through the same RLEv2 selector as decimal128's
-            # split — high limbs of small values are runs of 0/-1 sign
-            # extension, so they RLE to almost nothing.
-            v = arr.drop_null()
-            start = v.offset * 32
-            raw = np.frombuffer(v.buffers()[1], dtype="<u8")[
-                start // 8 : start // 8 + 4 * len(v)
-            ]
-            meta["enc"] = "decimal256_split"
-            for kind, limb in zip(
-                (DATA, EXTRA, EXTRA2, EXTRA3),
-                (raw[0::4], raw[1::4], raw[2::4], raw[3::4]),
-            ):
-                buf = encode_ints(limb.view(np.int64))
-                _add(meta, blobs, kind, {"codec": codec_name(buf[0])}, buf)
-            return meta, blobs
-
-    if pa.types.is_decimal128(t):
+    if pa.types.is_decimal(t):
+        # little-endian int64 limbs, one stream each through the int
+        # codecs: the high limbs of small values are sign extension
+        # (0 / -1), which RLE packs to a few bytes for values of one sign
         v = arr.drop_null()
-        start = v.offset * 16
-        raw = np.frombuffer(v.buffers()[1], dtype="<u8")[start // 8 : start // 8 + 2 * len(v)]
-        lo = raw[0::2].view(np.int64)
-        hi = raw[1::2].view(np.int64)
-        lo_buf, hi_buf = encode_ints(lo), encode_ints(hi)
-        meta["enc"] = "decimal_split"
-        _add(meta, blobs, DATA, {"codec": codec_name(lo_buf[0])}, lo_buf)
-        _add(meta, blobs, EXTRA, {"codec": codec_name(hi_buf[0])}, hi_buf)
+        limbs = t.bit_width // 64
+        raw = np.frombuffer(v.buffers()[1], np.int64)[v.offset * limbs :][: len(v) * limbs]
+        meta["enc"] = "decimal_limbs"
+        for i, kind in enumerate(_LIMB_STREAMS[:limbs]):
+            buf = encode_ints(raw[i::limbs])
+            _add(meta, blobs, kind, {"codec": codec_name(buf[0])}, buf)
         return meta, blobs
 
     if (
@@ -396,22 +353,15 @@ def encode_column(
         # dictionary trial (E9): sample distinct ratio. Long values never
         # pay for a dictionary and hashing them is the trial's whole cost,
         # so the probe is gated on average length (the bytes codec's FSST
-        # gate under zstd, too); the verdict is cached
-        # per column in the encoder state (same TTL discipline as bytes).
-        avg_len = data.size / max(n_valid, 1)
-        cached_dict = state.dict_decisions.get(path) if state is not None else None
-        if cached_dict is not None and cached_dict[1] > 0:
-            cached_dict[1] -= int(data.size)
-            use_dict = cached_dict[0]
-        else:
-            use_dict = False
-            if n_valid >= 64 and avg_len <= bytes_codec.LONG_VALUE_BYTES:
-                sample = arr.drop_null().slice(0, min(4096, n_valid))
-                distinct = pc.count_distinct(sample).as_py()
-                use_dict = distinct / max(len(sample), 1) <= 0.4
-            if state is not None:
-                state.dict_decisions[path] = [use_dict, EncoderState.REVALIDATE_BYTES]
-        if use_dict:
+        # gate under zstd, too)
+        def dict_pays(_) -> bool:
+            if n_valid < 64 or data.size > bytes_codec.LONG_VALUE_BYTES * n_valid:
+                return False
+            sample = arr.drop_null().slice(0, min(4096, n_valid))
+            return pc.count_distinct(sample).as_py() / len(sample) <= 0.4
+
+        spend = int(data.size)
+        if state.decide((path, "dict"), spend, state.REVALIDATE_BYTES, dict_pays):
             dct = pc.dictionary_encode(arr.drop_null())
             if isinstance(dct, pa.ChunkedArray):
                 dct = dct.combine_chunks()
@@ -436,10 +386,10 @@ def encode_column(
         # them wasted stream bytes and a decode pass per dict stripe
         len_buf = encode_ints(lengths)
         _add(meta, blobs, LENGTHS, {"codec": codec_name(len_buf[0])}, len_buf)
-        if state is not None:
-            codec_id, table = state.choose_bytes(path, data, offs, outer_codec)
-        else:
-            codec_id, table = bytes_codec.choose(data, offs, None, outer_codec)
+        codec_id, table = state.decide(
+            (path, "bytes"), spend, state.REVALIDATE_BYTES,
+            lambda prev: bytes_codec.choose(data, offs, None if prev is None else prev[1], outer_codec),
+        )
         payload = bytes_codec.encode(data, offs, codec_id, table)
         meta["enc"] = "plain"
         _add(
@@ -522,7 +472,11 @@ def encode_table(
     outer_codec: int = outer.ZSTD,
 ) -> bytes:
     """Encode a pyarrow Table into one self-describing stripe blob.
-    ``stages.encode.StripeEncoder`` bounds the table's size first."""
+    ``stages.encode.StripeEncoder`` bounds the table's size first.
+    With no ``state`` every trial runs: a column path occurs once per
+    table."""
+    if state is None:
+        state = EncoderState()
     table = table.combine_chunks()
     parts: list[bytes] = [MAGIC]
     pos = len(MAGIC)
@@ -784,40 +738,12 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
         child = decode_column(blob, cmeta["children"][0], dtype.value_type)
         return pa.Array.from_buffers(dtype, n, [vbuf], children=[child])
 
-    if enc == "decimal_split":
-        lo = decode_ints(_get_stream(blob, cmeta, DATA), n_valid).view(np.uint64)
-        hi = decode_ints(_get_stream(blob, cmeta, EXTRA), n_valid).view(np.uint64)
-        raw = np.empty(2 * n_valid, dtype=np.uint64)
-        raw[0::2], raw[1::2] = lo, hi
-        pairs = raw.reshape(n_valid, 2) if n_valid else raw.reshape(0, 2)
-        full = np.zeros((n, 2), dtype=np.uint64)
-        if mask is None:
-            full = pairs
-        else:
-            full[mask] = pairs
-        if pa.types.is_decimal256(dtype):
-            # encoded through the lossless decimal128 ingest fallback:
-            # rebuild as decimal128 and widen back to the original type
-            d128 = pa.Array.from_buffers(
-                pa.decimal128(min(dtype.precision, 38), dtype.scale),
-                n,
-                [vbuf, pa.py_buffer(full)],
-            )
-            return d128.cast(dtype)
-        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full)])
-
-    if enc == "decimal256_split":
-        raw = np.empty(4 * n_valid, dtype=np.uint64)
-        for i, kind in enumerate((DATA, EXTRA, EXTRA2, EXTRA3)):
-            raw[i::4] = decode_ints(_get_stream(blob, cmeta, kind), n_valid).view(
-                np.uint64
-            )
-        full = np.zeros((n, 4), dtype=np.uint64)
-        if mask is None:
-            full = raw.reshape(n, 4)
-        else:
-            full[mask] = raw.reshape(n_valid, 4)
-        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(full)])
+    if enc == "decimal_limbs":
+        limbs = dtype.bit_width // 64
+        v = np.empty((n_valid, limbs), np.int64)
+        for i, kind in enumerate(_LIMB_STREAMS[:limbs]):
+            v[:, i] = decode_ints(_get_stream(blob, cmeta, kind), n_valid)
+        return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(_scatter(v, mask, n))])
 
     if enc in ("union_dense", "union_sparse"):
         codes = pa.array(

@@ -4,6 +4,9 @@ pruning through the stripe footer (ORC attaches optional bloom indexes next
 to its row-group stats; the reference shim never surfaces them — here they
 prune whole stripes on `==` predicates, SURVEY E13/S4)."""
 
+import base64
+
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -30,6 +33,11 @@ def test_no_false_negatives_strings_and_fp_rate():
     absent = [f"https://other{i}.example/q/{i}" for i in range(1000)]
     fp = sum(bloom.may_contain(bl, v, pa.string()) for v in absent)
     assert fp < 50  # ~10 bits/key, k=7 -> <1% expected; 5% hard bound
+    # a footer probe answers as the batch probe over the same bitmap
+    bits = np.frombuffer(base64.b64decode(bl["b64"]), np.uint8)
+    probes = vals[::7] + absent
+    batch = bloom.contains_many(bits, bl["m"], pa.array(probes))
+    assert [bloom.may_contain(bl, v, pa.string()) for v in probes] == batch.tolist()
 
 
 def test_null_handling():

@@ -8,6 +8,7 @@ import gc
 import time
 import weakref
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -125,13 +126,13 @@ def test_job_state_scopes_codec_cache(tmp_path, monkeypatch):
     decided: list[str] = []  # bytes_codec.choose calls: cache misses
     trained: list[str] = []
     path = {}
-    real_choose_bytes, real_choose, real_train = (
-        stripe.EncoderState.choose_bytes, bytes_codec.choose, fsst.train
+    real_decide, real_choose, real_train = (
+        stripe.EncoderState.decide, bytes_codec.choose, fsst.train
     )
 
-    def choose_bytes(self, p, *a):
-        path["now"] = p
-        return real_choose_bytes(self, p, *a)
+    def decide(self, key, *a):
+        path["now"] = key[0]
+        return real_decide(self, key, *a)
 
     def choose(*a, **k):
         decided.append(path["now"])
@@ -148,7 +149,7 @@ def test_job_state_scopes_codec_cache(tmp_path, monkeypatch):
         states.append(weakref.ref(self))
         real_init(self, *a, **k)
 
-    monkeypatch.setattr(stripe.EncoderState, "choose_bytes", choose_bytes)
+    monkeypatch.setattr(stripe.EncoderState, "decide", decide)
     monkeypatch.setattr(stripe.EncoderState, "__init__", init)
     monkeypatch.setattr(bytes_codec, "choose", choose)
     monkeypatch.setattr(fsst, "train", train)
@@ -192,6 +193,18 @@ def test_no_outer_codec_stores_large_streams_raw():
     blob = stripe.encode_table(t, outer_codec=outer.NONE)
     assert stripe.read_footer(blob)["columns"][0]["streams"]["data"]["outer"] == "none"
     assert stripe.decode_table(blob).equals(t)
+
+
+def test_byte_stream_split_trial_follows_outer_codec():
+    """Few distinct float64 values split into byte planes that zstd
+    packs; with no outer codec the planes would store as many bytes as
+    the raw values, so the column stays raw."""
+    rng = np.random.RandomState(0)
+    t = pa.table({"q": pa.array(rng.randint(1, 51, 4000).astype(np.float64))})
+    for codec, enc in ((outer.ZSTD, "float_bss"), (outer.NONE, "float_raw")):
+        blob = stripe.encode_table(t, outer_codec=codec)
+        assert stripe.read_footer(blob)["columns"][0]["enc"] == enc
+        assert stripe.decode_table(blob).equals(t)
 
 
 def test_split_pieces_read_back_in_row_order(tmp_path):

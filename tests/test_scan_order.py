@@ -234,3 +234,19 @@ def test_dataset_encode_keeps_order_of_a_concurrent_input(ray_session, tmp_path,
     else:
         ep.encode_clustered(ds, out, key="k", salt_col="x", rows_per_stripe=1000).take_all()
     assert collect(ep.decode_stripes(out)).equals(pa.concat_tables(blocks))
+
+
+def test_encode_leaves_the_input_context_alone(ray_session, tmp_path):
+    """Both Dataset encoders run their own plan in source order; the
+    caller's input Dataset keeps its own setting for its other runs."""
+    import ray.data
+
+    t = pa.table({"k": pa.array(["a", "b"] * 500), "x": pa.array(range(1000))})
+    ds = ray.data.from_arrow(t)
+    assert not ds.context.execution_options.preserve_order
+    encoded = [
+        ep.encode_dataset(ds, f"{tmp_path}/plain", rows_per_stripe=500),
+        ep.encode_clustered(ds, f"{tmp_path}/clustered", key="k", salt_col="x", rows_per_stripe=500),
+    ]
+    assert not ds.context.execution_options.preserve_order
+    assert all(e.context.execution_options.preserve_order for e in encoded)

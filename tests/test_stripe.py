@@ -414,3 +414,112 @@ def test_validate_blob_garbage():
 
     r = stripe.validate_blob(b"definitely not a stripe")
     assert not r["ok"] and r["bad"]
+
+
+def _pinned_table() -> pa.Table:
+    """6,000 rows, one column per encoder path whose bytes are pinned."""
+    import duckdb
+    from decimal import Decimal
+
+    con = duckdb.connect()
+    try:
+        con.execute("CALL dbgen(sf=0.03)")
+        names = con.execute("SELECT p_name FROM part ORDER BY p_partkey").arrow().column(0)
+    finally:
+        con.close()
+    n = names.length()
+    i = np.arange(n)
+    rng = np.random.RandomState(7)
+    vocab = np.array(["stripe", "column", "codec", "decode", "encode", "bloom", "footer",
+                      "manifest", "symbol", "table", "zstd", "limb", "decimal", "runs"])
+    modes = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG AIR"]
+    return pa.table({
+        "sorted": pa.array(1000 + 3 * i, pa.int64()),
+        "runs": pa.array(i // 50 % 7, pa.int64()),
+        "mode": pa.array([None if k % 11 == 0 else modes[k % 7] for k in range(n)]),
+        "name": names,  # short strings: FSST wins on 2,000-row stripes
+        "text": pa.array([" ".join(vocab[rng.randint(0, vocab.size, 12)]) for _ in range(n)]),
+        "ints": pa.array([list(range(k, k + k % 4)) for k in range(n)], pa.list_(pa.int64())),
+        "price": pa.array([Decimal(k * 37 - 5000).scaleb(-2) for k in range(n)], pa.decimal128(12, 2)),
+        # one value per stripe wider than 128 bits
+        "wide": pa.array(
+            [Decimal((-1) ** k * 10**60 + k) if k % 2000 == 5 else Decimal(k * 977 - 40_000)
+             for k in range(n)],
+            pa.decimal256(76, 0),
+        ),
+    })
+
+
+# stripe, column path, stream kind, codec, outer codec, stored size, crc32
+_PINNED_STREAMS = """
+0 sorted data delta none 20 185cd3f5
+0 runs data rle none 40 713c92fd
+0 mode present bitpack zstd 30 d8d55b36
+0 mode data dict+for_bp zstd 133 cb86dcef
+0 mode.dict lengths for_bp none 15 b5cb703c
+0 mode.dict data raw none 32 a36c3898
+0 name lengths patched_for none 1225 50dc9e0f
+0 name data fsst zstd 17721 754154ec
+0 text lengths for_bp none 1263 b166ef99
+0 text data raw zstd 32041 ac682d4d
+0 ints lengths for_bp zstd 26 e7b11d3e
+0 ints.item data rle zstd 40 c9ff0233
+0 price data delta none 20 b521ce9c
+0 price extra rle none 29 b4e79064
+0 wide data for_bp zstd 5268 27f033f5
+0 wide extra rle none 44 ebe6a826
+0 wide extra2 rle none 54 e2b6b949
+0 wide extra3 rle none 35 e5395ccc
+1 sorted data delta none 20 0e16124b
+1 runs data rle none 40 10aa0cf9
+1 mode present bitpack zstd 30 9859a7e1
+1 mode data dict+for_bp zstd 124 e83ada71
+1 mode.dict lengths for_bp none 15 a7437ad9
+1 mode.dict data raw none 32 1fa4311e
+1 name lengths for_bp none 1263 76930ba3
+1 name data fsst zstd 17954 b26462e6
+1 text lengths for_bp none 1263 10c4e022
+1 text data raw zstd 31981 7c24935e
+1 ints lengths for_bp zstd 26 e7b11d3e
+1 ints.item data rle zstd 41 e41ef901
+1 price data delta none 20 ca6659ab
+1 price extra for_bp none 12 76b8f5d5
+1 wide data for_bp zstd 5301 2c7b8836
+1 wide extra rle none 39 2ca775fb
+1 wide extra2 rle none 39 fc92e7f0
+1 wide extra3 rle none 33 8f2a520b
+2 sorted data delta none 20 698f357d
+2 runs data rle none 40 973f3ef4
+2 mode present bitpack zstd 30 2f5b8ed4
+2 mode data dict+for_bp zstd 130 1085c7d1
+2 mode.dict lengths for_bp none 15 1b949e2c
+2 mode.dict data raw none 32 1519bc0d
+2 name lengths patched_for none 1231 18c9d700
+2 name data fsst zstd 17878 efb65a7a
+2 text lengths for_bp none 1263 597b3e0c
+2 text data raw zstd 32023 7b0d8a5a
+2 ints lengths for_bp zstd 26 e7b11d3e
+2 ints.item data rle zstd 41 2aca0b32
+2 price data delta none 20 f2bd6520
+2 price extra for_bp none 12 76b8f5d5
+2 wide data for_bp zstd 5293 fd337716
+2 wide extra rle none 39 2ca775fb
+2 wide extra2 rle none 39 fc92e7f0
+2 wide extra3 rle none 33 8f2a520b
+"""
+
+
+def test_encoded_streams_are_pinned():
+    """Three 2,000-row stripes through one encoder state store exactly
+    these streams: a refactor of the encoder must not change one byte."""
+    t = _pinned_table()
+    state = stripe.EncoderState()
+    got = []
+    for s in range(3):
+        piece = t.slice(s * 2000, 2000)
+        blob = stripe.encode_table(piece, state=state)
+        assert stripe.decode_table(blob).equals(piece)
+        for cmeta in stripe.read_footer(blob)["columns"]:
+            for path, kind, m in stripe._walk_stream_metas(cmeta):
+                got.append(f"{s} {path} {kind} {m['codec']} {m['outer']} {m['size']} {m['crc32']:08x}")
+    assert got == _PINNED_STREAMS.split("\n")[1:-1]
