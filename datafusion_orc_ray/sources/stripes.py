@@ -14,6 +14,7 @@ from __future__ import annotations
 import ray.data
 
 from ..state import manifest
+from ..util import BoundedStore
 
 
 # (stripe-path fingerprint, merged schema) per out_dir: one Catalog.sql
@@ -22,6 +23,7 @@ from ..state import manifest
 # distinct manifest schema and a merge. The fingerprint is the stripe
 # path list, so appends/compactions invalidate correctly.
 _SCHEMA_CACHE: dict[str, tuple[tuple, object]] = {}
+_PLANS_KEPT = 256  # plans one Catalog keeps (``Catalog._plans``)
 
 
 def stripes_schema(out_dir: str, entries: list[dict] | None = None):
@@ -31,9 +33,9 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
     Schema::try_merge at src/file_format.rs:90-103), over ``entries`` if
     the caller loaded them. Cached per out_dir against the stripe path
     list."""
-    import base64
-
     import pyarrow as pa
+
+    from ..stripe import schema_of
 
     entries = entries or manifest.load_manifest(out_dir)
     fp = tuple(e["path"] for e in entries)
@@ -53,7 +55,7 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
             )
         if b64 not in seen:
             seen.add(b64)
-            schemas.append(pa.ipc.read_schema(pa.py_buffer(base64.b64decode(b64))))
+            schemas.append(schema_of(b64))
     if not schemas:
         raise FileNotFoundError(f"no manifest entries under {out_dir}")
     merged = pa.unify_schemas(schemas)
@@ -73,6 +75,7 @@ class Catalog:
         # EXPLAIN-lite: per-table pushed projections + predicate
         # conjuncts of the LAST sql() call (None = full width / nothing)
         self.last_pushdown: dict | None = None
+        self._plans = BoundedStore(_PLANS_KEPT)  # _plan's kept half
 
     def register_stripes(self, name: str, out_dir: str) -> None:
         stripes_schema(out_dir)  # validates the directory eagerly
@@ -269,44 +272,54 @@ class Catalog:
         for a stats answer, which decodes no stripe).
         ``fused``: a planned shape whose scans all run in this process,
         so sql() runs partial and final as the one original statement.
-        ``prefilter``: a two-table query's semi-join candidate."""
+        ``prefilter``: a two-table query's semi-join candidate.
+
+        What depends only on the query text and the referenced tables'
+        names and merged schemas (projections, predicates, prefilter and
+        the pushdown planners' verdict) is kept in ``_plans`` under
+        exactly those; ``reused`` says that this call found all it
+        needed there. The entries, schemas, stats answer, stats pruning
+        and executors are worked out on every call."""
         from . import sqlagg
 
-        tree = sqlagg.parse(query)
-        found = set() if tree is None else sqlagg.table_names(tree)
+        found = sqlagg.table_names(query)
         referenced = [name for name in self._tables if name in found]
         entries = {name: manifest.load_manifest(self._tables[name]) for name in referenced}
         schemas = {name: stripes_schema(self._tables[name], entries[name]) for name in referenced}
+        key = (query, *((name, schemas[name].serialize().to_pybytes()) for name in referenced))
+        kept = self._plans.get(key)
+        reused = kept is not None
+        if not reused:
+            kept = {
+                "projections": self._resolve_projections(query, referenced, schemas),
+                "predicates": self._resolve_filter_pushdown(query, referenced, schemas),
+                "prefilter": (
+                    sqlagg.plan_join_prefilter(query, schemas) if len(referenced) == 2 else None
+                ),
+            }
+        answer = None
+        if len(referenced) == 1:  # metadata-only answer first
+            name = referenced[0]
+            answer = sqlagg.plan_stats_answer(query, name, schemas[name], entries[name])
+        if answer is not None:
+            kind, plan = "stats_answer", answer
+        else:
+            if "verdict" not in kept:
+                kept, reused = {**kept, "verdict": _verdict(query, referenced, schemas)}, False
+            kind, plan = kept["verdict"]
+        if not reused:
+            self._plans.put(key, kept)
         p = {
             "referenced": referenced,
             "entries": entries,
             "schemas": schemas,
-            "projections": self._resolve_projections(query, referenced, schemas),
-            "predicates": self._resolve_filter_pushdown(query, referenced, schemas),
-            "kind": "stream",
-            "plan": None,
-            "prefilter": None,
+            "projections": kept["projections"],
+            "predicates": kept["predicates"],
+            "prefilter": kept["prefilter"],
+            "kind": kind,
+            "plan": plan,
+            "reused": reused,
         }
-        planners = []
-        if len(referenced) == 1:
-            name = referenced[0]
-            args = (query, name, schemas[name])
-            planners = [  # metadata-only answer first
-                ("stats_answer", sqlagg.plan_stats_answer, (*args, entries[name])),
-                ("aggregate_pushdown", sqlagg.plan_aggregate_pushdown, args),
-                ("topk_pushdown", sqlagg.plan_topk_pushdown, args),
-            ]
-        elif len(referenced) == 2:
-            p["prefilter"] = sqlagg.plan_join_prefilter(query, schemas)
-            planners = [
-                ("join_aggregate_pushdown", sqlagg.plan_join_aggregate, (query, schemas)),
-                ("join_topk_pushdown", sqlagg.plan_join_topk, (query, schemas)),
-            ]
-        for kind, planner, args in planners:
-            plan = planner(*args)
-            if plan is not None:
-                p.update(kind=kind, plan=plan)
-                break
         p["scans"] = {
             name: self._scan(name, p["projections"][name], p["predicates"][name],
                              entries=entries[name])
@@ -447,15 +460,21 @@ class Catalog:
         pushdown). ``self.last_plan`` names the planner that accepted
         the query (a ``_plan`` kind), or 'stream' /
         'stream+semijoin_prefilter'."""
+        import copy
+
         from . import sqlagg
 
         p = self._plan(query)
         kind, plan, schemas, scans = p["kind"], p["plan"], p["schemas"], p["scans"]
         projections, fused = p["projections"], p["fused"]
         # observability: what this query actually pushed into each
-        # scan and where each scan ran (last_plan: which path ran)
+        # scan, where each scan ran (last_plan: which path ran) and
+        # whether its planning was kept from an earlier call. Copies:
+        # the plan store's values stay the store's
         self.last_pushdown = {
-            "projections": dict(projections), "predicates": dict(p["predicates"]),
+            "projections": copy.deepcopy(projections),
+            "predicates": copy.deepcopy(p["predicates"]),
+            "plan_reused": p["reused"],
             "scans": {
                 name: dict(
                     executor=executor, stripes=len(src._entries),
@@ -515,6 +534,31 @@ class Catalog:
                 readers.append(_reader(scans[name], schema, fn, keys))
                 con.register(name, readers[-1])
             return con.sql(query).fetch_arrow_table()
+
+
+def _verdict(query: str, referenced: list[str], schemas: dict) -> tuple:
+    """(kind, plan) of the first pushdown planner that accepts ``query``
+    over the ``referenced`` tables' merged ``schemas``, else ("stream",
+    None)."""
+    from . import sqlagg
+
+    planners = []
+    if len(referenced) == 1:
+        args = (query, referenced[0], schemas[referenced[0]])
+        planners = [
+            ("aggregate_pushdown", sqlagg.plan_aggregate_pushdown, args),
+            ("topk_pushdown", sqlagg.plan_topk_pushdown, args),
+        ]
+    elif len(referenced) == 2:
+        planners = [
+            ("join_aggregate_pushdown", sqlagg.plan_join_aggregate, (query, schemas)),
+            ("join_topk_pushdown", sqlagg.plan_join_topk, (query, schemas)),
+        ]
+    for kind, planner, args in planners:
+        plan = planner(*args)
+        if plan is not None:
+            return kind, plan
+    return "stream", None
 
 
 # the plan kinds that split into a partial and a final

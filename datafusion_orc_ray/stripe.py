@@ -29,6 +29,7 @@ import base64
 import json
 import struct
 import zlib
+from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
@@ -38,9 +39,10 @@ from .codecs import bloom, bytes_codec, outer
 from .codecs.bitpack import pack_bits, unpack_bools
 from .codecs.integers import choose_codec, codec_name, decode_ints, encode_ints, encode_ints_with
 from .predicate import may_match, normalize
+from .util import BoundedStore
 
 MAGIC = b"RSTP1"
-FORMAT = "rstp6"  # bump on any layout change: decode refuses older blobs
+FORMAT = "rstp7"  # bump on any layout change: decode refuses older blobs
                   # loudly and cached encode dirs key on this string
 
 # stream kinds (cf. ORC stream kinds PRESENT/DATA/LENGTH/SECONDARY/
@@ -48,8 +50,8 @@ FORMAT = "rstp6"  # bump on any layout change: decode refuses older blobs
 PRESENT = "present"
 DATA = "data"
 EXTRA = "extra"  # decimal limb 1 / dense union value offsets
-EXTRA2 = "extra2"  # decimal256 limb 2
-EXTRA3 = "extra3"  # decimal256 limb 3 (highest, sign-carrying)
+EXTRA2 = "extra2"  # decimal256 limb 2, unless it only extends limb 1's sign
+EXTRA3 = "extra3"  # decimal256 limb 3 (highest), unless it only extends limb 2's sign
 LENGTHS = "lengths"
 _LIMB_STREAMS = (DATA, EXTRA, EXTRA2, EXTRA3)  # a decimal's int64 limbs, lowest first
 
@@ -330,14 +332,19 @@ def encode_column(
 
     if pa.types.is_decimal(t):
         # little-endian int64 limbs, one stream each through the int
-        # codecs: the high limbs of small values are sign extension
-        # (0 / -1), which RLE packs to a few bytes for values of one sign
+        # codecs. A limb above the second that only extends the sign of
+        # the limb below (every value fits under it) stores no stream:
+        # ``sign_limbs`` lists it and decode rebuilds it
         v = arr.drop_null()
         limbs = t.bit_width // 64
         raw = np.frombuffer(v.buffers()[1], np.int64)[v.offset * limbs :][: len(v) * limbs]
         meta["enc"] = "decimal_limbs"
         for i, kind in enumerate(_LIMB_STREAMS[:limbs]):
-            buf = encode_ints(raw[i::limbs])
+            limb = raw[i::limbs]
+            if i >= 2 and np.array_equal(limb, raw[i - 1 :: limbs] >> 63):
+                meta.setdefault("sign_limbs", []).append(i)
+                continue
+            buf = encode_ints(limb)
             _add(meta, blobs, kind, {"codec": codec_name(buf[0])}, buf)
         return meta, blobs
 
@@ -552,9 +559,22 @@ class StripeCorruptError(ValueError):
 _IN_MEMORY = "<in-memory blob>"  # the stripe name of a decode from bytes
 
 
-def _parse_footer(tail: bytes, name: str, read_tail=None) -> dict:
+# footers parsed from stripe files in this process, keyed by their stored
+# CRC-32 and length: (verified payload, footer). Bounded by payload bytes
+_FOOTERS = BoundedStore(32 << 20)
+
+
+@lru_cache(maxsize=256)
+def schema_of(schema_b64: str) -> pa.Schema:
+    """The Arrow schema a footer's or manifest row's ``schema_b64`` holds."""
+    return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(schema_b64)))
+
+
+def _parse_footer(tail: bytes, name: str, read_tail=None, reuse: bool = False) -> dict:
     """The footer from a blob's last bytes: the whole blob, or a tail
-    read that ``read_tail(n)`` re-reads when the footer is longer."""
+    read that ``read_tail(n)`` re-reads when the footer is longer. With
+    ``reuse``, a payload byte-identical to one verified earlier returns
+    that footer, unchecked and unparsed again (``_FOOTERS``)."""
     if len(tail) < 2 * len(MAGIC) + 4 or tail[-len(MAGIC) :] != MAGIC:
         raise StripeCorruptError(name, None, "footer", "bad magic: not a stripe blob, or truncated")
     (flen,) = struct.unpack_from("<I", tail, len(tail) - len(MAGIC) - 4)
@@ -564,11 +584,17 @@ def _parse_footer(tail: bytes, name: str, read_tail=None) -> dict:
     if fstart < len(MAGIC):
         raise StripeCorruptError(name, None, "footer", "torn footer: longer than the blob")
     payload = tail[fstart : fstart + flen]  # footer JSON, then its CRC-32
+    key = (bytes(payload[-4:]), flen)
+    got = _FOOTERS.get(key) if reuse else None
+    if got is not None and got[0] == payload:
+        return got[1]
     if flen < 4 or zlib.crc32(payload[:-4]) != struct.unpack("<I", payload[-4:])[0]:
         raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload))
     footer = json.loads(payload[:-4])
     if footer.get("format") != FORMAT:
         raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload[:-4]))
+    if reuse:
+        _FOOTERS.put(key, (payload, footer), flen)
     return footer
 
 
@@ -601,12 +627,14 @@ def read_footer_from_file(path: str, tail_guess: int = _TAIL_GUESS, src=None) ->
     src/object_store_reader.rs:48-58 + ArrowReaderBuilder). ``path`` may
     be a local path or any pyarrow.fs URI (file://, s3://...). ``src``:
     an open ``io.RangedReader`` on ``path`` to read through; the caller
-    closes it."""
+    closes it. A footer whose payload is byte-identical to one verified
+    earlier in this process comes back as that same dict, which the
+    caller must not mutate."""
     from . import io as dio
 
     reader = dio.RangedReader(path) if src is None else src
     try:
-        return _parse_footer(reader.read_tail(tail_guess), path, reader.read_tail)
+        return _parse_footer(reader.read_tail(tail_guess), path, reader.read_tail, reuse=True)
     finally:
         if src is None:
             reader.close()
@@ -741,8 +769,12 @@ def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
     if enc == "decimal_limbs":
         limbs = dtype.bit_width // 64
         v = np.empty((n_valid, limbs), np.int64)
+        sign_limbs = cmeta.get("sign_limbs", ())
         for i, kind in enumerate(_LIMB_STREAMS[:limbs]):
-            v[:, i] = decode_ints(_get_stream(blob, cmeta, kind), n_valid)
+            if i in sign_limbs:
+                v[:, i] = v[:, i - 1] >> 63
+            else:
+                v[:, i] = decode_ints(_get_stream(blob, cmeta, kind), n_valid)
         return pa.Array.from_buffers(dtype, n, [vbuf, pa.py_buffer(_scatter(v, mask, n))])
 
     if enc in ("union_dense", "union_sparse"):
@@ -838,7 +870,7 @@ def _decode_from(
     ADVICE r1, low). ``predicate`` skips the whole stripe when a footer
     bloom proves a point lookup absent (the caller still applies the
     residual row filter)."""
-    schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(footer["schema_b64"])))
+    schema = schema_of(footer["schema_b64"])
     by_name = {c["path"]: c for c in footer["columns"]}
 
     def _footer_conj_ok(col: str, op: str, val) -> bool:

@@ -1268,3 +1268,39 @@ def test_semijoin_prefilter_decodes_small_side_once(tmp_path, monkeypatch):
     names = dict(zip(small.column("dk").to_pylist(), small.column("name").to_pylist()))
     want = [(i, names[i % 50]) for i in range(10, 4000) if i % 50 in names]
     assert list(zip(got.column("id").to_pylist(), got.column("name").to_pylist())) == want
+
+
+def test_decimal_predicates_through_sql(ray_session, tmp_path, sql_both):
+    """Comparisons of a decimal(15,2) column against fractional literals
+    keep the right rows on both executors, for a filtered count and sum,
+    an equality, a BETWEEN, a grouped aggregate and a top-k. DuckDB 1.0
+    evaluates such a comparison wrongly when it pushes it into its Arrow
+    scan (``d > 0.03`` kept 0.01, ``d = 0.05`` kept nothing)."""
+    from decimal import Decimal
+
+    t = pa.table({
+        "k": pa.array([1, 2, 3], pa.int64()),
+        "g": pa.array(["a", "b", "a"]),
+        "d": pa.array([Decimal("0.01"), Decimal("0.05"), Decimal("0.10")], pa.decimal128(15, 2)),
+    })
+    pq.write_table(t, f"{tmp_path}/t.parquet", row_group_size=2)  # two stripes
+    ep.encode_parquet(f"{tmp_path}/t.parquet", f"{tmp_path}/enc", concurrency=1).take_all()
+    cat = Catalog()
+    cat.register_stripes("t", f"{tmp_path}/enc")
+    assert len(stripes.manifest.load_manifest(f"{tmp_path}/enc")) == 2
+    cases = [
+        ("SELECT count(*) AS n FROM t WHERE d > 0.03", {"n": [2]}),
+        ("SELECT count(*) AS n FROM t WHERE d = 0.05", {"n": [1]}),
+        ("SELECT count(*) AS n FROM t WHERE d BETWEEN 0.02 AND 0.06", {"n": [1]}),
+        ("SELECT sum(k) AS s FROM t WHERE d > 0.03", {"s": [5]}),
+        (
+            "SELECT g, count(*) AS n, sum(k) AS s FROM t WHERE d < 0.07 GROUP BY g ORDER BY g",
+            {"g": ["a", "b"], "n": [1, 1], "s": [1, 2]},
+        ),
+        ("SELECT k, d FROM t WHERE d >= 0.05 ORDER BY d DESC LIMIT 1",
+         {"k": [3], "d": [Decimal("0.10")]}),
+    ]
+    for q, want in cases:
+        got = sql_both(cat, q)
+        assert got.to_pydict() == want, (q, got.to_pydict())
+        assert cat.last_plan != "stats_answer", q

@@ -181,8 +181,8 @@ def test_both_executors_match_duckdb(catalog, gate, monkeypatch):
 
 def test_each_query_loads_each_manifest_once(catalog, monkeypatch):
     """sql() and explain() load every referenced table's manifest at most
-    once per call, for every plan kind (appends stay visible: nothing is
-    cached across calls)."""
+    once per call, for every plan kind (appends stay visible: manifests
+    are not cached)."""
     cat, _ = catalog
     orig = manifest.load_manifest
     calls: list[str] = []
@@ -199,6 +199,66 @@ def test_each_query_loads_each_manifest_once(catalog, monkeypatch):
             assert calls, (q, run.__name__)
             assert all(calls.count(d) == 1 for d in calls), (q, run.__name__, calls)
         assert cat.last_plan == plan
+
+
+@pytest.mark.parametrize("gate", ["ray", "driver"])
+def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
+    """A catalog plans a query once: a repeated call of every plan kind
+    reports ``plan_reused`` and gives the first call's answer, plan and
+    pushdown record, on either executor."""
+    if gate == "ray":
+        monkeypatch.setattr(Catalog, "_LOCAL_SCAN_BYTES", 0)
+    cat = Catalog()  # an empty plan store over the fixture's tables
+    for name, out in catalog[0]._tables.items():
+        cat.register_stripes(name, out)
+    for q, plan, _ in QUERIES:
+        first = cat.sql(q)
+        record = dict(cat.last_pushdown)
+        assert record.pop("plan_reused") is False, q
+        assert cat.last_plan == plan, q
+        again = cat.sql(q)
+        assert cat.last_pushdown.pop("plan_reused") is True, q
+        assert cat.last_plan == plan, q
+        assert again.equals(first), q
+        assert cat.last_pushdown == record, q
+
+
+def _append(out: str, table: pa.Table) -> None:
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+
+    StripeEncoder(out).encode_split(table)
+
+
+def test_append_replans_on_a_new_schema(ray_session, tmp_path, monkeypatch):
+    """Rows appended to a table show in the next query. An append that
+    keeps the merged schema keeps the plan; one that adds a column
+    re-plans, so a star top-k selects the new column on both executors
+    (its Ray-side final names every output column)."""
+    out = str(tmp_path / "t")
+    _append(out, pa.table({"k": pa.array([5, 1, 4], pa.int64()), "v": pa.array([0.5, 0.1, 0.4])}))
+    cat = Catalog()
+    cat.register_stripes("t", out)
+    q = "SELECT * FROM t ORDER BY k LIMIT 10"
+    driver = Catalog._LOCAL_SCAN_BYTES
+    for gate in (driver, 0):
+        monkeypatch.setattr(Catalog, "_LOCAL_SCAN_BYTES", gate)
+        assert cat.sql(q).to_pydict() == {"k": [1, 4, 5], "v": [0.1, 0.4, 0.5]}
+    _append(out, pa.table({"k": pa.array([3], pa.int64()), "v": pa.array([0.3])}))
+    want = {"k": [1, 3, 4, 5], "v": [0.1, 0.3, 0.4, 0.5]}
+    for gate in (driver, 0):
+        monkeypatch.setattr(Catalog, "_LOCAL_SCAN_BYTES", gate)
+        assert cat.sql(q).to_pydict() == want
+        assert cat.last_plan == "topk_pushdown" and cat.last_pushdown["plan_reused"]
+    _append(out, pa.table({
+        "k": pa.array([2], pa.int64()), "v": pa.array([0.2]), "w": pa.array(["new"]),
+    }))
+    want = {"k": [1, 2, 3, 4, 5], "v": [0.1, 0.2, 0.3, 0.4, 0.5],
+            "w": [None, "new", None, None, None]}
+    for gate, reused in ((0, False), (driver, True)):
+        monkeypatch.setattr(Catalog, "_LOCAL_SCAN_BYTES", gate)
+        assert cat.sql(q).to_pydict() == want, gate
+        assert cat.last_plan == "topk_pushdown"
+        assert cat.last_pushdown["plan_reused"] is reused
 
 
 def test_concurrent_queries_on_shared_database(catalog, tmp_path):

@@ -409,6 +409,77 @@ def test_corrupt_stream_raises_typed_error_naming_it(tmp_path):
     assert (again.stripe, again.column, again.stream) == (ei.value.stripe, None, "footer")
 
 
+def _write(path, blob: bytes) -> None:
+    with open(path, "wb") as f:
+        f.write(blob)
+
+
+def test_footer_reuse_keys_on_the_footer_bytes(tmp_path):
+    """A footer read from a file is parsed once per distinct payload in a
+    process: a second read of the same bytes, under any path, returns the
+    same dict. A stripe rewritten in place with other rows, even at the
+    same size and mtime, decodes to its new rows; and a flipped footer
+    byte or stream byte still raises after a reused read."""
+    p = str(tmp_path / "x.rstp")
+    t1 = pa.table({"a": pa.array(range(1000), pa.int64()), "s": [f"v{i % 7}" for i in range(1000)]})
+    t2 = pa.table({"a": pa.array(range(1, 1001), pa.int64()), "s": [f"w{i % 7}" for i in range(1000)]})
+    b1, b2 = stripe.encode_table(t1), stripe.encode_table(t2)
+    assert len(b1) == len(b2) and b1 != b2
+    _write(p, b1)
+    first = stripe.read_footer_from_file(p)
+    assert stripe.read_footer_from_file(p) is first
+    _write(str(tmp_path / "copy.rstp"), b1)
+    assert stripe.read_footer_from_file(str(tmp_path / "copy.rstp")) is first
+    assert stripe.decode_file(p).equals(t1)
+    st = os.stat(p)
+    _write(p, b2)
+    os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert stripe.decode_file(p).equals(t2)
+    assert stripe.decode_file(p, columns=["s"]).equals(t2.select(["s"]))
+
+    flen = stripe.struct.unpack_from("<I", b1, len(b1) - len(stripe.MAGIC) - 4)[0]
+    fstart = len(b1) - len(stripe.MAGIC) - 4 - flen
+    footer = stripe.read_footer(b1)
+    stream = footer["columns"][0]["streams"]["data"]
+    for at, where in ((fstart + flen // 2, (None, "footer")), (stream["offset"], ("a", "data"))):
+        _write(p, b1)
+        assert stripe.decode_file(p).equals(t1)  # the footer is reused from here on
+        bad = bytearray(b1)
+        bad[at] ^= 0x01
+        _write(p, bytes(bad))
+        for cols in (None, ["a"]):
+            with pytest.raises(stripe.StripeCorruptError) as ei:
+                stripe.decode_file(p, columns=cols)
+            assert (ei.value.column, ei.value.stream) == where
+
+
+def test_decimal256_sign_limbs_store_no_stream():
+    """decimal256 values that fit 128 bits store limbs 2 and 3 as no
+    stream (each only extends the sign of the limb below), for values of
+    both signs and with nulls; a value that needs limb 2 keeps its
+    stream. Limbs 0 and 1 always keep theirs."""
+    from decimal import Decimal
+
+    rng = np.random.default_rng(5)
+    vals = rng.integers(-10**14, 10**14, 5000)
+    arr = pa.array(
+        [None if i % 17 == 0 else Decimal(int(v)).scaleb(-2) for i, v in enumerate(vals)],
+        pa.decimal256(50, 2),
+    )
+    t = pa.table({"d": arr.slice(0, 4990), "s": arr.slice(7, 4990)})  # and a sliced one
+    blob = stripe.encode_table(t)
+    assert stripe.decode_table(blob).equals(t)
+    for cmeta in stripe.read_footer(blob)["columns"]:
+        assert set(cmeta["streams"]) == {"present", "data", "extra"}
+        assert cmeta["sign_limbs"] == [2, 3]
+    wide = pa.table({"d": pa.array([Decimal(-(2**130)), Decimal(3), None], pa.decimal256(50, 0))})
+    blob = stripe.encode_table(wide)
+    assert stripe.decode_table(blob).equals(wide)
+    (cmeta,) = stripe.read_footer(blob)["columns"]
+    assert set(cmeta["streams"]) == {"present", "data", "extra", "extra2"}
+    assert cmeta["sign_limbs"] == [3]
+
+
 def test_validate_blob_garbage():
     from datafusion_orc_ray import stripe
 
