@@ -21,8 +21,9 @@ from ..util import BoundedStore
 # call otherwise re-derives the schema 3x (projection resolution, filter
 # pushdown, StripeDatasource.__init__) — each a schema parse per
 # distinct manifest schema and a merge. The fingerprint is the stripe
-# path list, so appends/compactions invalidate correctly.
-_SCHEMA_CACHE: dict[str, tuple[tuple, object]] = {}
+# path list, so appends/compactions invalidate correctly. Bounded by the
+# number of stripe paths its fingerprints hold.
+_SCHEMA_CACHE = BoundedStore(1 << 18)
 _PLANS_KEPT = 256  # plans one Catalog keeps (``Catalog._plans``)
 
 
@@ -39,8 +40,8 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
 
     entries = entries or manifest.load_manifest(out_dir)
     fp = tuple(e["path"] for e in entries)
-    got = _SCHEMA_CACHE.get(out_dir)
-    if got is not None and got[0] == fp:
+    got = _SCHEMA_CACHE.get(out_dir, lambda got: got[0] == fp)
+    if got is not None:
         return got[1]
     schemas = []
     seen: set[str] = set()
@@ -59,7 +60,7 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
     if not schemas:
         raise FileNotFoundError(f"no manifest entries under {out_dir}")
     merged = pa.unify_schemas(schemas)
-    _SCHEMA_CACHE[out_dir] = (fp, merged)
+    _SCHEMA_CACHE.put(out_dir, (fp, merged), len(fp))
     return merged
 
 

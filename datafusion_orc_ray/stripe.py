@@ -562,6 +562,19 @@ _IN_MEMORY = "<in-memory blob>"  # the stripe name of a decode from bytes
 # footers parsed from stripe files in this process, keyed by their stored
 # CRC-32 and length: (verified payload, footer). Bounded by payload bytes
 _FOOTERS = BoundedStore(32 << 20)
+# top-level columns decode_file decoded in this process, keyed by (id of
+# the footer read with them, column path): (footer, array). The entry
+# holds the footer, so no other footer takes its id while the entry is
+# kept. Bounded by the arrays' nbytes; each array owns its buffers
+# (outer.decompress copies), so the weight is what the entry pins
+_COLUMNS = BoundedStore(32 << 20)
+
+
+def store_stats() -> dict:
+    """Counters of this process's parsed-footer and decoded-column stores:
+    ``{"footers": {...}, "columns": {...}}``, each with ``hits``,
+    ``misses``, ``entries``, ``weight`` and ``bound``."""
+    return {"footers": _FOOTERS.stats(), "columns": _COLUMNS.stats()}
 
 
 @lru_cache(maxsize=256)
@@ -585,8 +598,8 @@ def _parse_footer(tail: bytes, name: str, read_tail=None, reuse: bool = False) -
         raise StripeCorruptError(name, None, "footer", "torn footer: longer than the blob")
     payload = tail[fstart : fstart + flen]  # footer JSON, then its CRC-32
     key = (bytes(payload[-4:]), flen)
-    got = _FOOTERS.get(key) if reuse else None
-    if got is not None and got[0] == payload:
+    got = _FOOTERS.get(key, lambda got: got[0] == payload) if reuse else None
+    if got is not None:
         return got[1]
     if flen < 4 or zlib.crc32(payload[:-4]) != struct.unpack("<I", payload[-4:])[0]:
         raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload))
@@ -714,6 +727,21 @@ def _get_stream(blob, cmeta: dict, kind: str) -> bytes | None:
     if s is None:
         return None
     return outer.decompress(_stored_stream(blob, cmeta["path"], kind, s))
+
+
+def _kept_column(blob, footer: dict, cmeta: dict, dtype: pa.DataType) -> pa.Array:
+    """A top-level column as ``decode_column`` gives it, served from
+    ``_COLUMNS`` when it was decoded under this very footer, after every
+    stream of the column, children included, is read and CRC-checked."""
+    key = (id(footer), cmeta["path"])
+    got = _COLUMNS.get(key, lambda got: got[0] is footer)
+    if got is None:
+        arr = decode_column(blob, cmeta, dtype)
+        _COLUMNS.put(key, (footer, arr), max(arr.nbytes, 1))
+        return arr
+    for cpath, kind, s in _walk_stream_metas(cmeta):
+        _stored_stream(blob, cpath, kind, s)
+    return got[1]
 
 
 def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
@@ -861,6 +889,7 @@ def _decode_from(
     columns: list[str] | None,
     unified_schema: pa.Schema | None = None,
     predicate: tuple | list | None = None,
+    keep: bool = False,
 ) -> pa.Table:
     """``unified_schema`` (the directory-wide merged schema from
     stripes_schema) makes schema-evolved directories decode consistently:
@@ -869,7 +898,8 @@ def _decode_from(
     both the footer and the unified schema raises (misspelling guard —
     ADVICE r1, low). ``predicate`` skips the whole stripe when a footer
     bloom proves a point lookup absent (the caller still applies the
-    residual row filter)."""
+    residual row filter). ``keep`` serves and keeps decoded columns in
+    ``_COLUMNS``; only a footer from ``read_footer_from_file`` may."""
     schema = schema_of(footer["schema_b64"])
     by_name = {c["path"]: c for c in footer["columns"]}
 
@@ -914,7 +944,10 @@ def _decode_from(
                 f"(has: {sorted(by_name)}) and no unified schema to null-fill from"
             )
         field = schema.field(name)
-        arr = decode_column(blob, cmeta, field.type)
+        if keep:
+            arr = _kept_column(blob, footer, cmeta, field.type)
+        else:
+            arr = decode_column(blob, cmeta, field.type)
         if unified_schema is not None and name in unified_schema.names:
             ufield = unified_schema.field(name)
             if not ufield.type.equals(field.type):
@@ -950,13 +983,16 @@ def decode_file(
     guess takes one read in all), else range-read; ``predicate`` as in
     ``decode_table``, so a stripe its bloom rules out costs the footer
     read alone. Every column with no predicate reads the whole file in
-    one sequential read. ``path`` may be local or any pyarrow.fs URI."""
+    one sequential read. ``path`` may be local or any pyarrow.fs URI.
+    A column decoded earlier in this process under a byte-identical
+    footer comes from ``_COLUMNS``; its streams are still read and
+    CRC-checked."""
     from . import io as dio
 
     src = dio.RangedReader(path)
     try:
         whole = columns is None and not predicate
         footer = read_footer_from_file(path, src.size() if whole else _TAIL_GUESS, src)
-        return _decode_from(footer, src, columns, unified_schema, predicate)
+        return _decode_from(footer, src, columns, unified_schema, predicate, keep=True)
     finally:
         src.close()

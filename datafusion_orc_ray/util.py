@@ -183,15 +183,30 @@ class BoundedStore:
         self._items: OrderedDict = OrderedDict()  # key -> (value, weight)
         self._lock = threading.Lock()
 
-    def get(self, key):
+    def get(self, key, valid=None):
+        """The value stored under ``key``; None, counted as a miss, when
+        there is none or ``valid(value)`` is false."""
         with self._lock:
             got = self._items.get(key)
-            if got is None:
+            if got is None or (valid is not None and not valid(got[0])):
                 self.misses += 1
                 return None
             self.hits += 1
             self._items.move_to_end(key)
             return got[0]
+
+    def pop(self, key, default=None):
+        with self._lock:
+            got = self._items.pop(key, None)
+            if got is None:
+                return default
+            self.weight -= got[1]
+            return got[0]
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses, "entries": len(self._items),
+                    "weight": self.weight, "bound": self.bound}
 
     def put(self, key, value, weight: int = 1) -> None:
         if weight > self.bound:

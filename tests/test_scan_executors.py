@@ -11,6 +11,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from datafusion_orc_ray import stripe
 from datafusion_orc_ray.pipelines import encode as ep
 from datafusion_orc_ray.sources import stripes
 from datafusion_orc_ray.sources.stripes import Catalog, _stats_may_match
@@ -222,6 +223,44 @@ def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
         assert again.equals(first), q
         assert cat.last_pushdown == record, q
 
+
+def test_repeated_query_serves_kept_columns(catalog):
+    """At the default gate every scan here runs in the driver, and a
+    repeated query takes its stripes' decoded columns from the process's
+    column store: the repeat gives the first call's answer, plan and
+    pushdown record, with column hits and no new column miss."""
+    cat, _ = catalog
+    hits = 0
+    for q, plan, _ in QUERIES:
+        first = cat.sql(q)
+        record = dict(cat.last_pushdown, plan_reused=None)
+        before = stripe.store_stats()["columns"]
+        again = cat.sql(q)
+        after = stripe.store_stats()["columns"]
+        assert again.equals(first) and cat.last_plan == plan, q
+        assert dict(cat.last_pushdown, plan_reused=None) == record, q
+        assert after["misses"] == before["misses"], q
+        read = sum(r["stripes"] for r in cat.last_pushdown["scans"].values())
+        assert (after["hits"] > before["hits"]) == (read > 0), q
+        hits += after["hits"] - before["hits"]
+    assert hits > 0
+
+
+def test_append_keeps_the_old_stripes_columns(tmp_path):
+    """After an append the next query shows the new rows, decodes only the
+    new stripe's columns and takes the old stripe's from the store."""
+    out = str(tmp_path / "t")
+    _append(out, pa.table({"k": pa.array([7103, 7101], pa.int64()), "v": pa.array([71.03, 71.01])}))
+    cat = Catalog()
+    cat.register_stripes("t", out)
+    q = "SELECT k, v FROM t ORDER BY k"
+    assert cat.sql(q).to_pydict() == {"k": [7101, 7103], "v": [71.01, 71.03]}
+    _append(out, pa.table({"k": pa.array([7102], pa.int64()), "v": pa.array([71.02])}))
+    before = stripe.store_stats()["columns"]
+    assert cat.sql(q).to_pydict() == {"k": [7101, 7102, 7103], "v": [71.01, 71.02, 71.03]}
+    after = stripe.store_stats()["columns"]
+    assert cat.last_pushdown["scans"]["t"]["stripes"] == 2
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (2, 2)
 
 def _append(out: str, table: pa.Table) -> None:
     from datafusion_orc_ray.stages.encode import StripeEncoder

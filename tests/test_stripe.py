@@ -4,7 +4,10 @@ golden cross-check vs the Apache ORC corpus files' value domain
 
 import glob
 import io
+import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -13,6 +16,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from datafusion_orc_ray import fixtures, stripe
+from datafusion_orc_ray.util import BoundedStore
 
 SF_DIR = "/root/testdata/sf0.001"
 # Apache ORC's Java-written golden files, bundled with pyarrow
@@ -451,6 +455,276 @@ def test_footer_reuse_keys_on_the_footer_bytes(tmp_path):
             with pytest.raises(stripe.StripeCorruptError) as ei:
                 stripe.decode_file(p, columns=cols)
             assert (ei.value.column, ei.value.stream) == where
+
+
+# ------------------------------------------------- the decoded-column store
+# The store is keyed on footer bytes across paths and tests, so each test
+# below encodes content no other test encodes (``_fresh_table``'s tag).
+
+
+def _fresh_table(tag: int, n: int = 2000) -> pa.Table:
+    base = 1_000_003 * tag
+    return pa.table({
+        "i": pa.array([None if j % 7 == 0 else base + 3 * j for j in range(n)], pa.int64()),
+        "s": pa.array([f"text-{tag}-{j * 7919 % 10007}" for j in range(n)]),
+        "k": pa.array([f"lang{tag}-{j % 5}" for j in range(n)]),  # a dict column
+    })
+
+
+def _fresh_file(tmp_path, tag: int, n: int = 2000):
+    t = _fresh_table(tag, n)
+    blob = stripe.encode_table(t)
+    p = str(tmp_path / f"fresh{tag}.rstp")
+    _write(p, blob)
+    return p, t, blob
+
+
+def _column_counts(before: dict | None = None) -> dict:
+    now = stripe.store_stats()["columns"]
+    return {k: now[k] - (before or {}).get(k, 0) for k in ("hits", "misses", "entries")}
+
+
+def _spy_decode_column(monkeypatch) -> list:
+    calls, real = [], stripe.decode_column
+
+    def spied(blob, cmeta, dtype):
+        calls.append(cmeta["path"])
+        return real(blob, cmeta, dtype)
+
+    monkeypatch.setattr(stripe, "decode_column", spied)
+    return calls
+
+
+def test_store_stats_and_projections_share_kept_columns(tmp_path, monkeypatch):
+    """store_stats() reports both stores' counters. A repeated projected
+    decode_file counts one column hit per column and decodes nothing, and
+    another projection decodes only the columns not read before."""
+    stats = stripe.store_stats()
+    assert set(stats) == {"footers", "columns"}
+    for part in stats.values():
+        assert set(part) == {"hits", "misses", "entries", "weight", "bound"}
+        assert 0 <= part["weight"] <= part["bound"] == 32 << 20
+    # an empty store, so no earlier test's columns are evicted in between
+    monkeypatch.setattr(stripe, "_COLUMNS", BoundedStore(32 << 20))
+    p, t, _ = _fresh_file(tmp_path, 1)
+    calls = _spy_decode_column(monkeypatch)
+    before = _column_counts()
+    assert stripe.decode_file(p, columns=["i", "s"]).equals(t.select(["i", "s"]))
+    assert calls == ["i", "s"]
+    assert _column_counts(before) == {"hits": 0, "misses": 2, "entries": 2}
+    for cols in (["i", "s"], ["s"]):
+        calls.clear()
+        before = _column_counts()
+        assert stripe.decode_file(p, columns=cols).equals(t.select(cols))
+        assert calls == [] and _column_counts(before) == {"hits": len(cols), "misses": 0, "entries": 0}
+    calls.clear()
+    assert stripe.decode_file(p).equals(t)
+    assert calls == ["k", "k.dict"]  # the dict column and its child, nothing else
+
+
+def test_kept_column_of_a_stripe_rewritten_in_place(tmp_path):
+    """A stripe rewritten in place with other rows, at the same size and
+    mtime, decodes to its new rows on a projected repeat."""
+    p = str(tmp_path / "x.rstp")
+    t1 = pa.table({"a": pa.array(range(7000, 8000), pa.int64()), "s": [f"q{i % 7}" for i in range(1000)]})
+    t2 = pa.table({"a": pa.array(range(7001, 8001), pa.int64()), "s": [f"r{i % 7}" for i in range(1000)]})
+    b1, b2 = stripe.encode_table(t1), stripe.encode_table(t2)
+    assert len(b1) == len(b2) and b1 != b2
+    _write(p, b1)
+    for _ in range(2):
+        assert stripe.decode_file(p, columns=["s"]).equals(t1.select(["s"]))
+    st = os.stat(p)
+    _write(p, b2)
+    os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    for cols in (["s"], ["a", "s"]):
+        assert stripe.decode_file(p, columns=cols).equals(t2.select(cols))
+
+
+def test_kept_column_still_reads_and_checks_every_stream(tmp_path):
+    """After a column is served from the store, a flipped byte in any of
+    its streams, a child's included, raises StripeCorruptError naming
+    that column and stream, on a projected and a full-width read."""
+    p, t, blob = _fresh_file(tmp_path, 2, n=500)
+    streams = [x for c in stripe.read_footer(blob)["columns"] for x in stripe._walk_stream_metas(c)]
+    assert ("k.dict", "data") in {(cpath, kind) for cpath, kind, _ in streams}
+    for cpath, kind, s in streams:
+        for cols in ([cpath.split(".")[0]], None):
+            _write(p, blob)
+            want = t if cols is None else t.select(cols)
+            assert stripe.decode_file(p, columns=cols).equals(want)
+            before = _column_counts()
+            assert stripe.decode_file(p, columns=cols).equals(want)
+            assert _column_counts(before)["hits"] == len(want.column_names)
+            bad = bytearray(blob)
+            bad[s["offset"] + s["size"] // 2] ^= 0x01
+            _write(p, bytes(bad))
+            with pytest.raises(stripe.StripeCorruptError) as ei:
+                stripe.decode_file(p, columns=cols)
+            assert (ei.value.stripe, ei.value.column, ei.value.stream) == (p, cpath, kind)
+
+
+def test_unified_schema_over_a_kept_column(tmp_path, monkeypatch):
+    """The unified schema's cast and null-fill run on every read, over the
+    column as the stripe stores it: a kept column gives what a decode
+    without the store gives, and the store holds the uncast column."""
+    store = BoundedStore(32 << 20)
+    monkeypatch.setattr(stripe, "_COLUMNS", store)
+    n = 800
+    t = pa.table({"a": pa.array(range(-31_000, -31_000 + n), pa.int32()), "s": [f"u{i % 3}" for i in range(n)]})
+    blob = stripe.encode_table(t)
+    p = str(tmp_path / "x.rstp")
+    _write(p, blob)
+    unified = pa.schema([("a", pa.int64()), ("s", pa.string()), ("z", pa.float64())])
+    want = pa.table({"a": t.column("a").cast(pa.int64()), "z": pa.nulls(n, pa.float64())})
+    assert stripe.decode_table(blob, ["a", "z"], unified).equals(want)
+    assert stripe.decode_file(p, columns=["a", "z"], unified_schema=unified).equals(want)
+    assert (store.stats()["entries"], store.weight) == (1, 4 * n)  # "a" as int32
+    for _ in range(2):
+        assert stripe.decode_file(p, columns=["a", "z"], unified_schema=unified).equals(want)
+        assert stripe.decode_file(p, columns=["a"]).equals(t.select(["a"]))
+        assert stripe.decode_file(p, unified_schema=unified).equals(
+            stripe.decode_table(blob, unified_schema=unified))
+    assert store.misses == 2  # "a" once, "s" once
+
+
+def test_bloom_pruned_lookup_over_kept_columns(tmp_path):
+    """A point lookup the footer bloom rules out returns the empty table,
+    and reads no column, after the stripe's columns are kept."""
+    p, t, _ = _fresh_file(tmp_path, 3)
+    for _ in range(2):
+        assert stripe.decode_file(p, columns=["s", "i"]).equals(t.select(["s", "i"]))
+    before = _column_counts()
+    got = stripe.decode_file(p, columns=["s", "i"], predicate=("i", "==", 5))
+    assert got.num_rows == 0 and got.schema.equals(t.select(["s", "i"]).schema)
+    assert _column_counts(before) == {"hits": 0, "misses": 0, "entries": 0}
+
+
+def test_column_store_weight_stays_within_its_bound(tmp_path, monkeypatch):
+    """The store's weight never passes its bound, it drops its least
+    recently used columns to stay there, and a column heavier than the
+    bound is not stored."""
+    files = [_fresh_file(tmp_path, 10 + j, n=600) for j in range(4)]
+    i_bytes = stripe.decode_table(files[0][2], ["i"]).column("i").nbytes
+    store = BoundedStore(int(i_bytes * 2.5))
+    monkeypatch.setattr(stripe, "_COLUMNS", store)
+    for n, (p, t, _) in enumerate(files * 2):
+        assert stripe.decode_file(p, columns=["i"]).equals(t.select(["i"]))
+        assert 0 < store.weight <= store.bound and store.stats()["entries"] == min(n + 1, 2)
+    assert store.hits == 0  # four files cycled through room for two
+    p, t, blob = _fresh_file(tmp_path, 14, n=3000)
+    s_bytes = stripe.decode_table(blob, ["s"]).column("s").nbytes
+    assert s_bytes > store.bound
+    before = store.stats()
+    for _ in range(2):
+        assert stripe.decode_file(p, columns=["s"]).equals(t.select(["s"]))
+    after = store.stats()
+    assert (after["misses"] - before["misses"], after["entries"], after["weight"]) == (
+        2, before["entries"], before["weight"])
+
+
+def test_decode_table_keeps_no_column(tmp_path):
+    """Decoding a blob in memory neither reads nor fills either store."""
+    _, t, blob = _fresh_file(tmp_path, 4)
+    before = stripe.store_stats()
+    for cols in (None, ["s"], None):
+        assert stripe.decode_table(blob, cols).equals(t if cols is None else t.select(cols))
+    assert stripe.store_stats() == before
+
+
+def test_threads_reading_the_same_stripes_get_equal_tables(tmp_path):
+    """Threads decoding the same stripes through the store, with a short
+    switch interval, all get the source rows."""
+    import sys
+    import threading
+
+    files = [_fresh_file(tmp_path, 20 + j, n=300) for j in range(3)]
+    errors: list = []
+
+    def run():
+        try:
+            for _ in range(10):
+                for p, t, _ in files:
+                    for cols in (None, ["s", "i"], ["k"]):
+                        got = stripe.decode_file(p, columns=cols)
+                        if not got.equals(t if cols is None else t.select(cols)):
+                            errors.append((p, cols))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+
+
+def _footer_json(blob: bytes) -> bytes:
+    flen = struct.unpack_from("<I", blob, len(blob) - len(stripe.MAGIC) - 4)[0]
+    fstart = len(blob) - len(stripe.MAGIC) - 4 - flen
+    return blob[fstart : fstart + flen - 4]
+
+
+def _sealed(blob: bytes, footer_json: bytes) -> bytes:
+    """``blob`` with its footer JSON replaced and CRC-sealed again."""
+    body = blob[: len(blob) - len(stripe.MAGIC) - 8 - len(_footer_json(blob))]
+    crc = zlib.crc32(footer_json)
+    return body + footer_json + struct.pack("<II", crc, len(footer_json) + 4) + stripe.MAGIC
+
+
+def _padded(blob: bytes, pad: str) -> bytes:
+    """The footer JSON of ``blob`` with a field the decoder ignores."""
+    return json.dumps({**json.loads(_footer_json(blob)), "pad": pad}).encode()
+
+
+def _crc_forged(js: bytes, crc: int) -> bytes:
+    """``js``, which ends in 64 '0' digits and '"}', with some digits
+    made '1' so that its CRC-32 is ``crc``. CRC-32 is affine over GF(2):
+    each digit flipped XORs a fixed vector into the CRC, so the digits
+    come from Gaussian elimination over those vectors."""
+    at, c0 = len(js) - 66, zlib.crc32(js)
+    basis: dict[int, tuple[int, int]] = {}  # top bit -> (CRC delta, digits flipped)
+    for j in range(64):
+        flipped = bytearray(js)
+        flipped[at + j] ^= 1
+        vec, mask = zlib.crc32(flipped) ^ c0, 1 << j
+        while vec and vec.bit_length() - 1 in basis:
+            bv, bm = basis[vec.bit_length() - 1]
+            vec, mask = vec ^ bv, mask ^ bm
+        if vec:
+            basis[vec.bit_length() - 1] = (vec, mask)
+    want, mask = crc ^ c0, 0
+    while want:
+        bv, bm = basis[want.bit_length() - 1]
+        want, mask = want ^ bv, mask ^ bm
+    out = bytearray(js)
+    for j in range(64):
+        out[at + j] ^= mask >> j & 1
+    return bytes(out)
+
+
+def test_kept_columns_follow_the_footer_not_its_crc(tmp_path):
+    """Two stripes whose footers have the same CRC-32 and length but other
+    bytes decode to their own rows at one path: a kept column is served
+    only under the footer it was decoded with."""
+    (t1, b1), (t2, b2) = [(t, stripe.encode_table(t)) for t in (_fresh_table(5, 400), _fresh_table(6, 400))]
+    width = max(len(_padded(b, "")) for b in (b1, b2))
+    js1, js2 = [_padded(b, "x" * (width - len(_padded(b, ""))) + "0" * 64) for b in (b1, b2)]
+    js2 = _crc_forged(js2, zlib.crc32(js1))
+    assert len(js1) == len(js2) and zlib.crc32(js1) == zlib.crc32(js2) and js1 != js2
+    p = str(tmp_path / "x.rstp")
+    _write(p, _sealed(b1, js1))
+    for _ in range(2):
+        assert stripe.decode_file(p, columns=["s"]).equals(t1.select(["s"]))
+    _write(p, _sealed(b2, js2))
+    assert stripe.decode_file(p, columns=["s"]).equals(t2.select(["s"]))
+    assert stripe.decode_file(p).equals(t2)
 
 
 def test_decimal256_sign_limbs_store_no_stream():
