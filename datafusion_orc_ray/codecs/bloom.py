@@ -95,14 +95,18 @@ def _insert_probes(bits: np.ndarray, m: int, h1: np.ndarray, h2: np.ndarray) -> 
 
 def _normalize(arr: pa.Array) -> np.ndarray | None:
     """Column/probe values -> the exact representation that gets hashed
-    (int64 for every integer width, object strings). None = ineligible."""
+    (int64 for every integer width, strings as their UTF-8 bytes objects,
+    which pandas hashes as it hashes the ``str``, without encoding each
+    one). None = ineligible."""
     t = arr.type
     if pa.types.is_integer(t):
         if pa.types.is_unsigned_integer(t) and t.bit_width == 64:
             return None  # uint64 doesn't fit the int64 canonical form
         return arr.cast(pa.int64()).to_numpy(zero_copy_only=False)
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return arr.to_numpy(zero_copy_only=False).astype(object)
+    if pa.types.is_string(t):
+        return arr.cast(pa.binary()).to_numpy(zero_copy_only=False)
+    if pa.types.is_large_string(t):
+        return arr.cast(pa.large_binary()).to_numpy(zero_copy_only=False)
     return None
 
 

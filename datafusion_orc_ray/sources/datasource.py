@@ -43,9 +43,28 @@ class StripeDatasource(Datasource):
         # ordinal order, one read task per stripe; AND semantics: a
         # stripe survives only if EVERY item may match its stats
         self._entries = [e for e in entries if all(_stats_may_match(e, p) for p in preds)]
+        # set to a list, it collects each decoded stripe's (path, footer)
+        # from read tasks run in this process (``stripe.decode_file``)
+        self.footers: list | None = None
 
     def estimate_inmemory_data_size(self) -> int | None:
         return sum(e.get("raw_bytes", 0) for e in self._entries) or None
+
+    def verify(self, footers: list) -> bool:
+        """Whether each surviving stripe's footer is still the dict in
+        ``footers`` (one per stripe, in order), each stream its read task
+        would decode read and CRC-checked on the way, with the same reads
+        (``stripe.decode_file``'s verify mode); stops at the first stripe
+        whose footer differs."""
+        from .. import stripe
+        from ..predicate import read_columns
+
+        cols = read_columns(self._columns, self._predicate)
+        return all(
+            stripe.decode_file(e["path"], columns=cols, unified_schema=self._schema,
+                               predicate=self._predicate, verify=footer)
+            for e, footer in zip(self._entries, footers, strict=True)
+        )
 
     def get_name(self) -> str:
         return "Stripes"
@@ -59,6 +78,7 @@ class StripeDatasource(Datasource):
             self._columns,
             predicate=self._predicate,
             unified_schema=self._schema,
+            footers=self.footers,
         )
         out_schema = (
             pa.schema([self._schema.field(c) for c in self._columns])

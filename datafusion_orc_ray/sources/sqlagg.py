@@ -129,6 +129,66 @@ def _aggregate_names() -> frozenset:
     return frozenset(r[0] for r in _duck(sql))
 
 
+_FROM_INNER = ("JOIN", "SUBQUERY", "EMPTY")  # FROM items that are no leaf
+
+
+@lru_cache(maxsize=1)
+def _consistent() -> frozenset:
+    """Functions whose every overload DuckDB marks ``CONSISTENT``: the
+    same output for the same input in every query."""
+    sql = (
+        "SELECT function_name FROM duckdb_functions() GROUP BY function_name "
+        "HAVING bool_and(coalesce(stability = 'CONSISTENT', false))"
+    )
+    return frozenset(r[0] for r in _duck(sql))
+
+
+def keep_refusal(query: str, schemas: dict) -> str | None:
+    """Why ``query``'s answer depends on more than its text and the rows
+    of the tables in ``schemas`` (registered name -> merged schema), or
+    None. Every FROM leaf must be one of those tables, named bare (a
+    table function, VALUES list, CTE name, schema-qualified or
+    replacement-scan name refuses); no node may sample; and every
+    function the tree names must be ``CONSISTENT`` for all its
+    overloads. A bare name that is no column of those tables and no
+    alias counts as a function: DuckDB binds ``current_date`` and
+    ``current_timestamp`` that way."""
+    tree = parse(query)
+    if tree is None:
+        return "not one SELECT statement"
+    found = list(nodes(tree))
+    ctes = {c["key"] for n in found for c in (n.get("cte_map") or {}).get("map") or ()}
+    for n in found:
+        t = n.get("type")
+        if "sample" not in n or "class" in n or t.endswith("_NODE") or t in _FROM_INNER:
+            continue  # not a FROM leaf
+        if t == "BASE_TABLE":
+            name = ".".join(x for x in (n["catalog_name"], n["schema_name"], n["table_name"]) if x)
+            if name in schemas and name not in ctes:
+                continue
+        else:
+            name = f"{n['function']['function_name']}()" if t == "TABLE_FUNCTION" else t.lower()
+        return f"FROM {name} is not a registered table"
+    if any(n.get("sample") for n in found):
+        return "the query samples"
+    known = [c for schema in schemas.values() for c in schema.names]
+    known += [n["alias"] for n in found if n.get("alias")]
+    known += [a for n in found for a in n.get("column_name_alias") or ()]
+    known = {c.lower() for c in known}  # DuckDB names are case-insensitive
+    named = [
+        (n["query_location"], n["function_name"].lower()) for n in found if "function_name" in n
+    ] + [
+        (n["query_location"], n["column_names"][0].lower())
+        for n in found
+        if n.get("class") == "COLUMN_REF" and len(n["column_names"]) == 1
+        and n["column_names"][0].lower() not in known
+    ]
+    for _, name in sorted(named):
+        if name not in _consistent():
+            return f"function {name} is not CONSISTENT"
+    return None
+
+
 def parse(query: str) -> dict | None:
     """DuckDB's parse tree of ``query`` when it is exactly one statement
     (a fresh copy the caller may edit), else None."""

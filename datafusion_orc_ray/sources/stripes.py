@@ -25,6 +25,7 @@ from ..util import BoundedStore
 # number of stripe paths its fingerprints hold.
 _SCHEMA_CACHE = BoundedStore(1 << 18)
 _PLANS_KEPT = 256  # plans one Catalog keeps (``Catalog._plans``)
+_RESULTS_KEPT = 32 << 20  # result bytes one Catalog keeps (``Catalog._results``)
 
 
 def stripes_schema(out_dir: str, entries: list[dict] | None = None):
@@ -77,6 +78,7 @@ class Catalog:
         # conjuncts of the LAST sql() call (None = full width / nothing)
         self.last_pushdown: dict | None = None
         self._plans = BoundedStore(_PLANS_KEPT)  # _plan's kept half
+        self._results = BoundedStore(_RESULTS_KEPT)  # sql()'s kept answers
 
     def register_stripes(self, name: str, out_dir: str) -> None:
         stripes_schema(out_dir)  # validates the directory eagerly
@@ -95,6 +97,12 @@ class Catalog:
 
     def names(self) -> list[str]:
         return sorted(self._tables)
+
+    def store_stats(self) -> dict:
+        """Counters of this catalog's plan and result stores: ``{"plans":
+        {...}, "results": {...}}``, each with ``hits``, ``misses``,
+        ``entries``, ``weight`` and ``bound``."""
+        return {"plans": self._plans.stats(), "results": self._results.stats()}
 
     def _scan(self, name: str, columns=None, predicate=None, *, entries: list[dict]):
         """A scan (read via ``_reader``): the StripeDatasource
@@ -276,11 +284,12 @@ class Catalog:
         ``prefilter``: a two-table query's semi-join candidate.
 
         What depends only on the query text and the referenced tables'
-        names and merged schemas (projections, predicates, prefilter and
-        the pushdown planners' verdict) is kept in ``_plans`` under
-        exactly those; ``reused`` says that this call found all it
-        needed there. The entries, schemas, stats answer, stats pruning
-        and executors are worked out on every call."""
+        names and merged schemas (projections, predicates, prefilter,
+        the pushdown planners' verdict and ``refusal``, why the answer
+        may not be kept: ``sqlagg.keep_refusal``) is kept in ``_plans``
+        under exactly those (``key``); ``reused`` says that this call
+        found all it needed there. The entries, schemas, stats answer,
+        stats pruning and executors are worked out on every call."""
         from . import sqlagg
 
         found = sqlagg.table_names(query)
@@ -297,6 +306,7 @@ class Catalog:
                 "prefilter": (
                     sqlagg.plan_join_prefilter(query, schemas) if len(referenced) == 2 else None
                 ),
+                "refusal": sqlagg.keep_refusal(query, schemas),
             }
         answer = None
         if len(referenced) == 1:  # metadata-only answer first
@@ -320,6 +330,8 @@ class Catalog:
             "kind": kind,
             "plan": plan,
             "reused": reused,
+            "key": key,
+            "refusal": kept["refusal"],
         }
         p["scans"] = {
             name: self._scan(name, p["projections"][name], p["predicates"][name],
@@ -412,8 +424,9 @@ class Catalog:
         asymmetry too: the key pass must pay), broadcast its DISTINCT
         join keys and return a batch filter for the BIG side's scan, so
         batches shed non-joining rows where the scan runs. Returns
-        {"big", "fn", "keys", "small", "small_table"} (``fn(batch,
-        keys)``; DuckDB reads ``small_table`` as the small side) or
+        {"big", "fn", "keys", "small", "small_table", "record"}
+        (``fn(batch, keys)``; DuckDB reads ``small_table`` as the small
+        side; ``record`` is ``last_pushdown["semijoin_prefilter"]``) or
         None."""
         import pyarrow as pa
         import pyarrow.compute as pc
@@ -429,14 +442,11 @@ class Catalog:
 
             return batch.filter(_pc.is_in(batch.column(_col), value_set=keys))
 
-        self.last_pushdown["semijoin_prefilter"] = {
-            "big": big,
-            "big_key": bkey,
-            "small": small,
-            "small_key": skey,
-            "n_keys": len(keys),
+        record = {
+            "big": big, "big_key": bkey, "small": small, "small_key": skey, "n_keys": len(keys),
         }
-        return {"big": big, "fn": prefilter, "keys": keys, "small": small, "small_table": small_tbl}
+        return {"big": big, "fn": prefilter, "keys": keys, "small": small, "small_table": small_tbl,
+                "record": record}
 
     def _prepare_join_aggregate(self, jp, p):
         """The small side of join-aggregate / join-topk plan ``jp``
@@ -460,20 +470,26 @@ class Catalog:
         merged here (DataFusion's partial/final split and SortExec fetch
         pushdown). ``self.last_plan`` names the planner that accepted
         the query (a ``_plan`` kind), or 'stream' /
-        'stream+semijoin_prefilter'."""
+        'stream+semijoin_prefilter'.
+
+        With every scan here, an answer is kept in ``_results`` under the
+        plan's key and the stripes each scan reads after stats pruning,
+        with the footers its scans decoded. A repeat over the same
+        stripes returns it once each stripe's footer is that very dict
+        again, and every stream a decode would read is read and
+        CRC-checked (``StripeDatasource.verify``): only decompress,
+        decode and DuckDB are skipped. ``last_pushdown["result"]`` says
+        "reused", "stored" or "not kept: <why>"."""
         import copy
 
-        from . import sqlagg
-
         p = self._plan(query)
-        kind, plan, schemas, scans = p["kind"], p["plan"], p["schemas"], p["scans"]
-        projections, fused = p["projections"], p["fused"]
+        scans = p["scans"]
         # observability: what this query actually pushed into each
         # scan, where each scan ran (last_plan: which path ran) and
         # whether its planning was kept from an earlier call. Copies:
         # the plan store's values stay the store's
-        self.last_pushdown = {
-            "projections": copy.deepcopy(projections),
+        pushdown = self.last_pushdown = {
+            "projections": copy.deepcopy(p["projections"]),
             "predicates": copy.deepcopy(p["predicates"]),
             "plan_reused": p["reused"],
             "scans": {
@@ -485,14 +501,51 @@ class Catalog:
                 for name, (src, executor) in scans.items()
             },
         }
-        self.last_plan = kind
-        if kind == "stats_answer":
-            return plan
+        self.last_plan = p["kind"]
+        if p["kind"] == "stats_answer":
+            pushdown["result"] = "not kept: a stats answer"
+            return p["plan"]
+        why = p["refusal"] or next(
+            (f"the scan of {name} runs on Ray" for name, (_, ex) in scans.items() if ex == "ray"),
+            None,
+        )
+        if why is None:
+            key = (p["key"], *(
+                (name, self._tables[name], tuple(e["path"] for e in src._entries))
+                for name, (src, _) in scans.items()
+            ))
+            got = self._results.get(
+                key, lambda got: all(src.verify(got[0][name]) for name, (src, _) in scans.items())
+            )
+            if got is not None:
+                _, table, self.last_plan, semijoin = got
+                if semijoin is not None:
+                    pushdown["semijoin_prefilter"] = dict(semijoin)
+                pushdown["result"] = "reused"
+                return table
+            for src, _ in scans.values():
+                src.footers = []
+        table, label = self._execute(query, p, pushdown)
+        self.last_plan = label
+        pushdown["result"] = (
+            f"not kept: {why}" if why is not None
+            else self._keep(key, scans, table, label, pushdown.get("semijoin_prefilter"))
+        )
+        return table
+
+    def _execute(self, query: str, p, pushdown: dict):
+        """Run ``query`` as planned by ``_plan`` (``p``): (its answer, the
+        ``last_plan`` label of the path that ran). A semi-join prefilter
+        records itself in ``pushdown``."""
+        from . import sqlagg
+
+        kind, plan, schemas, scans = p["kind"], p["plan"], p["schemas"], p["scans"]
+        projections, fused = p["projections"], p["fused"]
         if kind in ("aggregate_pushdown", "topk_pushdown") and not fused:
             name = p["referenced"][0]
             empty = _projected(schemas[name], projections[name]).empty_table()
             partial_fn = sqlagg.run_partial(plan.partial_sql)
-            return _run_partials(scans[name], lambda b, _: partial_fn(b), empty, plan)
+            return _run_partials(scans[name], lambda b, _: partial_fn(b), empty, plan), kind
         prepared = None
         if kind in ("join_aggregate_pushdown", "join_topk_pushdown") and not fused:
             prepared = self._prepare_join_aggregate(plan, p)
@@ -517,11 +570,13 @@ class Catalog:
                 _projected(schemas[big], projections[big]).empty_table(),
                 small_tbl.schema.empty_table(),
             )
-            return _run_partials(scans[big], join_partial, empty, plan.agg, small_tbl)
-        prefilter = None
+            return _run_partials(scans[big], join_partial, empty, plan.agg, small_tbl), kind
+        prefilter, label = None, kind
         if not fused:
             prefilter = p["prefilter"] and self._plan_semijoin_prefilter(p)
-            self.last_plan = "stream+semijoin_prefilter" if prefilter else "stream"
+            label = "stream+semijoin_prefilter" if prefilter else "stream"
+            if prefilter:
+                pushdown["semijoin_prefilter"] = prefilter["record"]
         with sqlagg.cursor() as con:
             readers = []  # keep referenced readers alive until fetch
             for name in p["referenced"]:
@@ -534,7 +589,25 @@ class Catalog:
                 schema = _projected(schemas[name], projections[name])
                 readers.append(_reader(scans[name], schema, fn, keys))
                 con.register(name, readers[-1])
-            return con.sql(query).fetch_arrow_table()
+            return con.sql(query).fetch_arrow_table(), label
+
+    def _keep(self, key, scans, table, label: str, semijoin) -> str:
+        """Keep ``table`` in ``_results`` under ``key`` with the footers
+        its driver ``scans`` decoded, its ``last_plan`` ``label`` and
+        ``semijoin`` record: "stored", or "not kept: <why>"."""
+        footers = {}
+        for name, (src, _) in scans.items():
+            seen: dict = {}
+            for path, footer in src.footers:
+                if seen.setdefault(path, footer) is not footer:
+                    return "not kept: a stripe changed during the query"
+            if any(e["path"] not in seen for e in src._entries):
+                return "not kept: a scan stopped before its last stripe"
+            footers[name] = tuple(seen[e["path"]] for e in src._entries)
+        if table.nbytes > self._results.bound:
+            return f"not kept: {table.nbytes} bytes, over the store's {self._results.bound}"
+        self._results.put(key, (footers, table, label, semijoin), max(table.nbytes, 1))
+        return "stored"
 
 
 def _verdict(query: str, referenced: list[str], schemas: dict) -> tuple:

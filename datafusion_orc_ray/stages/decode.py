@@ -23,6 +23,7 @@ def make_stripe_decoder(
     predicate: tuple | list | None = None,
     unified_schema: pa.Schema | None = None,
     rows_per_block: int = 32768,
+    footers: list | None = None,
 ) -> Callable[[pa.Table], Iterator[pa.Table]]:
     """Returns a map_batches fn. Input batches carry a ``path`` column
     (manifest rows); yields ≤``rows_per_block``-row slices per stripe so
@@ -32,7 +33,8 @@ def make_stripe_decoder(
     DOWNSTREAM stage's block size while decode memory stays one stripe).
     ``predicate`` applies the residual vectorized row filter after stats
     pruning (see sources.stripes); ``unified_schema`` null-fills columns a
-    schema-evolved stripe lacks."""
+    schema-evolved stripe lacks; ``footers`` (a list) gets each
+    stripe's ``(path, footer)`` (``stripe.decode_file``)."""
     preds = normalize(predicate)
     read_cols = read_columns(columns, preds)
 
@@ -42,7 +44,8 @@ def make_stripe_decoder(
         # metadata, and each loop iteration is one stripe file's reads
         for path in batch.column("path").to_pylist():
             t = stripe.decode_file(
-                path, columns=read_cols, unified_schema=unified_schema, predicate=preds
+                path, columns=read_cols, unified_schema=unified_schema, predicate=preds,
+                footers=footers,
             )
             if preds:
                 t = filter_table(t, preds)

@@ -739,9 +739,14 @@ def _kept_column(blob, footer: dict, cmeta: dict, dtype: pa.DataType) -> pa.Arra
         arr = decode_column(blob, cmeta, dtype)
         _COLUMNS.put(key, (footer, arr), max(arr.nbytes, 1))
         return arr
+    _check_streams(blob, cmeta)
+    return got[1]
+
+
+def _check_streams(blob, cmeta: dict) -> None:
+    """Read and CRC-check every stream of a column, children included."""
     for cpath, kind, s in _walk_stream_metas(cmeta):
         _stored_stream(blob, cpath, kind, s)
-    return got[1]
 
 
 def decode_column(blob: bytes, cmeta: dict, dtype: pa.DataType) -> pa.Array:
@@ -890,7 +895,8 @@ def _decode_from(
     unified_schema: pa.Schema | None = None,
     predicate: tuple | list | None = None,
     keep: bool = False,
-) -> pa.Table:
+    check: bool = False,
+) -> pa.Table | None:
     """``unified_schema`` (the directory-wide merged schema from
     stripes_schema) makes schema-evolved directories decode consistently:
     requested columns absent from THIS stripe's footer are null-filled to
@@ -899,7 +905,9 @@ def _decode_from(
     ADVICE r1, low). ``predicate`` skips the whole stripe when a footer
     bloom proves a point lookup absent (the caller still applies the
     residual row filter). ``keep`` serves and keeps decoded columns in
-    ``_COLUMNS``; only a footer from ``read_footer_from_file`` may."""
+    ``_COLUMNS``; only a footer from ``read_footer_from_file`` may.
+    ``check`` stops before decompress: every stream the decode would
+    read is read and CRC-checked, and nothing is returned."""
     schema = schema_of(footer["schema_b64"])
     by_name = {c["path"]: c for c in footer["columns"]}
 
@@ -918,6 +926,8 @@ def _decode_from(
         )
 
     if not may_match(normalize(predicate), _footer_conj_ok):
+        if check:
+            return None
         base = unified_schema if unified_schema is not None else schema
         wanted = columns if columns is not None else list(base.names)
         return pa.schema(
@@ -944,6 +954,9 @@ def _decode_from(
                 f"(has: {sorted(by_name)}) and no unified schema to null-fill from"
             )
         field = schema.field(name)
+        if check:
+            _check_streams(blob, cmeta)
+            continue
         if keep:
             arr = _kept_column(blob, footer, cmeta, field.type)
         else:
@@ -955,7 +968,7 @@ def _decode_from(
             field = ufield
         arrays.append(arr)
         fields.append(field)
-    return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
+    return None if check else pa.Table.from_arrays(arrays, schema=pa.schema(fields))
 
 
 def decode_table(
@@ -976,7 +989,9 @@ def decode_file(
     columns: list[str] | None = None,
     unified_schema: pa.Schema | None = None,
     predicate: tuple | list | None = None,
-) -> pa.Table:
+    footers: list | None = None,
+    verify: dict | None = None,
+) -> pa.Table | bool:
     """Decode straight from a stripe file through one reader: footer via
     tail read, then only the projected columns' streams (S5 + S8), each
     sliced from the tail read when it holds it (a stripe under the tail
@@ -986,13 +1001,26 @@ def decode_file(
     one sequential read. ``path`` may be local or any pyarrow.fs URI.
     A column decoded earlier in this process under a byte-identical
     footer comes from ``_COLUMNS``; its streams are still read and
-    CRC-checked."""
+    CRC-checked. ``footers`` (a list) gets ``(path, footer)`` of the
+    footer the decode ran under.
+
+    With ``verify`` (a footer dict) the read stops before decompress and
+    returns a bool: False when this file's footer is not that very dict
+    (the footer read alone), else True after every stream the decode
+    would read is read and CRC-checked, with the same reads."""
     from . import io as dio
 
     src = dio.RangedReader(path)
     try:
         whole = columns is None and not predicate
         footer = read_footer_from_file(path, src.size() if whole else _TAIL_GUESS, src)
+        if verify is not None:
+            if footer is not verify:
+                return False
+            _decode_from(footer, src, columns, unified_schema, predicate, check=True)
+            return True
+        if footers is not None:
+            footers.append((path, footer))
         return _decode_from(footer, src, columns, unified_schema, predicate, keep=True)
     finally:
         src.close()

@@ -185,14 +185,18 @@ class BoundedStore:
 
     def get(self, key, valid=None):
         """The value stored under ``key``; None, counted as a miss, when
-        there is none or ``valid(value)`` is false."""
+        there is none or ``valid(value)`` is false. ``valid`` runs
+        outside the lock, so it may read files."""
         with self._lock:
             got = self._items.get(key)
-            if got is None or (valid is not None and not valid(got[0])):
+        ok = got is not None and (valid is None or valid(got[0]))
+        with self._lock:
+            if not ok:
                 self.misses += 1
                 return None
             self.hits += 1
-            self._items.move_to_end(key)
+            if key in self._items:
+                self._items.move_to_end(key)
             return got[0]
 
     def pop(self, key, default=None):

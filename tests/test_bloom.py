@@ -40,6 +40,28 @@ def test_no_false_negatives_strings_and_fp_rate():
     assert [bloom.may_contain(bl, v, pa.string()) for v in probes] == batch.tolist()
 
 
+_STRS = ["", "abc", "héllo", "😀", "x" * 300]
+
+
+def test_strings_hash_as_their_str_objects():
+    """Strings hash through their UTF-8 bytes to the values pandas gives
+    their ``str`` objects (ASCII, non-ASCII, emoji, empty and a 300-byte
+    value, plain and large), so stored blooms, the hash sentinel and join
+    prefilters keep their bits; one small bloom is pinned as stored."""
+    import pandas as pd
+
+    want = pd.util.hash_array(np.array(_STRS, object), categorize=False)
+    for t in (pa.string(), pa.large_string()):
+        got = pd.util.hash_array(bloom._normalize(pa.array(_STRS, t)), categorize=False)
+        assert got.tolist() == want.tolist(), t
+    bl = bloom.build(pa.array([*_STRS, None]))
+    assert (bl["m"], bl["k"], bl["has_null"]) == (1024, 7, True)
+    assert bl["b64"] == (
+        "AACAAQAgAAAAAAAAEAAAAAgAAAAAAAAAAAAAAAEAABACAAAAAAAAAABAAAAAAQAAAIAIAAAAAAAgAAAAAgAA"
+        "AAAAGCAAAAAQQCAAAAEAAAAAAAAAACAIBIAAAAAAAAAEAAAAAAAEBACAAQAAAAAABAAAEAACAAAAAABAAAIAAAA="
+    )
+
+
 def test_null_handling():
     arr = pa.array([1, None, 3], pa.int64())
     bl = bloom.build(arr)

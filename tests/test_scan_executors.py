@@ -3,6 +3,8 @@ Ray Dataset above it. Both executors must give DuckDB's answer with the
 same plan; each query loads each table's manifest once; concurrent
 queries on the process's one DuckDB database stay apart."""
 
+import os
+import struct
 import sys
 import threading
 
@@ -16,6 +18,7 @@ from datafusion_orc_ray.pipelines import encode as ep
 from datafusion_orc_ray.sources import stripes
 from datafusion_orc_ray.sources.stripes import Catalog, _stats_may_match
 from datafusion_orc_ray.state import manifest
+from datafusion_orc_ray.util import BoundedStore
 
 N_FACT = 4000
 STRIPE_ROWS = 1000
@@ -202,23 +205,39 @@ def test_each_query_loads_each_manifest_once(catalog, monkeypatch):
         assert cat.last_plan == plan
 
 
+def _fresh(catalog) -> Catalog:
+    """A catalog with empty stores over the fixture's tables."""
+    cat = Catalog()
+    for name, out in catalog[0]._tables.items():
+        cat.register_stripes(name, out)
+    return cat
+
+
 @pytest.mark.parametrize("gate", ["ray", "driver"])
 def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
     """A catalog plans a query once: a repeated call of every plan kind
     reports ``plan_reused`` and gives the first call's answer, plan and
-    pushdown record, on either executor."""
+    pushdown record, on either executor. With every scan in the driver
+    the repeat returns the kept answer (``result`` "reused"; a stats
+    answer is worked out again); with scans on Ray nothing is kept."""
     if gate == "ray":
         monkeypatch.setattr(Catalog, "_LOCAL_SCAN_BYTES", 0)
-    cat = Catalog()  # an empty plan store over the fixture's tables
-    for name, out in catalog[0]._tables.items():
-        cat.register_stripes(name, out)
+    cat = _fresh(catalog)
     for q, plan, _ in QUERIES:
         first = cat.sql(q)
         record = dict(cat.last_pushdown)
         assert record.pop("plan_reused") is False, q
+        kept = record.pop("result")
         assert cat.last_plan == plan, q
         again = cat.sql(q)
         assert cat.last_pushdown.pop("plan_reused") is True, q
+        result = cat.last_pushdown.pop("result")
+        if plan == "stats_answer":
+            assert kept == result == "not kept: a stats answer", q
+        elif gate == "driver":
+            assert (kept, result) == ("stored", "reused"), q
+        else:
+            assert kept == result == "not kept: the scan of fact runs on Ray", q
         assert cat.last_plan == plan, q
         assert again.equals(first), q
         assert cat.last_pushdown == record, q
@@ -226,15 +245,17 @@ def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
 
 def test_repeated_query_serves_kept_columns(catalog):
     """At the default gate every scan here runs in the driver, and a
-    repeated query takes its stripes' decoded columns from the process's
-    column store: the repeat gives the first call's answer, plan and
-    pushdown record, with column hits and no new column miss."""
-    cat, _ = catalog
+    query run on one fresh catalog and repeated on another (so no kept
+    answer) takes its stripes' decoded columns from the process's column
+    store: the repeat gives the first call's answer, plan and pushdown
+    record, with column hits and no new column miss."""
     hits = 0
     for q, plan, _ in QUERIES:
+        cat = _fresh(catalog)
         first = cat.sql(q)
         record = dict(cat.last_pushdown, plan_reused=None)
         before = stripe.store_stats()["columns"]
+        cat = _fresh(catalog)
         again = cat.sql(q)
         after = stripe.store_stats()["columns"]
         assert again.equals(first) and cat.last_plan == plan, q
@@ -335,3 +356,218 @@ def test_concurrent_queries_on_shared_database(catalog, tmp_path):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+# ----------------------------------------------------- the result store
+# Each test builds its own catalog, so no kept answer crosses tests.
+
+AGG = "SELECT s, sum(v) AS total, count(*) AS n FROM t GROUP BY s ORDER BY s"
+
+
+def _rows(lo: int, hi: int, tag: str = "a") -> pa.Table:
+    return pa.table({
+        "k": pa.array(range(lo, hi), pa.int64()),
+        "s": pa.array([f"{tag}{i % 4}" for i in range(lo, hi)]),
+        "v": pa.array([float(i) for i in range(lo, hi)]),
+    })
+
+
+def _kept_catalog(out: str, tag: str = "a"):
+    """A catalog whose table ``t`` is two stripes of ``_rows``, and the rows."""
+    parts = [_rows(0, 50, tag), _rows(50, 100, tag)]
+    for part in parts:
+        _append(out, part)
+    cat = Catalog()
+    cat.register_stripes("t", out)
+    return cat, pa.concat_tables(parts)
+
+
+def _answer(table: pa.Table, q: str) -> pa.Table:
+    return _duckdb_answers({"t": table}, [q])[0]
+
+
+def test_result_store_counts_and_reports(tmp_path):
+    """A repeat returns the kept answer; ``store_stats()`` counts one
+    miss, one hit and the answer's bytes."""
+    cat, rows = _kept_catalog(str(tmp_path / "t"))
+    want = _answer(rows, AGG)
+    got = cat.sql(AGG)
+    assert got.equals(want) and cat.last_pushdown["result"] == "stored"
+    assert cat.sql(AGG) is got and cat.last_pushdown["result"] == "reused"
+    assert cat.store_stats() == {
+        "plans": {"hits": 1, "misses": 1, "entries": 1, "weight": 1, "bound": 256},
+        "results": {"hits": 1, "misses": 1, "entries": 1, "weight": got.nbytes,
+                    "bound": 32 << 20},
+    }
+
+
+@pytest.mark.parametrize("q, why", [
+    ("SELECT count(*) AS n FROM t", "a stats answer"),
+    ("SELECT k, random() AS r FROM t ORDER BY k", "function random is not CONSISTENT"),
+    ("SELECT k, now() AS r FROM t ORDER BY k", "function now is not CONSISTENT"),
+    ("SELECT k, current_date AS d FROM t ORDER BY k", "function current_date is not CONSISTENT"),
+    ("SELECT k, range FROM t JOIN range(3) ON k = range ORDER BY k",
+     "FROM range() is not a registered table"),
+    ("WITH c AS (SELECT k FROM t) SELECT k FROM c ORDER BY k", "FROM c is not a registered table"),
+    ("SELECT k FROM t USING SAMPLE 100 PERCENT (bernoulli) ORDER BY k", "the query samples"),
+])
+def test_a_result_is_never_kept_when(tmp_path, q, why):
+    """An answer that depends on more than the query text and the stripes
+    it reads is never stored, and each call says which gate refused it."""
+    cat, rows = _kept_catalog(str(tmp_path / "t"))
+    for _ in range(2):
+        got = cat.sql(q)
+        assert cat.last_pushdown["result"] == f"not kept: {why}"
+        assert got.num_rows == _answer(rows, q).num_rows
+    assert cat.store_stats()["results"]["entries"] == 0
+
+
+def test_a_result_is_not_kept_when_a_scan_stops_early(tmp_path):
+    """A LIMIT with no ORDER BY stops DuckDB's read before the last
+    stripe: the answer has no footer for every scanned stripe, so it is
+    not kept."""
+    out = str(tmp_path / "t")
+    for lo in range(0, 200_000, 5000):
+        _append(out, pa.table({"k": pa.array(range(lo, lo + 5000), pa.int64())}))
+    cat = Catalog()
+    cat.register_stripes("t", out)
+    for _ in range(2):
+        assert cat.sql("SELECT k FROM t LIMIT 1").num_rows == 1
+        assert cat.last_pushdown["result"] == "not kept: a scan stopped before its last stripe"
+
+
+def test_a_result_is_not_kept_on_ray_or_over_the_bound(ray_session, tmp_path, monkeypatch):
+    """A scan on Ray keeps nothing, and neither does an answer heavier
+    than the store's bound."""
+    cat, rows = _kept_catalog(str(tmp_path / "t"))
+    want = _answer(rows, AGG)
+    monkeypatch.setattr(Catalog, "_LOCAL_SCAN_BYTES", 0)
+    for _ in range(2):
+        assert cat.sql(AGG).equals(want)
+        assert cat.last_pushdown["result"] == "not kept: the scan of t runs on Ray"
+    monkeypatch.undo()
+    cat._results = BoundedStore(16)
+    for _ in range(2):
+        got = cat.sql(AGG)
+        assert got.equals(want)
+        assert cat.last_pushdown["result"] == f"not kept: {got.nbytes} bytes, over the store's 16"
+    assert cat.store_stats()["results"]["entries"] == 0
+
+
+def test_an_append_shows_on_the_next_call(tmp_path):
+    """Rows appended after an answer was kept show in the next call,
+    whose answer is kept in its turn; an append that widens the schema
+    re-plans and misses too."""
+    out = str(tmp_path / "t")
+    cat, rows = _kept_catalog(out)
+    cat.sql(AGG)
+    assert cat.sql(AGG).equals(_answer(rows, AGG)) and cat.last_pushdown["result"] == "reused"
+    _append(out, _rows(100, 110))
+    rows = pa.concat_tables([rows, _rows(100, 110)])
+    for result in ("stored", "reused"):
+        assert cat.sql(AGG).equals(_answer(rows, AGG))
+        assert (cat.last_pushdown["plan_reused"], cat.last_pushdown["result"]) == (True, result)
+    q = "SELECT * FROM t ORDER BY k DESC LIMIT 3"
+    cat.sql(q)
+    wide = _rows(110, 111).append_column("w", pa.array(["new"]))
+    _append(out, wide)
+    for reused, result in ((False, "stored"), (True, "reused")):
+        got = cat.sql(q)
+        assert got.column_names == ["k", "s", "v", "w"]
+        assert got.column("w").to_pylist() == ["new", None, None]
+        assert (cat.last_pushdown["plan_reused"], cat.last_pushdown["result"]) == (reused, result)
+
+
+def test_a_stripe_rewritten_in_place_gives_its_new_rows(tmp_path):
+    """A stripe rewritten with other rows at the same size and mtime
+    misses the kept answer and gives the new rows."""
+    cat, _ = _kept_catalog(str(tmp_path / "t"), "a")
+    _, other = _kept_catalog(str(tmp_path / "u"), "b")
+    paths = [[e["path"] for e in manifest.load_manifest(str(tmp_path / d))] for d in ("t", "u")]
+    blob = open(paths[1][1], "rb").read()
+    assert os.path.getsize(paths[0][1]) == len(blob)
+    cat.sql(AGG)
+    assert cat.sql(AGG).column("s").to_pylist() == ["a0", "a1", "a2", "a3"]
+    st = os.stat(paths[0][1])
+    with open(paths[0][1], "wb") as f:
+        f.write(blob)
+    os.utime(paths[0][1], ns=(st.st_atime_ns, st.st_mtime_ns))
+    rows = pa.concat_tables([_rows(0, 50, "a"), _rows(50, 100, "b")])
+    for result in ("stored", "reused"):
+        assert cat.sql(AGG).equals(_answer(rows, AGG))
+        assert cat.last_pushdown["result"] == result
+
+
+def test_a_flipped_byte_after_a_hit_raises(tmp_path):
+    """A hit still reads and CRC-checks every stream the query decodes
+    and the footer: a flipped byte in either raises StripeCorruptError
+    naming the stripe, the column and the stream, and the restored
+    bytes are served the kept answer again."""
+    out = str(tmp_path / "t")
+    cat, _ = _kept_catalog(out)
+    first = cat.sql(AGG)
+    cat.sql(AGG)
+    path = manifest.load_manifest(out)[1]["path"]
+    blob = open(path, "rb").read()
+    footer = stripe.read_footer_from_file(path)
+    data = next(c for c in footer["columns"] if c["path"] == "v")["streams"]["data"]
+    flen = struct.unpack_from("<I", blob, len(blob) - len(stripe.MAGIC) - 4)[0]
+    fstart = len(blob) - len(stripe.MAGIC) - 4 - flen
+    for at, where in ((data["offset"], ("v", "data")), (fstart + flen // 2, (None, "footer"))):
+        bad = bytearray(blob)
+        bad[at] ^= 0x01
+        with open(path, "wb") as f:
+            f.write(bytes(bad))
+        with pytest.raises(stripe.StripeCorruptError) as ei:
+            cat.sql(AGG)
+        assert (ei.value.stripe, ei.value.column, ei.value.stream) == (path, *where)
+        with open(path, "wb") as f:
+            f.write(blob)
+        assert cat.sql(AGG) is first and cat.last_pushdown["result"] == "reused"
+
+
+def test_catalogs_over_other_data_never_share_a_result(tmp_path):
+    """Two catalogs naming other data ``t`` each get their own answer,
+    and a name registered again over other stripes of the same schema
+    keeps its plan but not its answer."""
+    ca, rows_a = _kept_catalog(str(tmp_path / "a"), "a")
+    cb, rows_b = _kept_catalog(str(tmp_path / "b"), "b")
+    want_a, want_b = _answer(rows_a, AGG), _answer(rows_b, AGG)
+    assert not want_a.equals(want_b)
+    for _ in range(2):
+        assert ca.sql(AGG).equals(want_a) and cb.sql(AGG).equals(want_b)
+    ca.register_stripes("t", str(tmp_path / "b"))
+    assert ca.sql(AGG).equals(want_b)
+    assert (ca.last_pushdown["plan_reused"], ca.last_pushdown["result"]) == (True, "stored")
+
+
+def test_two_threads_on_one_catalog_get_equal_tables(catalog):
+    """Two threads repeating every query on one catalog both get DuckDB's
+    answer from each call, kept or not."""
+    cat = _fresh(catalog)
+    qs = [q for q, _, _ in QUERIES]
+    wants = _duckdb_answers(catalog[1], qs)
+    errors: list = []
+
+    def run():
+        try:
+            for _ in range(3):
+                for q, want in zip(qs, wants):
+                    if not cat.sql(q).equals(want):
+                        errors.append(q)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cat.store_stats()["results"]["hits"] > 0
