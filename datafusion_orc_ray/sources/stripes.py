@@ -16,14 +16,6 @@ import ray.data
 from ..state import manifest
 from ..util import BoundedStore
 
-
-# (stripe-path fingerprint, merged schema) per out_dir: one Catalog.sql
-# call otherwise re-derives the schema 3x (projection resolution, filter
-# pushdown, StripeDatasource.__init__) — each a schema parse per
-# distinct manifest schema and a merge. The fingerprint is the stripe
-# path list, so appends/compactions invalidate correctly. Bounded by the
-# number of stripe paths its fingerprints hold.
-_SCHEMA_CACHE = BoundedStore(1 << 18)
 _PLANS_KEPT = 256  # plans one Catalog keeps (``Catalog._plans``)
 _RESULTS_KEPT = 32 << 20  # result bytes one Catalog keeps (``Catalog._results``)
 
@@ -33,36 +25,24 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
     manifests' schemas taken in ordinal order, merged with
     pa.unify_schemas, mirroring the reference's sort-for-determinism +
     Schema::try_merge at src/file_format.rs:90-103), over ``entries`` if
-    the caller loaded them. Cached per out_dir against the stripe path
-    list."""
+    the caller loaded them. The schemas come from the manifest rows, so
+    no stripe footer is read (millions of tail reads at 100-TB stripe
+    counts)."""
     import pyarrow as pa
 
     from ..stripe import schema_of
 
     entries = entries or manifest.load_manifest(out_dir)
-    fp = tuple(e["path"] for e in entries)
-    got = _SCHEMA_CACHE.get(out_dir, lambda got: got[0] == fp)
-    if got is not None:
-        return got[1]
-    schemas = []
-    seen: set[str] = set()
-    for e in entries:
-        # metadata-only schema derivation, no per-stripe footer GET
-        # (millions of tail reads at 100-TB stripe counts)
-        b64 = e.get("schema_b64")
-        if b64 is None:
-            raise ValueError(
-                f"manifest entry for stripe {e['path']} has no schema_b64: "
-                "written by an older format; re-encode the directory"
-            )
-        if b64 not in seen:
-            seen.add(b64)
-            schemas.append(schema_of(b64))
-    if not schemas:
+    distinct = dict.fromkeys(e.get("schema_b64") for e in entries)
+    if None in distinct:
+        e = next(e for e in entries if e.get("schema_b64") is None)
+        raise ValueError(
+            f"manifest entry for stripe {e['path']} has no schema_b64: "
+            "written by an older format; re-encode the directory"
+        )
+    if not distinct:
         raise FileNotFoundError(f"no manifest entries under {out_dir}")
-    merged = pa.unify_schemas(schemas)
-    _SCHEMA_CACHE.put(out_dir, (fp, merged), len(fp))
-    return merged
+    return pa.unify_schemas([schema_of(b64) for b64 in distinct])
 
 
 class Catalog:
@@ -448,11 +428,6 @@ class Catalog:
         return {"big": big, "fn": prefilter, "keys": keys, "small": small, "small_table": small_tbl,
                 "record": record}
 
-    def _prepare_join_aggregate(self, jp, p):
-        """The small side of join-aggregate / join-topk plan ``jp``
-        (``p``: its ``_plan``), as ``_collect_small_side`` returns it."""
-        return self._collect_small_side(p, (jp.t1, jp.k1, jp.t2, jp.k2))
-
     def sql(self, query: str):
         """SQL over registered stripe tables (the reference's headline UX:
         ``register_orc`` -> DataFusion SQL, src/lib.rs:107-169); returns
@@ -548,7 +523,7 @@ class Catalog:
             return _run_partials(scans[name], lambda b, _: partial_fn(b), empty, plan), kind
         prepared = None
         if kind in ("join_aggregate_pushdown", "join_topk_pushdown") and not fused:
-            prepared = self._prepare_join_aggregate(plan, p)
+            prepared = self._collect_small_side(p, (plan.t1, plan.k1, plan.t2, plan.k2))
         if prepared is not None:
             small, skey, big, bkey, small_tbl = prepared
             same = plan.k1 == plan.k2

@@ -562,19 +562,13 @@ _IN_MEMORY = "<in-memory blob>"  # the stripe name of a decode from bytes
 # footers parsed from stripe files in this process, keyed by their stored
 # CRC-32 and length: (verified payload, footer). Bounded by payload bytes
 _FOOTERS = BoundedStore(32 << 20)
-# top-level columns decode_file decoded in this process, keyed by (id of
-# the footer read with them, column path): (footer, array). The entry
-# holds the footer, so no other footer takes its id while the entry is
-# kept. Bounded by the arrays' nbytes; each array owns its buffers
-# (outer.decompress copies), so the weight is what the entry pins
-_COLUMNS = BoundedStore(32 << 20)
 
 
 def store_stats() -> dict:
-    """Counters of this process's parsed-footer and decoded-column stores:
-    ``{"footers": {...}, "columns": {...}}``, each with ``hits``,
-    ``misses``, ``entries``, ``weight`` and ``bound``."""
-    return {"footers": _FOOTERS.stats(), "columns": _COLUMNS.stats()}
+    """Counters of this process's parsed-footer store: ``{"footers":
+    {...}}`` with ``hits``, ``misses``, ``entries``, ``weight`` and
+    ``bound``."""
+    return {"footers": _FOOTERS.stats()}
 
 
 @lru_cache(maxsize=256)
@@ -729,20 +723,6 @@ def _get_stream(blob, cmeta: dict, kind: str) -> bytes | None:
     return outer.decompress(_stored_stream(blob, cmeta["path"], kind, s))
 
 
-def _kept_column(blob, footer: dict, cmeta: dict, dtype: pa.DataType) -> pa.Array:
-    """A top-level column as ``decode_column`` gives it, served from
-    ``_COLUMNS`` when it was decoded under this very footer, after every
-    stream of the column, children included, is read and CRC-checked."""
-    key = (id(footer), cmeta["path"])
-    got = _COLUMNS.get(key, lambda got: got[0] is footer)
-    if got is None:
-        arr = decode_column(blob, cmeta, dtype)
-        _COLUMNS.put(key, (footer, arr), max(arr.nbytes, 1))
-        return arr
-    _check_streams(blob, cmeta)
-    return got[1]
-
-
 def _check_streams(blob, cmeta: dict) -> None:
     """Read and CRC-check every stream of a column, children included."""
     for cpath, kind, s in _walk_stream_metas(cmeta):
@@ -894,7 +874,6 @@ def _decode_from(
     columns: list[str] | None,
     unified_schema: pa.Schema | None = None,
     predicate: tuple | list | None = None,
-    keep: bool = False,
     check: bool = False,
 ) -> pa.Table | None:
     """``unified_schema`` (the directory-wide merged schema from
@@ -904,10 +883,9 @@ def _decode_from(
     both the footer and the unified schema raises (misspelling guard —
     ADVICE r1, low). ``predicate`` skips the whole stripe when a footer
     bloom proves a point lookup absent (the caller still applies the
-    residual row filter). ``keep`` serves and keeps decoded columns in
-    ``_COLUMNS``; only a footer from ``read_footer_from_file`` may.
-    ``check`` stops before decompress: every stream the decode would
-    read is read and CRC-checked, and nothing is returned."""
+    residual row filter). ``check`` stops before decompress: every
+    stream the decode would read is read and CRC-checked, and nothing is
+    returned."""
     schema = schema_of(footer["schema_b64"])
     by_name = {c["path"]: c for c in footer["columns"]}
 
@@ -957,10 +935,7 @@ def _decode_from(
         if check:
             _check_streams(blob, cmeta)
             continue
-        if keep:
-            arr = _kept_column(blob, footer, cmeta, field.type)
-        else:
-            arr = decode_column(blob, cmeta, field.type)
+        arr = decode_column(blob, cmeta, field.type)
         if unified_schema is not None and name in unified_schema.names:
             ufield = unified_schema.field(name)
             if not ufield.type.equals(field.type):
@@ -999,10 +974,8 @@ def decode_file(
     ``decode_table``, so a stripe its bloom rules out costs the footer
     read alone. Every column with no predicate reads the whole file in
     one sequential read. ``path`` may be local or any pyarrow.fs URI.
-    A column decoded earlier in this process under a byte-identical
-    footer comes from ``_COLUMNS``; its streams are still read and
-    CRC-checked. ``footers`` (a list) gets ``(path, footer)`` of the
-    footer the decode ran under.
+    ``footers`` (a list) gets ``(path, footer)`` of the footer the
+    decode ran under.
 
     With ``verify`` (a footer dict) the read stops before decompress and
     returns a bool: False when this file's footer is not that very dict
@@ -1021,6 +994,6 @@ def decode_file(
             return True
         if footers is not None:
             footers.append((path, footer))
-        return _decode_from(footer, src, columns, unified_schema, predicate, keep=True)
+        return _decode_from(footer, src, columns, unified_schema, predicate)
     finally:
         src.close()

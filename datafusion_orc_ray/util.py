@@ -199,14 +199,6 @@ class BoundedStore:
                 self._items.move_to_end(key)
             return got[0]
 
-    def pop(self, key, default=None):
-        with self._lock:
-            got = self._items.pop(key, None)
-            if got is None:
-                return default
-            self.weight -= got[1]
-            return got[0]
-
     def stats(self) -> dict:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses, "entries": len(self._items),

@@ -66,11 +66,9 @@ def test_stripes_schema_from_manifest_no_footer_io(encoded_dir, monkeypatch):
     """Manifests carry schema_b64 (round 4): schema derivation must not
     read a single footer — at 100-TB stripe counts the old per-stripe
     tail reads were millions of driver GETs."""
-    import datafusion_orc_ray.sources.stripes as ss
     from datafusion_orc_ray import stripe as stripe_mod
 
     out, wt = encoded_dir
-    ss._SCHEMA_CACHE.pop(out, None)
 
     def boom(path):
         raise AssertionError(f"footer read for {path} — schema should come from manifests")
@@ -1134,7 +1132,8 @@ def test_join_small_side_projection_applied(ray_session, tmp_path):
     q = "SELECT g, sum(v) AS s FROM bt4 JOIN st4 ON k = ck GROUP BY g ORDER BY g"
     p = cat._plan(q)
     cat.last_pushdown = {"scans": {}}  # the small side's scan records here
-    prepared = cat._prepare_join_aggregate(p["plan"], p)
+    jp = p["plan"]
+    prepared = cat._collect_small_side(p, (jp.t1, jp.k1, jp.t2, jp.k2))
     assert prepared is not None
     small_tbl = prepared[-1]
     assert sorted(small_tbl.column_names) == ["ck", "g"]  # wide_unused pruned

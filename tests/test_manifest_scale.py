@@ -77,13 +77,11 @@ def test_manifest_100k_schema_is_metadata_only(big_manifest, monkeypatch):
     snapshot that load_manifest itself needs."""
     from datafusion_orc_ray.sources import stripes as src
 
-    src._SCHEMA_CACHE.pop(big_manifest, None)
     ctr = _GetCounter(monkeypatch)
     schema = src.stripes_schema(big_manifest)
     assert schema.names == ["url", "text"]
     assert ctr.count == 1  # snapshot only; no per-stripe footer/tail reads
     assert not any(p.endswith(".rstp") for p in ctr.paths)
-    src._SCHEMA_CACHE.pop(big_manifest, None)  # don't leak into later tests
 
 
 def test_manifest_100k_snapshot_one_get_plus_delta(big_manifest, monkeypatch):

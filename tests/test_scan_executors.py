@@ -246,18 +246,18 @@ def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
 def test_repeated_query_serves_kept_columns(catalog):
     """At the default gate every scan here runs in the driver, and a
     query run on one fresh catalog and repeated on another (so no kept
-    answer) takes its stripes' decoded columns from the process's column
+    answer) takes its stripes' parsed footers from the process's footer
     store: the repeat gives the first call's answer, plan and pushdown
-    record, with column hits and no new column miss."""
+    record, with footer hits and no new footer miss."""
     hits = 0
     for q, plan, _ in QUERIES:
         cat = _fresh(catalog)
         first = cat.sql(q)
         record = dict(cat.last_pushdown, plan_reused=None)
-        before = stripe.store_stats()["columns"]
+        before = stripe.store_stats()["footers"]
         cat = _fresh(catalog)
         again = cat.sql(q)
-        after = stripe.store_stats()["columns"]
+        after = stripe.store_stats()["footers"]
         assert again.equals(first) and cat.last_plan == plan, q
         assert dict(cat.last_pushdown, plan_reused=None) == record, q
         assert after["misses"] == before["misses"], q
@@ -268,8 +268,8 @@ def test_repeated_query_serves_kept_columns(catalog):
 
 
 def test_append_keeps_the_old_stripes_columns(tmp_path):
-    """After an append the next query shows the new rows, decodes only the
-    new stripe's columns and takes the old stripe's from the store."""
+    """After an append the next query shows the new rows, parses only the
+    new stripe's footer and takes the old stripe's from the store."""
     out = str(tmp_path / "t")
     _append(out, pa.table({"k": pa.array([7103, 7101], pa.int64()), "v": pa.array([71.03, 71.01])}))
     cat = Catalog()
@@ -277,11 +277,11 @@ def test_append_keeps_the_old_stripes_columns(tmp_path):
     q = "SELECT k, v FROM t ORDER BY k"
     assert cat.sql(q).to_pydict() == {"k": [7101, 7103], "v": [71.01, 71.03]}
     _append(out, pa.table({"k": pa.array([7102], pa.int64()), "v": pa.array([71.02])}))
-    before = stripe.store_stats()["columns"]
+    before = stripe.store_stats()["footers"]
     assert cat.sql(q).to_pydict() == {"k": [7101, 7102, 7103], "v": [71.01, 71.02, 71.03]}
-    after = stripe.store_stats()["columns"]
+    after = stripe.store_stats()["footers"]
     assert cat.last_pushdown["scans"]["t"]["stripes"] == 2
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (2, 2)
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 1)
 
 def _append(out: str, table: pa.Table) -> None:
     from datafusion_orc_ray.stages.encode import StripeEncoder

@@ -457,9 +457,10 @@ def test_footer_reuse_keys_on_the_footer_bytes(tmp_path):
             assert (ei.value.column, ei.value.stream) == where
 
 
-# ------------------------------------------------- the decoded-column store
-# The store is keyed on footer bytes across paths and tests, so each test
-# below encodes content no other test encodes (``_fresh_table``'s tag).
+# ------------------------------------------------ repeated reads of a stripe
+# A repeat reuses the parsed footer (``_FOOTERS``, keyed on footer bytes
+# across paths and tests) and decodes every column again. Each test below
+# encodes content no other test encodes (``_fresh_table``'s tag).
 
 
 def _fresh_table(tag: int, n: int = 2000) -> pa.Table:
@@ -479,11 +480,6 @@ def _fresh_file(tmp_path, tag: int, n: int = 2000):
     return p, t, blob
 
 
-def _column_counts(before: dict | None = None) -> dict:
-    now = stripe.store_stats()["columns"]
-    return {k: now[k] - (before or {}).get(k, 0) for k in ("hits", "misses", "entries")}
-
-
 def _spy_decode_column(monkeypatch) -> list:
     calls, real = [], stripe.decode_column
 
@@ -496,30 +492,22 @@ def _spy_decode_column(monkeypatch) -> list:
 
 
 def test_store_stats_and_projections_share_kept_columns(tmp_path, monkeypatch):
-    """store_stats() reports both stores' counters. A repeated projected
-    decode_file counts one column hit per column and decodes nothing, and
-    another projection decodes only the columns not read before."""
+    """store_stats() reports the footer store's counters alone. Every
+    projected decode_file, repeats included, decodes exactly the
+    projected columns."""
     stats = stripe.store_stats()
-    assert set(stats) == {"footers", "columns"}
-    for part in stats.values():
-        assert set(part) == {"hits", "misses", "entries", "weight", "bound"}
-        assert 0 <= part["weight"] <= part["bound"] == 32 << 20
-    # an empty store, so no earlier test's columns are evicted in between
-    monkeypatch.setattr(stripe, "_COLUMNS", BoundedStore(32 << 20))
+    assert set(stats) == {"footers"}
+    assert set(stats["footers"]) == {"hits", "misses", "entries", "weight", "bound"}
+    assert 0 <= stats["footers"]["weight"] <= stats["footers"]["bound"] == 32 << 20
     p, t, _ = _fresh_file(tmp_path, 1)
     calls = _spy_decode_column(monkeypatch)
-    before = _column_counts()
-    assert stripe.decode_file(p, columns=["i", "s"]).equals(t.select(["i", "s"]))
-    assert calls == ["i", "s"]
-    assert _column_counts(before) == {"hits": 0, "misses": 2, "entries": 2}
-    for cols in (["i", "s"], ["s"]):
+    for cols in (["i", "s"], ["i", "s"], ["s"], ["s"]):
         calls.clear()
-        before = _column_counts()
         assert stripe.decode_file(p, columns=cols).equals(t.select(cols))
-        assert calls == [] and _column_counts(before) == {"hits": len(cols), "misses": 0, "entries": 0}
+        assert calls == cols
     calls.clear()
     assert stripe.decode_file(p).equals(t)
-    assert calls == ["k", "k.dict"]  # the dict column and its child, nothing else
+    assert calls == ["i", "s", "k", "k.dict"]  # the dict column's child too
 
 
 def test_kept_column_of_a_stripe_rewritten_in_place(tmp_path):
@@ -541,9 +529,9 @@ def test_kept_column_of_a_stripe_rewritten_in_place(tmp_path):
 
 
 def test_kept_column_still_reads_and_checks_every_stream(tmp_path):
-    """After a column is served from the store, a flipped byte in any of
-    its streams, a child's included, raises StripeCorruptError naming
-    that column and stream, on a projected and a full-width read."""
+    """On a repeated read, a flipped byte in any stream, the dict child's
+    included, raises StripeCorruptError naming the stripe, column and
+    stream, on a projected and a full-width read."""
     p, t, blob = _fresh_file(tmp_path, 2, n=500)
     streams = [x for c in stripe.read_footer(blob)["columns"] for x in stripe._walk_stream_metas(c)]
     assert ("k.dict", "data") in {(cpath, kind) for cpath, kind, _ in streams}
@@ -551,10 +539,8 @@ def test_kept_column_still_reads_and_checks_every_stream(tmp_path):
         for cols in ([cpath.split(".")[0]], None):
             _write(p, blob)
             want = t if cols is None else t.select(cols)
-            assert stripe.decode_file(p, columns=cols).equals(want)
-            before = _column_counts()
-            assert stripe.decode_file(p, columns=cols).equals(want)
-            assert _column_counts(before)["hits"] == len(want.column_names)
+            for _ in range(2):
+                assert stripe.decode_file(p, columns=cols).equals(want)
             bad = bytearray(blob)
             bad[s["offset"] + s["size"] // 2] ^= 0x01
             _write(p, bytes(bad))
@@ -563,12 +549,10 @@ def test_kept_column_still_reads_and_checks_every_stream(tmp_path):
             assert (ei.value.stripe, ei.value.column, ei.value.stream) == (p, cpath, kind)
 
 
-def test_unified_schema_over_a_kept_column(tmp_path, monkeypatch):
+def test_unified_schema_over_a_kept_column(tmp_path):
     """The unified schema's cast and null-fill run on every read, over the
-    column as the stripe stores it: a kept column gives what a decode
-    without the store gives, and the store holds the uncast column."""
-    store = BoundedStore(32 << 20)
-    monkeypatch.setattr(stripe, "_COLUMNS", store)
+    column as the stripe stores it: each repeat gives what decode_table
+    gives."""
     n = 800
     t = pa.table({"a": pa.array(range(-31_000, -31_000 + n), pa.int32()), "s": [f"u{i % 3}" for i in range(n)]})
     blob = stripe.encode_table(t)
@@ -577,53 +561,48 @@ def test_unified_schema_over_a_kept_column(tmp_path, monkeypatch):
     unified = pa.schema([("a", pa.int64()), ("s", pa.string()), ("z", pa.float64())])
     want = pa.table({"a": t.column("a").cast(pa.int64()), "z": pa.nulls(n, pa.float64())})
     assert stripe.decode_table(blob, ["a", "z"], unified).equals(want)
-    assert stripe.decode_file(p, columns=["a", "z"], unified_schema=unified).equals(want)
-    assert (store.stats()["entries"], store.weight) == (1, 4 * n)  # "a" as int32
-    for _ in range(2):
+    for _ in range(3):
         assert stripe.decode_file(p, columns=["a", "z"], unified_schema=unified).equals(want)
         assert stripe.decode_file(p, columns=["a"]).equals(t.select(["a"]))
         assert stripe.decode_file(p, unified_schema=unified).equals(
             stripe.decode_table(blob, unified_schema=unified))
-    assert store.misses == 2  # "a" once, "s" once
 
 
-def test_bloom_pruned_lookup_over_kept_columns(tmp_path):
+def test_bloom_pruned_lookup_over_kept_columns(tmp_path, monkeypatch):
     """A point lookup the footer bloom rules out returns the empty table,
-    and reads no column, after the stripe's columns are kept."""
+    and decodes no column, after the stripe was read in full."""
     p, t, _ = _fresh_file(tmp_path, 3)
     for _ in range(2):
         assert stripe.decode_file(p, columns=["s", "i"]).equals(t.select(["s", "i"]))
-    before = _column_counts()
+    calls = _spy_decode_column(monkeypatch)
     got = stripe.decode_file(p, columns=["s", "i"], predicate=("i", "==", 5))
     assert got.num_rows == 0 and got.schema.equals(t.select(["s", "i"]).schema)
-    assert _column_counts(before) == {"hits": 0, "misses": 0, "entries": 0}
+    assert calls == []
 
 
-def test_column_store_weight_stays_within_its_bound(tmp_path, monkeypatch):
-    """The store's weight never passes its bound, it drops its least
-    recently used columns to stay there, and a column heavier than the
-    bound is not stored."""
-    files = [_fresh_file(tmp_path, 10 + j, n=600) for j in range(4)]
-    i_bytes = stripe.decode_table(files[0][2], ["i"]).column("i").nbytes
-    store = BoundedStore(int(i_bytes * 2.5))
-    monkeypatch.setattr(stripe, "_COLUMNS", store)
-    for n, (p, t, _) in enumerate(files * 2):
-        assert stripe.decode_file(p, columns=["i"]).equals(t.select(["i"]))
-        assert 0 < store.weight <= store.bound and store.stats()["entries"] == min(n + 1, 2)
-    assert store.hits == 0  # four files cycled through room for two
-    p, t, blob = _fresh_file(tmp_path, 14, n=3000)
-    s_bytes = stripe.decode_table(blob, ["s"]).column("s").nbytes
-    assert s_bytes > store.bound
-    before = store.stats()
-    for _ in range(2):
-        assert stripe.decode_file(p, columns=["s"]).equals(t.select(["s"]))
-    after = store.stats()
-    assert (after["misses"] - before["misses"], after["entries"], after["weight"]) == (
-        2, before["entries"], before["weight"])
+def test_column_store_weight_stays_within_its_bound():
+    """util.BoundedStore, under the footer, plan and result stores: it
+    drops its least recently used entries to keep its weight within its
+    bound, stores no value heavier than the bound, counts a ``get`` whose
+    ``valid`` is false as a miss, and moves a hit's entry to the end."""
+    store = BoundedStore(10)
+    for k in range(6):
+        store.put(k, k * 100, 4)
+        assert 0 < store.weight <= store.bound
+    assert list(store._items) == [4, 5]  # room for two: the oldest went first
+    assert store.stats() == {"hits": 0, "misses": 0, "entries": 2, "weight": 8, "bound": 10}
+    store.put("big", -1, 11)
+    assert store.get("big") is None and store.stats()["entries"] == 2
+    assert store.get(4, lambda v: v != 400) is None
+    assert (store.hits, store.misses) == (0, 2)
+    assert store.get(4) == 400 and list(store._items) == [5, 4]
+    store.put(6, 600, 4)  # evicts 5, the least recently used now
+    assert list(store._items) == [4, 6] and store.weight == 8
+    assert (store.hits, store.misses) == (1, 2)
 
 
 def test_decode_table_keeps_no_column(tmp_path):
-    """Decoding a blob in memory neither reads nor fills either store."""
+    """Decoding a blob in memory neither reads nor fills the footer store."""
     _, t, blob = _fresh_file(tmp_path, 4)
     before = stripe.store_stats()
     for cols in (None, ["s"], None):
@@ -632,8 +611,8 @@ def test_decode_table_keeps_no_column(tmp_path):
 
 
 def test_threads_reading_the_same_stripes_get_equal_tables(tmp_path):
-    """Threads decoding the same stripes through the store, with a short
-    switch interval, all get the source rows."""
+    """Threads decoding the same stripes through the footer store, with a
+    short switch interval, all get the source rows."""
     import sys
     import threading
 
@@ -711,8 +690,8 @@ def _crc_forged(js: bytes, crc: int) -> bytes:
 
 def test_kept_columns_follow_the_footer_not_its_crc(tmp_path):
     """Two stripes whose footers have the same CRC-32 and length but other
-    bytes decode to their own rows at one path: a kept column is served
-    only under the footer it was decoded with."""
+    bytes decode to their own rows at one path: a kept footer is served
+    only for its own bytes."""
     (t1, b1), (t2, b2) = [(t, stripe.encode_table(t)) for t in (_fresh_table(5, 400), _fresh_table(6, 400))]
     width = max(len(_padded(b, "")) for b in (b1, b2))
     js1, js2 = [_padded(b, "x" * (width - len(_padded(b, ""))) + "0" * 64) for b in (b1, b2)]
