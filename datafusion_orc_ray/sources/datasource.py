@@ -2,11 +2,11 @@
 ``ray.data.Datasource`` (the user-extension surface SURVEY §2.4 maps to
 the reference's FileFormat/FileSource trait impls, src/file_format.rs).
 
-Compared to the from_items+map_batches scan, the datasource hands Ray
-per-task row/byte metadata from the manifests, so the streaming executor
-can size blocks, report progress, and schedule with real size estimates;
-stats-based stripe pruning and projection/residual-filter pushdown work
-exactly as in ``read_stripes``.
+One read task per stripe that survives stats pruning, each carrying its
+row/byte metadata from the manifests, so the streaming executor can size
+blocks, report progress, and schedule with real size estimates; the
+projection and residual filter are pushed into each task's decode. Both
+``read_stripes`` and ``Catalog.sql`` scan through it.
 """
 
 from __future__ import annotations

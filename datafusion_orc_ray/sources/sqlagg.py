@@ -3,9 +3,12 @@
 Tried in this order by the catalog (any gate failure falls back to the
 streaming path, so a pushdown can never change a result):
 
-* ``plan_stats_answer`` — no-WHERE count/min/max from manifest STATS.
 * ``plan_aggregate_pushdown`` — single-table decomposable aggregates
-  (incl. HAVING): per-batch partials on the workers, driver merges.
+  (incl. HAVING): per-batch partials on the workers, driver merges. When
+  every partial is a count/min/max that manifest STATS give exactly
+  (``AggPlan.stats``: no WHERE, no GROUP BY), ``plan_stats_answer`` runs
+  the same final merge over one partial row per stripe read from the
+  manifest instead, and no stripe is decoded.
 * ``plan_topk_pushdown`` — single-table ORDER BY ... LIMIT n.
 * ``plan_join_aggregate`` / ``plan_join_topk`` — either shape over a
   two-table inner equi-join: broadcast small side, per-batch Acero
@@ -19,7 +22,8 @@ row would cross a process boundary between them. When a scan runs on
 Ray, each partial runs on every decoded batch inside ``map_batches`` on
 the workers (DuckDB over the Arrow batch: full SQL expression semantics,
 no row leaves its worker unaggregated); the FINAL merge runs on the
-driver over the partial stream only:
+driver over the partial stream only (``merge``, the one place a final
+runs):
 
     count(*)/count(e) ->  partial count,        final CAST(sum(p) AS BIGINT)
     sum(e)            ->  partial sum,          final sum(p)
@@ -52,8 +56,9 @@ streaming path, as does text that does not parse):
 * GROUP BY lists bare columns of the table (one grouping set); ORDER BY
   references only select aliases, group columns, positions and
   operators over them; LIMIT is an integer literal without OFFSET
-* both rewritten queries must BIND in DuckDB (partial against the real
-  table schema, final against the partial); nothing is executed
+* both rewritten queries must BIND in DuckDB: the partial runs over an
+  empty table with the real schema, which pins the partial's Arrow
+  schema (``AggPlan.partial_schema``), and the final binds over it
 * float caveat: partial sums re-associate floating-point addition, so
   sum/avg over non-integer-valued doubles can differ from single-node
   execution in the last ulp (exact for integers and integer-valued
@@ -65,7 +70,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 _AGGS = ("count", "count_star", "sum", "min", "max", "avg")
@@ -74,9 +79,12 @@ _LOCK = threading.Lock()  # DuckDB connections are not thread-safe
 
 @dataclass(frozen=True)
 class AggPlan:
-    table: str
     partial_sql: str  # FROM __batch
     final_sql: str  # FROM __partials
+    partial_schema: object  # pyarrow.Schema of every partial batch
+    # (fn, column or "*") per partial column, when manifest stats give
+    # every partial of the whole table exactly (see plan_stats_answer)
+    stats: tuple | None = None
 
 
 class _Refuse(Exception):
@@ -343,6 +351,48 @@ def _attempt(fn, query: str, *args):
         return None
 
 
+def _shadowing(items: list[dict], schema) -> set[str]:
+    """Lower-cased aliases of select ``items`` that name a real column of
+    ``schema`` for an item that is not that column."""
+    return {
+        i["alias"].lower() for i in items
+        if i["alias"] in schema.names and column_name(i) != i["alias"]
+    }
+
+
+def _stat(e: dict, schema) -> tuple[str, str] | None:
+    """(fn, column or "*") when manifest stats give partial ``e`` of a
+    whole table exactly: count(*), count(col), or min/max(col) over an
+    integer, string or temporal column, unfiltered. Floats are refused:
+    NaN ordering in the stats' min/max need not match SQL's."""
+    import pyarrow as pa
+
+    fn, args = e["function_name"], e["children"]
+    if e["filter"] is not None or fn not in ("count_star", "count", "min", "max"):
+        return None
+    if fn == "count_star":
+        return "count", "*"
+    col = column_name(args[0]) if len(args) == 1 else None
+    if col not in schema.names:
+        return None
+    t = schema.field(col).type
+    exact = (
+        fn == "count" or pa.types.is_integer(t) or pa.types.is_string(t)
+        or pa.types.is_large_string(t) or pa.types.is_timestamp(t) or pa.types.is_date(t)
+    )
+    return (fn, col) if exact else None
+
+
+def _split(partial: dict, final: dict, schema, stats: tuple | None = None) -> AggPlan:
+    """The plan of an edited ``partial`` (FROM __batch, a table with
+    ``schema``) and ``final`` (FROM __partials) select node, once both
+    bind."""
+    partial_sql, final_sql = render(partial), render(final)
+    partial_schema = _binds(partial_sql, schema, final_sql)
+    _need(partial_schema is not None)
+    return AggPlan(partial_sql, final_sql, partial_schema, stats)
+
+
 def _aggregate(node: dict, table: str, schema) -> AggPlan:
     _single(node, table)
     orders, _ = _modifiers(node)
@@ -376,12 +426,10 @@ def _aggregate(node: dict, table: str, schema) -> AggPlan:
 
     items: list[dict] = []
     names = {c.lower() for c in group_cols}
-    shadowing: set[str] = set()  # alias == a real column, item != that column
+    shadowing = _shadowing(node["select_list"], schema)
     for item in node["select_list"]:
         _need(not any(n.get("class") == "STAR" for n in nodes(item)))
         alias = item["alias"]
-        if alias in schema.names and column_name(item) != alias:
-            shadowing.add(alias.lower())
         n_partials = len(partials)
         items.append(_map(item, merge))
         if len(partials) > n_partials:
@@ -416,9 +464,9 @@ def _aggregate(node: dict, table: str, schema) -> AggPlan:
         node, select_list=items, from_table=_base_table("__partials"),
         where_clause=None, having=having,
     )
-    partial_sql, final_sql = render(partial), render(final)
-    _need(_binds(partial_sql, "__batch", schema, final_sql))
-    return AggPlan(table=table, partial_sql=partial_sql, final_sql=final_sql)
+    stats = [_stat(e, schema) for e in partials]
+    whole = node["where_clause"] is None and not groups and None not in stats
+    return _split(partial, final, schema, tuple(stats) if whole else None)
 
 
 def plan_aggregate_pushdown(query: str, table: str, schema) -> AggPlan | None:
@@ -428,83 +476,20 @@ def plan_aggregate_pushdown(query: str, table: str, schema) -> AggPlan | None:
     return _attempt(_aggregate, query, table, schema)
 
 
-_TICKS_PER_DAY = {
-    "date32": 1,
-    "s": 86_400,
-    "ms": 86_400_000,
-    "date64": 86_400_000,  # date64 stores epoch milliseconds
-    "us": 86_400_000_000,
-    "ns": 86_400_000_000_000,
-}
-
-
-def _epoch_convert(v: int, src_unit: str, dst_unit: str) -> int | None:
-    """Exact epoch-int unit conversion; None when the value does not
-    divide evenly (a lossy downcast would move the instant)."""
-    a = _TICKS_PER_DAY.get(src_unit)
-    b = _TICKS_PER_DAY.get(dst_unit)
-    if a is None or b is None:
-        return None
-    if a == b:
-        return v
-    q, r = divmod(v * b, a)
-    return q if r == 0 else None
-
-
-def _stats_calls(node: dict, table: str) -> list[tuple[str, str, str]]:
-    _single(node, table)
-    for clause in ("where_clause", "group_expressions", "having", "modifiers"):
-        _need(not node[clause])
-    calls = []
-    for item in node["select_list"]:
-        fn = item.get("function_name") if item.get("class") == "FUNCTION" else None
-        args = item.get("children", [])
-        if fn == "count_star" and not args:
-            col = "*"
-        else:
-            _need(fn in ("count", "min", "max") and len(args) == 1 and column_name(args[0]))
-            col = column_name(args[0])
-        _need(item["alias"] and item["filter"] is None and not item["schema"])
-        calls.append((fn.replace("count_star", "count"), col, item["alias"]))
-    return calls
-
-
-def stats_calls(query: str, table: str) -> list[tuple[str, str, str]] | None:
-    """(function, column or '*', alias) per select item when ``query`` is
-    ``SELECT count/min/max(col) AS a, ... FROM table`` with nothing else,
-    else None — the shape plan_stats_answer answers, checked before any
-    manifest is loaded."""
-    return _attempt(_stats_calls, query, table) or None
-
-
-def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
-    """Answer ``SELECT count(*)/count(col)/min(col)/max(col) AS a, ...
-    FROM t`` (nothing else) from MANIFEST STATS alone — zero stripes
-    decoded, zero tasks launched. Returns the one-row pyarrow.Table or
-    None (shape unsupported / stats insufficient — caller falls back).
-
-    Soundness: manifest min/max are EXACT when stored under ``min``/
-    ``max`` (``*_bound`` keys are truncation bounds — refused);
-    null_count/n are always exact. min/max are answered only for
-    integer, exact-string and temporal stats — floats are refused
-    because NaN ordering in Arrow's min_max need not match SQL's.
-    Every stripe must carry the column's stats; all-null stripes
-    contribute nothing (SQL min/max ignore NULL); an all-null column
-    yields NULL. Output types are pinned by binding the original query
-    against an empty table, so count is BIGINT and min/max keep the
-    column's exact type. A manifest entry without a row count raises."""
-    import duckdb
+def plan_stats_answer(plan: AggPlan, schema, entries: list[dict]):
+    """``plan``'s answer from MANIFEST STATS alone — zero stripes
+    decoded, zero tasks launched: its final merge (``merge``) over one
+    partial row per stripe of ``entries``, built from the stats that
+    ``plan.stats`` names (a count is ``n - null_count``, a min/max the
+    exact ``min``/``max`` stat, NULL for an all-null stripe). Returns
+    the answer, or None when a stripe lacks an exact stat (``*_bound``
+    keys are truncation bounds), a temporal stat's ``temporal_unit`` is
+    not the merged column's, or the partial's type would lose a value
+    (a unit the final cannot hold exactly). A manifest entry without a
+    row count raises."""
     import pyarrow as pa
 
     from .. import stripe as stripe_mod
-
-    calls = stats_calls(query, table)
-    if not calls or not entries:
-        return None
-    if any(col != "*" and col not in schema.names for _, col, _ in calls):
-        return None
-    if len({a for _, _, a in calls}) != len(calls):
-        return None  # duplicate output names: the values map would conflate them
 
     per_stripe = [  # {col -> stats} per stripe
         {c["path"]: c.get("stats", {}) for c in json.loads(e.get("columns_json", "[]"))}
@@ -517,68 +502,39 @@ def plan_stats_answer(query: str, table: str, schema, entries: list[dict]):
             raise ValueError(f"manifest entry for stripe {e.get('path')!r} has no row count")
         return int(n)
 
-    try:
-        values: dict[str, object] = {}
-        for fn, col, alias in calls:
-            if fn == "count" and col == "*":
-                values[alias] = sum(n_rows(e) for e in entries)
-                continue
-            stats = [s.get(col) for s in per_stripe]
-            if any(st is None or "n" not in st or "null_count" not in st for st in stats):
+    cols = []
+    for fn, col in plan.stats:
+        if col == "*":
+            cols.append(pa.array([n_rows(e) for e in entries], pa.int64()))
+            continue
+        stats = [s.get(col) for s in per_stripe]
+        if any(st is None or "n" not in st or "null_count" not in st for st in stats):
+            return None
+        if fn == "count":
+            cols.append(pa.array([st["n"] - st["null_count"] for st in stats], pa.int64()))
+            continue
+        t = schema.field(col).type
+        temporal = pa.types.is_timestamp(t) or pa.types.is_date(t)
+        unit = stripe_mod._temporal_unit(t) if temporal else None
+        vals = []
+        for st in stats:
+            if st["null_count"] == st["n"]:
+                vals.append(None)  # all-null stripe: SQL min/max skip it
+            elif st.get(fn) is None or st.get("temporal_unit") != unit:
                 return None
-            if fn == "count":
-                values[alias] = sum(int(st["n"]) - int(st["null_count"]) for st in stats)
-                continue
-            t = schema.field(col).type
-            temporal = pa.types.is_timestamp(t) or pa.types.is_date(t)
-            if not (temporal or pa.types.is_integer(t) or pa.types.is_string(t)
-                    or pa.types.is_large_string(t)):
-                return None
-            if temporal:
-                # temporal stats are raw epoch ints in the STRIPE's own
-                # unit: a unit drifting from the merged schema's would
-                # cast to a wrong instant — require exact agreement
-                want_unit = stripe_mod._temporal_unit(t)
-                if any(st.get("temporal_unit") != want_unit for st in stats):
-                    return None
-            vals = []
-            for st in stats:
-                if int(st["null_count"]) == int(st["n"]):
-                    continue  # all-null stripe: contributes nothing
-                if fn not in st or st[fn] is None:
-                    return None  # exact stat missing (e.g. truncated bound)
-                vals.append(st[fn])
-            values[alias] = (min(vals) if fn == "min" else max(vals)) if vals else None
-
-        # pin output names AND types by binding the original query empty
-        with cursor() as con:
-            con.register(table, schema.empty_table())
-            out_schema = con.sql(query).fetch_arrow_table().schema
-        alias_col = {alias: col for _, col, alias in calls}
-        cols = []
-        for field in out_schema:
-            v = values[field.name]
-            if isinstance(v, int) and (
-                pa.types.is_timestamp(field.type) or pa.types.is_date(field.type)
-            ):
-                # epoch ints are in the COLUMN's unit; DuckDB may bind the
-                # OUTPUT in another (ms timestamp -> us, date64 -> date32):
-                # convert exactly or refuse (r5 review finding #1)
-                src_unit = stripe_mod._temporal_unit(
-                    schema.field(alias_col[field.name]).type
-                )
-                v = _epoch_convert(v, src_unit, stripe_mod._temporal_unit(field.type))
-                if v is None:
-                    return None
-            if isinstance(v, int):
-                # date32 only casts from int32; everything else from int64
-                src = pa.int32() if pa.types.is_date32(field.type) else pa.int64()
             else:
-                src = None
-            cols.append(pa.array([v], src).cast(field.type))
-        return pa.table(cols, schema=out_schema)
-    except (duckdb.Error, pa.ArrowException, KeyError, TypeError):
-        return None  # a binder or conversion surprise: the decode path answers
+                vals.append(st[fn])
+        # temporal stats are epoch ints in the column's unit (date32 casts
+        # from int32 only)
+        epoch = pa.int32() if pa.types.is_date32(t) else pa.int64()
+        cols.append(pa.array(vals, epoch).cast(t) if temporal else pa.array(vals, t))
+    try:
+        # safe casts to the partial's types: DuckDB may hold a temporal
+        # min/max in another unit (ms timestamp -> us, date64 -> date32)
+        partials = pa.table(cols, schema=plan.partial_schema)
+    except pa.ArrowInvalid:
+        return None
+    return merge(plan, partials)
 
 
 _TOPK_MAX_LIMIT = 100_000  # beyond this, n rows/batch of partials stop being "small"
@@ -590,13 +546,16 @@ def _topk(node: dict, table: str, schema) -> AggPlan:
     _need(orders and limit is not None and limit <= _TOPK_MAX_LIMIT)
     _need(not node["group_expressions"] and node["having"] is None)
     select = node["select_list"]
-    shadowing: set[str] = set()  # alias == a real column, item != that column
+    shadowing = _shadowing(select, schema)
     star = select[0] if len(select) == 1 else {}
     if star.get("class") == "STAR" and not (
         star["relation_name"] or star["exclude_list"] or star["replace_list"]
         or star["columns"]
     ):
         out_names = list(schema.names)
+        # spelled out, so the partial's columns keep this order whatever
+        # the order of a batch's (a joined batch puts its big side first)
+        select = [_column(n) for n in out_names]
     else:
         out_names = []
         for item in select:
@@ -605,8 +564,6 @@ def _topk(node: dict, table: str, schema) -> AggPlan:
             # an unaliased expression's output name would not survive
             _need(alias or column_name(item))
             out_names.append(alias or column_name(item))
-            if alias in schema.names and column_name(item) != alias:
-                shadowing.add(alias.lower())
     _need(not any(n.lower().startswith("__ob") for n in out_names))
 
     keys, sort = [], []
@@ -636,9 +593,7 @@ def _topk(node: dict, table: str, schema) -> AggPlan:
         node, select_list=[_column(n) for n in out_names],
         from_table=_base_table("__partials"), where_clause=None, modifiers=modifiers,
     )
-    partial_sql, final_sql = render(partial), render(final)
-    _need(_binds(partial_sql, "__batch", schema, final_sql))
-    return AggPlan(table=table, partial_sql=partial_sql, final_sql=final_sql)
+    return _split(partial, final, schema)
 
 
 def plan_topk_pushdown(query: str, table: str, schema) -> AggPlan | None:
@@ -756,7 +711,8 @@ def _join_rewrite(node: dict, schemas: dict, planner) -> JoinAggPlan:
         return None
 
     joined = dict(_map(node, strip), from_table=_base_table("__joined"))
-    return JoinAggPlan(t1=t1, k1=k1, t2=t2, k2=k2, agg=planner(joined, "__joined", joined_schema))
+    agg = replace(planner(joined, "__joined", joined_schema), stats=None)  # no stats of a join
+    return JoinAggPlan(t1=t1, k1=k1, t2=t2, k2=k2, agg=agg)
 
 
 def plan_join_aggregate(query: str, schemas: dict) -> JoinAggPlan | None:
@@ -777,23 +733,31 @@ def plan_join_topk(query: str, schemas: dict) -> JoinAggPlan | None:
     return _attempt(_join_rewrite, query, schemas, _topk)
 
 
-def _binds(partial_sql: str, batch_name: str, schema, final_sql: str) -> bool:
-    """Both rewritten queries must bind in DuckDB, and neither runs: the
-    partial against an empty table with the real schema, the final
-    against a temporary view of the partial (cursor-local; a relation's
-    ``create_view`` would make a view every cursor of the database sees).
+def _binds(partial_sql: str, schema, final_sql: str):
+    """The partial's Arrow schema once both rewritten queries bind in
+    DuckDB, else None: the partial runs over an empty table with the
+    real schema, the final is bound (not run) over that empty partial.
     Any error (type mismatches, unknown identifiers, shapes the tree
     gates missed) vetoes the pushdown."""
     import duckdb
 
     try:
         with cursor() as con:
-            con.register(batch_name, schema.empty_table())
-            con.execute(f"CREATE TEMP VIEW __partials AS {partial_sql}")
+            con.register("__batch", schema.empty_table())
+            partial = con.sql(partial_sql).fetch_arrow_table()
+            con.register("__partials", partial)
             con.sql(final_sql)
     except duckdb.Error:
-        return False
-    return True
+        return None
+    return partial.schema
+
+
+def merge(plan: AggPlan, partials):
+    """``plan``'s final merge over ``partials`` (a table or reader with
+    ``plan.partial_schema``), run here: every final runs through it."""
+    with cursor() as con:
+        con.register("__partials", partials)
+        return con.sql(plan.final_sql).fetch_arrow_table()
 
 
 def run_partial(partial_sql: str):

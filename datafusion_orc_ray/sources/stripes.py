@@ -48,12 +48,15 @@ def stripes_schema(out_dir: str, entries: list[dict] | None = None):
 class Catalog:
     """Named-table registration over stripe directories (S9/S10 parity:
     the reference's register_orc / read_orc surface, src/lib.rs:107-169).
-    Registered names resolve to Datasets; schemas come from the stripe
-    footers."""
+    Registered names resolve to Datasets; schemas come from the manifest
+    rows (``stripes_schema``)."""
 
     def __init__(self) -> None:
         self._tables: dict[str, str] = {}
-        self.last_plan: str | None = None  # 'aggregate_pushdown' | 'stream'
+        # the path the last sql() ran: 'stats_answer', 'aggregate_pushdown',
+        # 'topk_pushdown', 'join_aggregate_pushdown', 'join_topk_pushdown',
+        # 'stream' or 'stream+semijoin_prefilter'
+        self.last_plan: str | None = None
         # EXPLAIN-lite: per-table pushed projections + predicate
         # conjuncts of the LAST sql() call (None = full width / nothing)
         self.last_pushdown: dict | None = None
@@ -257,7 +260,9 @@ class Catalog:
         schemas, the projections and predicates pushed into each scan,
         the first planner whose gates the query passes — ``kind`` is
         the ``last_plan`` value sql() records for it (join kinds still
-        face sql()'s byte gate) — and each table's ``scans`` entry (none
+        face sql()'s byte gate; a single-table aggregate whose
+        ``AggPlan.stats`` the manifest rows answer is a "stats_answer",
+        its ``plan`` the answer) — and each table's ``scans`` entry (none
         for a stats answer, which decodes no stripe).
         ``fused``: a planned shape whose scans all run in this process,
         so sql() runs partial and final as the one original statement.
@@ -268,8 +273,9 @@ class Catalog:
         the pushdown planners' verdict and ``refusal``, why the answer
         may not be kept: ``sqlagg.keep_refusal``) is kept in ``_plans``
         under exactly those (``key``); ``reused`` says that this call
-        found all it needed there. The entries, schemas, stats answer,
-        stats pruning and executors are worked out on every call."""
+        found all it needed there. The entries, schemas, stats answer
+        (the kept plan's final over this call's manifest rows), stats
+        pruning and executors are worked out on every call."""
         from . import sqlagg
 
         found = sqlagg.table_names(query)
@@ -287,17 +293,14 @@ class Catalog:
                     sqlagg.plan_join_prefilter(query, schemas) if len(referenced) == 2 else None
                 ),
                 "refusal": sqlagg.keep_refusal(query, schemas),
+                "verdict": _verdict(query, referenced, schemas),
             }
-        answer = None
-        if len(referenced) == 1:  # metadata-only answer first
+        kind, plan = kept["verdict"]
+        if kind == "aggregate_pushdown" and plan.stats:  # metadata-only answer
             name = referenced[0]
-            answer = sqlagg.plan_stats_answer(query, name, schemas[name], entries[name])
-        if answer is not None:
-            kind, plan = "stats_answer", answer
-        else:
-            if "verdict" not in kept:
-                kept, reused = {**kept, "verdict": _verdict(query, referenced, schemas)}, False
-            kind, plan = kept["verdict"]
+            answer = sqlagg.plan_stats_answer(plan, schemas[name], entries[name])
+            if answer is not None:
+                kind, plan = "stats_answer", answer
         if not reused:
             self._plans.put(key, kept)
         p = {
@@ -517,10 +520,8 @@ class Catalog:
         kind, plan, schemas, scans = p["kind"], p["plan"], p["schemas"], p["scans"]
         projections, fused = p["projections"], p["fused"]
         if kind in ("aggregate_pushdown", "topk_pushdown") and not fused:
-            name = p["referenced"][0]
-            empty = _projected(schemas[name], projections[name]).empty_table()
             partial_fn = sqlagg.run_partial(plan.partial_sql)
-            return _run_partials(scans[name], lambda b, _: partial_fn(b), empty, plan), kind
+            return _run_partials(scans[p["referenced"][0]], lambda b, _: partial_fn(b), plan), kind
         prepared = None
         if kind in ("join_aggregate_pushdown", "join_topk_pushdown") and not fused:
             prepared = self._collect_small_side(p, (plan.t1, plan.k1, plan.t2, plan.k2))
@@ -529,23 +530,13 @@ class Catalog:
             same = plan.k1 == plan.k2
             partial_fn = sqlagg.run_partial(plan.agg.partial_sql)
 
-            def join(batch, right):
-                return batch.join(
+            def join_partial(batch, right):
+                return partial_fn(batch.join(
                     right, keys=[bkey], right_keys=[skey], join_type="inner",
                     coalesce_keys=same,
-                )
+                ))
 
-            def join_partial(batch, right):
-                return partial_fn(join(batch, right))
-
-            # an empty JOINED table pins the partial schema, so a
-            # fully-pruned big scan still yields the right 0-row/identity
-            # answer
-            empty = join(
-                _projected(schemas[big], projections[big]).empty_table(),
-                small_tbl.schema.empty_table(),
-            )
-            return _run_partials(scans[big], join_partial, empty, plan.agg, small_tbl), kind
+            return _run_partials(scans[big], join_partial, plan.agg, small_tbl), kind
         prefilter, label = None, kind
         if not fused:
             prefilter = p["prefilter"] and self._plan_semijoin_prefilter(p)
@@ -651,20 +642,15 @@ def _projected(schema, columns: list[str] | None):
     return schema if columns is None else pa.schema([schema.field(c) for c in columns])
 
 
-def _run_partials(scan, fn, empty_input, plan, side=None):
+def _run_partials(scan, fn, plan, side=None):
     """Run ``plan``'s partial (``fn(batch, side)``) over every batch of
-    ``scan`` (see ``_reader``) and its final merge over the partial
-    stream on this node. ``empty_input`` — a 0-row table shaped like the
-    partial's input — pins the partial schema, so a fully pruned scan
-    (no batches) and a point lookup of an absent value return their
-    0-row answer."""
+    ``scan`` (see ``_reader``) and its final merge (``sqlagg.merge``)
+    over the partial stream on this node. The stream has the plan's
+    ``partial_schema``, so a fully pruned scan (no batches) and a point
+    lookup of an absent value return their 0-row answer."""
     from . import sqlagg
 
-    with sqlagg.cursor() as con:
-        con.register("__batch", empty_input)
-        schema = con.sql(plan.partial_sql).fetch_arrow_table().schema
-        con.register("__partials", _reader(scan, schema, fn, side))
-        return con.sql(plan.final_sql).fetch_arrow_table()
+    return sqlagg.merge(plan, _reader(scan, plan.partial_schema, fn, side))
 
 
 def _reader(scan, schema, fn=None, side=None):

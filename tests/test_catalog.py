@@ -649,12 +649,15 @@ def test_catalog_sql_stats_answer(ray_session, tmp_path, monkeypatch):
         "SELECT min(ts) AS lo, max(ts) AS hi FROM st",     # temporal stats
         "SELECT min(allnull) AS lo FROM st",               # all-null -> NULL
         "SELECT count(*) AS a, min(n) AS b, max(k) AS c FROM st",
+        "SELECT min(n) AS x, max(n) AS x FROM st",         # duplicate aliases
+        "SELECT max(n) - min(n) AS span, count(*) AS c FROM st",  # final arithmetic
+        "SELECT count(*) AS c FROM st HAVING count(*) > 3 ORDER BY c LIMIT 1",
+        "SELECT count(*) AS c FROM st HAVING count(*) > 6",  # drops the only row
     ]
     not_answered = [
         "SELECT count(*) AS n FROM st WHERE n > 0",        # WHERE -> decode
         "SELECT min(f) AS lo FROM st",                     # float: NaN ordering
         "SELECT sum(n) AS s FROM st",                      # not stats-derivable
-        "SELECT min(n) AS x, max(n) AS x FROM st",         # duplicate aliases
     ]
 
     con = duckdb.connect()
@@ -674,6 +677,7 @@ def test_catalog_sql_stats_answer(ray_session, tmp_path, monkeypatch):
             assert cat.last_plan == "stats_answer", (q, cat.last_plan)
             want = con.sql(q).fetch_arrow_table()
             assert got.equals(want), (q, got.to_pydict(), want.to_pydict())
+        assert cat.sql(answered[-1]).num_rows == 0
         assert "metadata-only stats answer" in cat.explain(answered[0])
         monkeypatch.setattr(dsrc.StripeDatasource, "__init__", real)
         for q in not_answered:
@@ -729,11 +733,12 @@ def test_stats_answer_temporal_unit_conversion(ray_session, tmp_path):
 
 
 def test_stats_answer_textual_precheck():
-    """r5 review finding #4: the manifest load is gated behind a cheap
-    shape pre-check (sqlagg.stats_calls over the parse tree); it must
-    never reject a shape the planner answers."""
+    """A stats answer is tried only for an aggregate plan whose
+    ``stats`` names a manifest stat for every partial: set for each
+    shape the manifest answers, unset (or no plan) for every other."""
     from datafusion_orc_ray.sources import sqlagg
 
+    schema = pa.schema([("a", pa.int64()), ("b", pa.string()), ("k", pa.int64())])
     matching = [
         "SELECT count(*) AS n FROM t",
         "SELECT min(a) AS lo, max(a) AS hi, count(b) AS nb FROM t",
@@ -749,9 +754,10 @@ def test_stats_answer_textual_precheck():
         "SELECT count(DISTINCT a) AS n FROM t",
     ]
     for q in matching:
-        assert sqlagg.stats_calls(q, "t"), q
+        assert sqlagg.plan_aggregate_pushdown(q, "t", schema).stats, q
     for q in rejected:
-        assert not sqlagg.stats_calls(q, "t"), q
+        plan = sqlagg.plan_aggregate_pushdown(q, "t", schema)
+        assert plan is None or plan.stats is None, q
 
 
 def test_catalog_sql_semijoin_prefilter(ray_session, tmp_path, monkeypatch, sql_both):
@@ -995,6 +1001,9 @@ def test_catalog_sql_join_topk_pushdown(ray_session, tmp_path, sql_both):
             "ORDER BY v DESC, k, tag LIMIT 9",
             "SELECT tag, v FROM bt JOIN st2 ON st2.ck = bt.k "
             "WHERE v > 100 ORDER BY v, tag LIMIT 5",
+            # the small side first: a joined batch holds the big side's
+            # columns first, the star's output the small side's
+            "SELECT * FROM st2 JOIN bt ON ck = k ORDER BY v DESC, k LIMIT 7",
         ]:
             got = sql_both(cat, q)
             assert cat.last_plan == "join_topk_pushdown", (q, cat.last_plan)
@@ -1203,9 +1212,10 @@ def test_stats_answer_entry_without_row_count_raises():
     from datafusion_orc_ray.sources import sqlagg
 
     schema = pa.schema([("a", pa.int64())])
+    plan = sqlagg.plan_aggregate_pushdown("SELECT count(*) AS n FROM t", "t", schema)
     entries = [{"path": "/data/stripe-00007.orc", "columns_json": "[]"}]
     with pytest.raises(ValueError, match="stripe-00007"):
-        sqlagg.plan_stats_answer("SELECT count(*) AS n FROM t", "t", schema, entries)
+        sqlagg.plan_stats_answer(plan, schema, entries)
 
 
 def test_positional_join_pushes_no_filter(ray_session, tmp_path):

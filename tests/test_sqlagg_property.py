@@ -68,6 +68,7 @@ def test_topk_pushdown_equals_duckdb(rows, n_batches, select_cols, order_items, 
     batches = [t.slice(i, step) for i in range(0, max(t.num_rows, 1), step)]
     fn = sqlagg.run_partial(plan.partial_sql)
     parts = [fn(b) for b in batches if b.num_rows]
+    assert all(x.schema == plan.partial_schema for x in parts), q
     con = duckdb.connect()
     try:
         if parts:
@@ -160,6 +161,7 @@ def test_join_aggregate_pushdown_equals_duckdb(
         j = b.join(small, keys=["k"], right_keys=["ck"], join_type="inner",
                    coalesce_keys=False)
         parts.append(fn(j))
+    assert all(x.schema == plan.agg.partial_schema for x in parts), q
     con = duckdb.connect()
     try:
         if parts:

@@ -7,6 +7,7 @@ Usage: python tools/check_oracle.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -41,9 +42,10 @@ def main() -> None:
     only = set(sys.argv[2:])
     import ray
 
+    # this checkout's package, for the driver and (set before init) the workers
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entry
 
     qs, sqls = entry.queries(), entry.oracle_sql()
