@@ -4,34 +4,38 @@ ORC attaches optional bloom-filter indexes next to its row-group stats so
 point lookups on high-cardinality columns (where min/max stats prune
 nothing) can skip whole row groups before any column IO; the reference
 inherits orc-rust's format but its shim never surfaces them. Here blooms
-live in the STRIPE FOOTER's per-column metadata — read via the
-existing tail-ranged footer fetch — and deliberately NOT in the driver
-manifests: at 10^12-doc scale a per-stripe bloom over a ~unique url
-column is tens of KB, which belongs in the per-stripe metadata each
-ReadTask already fetches, not in the manifest the driver materializes.
+live in the STRIPE FOOTER — read via the existing tail-ranged footer
+fetch — and deliberately NOT in the driver manifests: at 10^12-doc scale
+a per-stripe bloom over a ~unique url column is tens of KB, which
+belongs in the per-stripe metadata each ReadTask already fetches, not in
+the manifest the driver materializes. The footer JSON holds each bloom's
+``{m, k, hs, has_null, offset, nbytes}``; its bits are stored raw after
+the JSON, inside the CRC-covered footer payload, and a parsed footer
+carries them as ``bits`` (``stripe._parse_footer``).
 
 Classic m-bit / k-probe filter with double hashing (Kirsch-Mitzenmacher):
-probe_i = (h1 + i*h2) mod m, m a power of two, h2 forced odd. h1 is the
-repo's run-stable siphash (pandas) — the same hash family the dedup and
-join stages rely on; h2 is a murmur3-fmix of h1. ~10 bits/key at k=7
-gives <1% false positives; false positives only cost a wasted decode
-(the residual row filter keeps results exact), false negatives are
-impossible.
+probe_i = (h1 + i*h2) mod m, h2 forced odd. A footer bloom's m is
+BITS_PER_KEY bits per distinct key rounded up to 64 bits (at least
+MIN_BITS); a join prefilter's m is a power of two (``bits_for``), where
+mod m is a mask. h1 is the repo's run-stable siphash (pandas) — the same
+hash family the dedup and join stages rely on; h2 is a murmur3-fmix of
+h1. 11 bits/key at k=7 gives ~0.5% false positives; false positives only
+cost a wasted decode (the residual row filter keeps results exact),
+false negatives are impossible.
 """
 
 from __future__ import annotations
-
-import base64
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-BITS_PER_KEY = 10
+# 11, not the textbook 10: at 10 a right-sized footer bloom let
+# test_bloom.py's absent point-lookup probe through as a false positive
+BITS_PER_KEY = 11
 K = 7
 MAX_DISTINCT = 1 << 17  # past this a useful bloom outgrows the footer
 MIN_BITS = 1 << 10
-MAX_BITS = 1 << 21
 _MAX_AVG_STR = 256  # same key-like-string gate as min/max stats
 
 
@@ -80,16 +84,23 @@ def _hash_values(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
+def _probe(h1: np.ndarray, h2: np.ndarray, i: int, m: int) -> np.ndarray:
+    """Bit position of probe ``i`` per key: (h1 + i*h2) mod m, as a mask
+    when m is a power of two (the same bits, ~6x cheaper than a uint64
+    modulo)."""
+    with np.errstate(over="ignore"):
+        h = h1 + np.uint64(i) * h2
+    return h & np.uint64(m - 1) if m & (m - 1) == 0 else h % np.uint64(m)
+
+
 def _insert_probes(bits: np.ndarray, m: int, h1: np.ndarray, h2: np.ndarray) -> None:
     """Set the K double-hash probe bits for every key — the ONE insert
     loop shared by footer blooms (build) and join-prefilter partials
     (build_bits); a drifted copy would make filters and probes silently
     incompatible."""
-    mask = np.uint64(m - 1)
     hit = np.zeros(m, bool)  # bit p is byte p >> 3, bit p & 7 (LSB first)
     for i in range(K):
-        with np.errstate(over="ignore"):
-            hit[((h1 + np.uint64(i) * h2) & mask).astype(np.intp)] = True
+        hit[_probe(h1, h2, i, m).astype(np.intp)] = True
     bits |= np.packbits(hit, bitorder="little")
 
 
@@ -121,35 +132,35 @@ def eligible(t: pa.DataType, nbytes: int = 0, n: int = 1) -> bool:
     return False
 
 
-def build(arr: pa.Array) -> dict | None:
-    """Bloom dict for a stripe's column, or None when ineligible (type,
-    width, or distinct-count gates). One unique pass + one vectorized
+def build(arr: pa.Array, distinct: pa.Array | None = None) -> dict | None:
+    """Bloom dict for a stripe's column — ``{m, k, bits, has_null, hs}``
+    with ``bits`` a uint8[m/8] array — or None when ineligible (type,
+    width, or distinct-count gates). ``distinct``: the column's distinct
+    non-null values when the caller has them (a dictionary column's
+    dictionary), else one unique pass finds them; then one vectorized
     hash pass over the distincts."""
     if len(arr) == 0 or arr.null_count == len(arr):
         return None
     if not eligible(arr.type, arr.nbytes, len(arr)):
         return None
-    distinct = pc.unique(arr.drop_null())
+    if distinct is None:
+        distinct = pc.unique(arr.drop_null())
     if len(distinct) > MAX_DISTINCT:
         return None
     vals = _normalize(distinct)
     if vals is None:
         return None
-    m = bits_for(len(distinct), MAX_BITS)
+    # BITS_PER_KEY bits per distinct key, rounded up to 64 bits
+    m = max(MIN_BITS, -(-len(distinct) * BITS_PER_KEY // 64) * 64)
     h1, h2 = _hash_values(vals)
     bits = np.zeros(m >> 3, np.uint8)
     _insert_probes(bits, m, h1, h2)
-    return {
-        "m": m,
-        "k": K,
-        "b64": base64.b64encode(bits.tobytes()).decode(),
-        "has_null": arr.null_count > 0,
-        "hs": _hash_sentinel(),
-    }
+    return {"m": m, "k": K, "bits": bits, "has_null": arr.null_count > 0, "hs": _hash_sentinel()}
 
 
 def bits_for(n_keys: int, max_bits: int = 1 << 24) -> int:
-    """Bitmap size (power of two) for ~BITS_PER_KEY bits/key, capped —
+    """Join-prefilter bitmap size (a power of two, so partials of one
+    join share it) for ~BITS_PER_KEY bits/key, capped —
     2^24 bits = 2 MiB, small enough to broadcast as join-prefilter
     state; past the cap the FP rate degrades gracefully (the filter
     stays conservative, never wrong)."""
@@ -203,11 +214,9 @@ def contains_many(bits: np.ndarray, m: int, arr: pa.Array | pa.ChunkedArray) -> 
     if not len(vals):
         return out
     h1, h2 = _hash_values(vals)
-    mask = np.uint64(m - 1)
     hit = np.ones(len(vals), bool)
     for i in range(K):
-        with np.errstate(over="ignore"):
-            pos = (h1 + np.uint64(i) * h2) & mask
+        pos = _probe(h1, h2, i, m)
         byte = bits[(pos >> np.uint64(3)).astype(np.int64)]
         hit &= (byte >> (pos & np.uint64(7)).astype(np.uint8)) & 1 > 0
     out[valid] = hit
@@ -223,8 +232,7 @@ def may_contain(bloom: dict, val, col_type: pa.DataType) -> bool:
         # writer hashed with a different pandas hash (or the bloom
         # predates the tag) — probing would be meaningless; never prune
         return True
-    bits = np.frombuffer(base64.b64decode(bloom["b64"]), np.uint8)
     try:
-        return bool(contains_many(bits, bloom["m"], pa.array([val], type=col_type))[0])
+        return bool(contains_many(bloom["bits"], bloom["m"], pa.array([val], type=col_type))[0])
     except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError):
         return True

@@ -36,6 +36,8 @@ DELTA = 2
 RLE = 3
 PATCHED_FOR = 4
 
+_GCD_FLAG = 0x80  # FOR_BP width byte: a GCD divisor follows (widths are <= 64)
+
 _NAMES = {RAW: "raw", FOR_BP: "for_bp", DELTA: "delta", RLE: "rle", PATCHED_FOR: "patched_for"}
 
 
@@ -89,12 +91,47 @@ def _enc_raw(v: np.ndarray) -> bytes:
     return bytes([RAW]) + v.astype("<i8").tobytes()
 
 
+def _gcd(off: np.ndarray) -> int:
+    """Exact GCD of the uint64 offsets (0 when all are 0): the GCD of a
+    ~256-value strided sample, then the full reduce only when the
+    sample's is not 1 (the full GCD divides it)."""
+    g = int(np.gcd.reduce(off[:: max(1, off.size // 256)]))
+    return g if g == 1 else int(np.gcd.reduce(off))
+
+
+def _for_plan(off: np.ndarray) -> tuple[int, int, int]:
+    """(width, divisor, encoded size) of the FOR_BP block over the uint64
+    offsets: divided by their GCD when that makes the block smaller
+    (decimal cents that are whole units, second timestamps in ns)."""
+    n, top = off.size, int(off.max(initial=0))
+    w = top.bit_length()
+    size = 10 + (n * w + 7) // 8
+    if w > 1:
+        g = _gcd(off)
+        if g > 1:
+            gw = (top // g).bit_length()
+            gsize = 10 + len(write_uvarint(g)) + (n * gw + 7) // 8
+            if gsize < size:
+                return gw, g, gsize
+    return w, 1, size
+
+
 def _enc_for_bp(v: np.ndarray) -> bytes:
+    """``FOR_BP | <q base> | <B width> | bits``; width's high bit
+    (``_GCD_FLAG``) says a uvarint divisor follows it and every offset
+    is stored divided by it."""
     if v.size == 0:
         return bytes([FOR_BP]) + struct.pack("<qB", 0, 0)
     base, off = _offsets(v)
-    w = int(off.max()).bit_length()
-    return bytes([FOR_BP]) + struct.pack("<qB", base, w) + pack_bits(off, w)
+    w, g, _ = _for_plan(off)
+    if g == 1:
+        return bytes([FOR_BP]) + struct.pack("<qB", base, w) + pack_bits(off, w)
+    return (
+        bytes([FOR_BP])
+        + struct.pack("<qB", base, w | _GCD_FLAG)
+        + write_uvarint(g)
+        + pack_bits(off // np.uint64(g), w)
+    )
 
 
 def _enc_delta(v: np.ndarray) -> bytes:
@@ -182,9 +219,7 @@ def estimate_sizes(v: np.ndarray) -> dict[int, int]:
     if n == 0:
         return sizes
     _, off = _offsets(v)
-    max_off = off.max()
-    w = int(max_off).bit_length()
-    sizes[FOR_BP] = 1 + 9 + (n * w + 7) // 8
+    sizes[FOR_BP] = _for_plan(off)[2]
 
     zz = _wrapped_deltas(v)
     if zz.size:
@@ -198,9 +233,7 @@ def estimate_sizes(v: np.ndarray) -> dict[int, int]:
     if rv.size < n:  # only worth evaluating when there are actual runs
         rv_sizes = estimate_sizes(rv)
         rv_best = min(s for c, s in rv_sizes.items() if c != RLE)
-        _, rl_off = _offsets(rl)
-        rl_w = int(rl_off.max()).bit_length()
-        lens_block = 10 + (rv.size * rl_w + 7) // 8
+        lens_block = _for_plan(_offsets(rl)[1])[2]
         sizes[RLE] = (
             1
             + len(write_uvarint(rv.size))
@@ -245,7 +278,10 @@ def decode_ints(buf: bytes, n: int) -> np.ndarray:
         return np.frombuffer(body, dtype="<i8", count=n).astype(np.int64)
     if codec == FOR_BP:
         base, w = struct.unpack_from("<qB", body, 0)
-        off = unpack_bits(body[9:], w, n)
+        g, pos = read_uvarint(body, 9) if w & _GCD_FLAG else (1, 9)
+        off = unpack_bits(body[pos:], w & ~_GCD_FLAG, n)
+        if g != 1:
+            off *= np.uint64(g)
         return (off + np.array(base, dtype=np.int64).view(np.uint64)).view(np.int64)
     if codec == DELTA:
         first, zmin, w = struct.unpack_from("<qQB", body, 0)

@@ -29,7 +29,11 @@ class StripeDatasource(Datasource):
         columns: list[str] | None = None,
         predicate: tuple | list | None = None,
         entries: list[dict] | None = None,
+        schema: pa.Schema | None = None,
     ) -> None:
+        """``entries``: the directory's loaded manifest entries, and
+        ``schema`` their merged schema (``stripes_schema``), when the
+        caller has them."""
         from ..predicate import normalize
         from .stripes import _stats_may_match, stripes_schema
 
@@ -39,10 +43,15 @@ class StripeDatasource(Datasource):
         entries = manifest.load_manifest(out_dir) if entries is None else entries
         if not entries:
             raise FileNotFoundError(f"no manifest entries under {out_dir}")
-        self._schema = stripes_schema(out_dir, entries)
+        self._schema = stripes_schema(out_dir, entries) if schema is None else schema
         # ordinal order, one read task per stripe; AND semantics: a
-        # stripe survives only if EVERY item may match its stats
-        self._entries = [e for e in entries if all(_stats_may_match(e, p) for p in preds)]
+        # stripe survives only if EVERY item may match its stats, which
+        # are parsed once per stripe
+        self._entries = []
+        for e in entries:
+            stats = manifest.column_stats(e) if preds else None
+            if all(_stats_may_match(e, p, stats) for p in preds):
+                self._entries.append(e)
         # set to a list, it collects each decoded stripe's (path, footer)
         # from read tasks run in this process (``stripe.decode_file``)
         self.footers: list | None = None

@@ -490,11 +490,9 @@ def plan_stats_answer(plan: AggPlan, schema, entries: list[dict]):
     import pyarrow as pa
 
     from .. import stripe as stripe_mod
+    from ..state import manifest
 
-    per_stripe = [  # {col -> stats} per stripe
-        {c["path"]: c.get("stats", {}) for c in json.loads(e.get("columns_json", "[]"))}
-        for e in entries
-    ]
+    per_stripe = [manifest.column_stats(e) for e in entries]  # {col -> stats} per stripe
 
     def n_rows(e: dict) -> int:
         n = e.get("n_rows", e.get("rows"))

@@ -87,14 +87,15 @@ class Catalog:
         ``entries``, ``weight`` and ``bound``."""
         return {"plans": self._plans.stats(), "results": self._results.stats()}
 
-    def _scan(self, name: str, columns=None, predicate=None, *, entries: list[dict]):
+    def _scan(self, name: str, columns=None, predicate=None, *, entries: list[dict], schema):
         """A scan (read via ``_reader``): the StripeDatasource
         (validation, stats pruning) over ``name``'s loaded manifest
-        ``entries`` and its ``_executor``."""
+        ``entries`` and merged ``schema``, and its ``_executor``."""
         from .datasource import StripeDatasource
 
         src = StripeDatasource(
-            self._tables[name], columns=columns, predicate=predicate, entries=entries
+            self._tables[name], columns=columns, predicate=predicate, entries=entries,
+            schema=schema,
         )
         return src, self._executor(src.estimate_inmemory_data_size() or 0)
 
@@ -318,7 +319,7 @@ class Catalog:
         }
         p["scans"] = {
             name: self._scan(name, p["projections"][name], p["predicates"][name],
-                             entries=entries[name])
+                             entries=entries[name], schema=schemas[name])
             for name in referenced
             if p["kind"] != "stats_answer"
         }
@@ -714,20 +715,19 @@ def read_stripes(
     return ds
 
 
-def _stats_may_match(entry: dict, predicate) -> bool:
+def _stats_may_match(entry: dict, predicate, stats: dict | None = None) -> bool:
     """False only when the stripe of manifest ``entry`` PROVABLY has no
     row that ``predicate`` — one conjunct or or-group — keeps, by its
     column stats (``predicate.stats_may_match``); a column without stats
-    cannot prune."""
-    import json
-
+    cannot prune. ``stats``: the entry's ``manifest.column_stats``, when
+    the caller parsed them already."""
     from ..predicate import may_match, stats_may_match
 
-    cols = {c["path"]: c for c in json.loads(entry.get("columns_json", "[]"))}
+    stats = manifest.column_stats(entry) if stats is None else stats
 
     def conj_ok(col: str, op: str, val) -> bool:
-        c = cols.get(col)
-        return c is None or stats_may_match(c.get("stats", {}), op, val)
+        st = stats.get(col)
+        return st is None or stats_may_match(st, op, val)
 
     return may_match([predicate], conj_ok)
 

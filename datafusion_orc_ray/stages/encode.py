@@ -247,8 +247,9 @@ class StripeEncoder:
         got = manifest.existing_entry(self.out_dir, stripe_id)
         if got is not None:
             return got
-        blob = stripe.encode_table(batch, state=self.state)
-        footer = stripe.read_footer(blob)
+        footers: list = []
+        blob = stripe.encode_table(batch, state=self.state, footers=footers)
+        footer = footers[0]
         col_metrics = [
             {
                 "path": c["path"],

@@ -219,6 +219,12 @@ def completed_ids(out_dir: str) -> set[str]:
     return done | {rid for sid in done for rid in by_id[sid].get("replaces", [])}
 
 
+def column_stats(entry: dict) -> dict[str, dict]:
+    """``{column path: stats}`` of one manifest entry, parsed from its
+    ``columns_json``."""
+    return {c["path"]: c.get("stats", {}) for c in json.loads(entry.get("columns_json", "[]"))}
+
+
 def load_manifest(out_dir: str) -> list[dict]:
     """Current manifest entries in ordinal (scan) order; an entry with no
     ordinal raises ``ValueError``, a row that does not parse

@@ -6,18 +6,20 @@ The Ray-Data-native equivalent of an ORC stripe + footer (SURVEY.md §1.1,
 parsed from the reference fixtures' stripe footers) followed by a JSON
 footer with the stream directory, per-column codec choices and sizes
 (E17 metrics), per-column min/max/null-count stats (E13), and the
-serialized Arrow schema. Layout::
+serialized Arrow schema, then the raw bits of each top-level column's
+bloom filter (``codecs.bloom``). Layout::
 
-    b"RSTP1" | stream bytes... | footer_json | uint32 footer_crc32
-             | uint32 footer_len | b"RSTP1"
+    b"RSTP1" | stream bytes... | footer_json | bloom bits... | uint32 json_len
+             | uint32 footer_crc32 | uint32 footer_len | b"RSTP1"
 
 Decode is the exact inverse and reproduces every column bit-identically
 (ORC round-trip contract, reference golden test src/lib.rs:194-207).
 Column pruning on decode mirrors the shim's ProjectionMask pushdown
 (src/physical_exec.rs:68-78): non-requested columns' streams are never
 touched. Every stream carries the CRC-32 of its stored bytes, checked on
-each read, and the footer's CRC-32 follows it (``footer_len`` counts
-both); bad bytes raise ``StripeCorruptError``.
+each read, and the footer's CRC-32 covers its JSON, bloom bits and JSON
+length (``footer_len`` counts those and the CRC); bad bytes raise
+``StripeCorruptError``.
 
 Pure pyarrow/numpy — no Ray dependency; the Ray stages in
 ``datafusion_orc_ray.stages`` wrap these functions in ``map_batches``.
@@ -42,7 +44,7 @@ from .predicate import may_match, normalize
 from .util import BoundedStore
 
 MAGIC = b"RSTP1"
-FORMAT = "rstp7"  # bump on any layout change: decode refuses older blobs
+FORMAT = "rstp8"  # bump on any layout change: decode refuses older blobs
                   # loudly and cached encode dirs key on this string
 
 # stream kinds (cf. ORC stream kinds PRESENT/DATA/LENGTH/SECONDARY/
@@ -193,14 +195,15 @@ def _temporal_unit(t: pa.DataType) -> str:
     return "date64"  # ms
 
 
-def _stats(arr: pa.Array) -> dict:
+def _stats(arr: pa.Array, distinct: pa.Array | None = None) -> dict:
     """Per-column min/max/null-count (E13). Contract for the pruning code
     in predicate.stats_may_match: ``min``/``max`` are EXACT values;
     ``min_bound``/``max_bound`` are safe outer bounds for truncated string
     stats (bound-only stats never appear in manifest_column_stats output).
     Temporal stats are epoch integers + a ``temporal_unit`` marker so the
     pruner can compare against datetime predicate values without the
-    str-vs-datetime TypeError (ADVICE r1, medium)."""
+    str-vs-datetime TypeError (ADVICE r1, medium). A string column's
+    min/max come from ``distinct`` (its dictionary) when given."""
     st: dict = {"n": len(arr), "null_count": arr.null_count}
     t = arr.type
     try:
@@ -216,7 +219,7 @@ def _stats(arr: pa.Array) -> dict:
             # skip min/max for long-text columns: little pruning value,
             # real scan cost (E13 keeps stats for short/key-like strings)
             if len(arr) == 0 or arr.nbytes // max(len(arr), 1) <= 256:
-                mm = pc.min_max(arr)
+                mm = pc.min_max(arr if distinct is None else distinct)
                 mn, mx = mm["min"].as_py(), mm["max"].as_py()
                 if mn is not None:
                     if len(mn) <= _STR_STAT_LIMIT:
@@ -251,8 +254,21 @@ def _add(meta: dict, blobs: list, kind: str, smeta: dict, payload: bytes) -> Non
     blobs.append((smeta, payload))
 
 
+def _is_bytes(t: pa.DataType) -> bool:
+    return (
+        pa.types.is_string(t)
+        or pa.types.is_large_string(t)
+        or pa.types.is_binary(t)
+        or pa.types.is_large_binary(t)
+    )
+
+
 def encode_column(
-    arr: pa.Array, path: str, state: EncoderState, outer_codec: int = outer.ZSTD
+    arr: pa.Array,
+    path: str,
+    state: EncoderState,
+    outer_codec: int = outer.ZSTD,
+    index: bool = False,
 ) -> tuple[dict, list[tuple[dict, bytes]]]:
     """Encode one array. Returns (column_meta, [(stream_meta, bytes)]).
 
@@ -261,7 +277,9 @@ def encode_column(
     they carry codec decisions + raw/encoded sizes for the manifest
     metrics (E17). Child columns own their stream directories.
     ``outer_codec`` is the stripe's outer codec, which the bytes codec
-    and byte-stream-split trials compare sizes after.
+    and byte-stream-split trials compare sizes after. ``index`` adds
+    the column's bloom filter as ``column_meta["bloom"]`` (a probe names
+    a top-level column, so only ``encode_table``'s columns ask).
     """
     t = arr.type
     n = len(arr)
@@ -271,7 +289,36 @@ def encode_column(
     meta["null_count"] = null_count
     if present is not None:
         _add(meta, blobs, PRESENT, {"codec": "bitpack"}, present)
-    meta["stats"] = _stats(arr) if not pa.types.is_nested(t) else {"n": n, "null_count": null_count}
+    dct = None
+    if _is_bytes(t):
+        data, offs = _binary_parts(arr)
+        n_valid = offs.size - 1
+        spend = int(data.size)
+
+        # dictionary trial (E9): sample distinct ratio. Long values never
+        # pay for a dictionary and hashing them is the trial's whole cost,
+        # so the probe is gated on average length (the bytes codec's FSST
+        # gate under zstd, too)
+        def dict_pays(_) -> bool:
+            if n_valid < 64 or data.size > bytes_codec.LONG_VALUE_BYTES * n_valid:
+                return False
+            sample = arr.drop_null().slice(0, min(4096, n_valid))
+            return pc.count_distinct(sample).as_py() / len(sample) <= 0.4
+
+        if state.decide((path, "dict"), spend, state.REVALIDATE_BYTES, dict_pays):
+            dct = pc.dictionary_encode(arr.drop_null())
+            if isinstance(dct, pa.ChunkedArray):
+                dct = dct.combine_chunks()
+    # a dictionary column's stats and bloom take its distinct values
+    # from the dictionary: the column is not hashed again
+    distinct = None if dct is None else dct.dictionary
+    meta["stats"] = (
+        _stats(arr, distinct) if not pa.types.is_nested(t) else {"n": n, "null_count": null_count}
+    )
+    if index:
+        bl = bloom.build(arr, distinct)
+        if bl is not None:
+            meta["bloom"] = bl
 
     if pa.types.is_null(t):
         meta["enc"] = "null"
@@ -348,30 +395,8 @@ def encode_column(
             _add(meta, blobs, kind, {"codec": codec_name(buf[0])}, buf)
         return meta, blobs
 
-    if (
-        pa.types.is_string(t)
-        or pa.types.is_large_string(t)
-        or pa.types.is_binary(t)
-        or pa.types.is_large_binary(t)
-    ):
-        data, offs = _binary_parts(arr)
-        lengths = np.diff(offs)
-        n_valid = lengths.size
-        # dictionary trial (E9): sample distinct ratio. Long values never
-        # pay for a dictionary and hashing them is the trial's whole cost,
-        # so the probe is gated on average length (the bytes codec's FSST
-        # gate under zstd, too)
-        def dict_pays(_) -> bool:
-            if n_valid < 64 or data.size > bytes_codec.LONG_VALUE_BYTES * n_valid:
-                return False
-            sample = arr.drop_null().slice(0, min(4096, n_valid))
-            return pc.count_distinct(sample).as_py() / len(sample) <= 0.4
-
-        spend = int(data.size)
-        if state.decide((path, "dict"), spend, state.REVALIDATE_BYTES, dict_pays):
-            dct = pc.dictionary_encode(arr.drop_null())
-            if isinstance(dct, pa.ChunkedArray):
-                dct = dct.combine_chunks()
+    if _is_bytes(t):  # data, offs and the dictionary trial's dct: above
+        if dct is not None:
             idx_np = dct.indices.to_numpy(zero_copy_only=False).astype(np.int64)
             idx_buf = encode_ints(idx_np)
             meta["enc"] = "dict"
@@ -391,7 +416,7 @@ def encode_column(
         # written only here — a dict column's lengths are recomputed
         # from the gathered dictionary values at decode, so persisting
         # them wasted stream bytes and a decode pass per dict stripe
-        len_buf = encode_ints(lengths)
+        len_buf = encode_ints(np.diff(offs))
         _add(meta, blobs, LENGTHS, {"codec": codec_name(len_buf[0])}, len_buf)
         codec_id, table = state.decide(
             (path, "bytes"), spend, state.REVALIDATE_BYTES,
@@ -436,7 +461,7 @@ def encode_column(
         return meta, blobs
 
     if pa.types.is_dictionary(t):
-        return encode_column(arr.cast(t.value_type), path, state, outer_codec)
+        return encode_column(arr.cast(t.value_type), path, state, outer_codec, index)
 
     if pa.types.is_union(t):
         # unions carry no top-level validity in Arrow; streams are the
@@ -477,11 +502,13 @@ def encode_table(
     table: pa.Table,
     state: EncoderState | None = None,
     outer_codec: int = outer.ZSTD,
+    footers: list | None = None,
 ) -> bytes:
     """Encode a pyarrow Table into one self-describing stripe blob.
     ``stages.encode.StripeEncoder`` bounds the table's size first.
     With no ``state`` every trial runs: a column path occurs once per
-    table."""
+    table. ``footers`` (a list) gets the blob's footer, as
+    ``read_footer`` would parse it."""
     if state is None:
         state = EncoderState()
     table = table.combine_chunks()
@@ -502,15 +529,11 @@ def encode_table(
         if pa.types.is_dictionary(col.type):
             col = col.cast(col.type.value_type)
         fields.append(pa.field(name, col.type))
-        cmeta, blobs = encode_column(col, name, state, outer_codec)
-        # bloom-filter index for point-lookup pruning, on top-level
-        # columns only: a probe names a top-level column. Footer-only:
-        # the manifest writer copies path/enc/streams/stats and drops
-        # it, keeping driver metadata O(stats) while each ReadTask's
-        # footer fetch gets the filter
-        bl = bloom.build(col)
-        if bl is not None:
-            cmeta["bloom"] = bl
+        # with its bloom-filter index for point-lookup pruning. Footer
+        # only: the manifest writer copies path/enc/streams/stats and
+        # drops it, keeping driver metadata O(stats) while each
+        # ReadTask's footer fetch gets the filter
+        cmeta, blobs = encode_column(col, name, state, outer_codec, index=True)
         for smeta, payload in blobs:
             framed_parts = outer.compress_auto(payload, outer_codec)
             framed_len = sum(len(p) for p in framed_parts)
@@ -532,10 +555,22 @@ def encode_table(
         "schema_b64": base64.b64encode(schema.serialize().to_pybytes()).decode(),
         "columns": columns_meta,
     }
+    # bloom bits leave the JSON: raw, after it, each at its offset
+    bits = []
+    at = 0
+    for cmeta in columns_meta:
+        bl = cmeta.get("bloom")
+        if bl is not None:
+            bits.append(bl.pop("bits"))
+            bl["offset"], bl["nbytes"] = at, bits[-1].nbytes
+            at += bits[-1].nbytes
     fbytes = json.dumps(footer, separators=(",", ":")).encode()
-    parts.append(fbytes)
-    parts.append(struct.pack("<II", zlib.crc32(fbytes), len(fbytes) + 4))
+    payload = b"".join([fbytes, *bits, struct.pack("<I", len(fbytes))])
+    parts.append(payload)
+    parts.append(struct.pack("<II", zlib.crc32(payload), len(payload) + 4))
     parts.append(MAGIC)
+    if footers is not None:
+        footers.append(_attach_blooms(footer, payload, len(fbytes), _IN_MEMORY))
     return b"".join(parts)
 
 
@@ -590,32 +625,56 @@ def _parse_footer(tail: bytes, name: str, read_tail=None, reuse: bool = False) -
     fstart = len(tail) - len(MAGIC) - 4 - flen
     if fstart < len(MAGIC):
         raise StripeCorruptError(name, None, "footer", "torn footer: longer than the blob")
-    payload = tail[fstart : fstart + flen]  # footer JSON, then its CRC-32
+    payload = tail[fstart : fstart + flen]  # body, then its CRC-32
     key = (bytes(payload[-4:]), flen)
     got = _FOOTERS.get(key, lambda got: got[0] == payload) if reuse else None
     if got is not None:
         return got[1]
-    if flen < 4 or zlib.crc32(payload[:-4]) != struct.unpack("<I", payload[-4:])[0]:
+    body = memoryview(payload)[:-4]  # footer JSON | bloom bits | uint32 JSON length
+    if flen < 4 or zlib.crc32(body) != struct.unpack("<I", payload[-4:])[0]:
+        # before rstp7 the footer was plain JSON with no CRC after it
         raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload))
-    footer = json.loads(payload[:-4])
-    if footer.get("format") != FORMAT:
-        raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload[:-4]))
+    (jlen,) = struct.unpack_from("<I", body, len(body) - 4) if len(body) >= 4 else (len(body),)
+    footer = _json_object(bytes(body[:jlen])) if jlen <= len(body) - 4 else None
+    if footer is None or footer.get("format") != FORMAT:
+        # an rstp7 footer is its JSON alone, which names its format
+        why = _footer_mismatch(bytes(body if footer is None else body[:jlen]))
+        raise StripeCorruptError(name, None, "footer", why)
+    footer = _attach_blooms(footer, body, jlen, name)
     if reuse:
         _FOOTERS.put(key, (payload, footer), flen)
     return footer
 
 
-def _footer_mismatch(footer_json: bytes) -> str:
-    """Why a footer is refused: an older format (whose footer is plain
-    JSON, no CRC after it) names its own format; anything else is bad
-    bytes."""
+def _json_object(js: bytes) -> dict | None:
     try:
-        fmt = json.loads(footer_json).get("format")
-    except (ValueError, AttributeError):
-        fmt = FORMAT
+        obj = json.loads(js)
+    except ValueError:
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+def _footer_mismatch(footer_json: bytes) -> str:
+    """Why a footer is refused: JSON naming another format (an older
+    blob's) names it; anything else is bad bytes."""
+    fmt = (_json_object(footer_json) or {}).get("format", FORMAT)
     if fmt == FORMAT:
         return "CRC-32 mismatch"
     return f"format {fmt!r} != {FORMAT!r} — stale blob; re-encode"
+
+
+def _attach_blooms(footer: dict, body, jlen: int, name: str) -> dict:
+    """``footer`` with each bloom's ``bits``: a read-only uint8 view of
+    the footer ``body`` (JSON, bloom bits from ``jlen``, JSON length)."""
+    end = len(body) - 4
+    for cmeta in footer["columns"]:
+        bl = cmeta.get("bloom")
+        if bl is not None:
+            at = jlen + bl["offset"]
+            if at + bl["nbytes"] > end or bl["nbytes"] * 8 != bl["m"]:
+                raise StripeCorruptError(name, None, "footer", "bloom bits outside the footer")
+            bl["bits"] = np.frombuffer(body, np.uint8, bl["nbytes"], at)
+    return footer
 
 
 def read_footer(blob: bytes) -> dict:

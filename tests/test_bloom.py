@@ -9,6 +9,7 @@ import base64
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 from datafusion_orc_ray import stripe
 from datafusion_orc_ray.codecs import bloom
@@ -34,7 +35,7 @@ def test_no_false_negatives_strings_and_fp_rate():
     fp = sum(bloom.may_contain(bl, v, pa.string()) for v in absent)
     assert fp < 50  # ~10 bits/key, k=7 -> <1% expected; 5% hard bound
     # a footer probe answers as the batch probe over the same bitmap
-    bits = np.frombuffer(base64.b64decode(bl["b64"]), np.uint8)
+    bits = bl["bits"]
     probes = vals[::7] + absent
     batch = bloom.contains_many(bits, bl["m"], pa.array(probes))
     assert [bloom.may_contain(bl, v, pa.string()) for v in probes] == batch.tolist()
@@ -56,7 +57,7 @@ def test_strings_hash_as_their_str_objects():
         assert got.tolist() == want.tolist(), t
     bl = bloom.build(pa.array([*_STRS, None]))
     assert (bl["m"], bl["k"], bl["has_null"]) == (1024, 7, True)
-    assert bl["b64"] == (
+    assert bl["bits"].tobytes() == base64.b64decode(
         "AACAAQAgAAAAAAAAEAAAAAgAAAAAAAAAAAAAAAEAABACAAAAAAAAAABAAAAAAQAAAIAIAAAAAAAgAAAAAgAA"
         "AAAAGCAAAAAQQCAAAAEAAAAAAAAAACAIBIAAAAAAAAAEAAAAAAAEBACAAQAAAAAABAAAEAACAAAAAABAAAIAAAA="
     )
@@ -236,3 +237,70 @@ def test_hash_join_bloom_prefilter_equivalence(ray_session):
         )
         sort_cols = [(c, "ascending") for c in plain.column_names]
         assert plain.sort_by(sort_cols).equals(pre.sort_by(sort_cols)), jt
+
+
+def test_footer_bloom_is_right_sized_with_no_false_negatives():
+    """m is the smallest multiple of 64 bits that is at least
+    BITS_PER_KEY (>= 10) bits per distinct key and at least MIN_BITS;
+    every key is found, and at n = 10k under 2% of 10k absent probes
+    pass."""
+    assert bloom.BITS_PER_KEY >= 10
+    for n in (1, 5, 93, 94, 100, 1000, 4097, 10_000):
+        bl = bloom.build(pa.array(range(0, 3 * n, 3), pa.int64()))
+        want = max(bloom.MIN_BITS, bloom.BITS_PER_KEY * n)
+        assert bl["m"] % 64 == 0 and want <= bl["m"] < want + 64, (n, bl["m"])
+        assert bl["bits"].nbytes * 8 == bl["m"]
+    keys = pa.array([f"key-{i}" for i in range(10_000)])
+    bl = bloom.build(keys)
+    assert bloom.contains_many(bl["bits"], bl["m"], keys).all()
+    absent = pa.array([f"absent-{i}" for i in range(10_000)])
+    assert bloom.contains_many(bl["bits"], bl["m"], absent).mean() <= 0.02
+
+
+def test_dictionary_column_takes_stats_and_bloom_from_its_dictionary():
+    """A dictionary-encoded string column's footer stats and bloom bits
+    equal those of the column's own passes."""
+    col = pa.array([None if i % 13 == 0 else f"mode-{i % 7}" for i in range(5000)])
+    footer = []
+    stripe.encode_table(pa.table({"m": col}), footers=footer)
+    cmeta = footer[0]["columns"][0]
+    assert cmeta["enc"] == "dict"
+    assert cmeta["stats"] == stripe._stats(col)
+    want = bloom.build(col)
+    got = cmeta["bloom"]
+    assert (got["m"], got["has_null"]) == (want["m"], want["has_null"])
+    assert np.array_equal(got["bits"], want["bits"])
+
+
+def test_a_flipped_bloom_bit_raises_footer_corrupt(tmp_path):
+    """The bloom bits sit inside the CRC-covered footer payload: one
+    flipped byte there is a corrupt footer to decode_file, validate_blob
+    and the scan decoder."""
+    import struct
+
+    from datafusion_orc_ray.stages.decode import make_stripe_decoder
+
+    t = pa.table({"k": pa.array([f"key{i}" for i in range(3000)]), "v": pa.array(range(3000))})
+    blob = stripe.encode_table(t)
+    footer = stripe.read_footer(blob)
+    bl = footer["columns"][0]["bloom"]
+    body_len = struct.unpack_from("<I", blob, len(blob) - len(stripe.MAGIC) - 4)[0] - 4
+    body_start = len(blob) - len(stripe.MAGIC) - 8 - body_len
+    jlen = struct.unpack_from("<I", blob, body_start + body_len - 4)[0]
+    at = body_start + jlen + bl["offset"] + bl["nbytes"] // 2
+    assert blob[at] == bl["bits"][bl["nbytes"] // 2]
+    bad = bytearray(blob)
+    bad[at] ^= 0x10
+    p = str(tmp_path / "bad.rstp")
+    open(p, "wb").write(bytes(bad))
+    for read in (
+        lambda: stripe.decode_file(p),
+        lambda: stripe.decode_file(p, predicate=("k", "==", "key7")),
+        lambda: list(make_stripe_decoder(predicate=("k", "==", "key7"))(pa.table({"path": [p]}))),
+    ):
+        with pytest.raises(stripe.StripeCorruptError) as ei:
+            read()
+        assert (ei.value.stripe, ei.value.column, ei.value.stream) == (p, None, "footer")
+    audit = stripe.validate_blob(bytes(bad))
+    assert not audit["ok"] and audit["bad"][0].startswith("footer: ")
+    assert "CRC-32 mismatch" in audit["bad"][0]

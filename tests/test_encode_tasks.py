@@ -297,3 +297,24 @@ def test_task_groups_share_tasks_between_small_fragments():
     orc = [{"path": "o", "stripe": i} for i in range(4)]
     assert sizes(ep.task_groups(orc, 1, 64 * mb)) == [1, 1, 1, 1]
     assert [f for g in ep.task_groups(mixed, 1, 64 * mb) for f in g] == mixed
+
+
+def test_encode_one_takes_the_footer_it_encoded(tmp_path, monkeypatch):
+    """A stripe's manifest row comes from the footer ``encode_table``
+    built, with no footer read of the blob it just encoded."""
+    import json
+
+    t = pa.table({"k": pa.array(range(3000), pa.int64()), "s": pa.array([f"s{i % 9}" for i in range(3000)])})
+
+    def no_read(blob):
+        raise AssertionError("footer read back after encode")
+
+    monkeypatch.setattr(stripe, "read_footer", no_read)
+    (entry,) = se.StripeEncoder(str(tmp_path / "out")).encode_split(t)
+    monkeypatch.undo()
+    footer = stripe.read_footer(open(entry["path"], "rb").read())
+    assert entry["schema_b64"] == footer["schema_b64"]
+    cols = json.loads(entry["columns_json"])
+    assert [(c["path"], c["enc"], c["stats"]) for c in cols] == [
+        (c["path"], c["enc"], c["stats"]) for c in footer["columns"]
+    ]

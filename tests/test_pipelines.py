@@ -92,8 +92,9 @@ def test_stale_format_refused(corpus):
     path = man.load_manifest(out)[0]["path"]
     blob = open(path, "rb").read()
     footer = stripe_mod.read_footer(blob)
-    # forge an older version marker
-    old = dict(footer, format="rstp0")
+    # forge an older version marker (a plain-JSON footer: no bloom bits)
+    columns = [{k: v for k, v in c.items() if k != "bloom"} for c in footer["columns"]]
+    old = dict(footer, format="rstp0", columns=columns)
     fbytes = json.dumps(old, separators=(",", ":")).encode()
     import struct as st
 

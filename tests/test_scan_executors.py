@@ -205,6 +205,38 @@ def test_each_query_loads_each_manifest_once(catalog, monkeypatch):
         assert cat.last_plan == plan
 
 
+def test_each_query_merges_each_schema_and_parses_each_stats_once(catalog, monkeypatch):
+    """sql() and explain() merge every referenced table's schema once per
+    call (its scan takes the merged schema) and parse each manifest
+    entry's column stats at most once, however many conjuncts prune."""
+    cat, _ = catalog
+    merge, parse = stripes.stripes_schema, manifest.column_stats
+    merged: list[str] = []
+    parsed: list[str] = []
+
+    def counted_merge(out_dir, entries=None):
+        merged.append(out_dir)
+        return merge(out_dir, entries)
+
+    def counted_parse(entry):
+        parsed.append(entry["path"])
+        return parse(entry)
+
+    monkeypatch.setattr(stripes, "stripes_schema", counted_merge)
+    monkeypatch.setattr(manifest, "column_stats", counted_parse)
+    queries = [q for q, _, _ in QUERIES] + [
+        "SELECT id, v FROM fact WHERE id >= 100 AND id < 2500 AND v > 3 ORDER BY id"
+    ]
+    for q in queries:
+        for run in (cat.sql, cat.explain):
+            merged.clear()
+            parsed.clear()
+            run(q)
+            assert merged and all(merged.count(d) == 1 for d in merged), (q, merged)
+            assert all(parsed.count(p) == 1 for p in parsed), (q, parsed)
+    assert parsed  # the last query pruned by stats
+
+
 def _fresh(catalog) -> Catalog:
     """A catalog with empty stores over the fixture's tables."""
     cat = Catalog()

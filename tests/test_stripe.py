@@ -644,17 +644,32 @@ def test_threads_reading_the_same_stripes_get_equal_tables(tmp_path):
     assert errors == []
 
 
-def _footer_json(blob: bytes) -> bytes:
+def _footer_body(blob: bytes) -> bytes:
+    """The CRC-covered footer of ``blob``: JSON, bloom bits, JSON length."""
     flen = struct.unpack_from("<I", blob, len(blob) - len(stripe.MAGIC) - 4)[0]
     fstart = len(blob) - len(stripe.MAGIC) - 4 - flen
     return blob[fstart : fstart + flen - 4]
 
 
+def _footer_json(blob: bytes) -> bytes:
+    body = _footer_body(blob)
+    return body[: struct.unpack("<I", body[-4:])[0]]
+
+
+def _bloom_bits(blob: bytes) -> bytes:
+    return _footer_body(blob)[len(_footer_json(blob)) : -4]
+
+
+def _body(blob: bytes, footer_json: bytes) -> bytes:
+    """``blob``'s footer body with its JSON replaced."""
+    return footer_json + _bloom_bits(blob) + struct.pack("<I", len(footer_json))
+
+
 def _sealed(blob: bytes, footer_json: bytes) -> bytes:
     """``blob`` with its footer JSON replaced and CRC-sealed again."""
-    body = blob[: len(blob) - len(stripe.MAGIC) - 8 - len(_footer_json(blob))]
-    crc = zlib.crc32(footer_json)
-    return body + footer_json + struct.pack("<II", crc, len(footer_json) + 4) + stripe.MAGIC
+    streams = blob[: len(blob) - len(stripe.MAGIC) - 8 - len(_footer_body(blob))]
+    body = _body(blob, footer_json)
+    return streams + body + struct.pack("<II", zlib.crc32(body), len(body) + 4) + stripe.MAGIC
 
 
 def _padded(blob: bytes, pad: str) -> bytes:
@@ -662,17 +677,18 @@ def _padded(blob: bytes, pad: str) -> bytes:
     return json.dumps({**json.loads(_footer_json(blob)), "pad": pad}).encode()
 
 
-def _crc_forged(js: bytes, crc: int) -> bytes:
+def _crc_forged(js: bytes, crc: int, suffix: bytes = b"") -> bytes:
     """``js``, which ends in 64 '0' digits and '"}', with some digits
-    made '1' so that its CRC-32 is ``crc``. CRC-32 is affine over GF(2):
-    each digit flipped XORs a fixed vector into the CRC, so the digits
-    come from Gaussian elimination over those vectors."""
-    at, c0 = len(js) - 66, zlib.crc32(js)
+    made '1' so that the CRC-32 of ``js + suffix`` is ``crc``. CRC-32 is
+    affine over GF(2): each digit flipped XORs a fixed vector into the
+    CRC, so the digits come from Gaussian elimination over those
+    vectors."""
+    at, c0 = len(js) - 66, zlib.crc32(js + suffix)
     basis: dict[int, tuple[int, int]] = {}  # top bit -> (CRC delta, digits flipped)
     for j in range(64):
         flipped = bytearray(js)
         flipped[at + j] ^= 1
-        vec, mask = zlib.crc32(flipped) ^ c0, 1 << j
+        vec, mask = zlib.crc32(bytes(flipped) + suffix) ^ c0, 1 << j
         while vec and vec.bit_length() - 1 in basis:
             bv, bm = basis[vec.bit_length() - 1]
             vec, mask = vec ^ bv, mask ^ bm
@@ -693,10 +709,14 @@ def test_kept_columns_follow_the_footer_not_its_crc(tmp_path):
     bytes decode to their own rows at one path: a kept footer is served
     only for its own bytes."""
     (t1, b1), (t2, b2) = [(t, stripe.encode_table(t)) for t in (_fresh_table(5, 400), _fresh_table(6, 400))]
-    width = max(len(_padded(b, "")) for b in (b1, b2))
-    js1, js2 = [_padded(b, "x" * (width - len(_padded(b, ""))) + "0" * 64) for b in (b1, b2)]
-    js2 = _crc_forged(js2, zlib.crc32(js1))
-    assert len(js1) == len(js2) and zlib.crc32(js1) == zlib.crc32(js2) and js1 != js2
+    width = max(len(_body(b, _padded(b, ""))) for b in (b1, b2))
+    js1, js2 = [
+        _padded(b, "x" * (width - len(_body(b, _padded(b, "")))) + "0" * 64) for b in (b1, b2)
+    ]
+    body1 = _body(b1, js1)
+    js2 = _crc_forged(js2, zlib.crc32(body1), _bloom_bits(b2) + struct.pack("<I", len(js2)))
+    body2 = _body(b2, js2)
+    assert len(body1) == len(body2) and zlib.crc32(body1) == zlib.crc32(body2) and body1 != body2
     p = str(tmp_path / "x.rstp")
     _write(p, _sealed(b1, js1))
     for _ in range(2):
@@ -847,3 +867,28 @@ def test_encoded_streams_are_pinned():
             for path, kind, m in stripe._walk_stream_metas(cmeta):
                 got.append(f"{s} {path} {kind} {m['codec']} {m['outer']} {m['size']} {m['crc32']:08x}")
     assert got == _PINNED_STREAMS.split("\n")[1:-1]
+
+
+def test_an_rstp7_blob_is_refused_naming_its_format(tmp_path):
+    """A blob in the previous layout (its footer JSON alone under the
+    CRC, base64 blooms inside it) is refused as stale, naming rstp7."""
+    import base64
+
+    t = pa.table({"k": pa.array(range(500), pa.int64()), "s": pa.array([f"s{i}" for i in range(500)])})
+    blob = stripe.encode_table(t)
+    old = json.loads(_footer_json(blob))
+    old["format"] = "rstp7"
+    bits = _bloom_bits(blob)
+    for c in old["columns"]:
+        bl = c["bloom"]
+        bl["b64"] = base64.b64encode(bits[bl.pop("offset") :][: bl.pop("nbytes")]).decode()
+    js = json.dumps(old, separators=(",", ":")).encode()
+    streams = blob[: len(blob) - len(stripe.MAGIC) - 8 - len(_footer_body(blob))]
+    blob7 = streams + js + struct.pack("<II", zlib.crc32(js), len(js) + 4) + stripe.MAGIC
+    p = str(tmp_path / "old.rstp")
+    _write(p, blob7)
+    for read in (lambda: stripe.read_footer(blob7), lambda: stripe.decode_file(p)):
+        with pytest.raises(stripe.StripeCorruptError, match="format 'rstp7' != 'rstp8'") as ei:
+            read()
+        assert ei.value.stream == "footer"
+    assert "'rstp7'" in stripe.validate_blob(blob7)["bad"][0]
