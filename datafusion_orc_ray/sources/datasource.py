@@ -52,19 +52,19 @@ class StripeDatasource(Datasource):
             stats = manifest.column_stats(e) if preds else None
             if all(_stats_may_match(e, p, stats) for p in preds):
                 self._entries.append(e)
-        # set to a list, it collects each decoded stripe's (path, footer)
-        # from read tasks run in this process (``stripe.decode_file``)
+        # set to a list, it collects each decoded stripe's (path, payload,
+        # footer) from read tasks run in this process (``stripe.decode_file``)
         self.footers: list | None = None
 
     def estimate_inmemory_data_size(self) -> int | None:
         return sum(e.get("raw_bytes", 0) for e in self._entries) or None
 
     def verify(self, footers: list) -> bool:
-        """Whether each surviving stripe's footer is still the dict in
-        ``footers`` (one per stripe, in order), each stream its read task
-        would decode read and CRC-checked on the way, with the same reads
-        (``stripe.decode_file``'s verify mode); stops at the first stripe
-        whose footer differs."""
+        """Whether each surviving stripe's footer bytes are still those in
+        ``footers`` (a ``(payload, footer)`` per stripe, in order), each
+        stream its read task would decode read and CRC-checked on the way,
+        with the same reads (``stripe.decode_file``'s verify mode); stops
+        at the first stripe whose footer differs."""
         from .. import stripe
         from ..predicate import read_columns
 

@@ -225,13 +225,41 @@ def nodes(tree):
 
 
 @lru_cache(maxsize=512)
-def table_names(query: str) -> frozenset:
-    """The base tables ``query`` names (none when it is not one parsable
-    statement)."""
-    tree = parse(query)
+def table_names(query: str) -> frozenset | None:
+    """The base tables ``query`` names (none when DuckDB cannot parse
+    it). None when it parses but not into SELECT statements, whose
+    tables no parse tree names: DuckDB runs a PIVOT with no IN list as
+    two statements, the first of which reads the pivot values."""
+    doc = json.loads(_serialized(query))
+    if doc.get("error"):
+        return None if doc.get("error_type") == "not implemented" else frozenset()
     return frozenset(
-        () if tree is None else (n["table_name"] for n in nodes(tree) if n.get("type") == "BASE_TABLE")
+        n["table_name"]
+        for s in doc["statements"]
+        for n in nodes(s["node"])
+        if n.get("type") == "BASE_TABLE"
     )
+
+
+def single_reads(query: str) -> frozenset:
+    """The base tables one run of ``query`` reads once, so a one-shot
+    stream can serve: each named by exactly one BASE_TABLE node, outside
+    every CTE body, of a parse tree with no PIVOT. DuckDB scans a table
+    once per node naming it, a CTE body once per use of the CTE, and a
+    pivoted table once more for its values."""
+    tree = parse(query)
+    found = [] if tree is None else list(nodes(tree))
+    if any(n.get("type") == "PIVOT" for n in found):
+        return frozenset()
+    in_ctes = {
+        n["table_name"]
+        for x in found
+        for cte in (x.get("cte_map") or {}).get("map") or ()
+        for n in nodes(cte)
+        if n.get("type") == "BASE_TABLE"
+    }
+    named = [n["table_name"] for n in found if n.get("type") == "BASE_TABLE"]
+    return frozenset(t for t in named if named.count(t) == 1 and t not in in_ctes)
 
 
 def _map(x, fn):

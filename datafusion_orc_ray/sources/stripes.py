@@ -280,7 +280,7 @@ class Catalog:
         from . import sqlagg
 
         found = sqlagg.table_names(query)
-        referenced = [name for name in self._tables if name in found]
+        referenced = [name for name in self._tables if found is None or name in found]
         entries = {name: manifest.load_manifest(self._tables[name]) for name in referenced}
         schemas = {name: stripes_schema(self._tables[name], entries[name]) for name in referenced}
         key = (query, *((name, schemas[name].serialize().to_pybytes()) for name in referenced))
@@ -295,6 +295,7 @@ class Catalog:
                 ),
                 "refusal": sqlagg.keep_refusal(query, schemas),
                 "verdict": _verdict(query, referenced, schemas),
+                "streamed": sqlagg.single_reads(query),
             }
         kind, plan = kept["verdict"]
         if kind == "aggregate_pushdown" and plan.stats:  # metadata-only answer
@@ -316,6 +317,7 @@ class Catalog:
             "reused": reused,
             "key": key,
             "refusal": kept["refusal"],
+            "streamed": kept["streamed"],
         }
         p["scans"] = {
             name: self._scan(name, p["projections"][name], p["predicates"][name],
@@ -441,7 +443,11 @@ class Catalog:
         ``_LOCAL_SCAN_BYTES`` (as DataFusion opens each partition in the
         query's process), else as a Ray Dataset. Tables reach DuckDB, on
         a cursor of the process's one database, as STREAMING Arrow
-        readers. With every scan here, the query runs as that one
+        readers, which DuckDB can read once: a table the query reads more
+        than once (``sqlagg.single_reads``: named twice, in a CTE body or
+        under a PIVOT; every table of text that is not one SELECT
+        statement) is collected from its planned scan into one table first.
+        With every scan here, the query runs as that one
         statement even when a sqlagg planner accepted it: partial and
         final fuse, as DataFusion folds them when no exchange sits
         between. With a scan on Ray, an accepted shape runs its
@@ -453,12 +459,13 @@ class Catalog:
 
         With every scan here, an answer is kept in ``_results`` under the
         plan's key and the stripes each scan reads after stats pruning,
-        with the footers its scans decoded. A repeat over the same
-        stripes returns it once each stripe's footer is that very dict
-        again, and every stream a decode would read is read and
-        CRC-checked (``StripeDatasource.verify``): only decompress,
-        decode and DuckDB are skipped. ``last_pushdown["result"]`` says
-        "reused", "stored" or "not kept: <why>"."""
+        with the footer bytes (and parse) each stripe was decoded under.
+        A repeat over the same stripes returns it once each stripe's
+        footer bytes equal those, and every stream a decode would read
+        is read and CRC-checked (``StripeDatasource.verify``): only the
+        footer parse, decompress, decode and DuckDB are skipped.
+        ``last_pushdown["result"]`` says "reused", "stored" or "not
+        kept: <why>"."""
         import copy
 
         p = self._plan(query)
@@ -554,26 +561,29 @@ class Catalog:
                 if prefilter and name == prefilter["big"]:
                     fn, keys = prefilter["fn"], prefilter["keys"]
                 schema = _projected(schemas[name], projections[name])
-                readers.append(_reader(scans[name], schema, fn, keys))
+                reader = _reader(scans[name], schema, fn, keys)
+                readers.append(reader if name in p["streamed"] else reader.read_all())
                 con.register(name, readers[-1])
             return con.sql(query).fetch_arrow_table(), label
 
     def _keep(self, key, scans, table, label: str, semijoin) -> str:
-        """Keep ``table`` in ``_results`` under ``key`` with the footers
-        its driver ``scans`` decoded, its ``last_plan`` ``label`` and
-        ``semijoin`` record: "stored", or "not kept: <why>"."""
+        """Keep ``table`` in ``_results`` under ``key``, weighed with the
+        footer bytes its driver ``scans`` decoded under (kept with their
+        parse), its ``last_plan`` ``label`` and ``semijoin`` record:
+        "stored", or "not kept: <why>"."""
         footers = {}
         for name, (src, _) in scans.items():
             seen: dict = {}
-            for path, footer in src.footers:
-                if seen.setdefault(path, footer) is not footer:
+            for path, payload, footer in src.footers:
+                if seen.setdefault(path, (payload, footer))[0] != payload:
                     return "not kept: a stripe changed during the query"
             if any(e["path"] not in seen for e in src._entries):
                 return "not kept: a scan stopped before its last stripe"
             footers[name] = tuple(seen[e["path"]] for e in src._entries)
-        if table.nbytes > self._results.bound:
-            return f"not kept: {table.nbytes} bytes, over the store's {self._results.bound}"
-        self._results.put(key, (footers, table, label, semijoin), max(table.nbytes, 1))
+        weight = table.nbytes + sum(len(p) for kept in footers.values() for p, _ in kept)
+        if weight > self._results.bound:
+            return f"not kept: {weight} bytes, over the store's {self._results.bound}"
+        self._results.put(key, (footers, table, label, semijoin), max(weight, 1))
         return "stored"
 
 

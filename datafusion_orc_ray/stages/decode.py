@@ -34,7 +34,7 @@ def make_stripe_decoder(
     ``predicate`` applies the residual vectorized row filter after stats
     pruning (see sources.stripes); ``unified_schema`` null-fills columns a
     schema-evolved stripe lacks; ``footers`` (a list) gets each
-    stripe's ``(path, footer)`` (``stripe.decode_file``)."""
+    stripe's ``(path, payload, footer)`` (``stripe.decode_file``)."""
     preds = normalize(predicate)
     read_cols = read_columns(columns, preds)
 

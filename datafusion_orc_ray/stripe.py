@@ -41,7 +41,6 @@ from .codecs import bloom, bytes_codec, outer
 from .codecs.bitpack import pack_bits, unpack_bools
 from .codecs.integers import choose_codec, codec_name, decode_ints, encode_ints, encode_ints_with
 from .predicate import may_match, normalize
-from .util import BoundedStore
 
 MAGIC = b"RSTP1"
 FORMAT = "rstp8"  # bump on any layout change: decode refuses older blobs
@@ -594,29 +593,16 @@ class StripeCorruptError(ValueError):
 _IN_MEMORY = "<in-memory blob>"  # the stripe name of a decode from bytes
 
 
-# footers parsed from stripe files in this process, keyed by their stored
-# CRC-32 and length: (verified payload, footer). Bounded by payload bytes
-_FOOTERS = BoundedStore(32 << 20)
-
-
-def store_stats() -> dict:
-    """Counters of this process's parsed-footer store: ``{"footers":
-    {...}}`` with ``hits``, ``misses``, ``entries``, ``weight`` and
-    ``bound``."""
-    return {"footers": _FOOTERS.stats()}
-
-
 @lru_cache(maxsize=256)
 def schema_of(schema_b64: str) -> pa.Schema:
     """The Arrow schema a footer's or manifest row's ``schema_b64`` holds."""
     return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(schema_b64)))
 
 
-def _parse_footer(tail: bytes, name: str, read_tail=None, reuse: bool = False) -> dict:
-    """The footer from a blob's last bytes: the whole blob, or a tail
-    read that ``read_tail(n)`` re-reads when the footer is longer. With
-    ``reuse``, a payload byte-identical to one verified earlier returns
-    that footer, unchecked and unparsed again (``_FOOTERS``)."""
+def _footer_payload(tail: bytes, name: str, read_tail=None) -> bytes:
+    """The stored footer payload (its body, then the body's CRC-32) from
+    a blob's last bytes: the whole blob, or a tail read that
+    ``read_tail(n)`` re-reads when the footer is longer. Unchecked."""
     if len(tail) < 2 * len(MAGIC) + 4 or tail[-len(MAGIC) :] != MAGIC:
         raise StripeCorruptError(name, None, "footer", "bad magic: not a stripe blob, or truncated")
     (flen,) = struct.unpack_from("<I", tail, len(tail) - len(MAGIC) - 4)
@@ -625,13 +611,13 @@ def _parse_footer(tail: bytes, name: str, read_tail=None, reuse: bool = False) -
     fstart = len(tail) - len(MAGIC) - 4 - flen
     if fstart < len(MAGIC):
         raise StripeCorruptError(name, None, "footer", "torn footer: longer than the blob")
-    payload = tail[fstart : fstart + flen]  # body, then its CRC-32
-    key = (bytes(payload[-4:]), flen)
-    got = _FOOTERS.get(key, lambda got: got[0] == payload) if reuse else None
-    if got is not None:
-        return got[1]
+    return tail[fstart : fstart + flen]
+
+
+def _parse_footer(payload: bytes, name: str) -> dict:
+    """The footer a ``_footer_payload`` holds, once its CRC-32 matches."""
     body = memoryview(payload)[:-4]  # footer JSON | bloom bits | uint32 JSON length
-    if flen < 4 or zlib.crc32(body) != struct.unpack("<I", payload[-4:])[0]:
+    if len(payload) < 4 or zlib.crc32(body) != struct.unpack("<I", payload[-4:])[0]:
         # before rstp7 the footer was plain JSON with no CRC after it
         raise StripeCorruptError(name, None, "footer", _footer_mismatch(payload))
     (jlen,) = struct.unpack_from("<I", body, len(body) - 4) if len(body) >= 4 else (len(body),)
@@ -640,10 +626,7 @@ def _parse_footer(tail: bytes, name: str, read_tail=None, reuse: bool = False) -
         # an rstp7 footer is its JSON alone, which names its format
         why = _footer_mismatch(bytes(body if footer is None else body[:jlen]))
         raise StripeCorruptError(name, None, "footer", why)
-    footer = _attach_blooms(footer, body, jlen, name)
-    if reuse:
-        _FOOTERS.put(key, (payload, footer), flen)
-    return footer
+    return _attach_blooms(footer, body, jlen, name)
 
 
 def _json_object(js: bytes) -> dict | None:
@@ -680,27 +663,30 @@ def _attach_blooms(footer: dict, body, jlen: int, name: str) -> dict:
 def read_footer(blob: bytes) -> dict:
     if blob[: len(MAGIC)] != MAGIC:
         raise StripeCorruptError(_IN_MEMORY, None, "footer", "bad magic: not a stripe blob")
-    return _parse_footer(blob, _IN_MEMORY)
+    return _parse_footer(_footer_payload(blob, _IN_MEMORY), _IN_MEMORY)
 
 
 # bytes one footer read takes from a stripe file's end (a smaller stripe whole)
 _TAIL_GUESS = 1 << 20
 
 
-def read_footer_from_file(path: str, tail_guess: int = _TAIL_GUESS, src=None) -> dict:
+def read_footer_from_file(path: str, tail_guess: int = _TAIL_GUESS, src=None, payloads=None) -> dict:
     """Footer via tail-ranged reads only — metadata ops never scan stripe
     bodies (mirrors the reference's postscript/footer tail reads,
     src/object_store_reader.rs:48-58 + ArrowReaderBuilder). ``path`` may
     be a local path or any pyarrow.fs URI (file://, s3://...). ``src``:
     an open ``io.RangedReader`` on ``path`` to read through; the caller
-    closes it. A footer whose payload is byte-identical to one verified
-    earlier in this process comes back as that same dict, which the
-    caller must not mutate."""
+    closes it. Every call checks and parses the footer it reads, as the
+    reference's opener does; ``payloads`` (a list) gets its stored bytes
+    (``_footer_payload``)."""
     from . import io as dio
 
     reader = dio.RangedReader(path) if src is None else src
     try:
-        return _parse_footer(reader.read_tail(tail_guess), path, reader.read_tail, reuse=True)
+        payload = _footer_payload(reader.read_tail(tail_guess), path, reader.read_tail)
+        if payloads is not None:
+            payloads.append(payload)
+        return _parse_footer(payload, path)
     finally:
         if src is None:
             reader.close()
@@ -1024,7 +1010,7 @@ def decode_file(
     unified_schema: pa.Schema | None = None,
     predicate: tuple | list | None = None,
     footers: list | None = None,
-    verify: dict | None = None,
+    verify: tuple | None = None,
 ) -> pa.Table | bool:
     """Decode straight from a stripe file through one reader: footer via
     tail read, then only the projected columns' streams (S5 + S8), each
@@ -1033,26 +1019,32 @@ def decode_file(
     ``decode_table``, so a stripe its bloom rules out costs the footer
     read alone. Every column with no predicate reads the whole file in
     one sequential read. ``path`` may be local or any pyarrow.fs URI.
-    ``footers`` (a list) gets ``(path, footer)`` of the footer the
-    decode ran under.
+    ``footers`` (a list) gets ``(path, payload, footer)``: the stored
+    footer bytes the decode ran under and their parse.
 
-    With ``verify`` (a footer dict) the read stops before decompress and
-    returns a bool: False when this file's footer is not that very dict
-    (the footer read alone), else True after every stream the decode
-    would read is read and CRC-checked, with the same reads."""
+    With ``verify`` (a ``(payload, footer)`` pair from ``footers``) the
+    read stops before decompress and returns a bool: False when this
+    file's footer bytes differ from ``payload`` (the footer read and
+    parsed alone), else True after every stream the decode would read
+    under ``footer`` is read and CRC-checked, with the same reads: equal
+    footer bytes are neither checked nor parsed again."""
     from . import io as dio
 
     src = dio.RangedReader(path)
     try:
-        whole = columns is None and not predicate
-        footer = read_footer_from_file(path, src.size() if whole else _TAIL_GUESS, src)
+        tail = src.size() if columns is None and not predicate else _TAIL_GUESS
         if verify is not None:
-            if footer is not verify:
+            payload, footer = verify
+            got = _footer_payload(src.read_tail(tail), path, src.read_tail)
+            if got != payload:
+                _parse_footer(got, path)  # a corrupt footer raises, as on a read
                 return False
             _decode_from(footer, src, columns, unified_schema, predicate, check=True)
             return True
+        payloads: list = []
+        footer = read_footer_from_file(path, tail, src, payloads)
         if footers is not None:
-            footers.append((path, footer))
+            footers.append((path, payloads[0], footer))
         return _decode_from(footer, src, columns, unified_schema, predicate)
     finally:
         src.close()

@@ -176,7 +176,7 @@ def default_concurrency(reserve: int = 2, cap: int | None = None) -> tuple[int, 
 class BoundedStore:
     """A thread-safe map that drops its least recently used entries once
     their total weight passes ``bound``; ``hits`` and ``misses`` count
-    ``get``. Callers must not mutate a stored value."""
+    ``get``. Backs a ``Catalog``'s two stores; callers never mutate a value."""
 
     def __init__(self, bound: int) -> None:
         self.bound, self.weight, self.hits, self.misses = bound, 0, 0, 0

@@ -1313,3 +1313,91 @@ def test_decimal_predicates_through_sql(ray_session, tmp_path, sql_both):
         got = sql_both(cat, q)
         assert got.to_pydict() == want, (q, got.to_pydict())
         assert cat.last_plan != "stats_answer", q
+
+
+# shapes that read a table more than once: DuckDB scans a registered
+# table once per node naming it, a CTE body once per use, and a pivoted
+# table once more for the pivot values
+MULTI_READ = [
+    "SELECT count(*) AS n FROM c a JOIN c b ON a.g = b.g",
+    "SELECT count(*) AS n FROM c WHERE k IN (SELECT k FROM c WHERE v > 70)",
+    "SELECT count(*) AS n FROM c WHERE v > (SELECT avg(v) FROM c)",
+    "SELECT count(*) AS n FROM c a WHERE v > (SELECT avg(v) FROM c b WHERE b.g = a.g)",
+    "SELECT (SELECT count(*) FROM o) AS a, (SELECT count(*) FROM o) AS b",
+    "SELECT count(*) AS n FROM (SELECT k FROM c UNION ALL SELECT k FROM c)",
+    "WITH x AS (SELECT k, g FROM c) SELECT count(*) AS n FROM x a JOIN x b ON a.g = b.g",
+    "SELECT * FROM (PIVOT c ON s USING count(*) GROUP BY g) ORDER BY g",
+]
+
+
+@pytest.fixture(scope="module")
+def multi_read_tables(tmp_path_factory):
+    """Stripe dirs of tables ``c`` and ``o`` (three stripes each) and the
+    rows: {name: (dir, table)}."""
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+
+    base = tmp_path_factory.mktemp("multi")
+    n = 600
+    c = pa.table({
+        "k": pa.array(range(n), pa.int64()),
+        "g": pa.array([i % 7 for i in range(n)], pa.int64()),
+        "v": pa.array([float(i * 37 % 101) for i in range(n)]),
+        "s": pa.array([f"seg{i % 5}" for i in range(n)]),
+    })
+    o = pa.table({"ok": pa.array(range(900), pa.int64()), "ck": pa.array([i % n for i in range(900)])})
+    out = {}
+    for name, t in (("c", c), ("o", o)):
+        enc = StripeEncoder(f"{base}/{name}")
+        step = -(-t.num_rows // 3)
+        for lo in range(0, t.num_rows, step):
+            enc.encode_split(t.slice(lo, step))
+        out[name] = (f"{base}/{name}", t)
+    return out
+
+
+@pytest.mark.parametrize("q", MULTI_READ)
+def test_a_table_read_more_than_once_gives_all_its_rows(ray_session, multi_read_tables, sql_both, q):
+    """A table the query reads more than once is collected from its
+    planned scan before DuckDB reads it, since a streamed scan serves one
+    read: every shape gives DuckDB's answer over the same rows, on both
+    executors, on the first and the repeated call."""
+    import duckdb
+
+    cat = Catalog()
+    con = duckdb.connect()
+    for name, (out, t) in multi_read_tables.items():
+        cat.register_stripes(name, out)
+        con.register(name, t)
+    want = con.sql(q).fetch_arrow_table()
+    con.close()
+    assert want.num_rows > 0
+    for _ in range(2):
+        got = sql_both(cat, q)
+        assert got.equals(want), (got.to_pydict(), want.to_pydict())
+
+
+def test_single_reads_names_the_tables_a_stream_serves():
+    """``sqlagg.single_reads``: a table named once, outside every CTE
+    body, of a tree with no PIVOT streams (every benchmark query shape
+    does); one named twice, in a CTE body or under a PIVOT does not, nor
+    does any table of text that parses into no SELECT tree."""
+    from datafusion_orc_ray.sources import sqlagg
+
+    streamed = {
+        "SELECT count(*) AS n FROM lineitem": {"lineitem"},
+        "SELECT o_orderpriority, count(*) AS n FROM lineitem JOIN orders "
+        "ON l_orderkey = o_orderkey WHERE l_quantity > 5 GROUP BY o_orderpriority": {
+            "lineitem", "orders"},
+        "SELECT o_orderkey FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer)": {
+            "orders", "customer"},
+        "SELECT count(*) AS n FROM c a WHERE v > (SELECT avg(x) FROM o WHERE o.g = a.g)": {
+            "c", "o"},
+        "WITH x AS (SELECT k FROM c) SELECT count(*) AS n FROM x JOIN o ON x.k = o.ck": {"o"},
+        "SELECT * FROM c PIVOT (count(*) FOR s IN ('seg0', 'seg1') GROUP BY g)": set(),
+    }
+    registered = {"lineitem", "orders", "customer", "c", "o"}  # not CTE names
+    for q, tables in streamed.items():
+        assert sqlagg.single_reads(q) & registered == tables, q
+    for q in MULTI_READ:
+        assert not sqlagg.single_reads(q) & {"c", "o"}, q
+    assert sqlagg.table_names(MULTI_READ[-1]) is None

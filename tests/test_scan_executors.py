@@ -275,33 +275,51 @@ def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
         assert cat.last_pushdown == record, q
 
 
-def test_repeated_query_serves_kept_columns(catalog):
+def _spy_footer_reads(monkeypatch) -> list:
+    """Records ``("parse", name)`` for each ``stripe._parse_footer`` call
+    and ``("read", path)`` for each ``stripe.read_footer_from_file``."""
+    calls: list = []
+    parse, read = stripe._parse_footer, stripe.read_footer_from_file
+
+    def parsed(payload, name, *a, **kw):
+        calls.append(("parse", name))
+        return parse(payload, name, *a, **kw)
+
+    def got(path, *a, **kw):
+        calls.append(("read", path))
+        return read(path, *a, **kw)
+
+    monkeypatch.setattr(stripe, "_parse_footer", parsed)
+    monkeypatch.setattr(stripe, "read_footer_from_file", got)
+    return calls
+
+
+def test_repeated_query_serves_kept_columns(catalog, monkeypatch):
     """At the default gate every scan here runs in the driver, and a
     query run on one fresh catalog and repeated on another (so no kept
-    answer) takes its stripes' parsed footers from the process's footer
-    store: the repeat gives the first call's answer, plan and pushdown
-    record, with footer hits and no new footer miss."""
-    hits = 0
+    answer) gives the first call's answer, plan and pushdown record,
+    reading and parsing every scanned stripe's footer again: no process
+    keeps a footer."""
     for q, plan, _ in QUERIES:
         cat = _fresh(catalog)
         first = cat.sql(q)
         record = dict(cat.last_pushdown, plan_reused=None)
-        before = stripe.store_stats()["footers"]
         cat = _fresh(catalog)
+        reads = _spy_footer_reads(monkeypatch)
         again = cat.sql(q)
-        after = stripe.store_stats()["footers"]
+        monkeypatch.undo()
         assert again.equals(first) and cat.last_plan == plan, q
         assert dict(cat.last_pushdown, plan_reused=None) == record, q
-        assert after["misses"] == before["misses"], q
         read = sum(r["stripes"] for r in cat.last_pushdown["scans"].values())
-        assert (after["hits"] > before["hits"]) == (read > 0), q
-        hits += after["hits"] - before["hits"]
-    assert hits > 0
+        assert len(reads) == 2 * read, q
+        assert sorted(p for fn, p in reads if fn == "parse") == sorted(
+            p for fn, p in reads if fn == "read"), q
 
 
-def test_append_keeps_the_old_stripes_columns(tmp_path):
-    """After an append the next query shows the new rows, parses only the
-    new stripe's footer and takes the old stripe's from the store."""
+def test_append_keeps_the_old_stripes_columns(tmp_path, monkeypatch):
+    """After an append the next query shows the new rows, misses the
+    answer kept before it and reads and parses the footers of the old
+    stripe and the new one."""
     out = str(tmp_path / "t")
     _append(out, pa.table({"k": pa.array([7103, 7101], pa.int64()), "v": pa.array([71.03, 71.01])}))
     cat = Catalog()
@@ -309,11 +327,12 @@ def test_append_keeps_the_old_stripes_columns(tmp_path):
     q = "SELECT k, v FROM t ORDER BY k"
     assert cat.sql(q).to_pydict() == {"k": [7101, 7103], "v": [71.01, 71.03]}
     _append(out, pa.table({"k": pa.array([7102], pa.int64()), "v": pa.array([71.02])}))
-    before = stripe.store_stats()["footers"]
+    reads = _spy_footer_reads(monkeypatch)
     assert cat.sql(q).to_pydict() == {"k": [7101, 7102, 7103], "v": [71.01, 71.02, 71.03]}
-    after = stripe.store_stats()["footers"]
     assert cat.last_pushdown["scans"]["t"]["stripes"] == 2
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 1)
+    assert cat.last_pushdown["result"] == "stored"
+    paths = [e["path"] for e in manifest.load_manifest(out)]
+    assert sorted(reads) == sorted((fn, p) for p in paths for fn in ("parse", "read"))
 
 def _append(out: str, table: pa.Table) -> None:
     from datafusion_orc_ray.stages.encode import StripeEncoder
@@ -418,19 +437,57 @@ def _answer(table: pa.Table, q: str) -> pa.Table:
     return _duckdb_answers({"t": table}, [q])[0]
 
 
+def _footer_bytes(out: str) -> int:
+    """The stored footer bytes (body and CRC-32) of ``out``'s stripes."""
+    total = 0
+    for e in manifest.load_manifest(out):
+        with open(e["path"], "rb") as f:
+            f.seek(-len(stripe.MAGIC) - 4, os.SEEK_END)
+            total += struct.unpack("<I", f.read(4))[0]
+    return total
+
+
 def test_result_store_counts_and_reports(tmp_path):
     """A repeat returns the kept answer; ``store_stats()`` counts one
-    miss, one hit and the answer's bytes."""
-    cat, rows = _kept_catalog(str(tmp_path / "t"))
+    miss, one hit and the answer's weight: its bytes plus its stripes'
+    footer bytes."""
+    out = str(tmp_path / "t")
+    cat, rows = _kept_catalog(out)
     want = _answer(rows, AGG)
     got = cat.sql(AGG)
     assert got.equals(want) and cat.last_pushdown["result"] == "stored"
     assert cat.sql(AGG) is got and cat.last_pushdown["result"] == "reused"
     assert cat.store_stats() == {
         "plans": {"hits": 1, "misses": 1, "entries": 1, "weight": 1, "bound": 256},
-        "results": {"hits": 1, "misses": 1, "entries": 1, "weight": got.nbytes,
-                    "bound": 32 << 20},
+        "results": {"hits": 1, "misses": 1, "entries": 1,
+                    "weight": got.nbytes + _footer_bytes(out), "bound": 32 << 20},
     }
+
+
+def test_a_kept_answer_weighs_its_footer_bytes(tmp_path):
+    """A kept answer weighs its bytes plus the footer bytes of every
+    stripe its scans read, which it pins to check them on a repeat."""
+    out = str(tmp_path / "t")
+    cat, _ = _kept_catalog(out)
+    q = "SELECT k FROM t ORDER BY k"
+    got = cat.sql(q)
+    assert cat.last_pushdown["result"] == "stored"
+    assert _footer_bytes(out) > 0
+    assert cat.store_stats()["results"]["weight"] == got.nbytes + _footer_bytes(out)
+
+
+def test_a_result_store_hit_parses_no_footer(tmp_path, monkeypatch):
+    """A hit compares each stripe's footer bytes with the kept ones: it
+    neither reads a footer through ``read_footer_from_file`` nor parses
+    one, while the miss before it does both for every stripe."""
+    out = str(tmp_path / "t")
+    cat, rows = _kept_catalog(out)
+    reads = _spy_footer_reads(monkeypatch)
+    first = cat.sql(AGG)
+    assert len(reads) == 2 * len(manifest.load_manifest(out))
+    reads.clear()
+    assert cat.sql(AGG) is first and cat.last_pushdown["result"] == "reused"
+    assert reads == []
 
 
 @pytest.mark.parametrize("q, why", [
@@ -479,10 +536,11 @@ def test_a_result_is_not_kept_on_ray_or_over_the_bound(ray_session, tmp_path, mo
         assert cat.last_pushdown["result"] == "not kept: the scan of t runs on Ray"
     monkeypatch.undo()
     cat._results = BoundedStore(16)
+    weight = want.nbytes + _footer_bytes(str(tmp_path / "t"))
     for _ in range(2):
         got = cat.sql(AGG)
         assert got.equals(want)
-        assert cat.last_pushdown["result"] == f"not kept: {got.nbytes} bytes, over the store's 16"
+        assert cat.last_pushdown["result"] == f"not kept: {weight} bytes, over the store's 16"
     assert cat.store_stats()["results"]["entries"] == 0
 
 

@@ -419,48 +419,52 @@ def _write(path, blob: bytes) -> None:
 
 
 def test_footer_reuse_keys_on_the_footer_bytes(tmp_path):
-    """A footer read from a file is parsed once per distinct payload in a
-    process: a second read of the same bytes, under any path, returns the
-    same dict. A stripe rewritten in place with other rows, even at the
-    same size and mtime, decodes to its new rows; and a flipped footer
-    byte or stream byte still raises after a reused read."""
-    p = str(tmp_path / "x.rstp")
+    """A parsed footer is reused only through the ``(payload, footer)``
+    pair a decode reports (``decode_file``'s ``footers``), and only for
+    its own bytes: a verify passes for a byte-identical copy at another
+    path and fails once the stripe is rewritten in place with other rows
+    at the same size and mtime, which then decode. A plain read parses
+    every time. A flipped footer or stream byte raises on a read and on
+    a verify."""
+    p, copy = str(tmp_path / "x.rstp"), str(tmp_path / "copy.rstp")
     t1 = pa.table({"a": pa.array(range(1000), pa.int64()), "s": [f"v{i % 7}" for i in range(1000)]})
     t2 = pa.table({"a": pa.array(range(1, 1001), pa.int64()), "s": [f"w{i % 7}" for i in range(1000)]})
     b1, b2 = stripe.encode_table(t1), stripe.encode_table(t2)
     assert len(b1) == len(b2) and b1 != b2
+    flen = stripe.struct.unpack_from("<I", b1, len(b1) - len(stripe.MAGIC) - 4)[0]
+    fstart = len(b1) - len(stripe.MAGIC) - 4 - flen
     _write(p, b1)
     first = stripe.read_footer_from_file(p)
-    assert stripe.read_footer_from_file(p) is first
-    _write(str(tmp_path / "copy.rstp"), b1)
-    assert stripe.read_footer_from_file(str(tmp_path / "copy.rstp")) is first
-    assert stripe.decode_file(p).equals(t1)
+    assert stripe.read_footer_from_file(p) is not first
+    kept: list = []
+    assert stripe.decode_file(p, footers=kept).equals(t1)
+    ((path, payload, footer),) = kept
+    assert (path, payload) == (p, b1[fstart : fstart + flen])
+    _write(copy, b1)
+    for cols in (None, ["s"]):
+        assert stripe.decode_file(copy, columns=cols, verify=(payload, footer)) is True
     st = os.stat(p)
     _write(p, b2)
     os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert stripe.decode_file(p, verify=(payload, footer)) is False
     assert stripe.decode_file(p).equals(t2)
     assert stripe.decode_file(p, columns=["s"]).equals(t2.select(["s"]))
 
-    flen = stripe.struct.unpack_from("<I", b1, len(b1) - len(stripe.MAGIC) - 4)[0]
-    fstart = len(b1) - len(stripe.MAGIC) - 4 - flen
-    footer = stripe.read_footer(b1)
     stream = footer["columns"][0]["streams"]["data"]
     for at, where in ((fstart + flen // 2, (None, "footer")), (stream["offset"], ("a", "data"))):
-        _write(p, b1)
-        assert stripe.decode_file(p).equals(t1)  # the footer is reused from here on
         bad = bytearray(b1)
         bad[at] ^= 0x01
         _write(p, bytes(bad))
         for cols in (None, ["a"]):
-            with pytest.raises(stripe.StripeCorruptError) as ei:
-                stripe.decode_file(p, columns=cols)
-            assert (ei.value.column, ei.value.stream) == where
+            for check in (None, (payload, footer)):
+                with pytest.raises(stripe.StripeCorruptError) as ei:
+                    stripe.decode_file(p, columns=cols, verify=check)
+                assert (ei.value.column, ei.value.stream) == where
 
 
 # ------------------------------------------------ repeated reads of a stripe
-# A repeat reuses the parsed footer (``_FOOTERS``, keyed on footer bytes
-# across paths and tests) and decodes every column again. Each test below
-# encodes content no other test encodes (``_fresh_table``'s tag).
+# A repeat reads and parses the footer and decodes every column again:
+# nothing of a stripe is kept between reads.
 
 
 def _fresh_table(tag: int, n: int = 2000) -> pa.Table:
@@ -491,20 +495,30 @@ def _spy_decode_column(monkeypatch) -> list:
     return calls
 
 
+def _spy_parse_footer(monkeypatch) -> list:
+    calls, real = [], stripe._parse_footer
+
+    def spied(payload, name):
+        calls.append(name)
+        return real(payload, name)
+
+    monkeypatch.setattr(stripe, "_parse_footer", spied)
+    return calls
+
+
 def test_store_stats_and_projections_share_kept_columns(tmp_path, monkeypatch):
-    """store_stats() reports the footer store's counters alone. Every
-    projected decode_file, repeats included, decodes exactly the
-    projected columns."""
-    stats = stripe.store_stats()
-    assert set(stats) == {"footers"}
-    assert set(stats["footers"]) == {"hits", "misses", "entries", "weight", "bound"}
-    assert 0 <= stats["footers"]["weight"] <= stats["footers"]["bound"] == 32 << 20
+    """The stripe module keeps no store: every decode_file, repeats
+    included, parses the footer once and decodes exactly the projected
+    columns."""
+    assert not hasattr(stripe, "store_stats")
     p, t, _ = _fresh_file(tmp_path, 1)
+    parsed = _spy_parse_footer(monkeypatch)
     calls = _spy_decode_column(monkeypatch)
     for cols in (["i", "s"], ["i", "s"], ["s"], ["s"]):
         calls.clear()
+        parsed.clear()
         assert stripe.decode_file(p, columns=cols).equals(t.select(cols))
-        assert calls == cols
+        assert (calls, parsed) == (cols, [p])
     calls.clear()
     assert stripe.decode_file(p).equals(t)
     assert calls == ["i", "s", "k", "k.dict"]  # the dict column's child too
@@ -581,7 +595,7 @@ def test_bloom_pruned_lookup_over_kept_columns(tmp_path, monkeypatch):
 
 
 def test_column_store_weight_stays_within_its_bound():
-    """util.BoundedStore, under the footer, plan and result stores: it
+    """util.BoundedStore, under the plan and result stores: it
     drops its least recently used entries to keep its weight within its
     bound, stores no value heavier than the bound, counts a ``get`` whose
     ``valid`` is false as a miss, and moves a hit's entry to the end."""
@@ -601,18 +615,26 @@ def test_column_store_weight_stays_within_its_bound():
     assert (store.hits, store.misses) == (1, 2)
 
 
-def test_decode_table_keeps_no_column(tmp_path):
-    """Decoding a blob in memory neither reads nor fills the footer store."""
+def test_decode_table_keeps_no_column(tmp_path, monkeypatch):
+    """Decoding a blob in memory opens no file and parses the blob's
+    footer once per call."""
+    from datafusion_orc_ray import io as dio
+
     _, t, blob = _fresh_file(tmp_path, 4)
-    before = stripe.store_stats()
+    parsed = _spy_parse_footer(monkeypatch)
+
+    def no_file(path):
+        raise AssertionError(f"opened {path}")
+
+    monkeypatch.setattr(dio, "RangedReader", no_file)
     for cols in (None, ["s"], None):
         assert stripe.decode_table(blob, cols).equals(t if cols is None else t.select(cols))
-    assert stripe.store_stats() == before
+    assert parsed == [stripe._IN_MEMORY] * 3
 
 
 def test_threads_reading_the_same_stripes_get_equal_tables(tmp_path):
-    """Threads decoding the same stripes through the footer store, with a
-    short switch interval, all get the source rows."""
+    """Threads decoding the same stripes, with a short switch interval,
+    all get the source rows."""
     import sys
     import threading
 
@@ -724,6 +746,49 @@ def test_kept_columns_follow_the_footer_not_its_crc(tmp_path):
     _write(p, _sealed(b2, js2))
     assert stripe.decode_file(p, columns=["s"]).equals(t2.select(["s"]))
     assert stripe.decode_file(p).equals(t2)
+
+
+def test_a_kept_answer_misses_on_a_forged_footer_of_its_crc(tmp_path):
+    """A stripe rewritten in place with a footer of the same CRC-32 and
+    length as the one a kept ``Catalog.sql`` answer was decoded under,
+    but other bytes, misses that answer and gives the new rows."""
+    import pyarrow.compute as pc
+
+    from datafusion_orc_ray.sources.stripes import Catalog
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+    from datafusion_orc_ray.state import manifest
+
+    t1, t2 = _fresh_table(7, 400), _fresh_table(8, 400)
+    out = str(tmp_path / "t")
+    StripeEncoder(out).encode_split(t1)
+    (entry,) = manifest.load_manifest(out)
+    with open(entry["path"], "rb") as f:
+        b1 = f.read()
+    b2 = stripe.encode_table(t2)
+    width = max(len(_body(b, _padded(b, ""))) for b in (b1, b2))
+    js1, js2 = [
+        _padded(b, "x" * (width - len(_body(b, _padded(b, "")))) + "0" * 64) for b in (b1, b2)
+    ]
+    body1 = _body(b1, js1)
+    js2 = _crc_forged(js2, zlib.crc32(body1), _bloom_bits(b2) + struct.pack("<I", len(js2)))
+    body2 = _body(b2, js2)
+    assert len(body1) == len(body2) and zlib.crc32(body1) == zlib.crc32(body2) and body1 != body2
+    _write(entry["path"], _sealed(b1, js1))
+    cat = Catalog()
+    cat.register_stripes("t", out)
+    q = "SELECT count(*) AS n, sum(i) AS total, max(s) AS hi FROM t"
+
+    def answer(t: pa.Table) -> dict:
+        return {"n": [t.num_rows], "total": [pc.sum(t.column("i")).as_py()],
+                "hi": [pc.max(t.column("s")).as_py()]}
+
+    for result in ("stored", "reused"):
+        assert cat.sql(q).to_pydict() == answer(t1)
+        assert cat.last_pushdown["result"] == result
+    _write(entry["path"], _sealed(b2, js2))
+    for result in ("stored", "reused"):
+        assert cat.sql(q).to_pydict() == answer(t2)
+        assert cat.last_pushdown["result"] == result
 
 
 def test_decimal256_sign_limbs_store_no_stream():
