@@ -8,6 +8,15 @@ stripe-footer parses of /root/reference/tests/basic/data/alltypes.snappy.orc
 bit-pack, frame-of-reference, outlier patching) but define our own
 byte layout, chosen per chunk by exact size formulas (E17 auto-selector).
 
+One set of statistics per array (:class:`_Stats`: the extremes, the
+first differences, the offsets' GCD, counts of wide offsets) sizes every
+codec exactly, from bounds where they decide a size and from a full
+array where they do not, and the winning codec's kernel encodes from the
+same statistics and plan (:class:`Sizes`). RLE's run values need no
+statistics of their own: they hold the column's set of values (so its
+minimum, maximum and GCD), their deltas are the column's nonzero deltas
+and their widths are the column's at the run starts (:class:`_RunValues`).
+
 All kernels are vectorized NumPy over int64; arithmetic is done on the
 uint64 view with wraparound so the full int64 domain (±2^63) round-trips
 bit-identically. Values-with-nulls are handled by the caller (only
@@ -16,7 +25,10 @@ non-null slots are encoded, mirroring ORC's PRESENT/DATA split).
 
 from __future__ import annotations
 
+import math
 import struct
+import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -49,223 +61,440 @@ def _as_i64(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int64)
 
 
-def _widths_of(offsets: np.ndarray) -> np.ndarray:
-    """bit width of each uint64 offset (0 for 0): the binary exponent of
-    its float64, exact below 2^53. Above that the cast may round up to
-    the next power of two, so those take 32 + the high word's width."""
-    widths = np.frexp(offsets.astype(np.float64))[1].astype(np.int64)
-    big = np.flatnonzero(offsets >> np.uint64(53))
-    if big.size:
-        high = (offsets[big] >> np.uint64(32)).astype(np.float64)
-        widths[big] = 32 + np.frexp(high)[1]
+def _zigzag(d: int) -> int:
+    """A signed delta's zigzag value (as ``bitpack.zigzag_encode``)."""
+    return 2 * d if d >= 0 else -2 * d - 1
+
+
+def _widths_of(offsets: np.ndarray, top: int | None = None) -> np.ndarray:
+    """Bit width of each uint64 offset (0 for 0): its float64's biased
+    exponent less 1022, exact below 2^53. Above that the cast may round
+    up to the next power of two, so those take 32 + the high word's.
+    ``top``, the offsets' maximum when known, skips what it rules out."""
+    signed = top is not None and top < 1 << 63  # int64 casts to float faster
+    widths = (offsets.view(np.int64) if signed else offsets).astype(np.float64).view(np.int64)
+    widths >>= np.int64(52)
+    widths -= 1022
+    np.maximum(widths, 0, out=widths)
+    if top is None or top >> 53:
+        big = np.flatnonzero(offsets >> np.uint64(53))
+        if big.size:
+            widths[big] = 32 + _widths_of(offsets[big] >> np.uint64(32))
     return widths
 
 
-def _offsets(v: np.ndarray) -> tuple[int, np.ndarray]:
-    base = int(v.min())
-    off = v.view(np.uint64) - np.array(base, dtype=np.int64).view(np.uint64)
-    return base, off
+def _smallest_zigzag(d: np.ndarray, zz: list[int]) -> int:
+    """The smallest of the zigzag values ``zz`` (of nonzero deltas) and
+    those of the nonzero ones among ~64 of the deltas ``d`` (uint64): an
+    upper bound on the smallest of every nonzero delta."""
+    sample = d[:: max(1, d.size // 64)].view(np.int64).tolist()
+    return min(zz + [_zigzag(x) for x in sample if x])
 
 
-def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(run_values, run_lengths) for int64 v."""
-    n = v.size
-    if n == 0:
-        return v[:0], np.empty(0, dtype=np.int64)
-    change = np.flatnonzero(v[1:] != v[:-1])
-    starts = np.concatenate([[0], change + 1])
-    lengths = np.diff(np.concatenate([starts, [n]]))
-    return v[starts], lengths.astype(np.int64)
+def _delta_width(zmax: int, lo: int, hi: int, stats: _Stats) -> int:
+    """Bit width of ``zmax - zmin`` for a smallest zigzag value ``zmin``
+    known to lie in ``[lo, hi]``: from the bounds when they agree, else
+    from ``stats``' exact plan."""
+    w = (zmax - lo).bit_length()
+    return w if (zmax - hi).bit_length() == w else stats.delta_plan[1]
 
 
-def _wrapped_deltas(v: np.ndarray) -> np.ndarray:
-    """uint64 wrapped first-differences, zigzagged to small magnitudes."""
-    u = v.view(np.uint64)
-    d = (u[1:] - u[:-1]).view(np.int64)  # wraparound difference, reinterpreted signed
-    return zigzag_encode(d)  # shared bitpack zigzag (one convention)
+def _uvarint_len(x: int) -> int:
+    return (x.bit_length() + 6) // 7 or 1
 
 
-# ---------------------------------------------------------------- encoders
-
-def _enc_raw(v: np.ndarray) -> bytes:
-    return bytes([RAW]) + v.astype("<i8").tobytes()
-
-
-def _gcd(off: np.ndarray) -> int:
-    """Exact GCD of the uint64 offsets (0 when all are 0): the GCD of a
-    ~256-value strided sample, then the full reduce only when the
-    sample's is not 1 (the full GCD divides it)."""
-    g = int(np.gcd.reduce(off[:: max(1, off.size // 256)]))
-    return g if g == 1 else int(np.gcd.reduce(off))
-
-
-def _for_plan(off: np.ndarray) -> tuple[int, int, int]:
-    """(width, divisor, encoded size) of the FOR_BP block over the uint64
-    offsets: divided by their GCD when that makes the block smaller
-    (decimal cents that are whole units, second timestamps in ns)."""
-    n, top = off.size, int(off.max(initial=0))
-    w = top.bit_length()
-    size = 10 + (n * w + 7) // 8
-    if w > 1:
-        g = _gcd(off)
-        if g > 1:
-            gw = (top // g).bit_length()
-            gsize = 10 + len(write_uvarint(g)) + (n * gw + 7) // 8
-            if gsize < size:
-                return gw, g, gsize
-    return w, 1, size
+def _patched_plan(hist: list[int], n: int) -> tuple[int, int, int] | None:
+    """(w, patch_width, size_bytes) of the smallest PATCHED_FOR block over
+    ``n`` offsets whose bit widths have histogram ``hist`` (``hist[k]``
+    offsets are k bits wide, up to the widest), or None when plain FOR is
+    at least as good. Ties take the narrowest ``w``."""
+    full_w = len(hist) - 1
+    if full_w <= 1 or n == 0:
+        return None
+    pos_w = (n - 1).bit_length()
+    best = None
+    n_patch = n - hist[0]
+    for w in range(1, full_w + 1):
+        n_patch -= hist[w]  # offsets wider than w
+        size = (
+            11
+            + _uvarint_len(n_patch)
+            + (n * w + 7) // 8
+            + (n_patch * pos_w + 7) // 8
+            + (n_patch * (full_w - w) + 7) // 8
+        )
+        if best is None or size < best[2]:
+            best = (w, full_w - w, size)
+    return None if best[0] == full_w else best
 
 
-def _enc_for_bp(v: np.ndarray) -> bytes:
+def _patched_ruled_out(n: int, full_w: int, wider) -> bool:
+    """True when no PATCHED_FOR width below ``full_w`` makes the block
+    over ``n`` offsets smaller than no patching does, shown from one or
+    two lower bounds ``wider(t)`` on how many offsets are wider than t
+    bits. Narrowing to ``w = full_w - k`` saves k bits per value and
+    costs ``pos_w + k`` bits per patched one, so it loses when
+    ``c * (pos_w + k) > n * k + 7`` for ``c`` at most the number patched
+    (the 7: rounding to bytes); ``wider(t)`` bounds that number for every
+    ``w <= t`` at once."""
+    pos_w = (n - 1).bit_length()
+    k = 1
+    for _ in range(2):
+        c = wider(full_w - k)
+        if c >= n:
+            return n * pos_w > 7
+        k_next = -(-(c * pos_w - 7) // (n - c))  # the first k this c cannot rule out
+        if k_next <= k:
+            return False
+        if k_next >= full_w:
+            return True
+        k = k_next
+    return False
+
+
+class _Stats:
+    """What every codec's size and kernel read of one int64 array, each
+    computed once, on first use: a codec's kernel called without an
+    estimate computes only what that codec reads. Sizing reads only the
+    extremes, the first differences and a count or two of wide values
+    when those bound a size exactly; the zigzagged deltas and the width
+    histogram are computed when they do not."""
+
+    def __init__(self, v: np.ndarray) -> None:
+        self.v = v
+        self.n = v.size
+        self.first = int(v[0]) if v.size else 0
+        # the offsets' minimum is 0; ``top`` is their maximum
+        self.base = int(v.min()) if v.size else 0
+        self.top = int(v.max()) - self.base if v.size else 0
+        self._wide: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        """uint64 offsets from the minimum (wrapping)."""
+        return self.v.view(np.uint64) - np.array(self.base, dtype=np.int64).view(np.uint64)
+
+    @cached_property
+    def gcd(self) -> int:
+        """Exact GCD of the offsets (0 when all are 0): that of ``top`` and
+        a ~256-value strided sample, while it divides every offset; while
+        one is left over, the GCD of it and the remainder."""
+        sample = self.v[:: max(1, self.n // 256)].view(np.uint64)
+        base = np.array(self.base, dtype=np.int64).view(np.uint64)
+        g = math.gcd(self.top, int(np.gcd.reduce(sample - base)))
+        while g > 1:
+            rest = self.off % np.uint64(g)
+            r = int(rest[rest.argmax()])
+            if r == 0:
+                break
+            g = math.gcd(g, r)
+        return g
+
+    def wide(self, t: int) -> np.ndarray:
+        """bool per value: its offset is wider than ``t`` bits (``2^t <= top``)."""
+        mask = self._wide.get(t)
+        if mask is None:
+            mask = self._wide[t] = self.v >= self.base + (1 << t)
+        return mask
+
+    def wider(self, t: int) -> int:
+        return int(np.count_nonzero(self.wide(t)))
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """uint64 wrapped first differences."""
+        u = self.v.view(np.uint64)
+        return u[1:] - u[:-1]
+
+    @cached_property
+    def d_range(self) -> tuple[int, int]:
+        """The smallest and largest first difference, signed."""
+        d = self.d.view(np.int64)
+        return int(d.min()), int(d.max())
+
+    @cached_property
+    def zz(self) -> np.ndarray:
+        """The first differences zigzagged to small magnitudes (bitpack's
+        convention)."""
+        return zigzag_encode(self.d.view(np.int64))
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """bool per delta: ``v[i + 1] != v[i]``, so a run starts at ``i + 1``."""
+        return self.v[1:] != self.v[:-1]
+
+    @cached_property
+    def hist(self) -> np.ndarray:
+        """hist[k]: how many offsets are k bits wide, k = 0 .. top's width."""
+        return np.bincount(self.widths, minlength=self.top.bit_length() + 1)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        return _widths_of(self.off, self.top)
+
+    # ------------------------------------------------------------ plans
+
+    @cached_property
+    def for_plan(self) -> tuple[int, int, int]:
+        """(width, divisor, encoded size) of the FOR_BP block: the offsets
+        divided by their GCD when that makes the block smaller (decimal
+        cents that are whole units, second timestamps in ns)."""
+        n, top = self.n, self.top
+        w = top.bit_length()
+        size = 10 + (n * w + 7) // 8
+        if w > 1:
+            g = self.gcd
+            if g > 1:
+                gw = (top // g).bit_length()
+                gsize = 10 + _uvarint_len(g) + (n * gw + 7) // 8
+                if gsize < size:
+                    return gw, g, gsize
+        return w, 1, size
+
+    @cached_property
+    def delta_plan(self) -> tuple[int, int]:
+        """(smallest zigzagged delta, width of the others above it)."""
+        zz = self.zz
+        if zz.size == 0:
+            return 0, 0
+        zmin = int(zz.min())
+        return zmin, (int(zz.max()) - zmin).bit_length()
+
+    def delta_width(self) -> int:
+        """``delta_plan``'s width from the signed extremes: zigzag grows
+        with |d|, so they hold the largest zigzag value. The smallest is 0
+        with runs, an extreme's when the deltas share a sign, and else from
+        1 up to an extreme's or a sampled one's."""
+        if self.n < 2:
+            return 0
+        dmin, dmax = self.d_range
+        z = [_zigzag(dmin), _zigzag(dmax)]
+        if self.has_runs:
+            return _delta_width(max(z), 0, 0, self)
+        if dmin >= 0 or dmax < 0:
+            return _delta_width(max(z), min(z), min(z), self)
+        return _delta_width(max(z), 1, _smallest_zigzag(self.d, z), self)
+
+    @cached_property
+    def patched_plan(self) -> tuple[int, int, int] | None:
+        """``_patched_plan`` over the width histogram."""
+        if self.top.bit_length() <= 1:
+            return None
+        return _patched_plan(self.hist.tolist(), self.n)
+
+    def patched_size(self) -> int | None:
+        """PATCHED_FOR's encoded size, None when plain FOR is at least as
+        small: ruled out from counts of wide offsets when they can, else
+        planned from the width histogram."""
+        full_w = self.top.bit_length()
+        if full_w <= 1 or _patched_ruled_out(self.n, full_w, self.wider):
+            return None
+        plan = self.patched_plan
+        return None if plan is None else 1 + plan[2]
+
+    @cached_property
+    def rle_plan(self) -> tuple[_RunValues, int, int, _Stats]:
+        """(run values, their codec, its block size, run lengths)."""
+        runs = _RunValues(self)
+        sizes = runs.sizes()
+        codec = min(sizes, key=sizes.get)
+        nz = runs.nz  # run j ends at nz[j] (inclusive) but the last, at n - 1
+        lengths = np.empty(runs.n, dtype=np.int64)
+        if nz.size:
+            np.subtract(nz[1:], nz[:-1], out=lengths[1:-1])
+            lengths[0] = nz[0] + 1
+            lengths[-1] = self.n - 1 - nz[-1]
+        else:
+            lengths[:] = self.n
+        return runs, codec, sizes[codec], _Stats(lengths)
+
+    # ------------------------------------------------------------ sizes
+
+    @cached_property
+    def has_runs(self) -> bool:
+        """Some value repeats the one before it."""
+        return self.n > 1 and not self.steps.all()
+
+    def sizes(self) -> dict[int, int]:
+        """Exact encoded size per codec, in codec order (a tie goes to the
+        earlier codec). RLE is sized only when some value repeats,
+        PATCHED_FOR only when patching some offsets narrows the block."""
+        n = self.n
+        sizes = {RAW: 1 + 8 * n}
+        if n == 0:
+            return sizes
+        sizes[FOR_BP] = self.for_plan[2]
+        sizes[DELTA] = 18 + ((n - 1) * self.delta_width() + 7) // 8
+        if self.has_runs:
+            runs, _, block, lens = self.rle_plan
+            sizes[RLE] = 1 + _uvarint_len(runs.n) + _uvarint_len(block) + block + lens.for_plan[2]
+        patched = self.patched_size()
+        if patched is not None:
+            sizes[PATCHED_FOR] = patched
+        return sizes
+
+
+class _RunValues(_Stats):
+    """The run values ``v[starts]`` of a column, their statistics taken
+    from the column's: the same minimum, maximum and GCD, the nonzero
+    deltas and the widths at the run starts."""
+
+    def __init__(self, col: _Stats) -> None:
+        self.col = weakref.proxy(col)  # col keeps this in its rle_plan: no cycle
+        self.nz = np.flatnonzero(col.steps)  # run j + 1 starts at nz[j] + 1
+        self.n = self.nz.size + (col.n > 0)
+        self.first, self.base, self.top = col.first, col.base, col.top
+
+    has_runs = False
+
+    def wider(self, t: int) -> int:
+        """Counted from the column's mask at the run starts."""
+        wide = self.col.wide(t)
+        return int(wide[0]) + int(np.count_nonzero(wide[1:] & self.col.steps))
+
+    def delta_width(self) -> int:
+        """Their deltas are the column's nonzero ones: the same largest
+        zigzag value, and a smallest one from 1 up to that of a nonzero
+        extreme or sample. Without the column's extremes (an RLE kernel
+        called with no estimate), their own exact plan."""
+        if self.n < 2:
+            return 0
+        if "d_range" not in vars(self.col):
+            return self.delta_plan[1]
+        z = [_zigzag(d) for d in self.col.d_range if d]
+        return _delta_width(max(z), 1, _smallest_zigzag(self.col.d, z), self)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        starts = np.empty(self.n, dtype=np.int64)
+        starts[:1] = 0
+        np.add(self.nz, 1, out=starts[1:])
+        return starts
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return self.col.v[self.starts]
+
+    @cached_property
+    def gcd(self) -> int:
+        return self.col.gcd
+
+    @cached_property
+    def zz(self) -> np.ndarray:
+        u = self.col.v.view(np.uint64)
+        return zigzag_encode((u[self.nz + 1] - u[self.nz]).view(np.int64))
+
+    @cached_property
+    def hist(self) -> np.ndarray:
+        """The column's widths counted at the run starts."""
+        return np.bincount(self.col.widths[self.starts], minlength=self.top.bit_length() + 1)
+
+
+# ---------------------------------------------------------------- kernels
+
+def _enc_raw(s: _Stats) -> bytes:
+    return bytes([RAW]) + s.v.astype("<i8").tobytes()
+
+
+def _enc_for_bp(s: _Stats) -> bytes:
     """``FOR_BP | <q base> | <B width> | bits``; width's high bit
     (``_GCD_FLAG``) says a uvarint divisor follows it and every offset
     is stored divided by it."""
-    if v.size == 0:
+    if s.n == 0:
         return bytes([FOR_BP]) + struct.pack("<qB", 0, 0)
-    base, off = _offsets(v)
-    w, g, _ = _for_plan(off)
+    w, g, _ = s.for_plan
     if g == 1:
-        return bytes([FOR_BP]) + struct.pack("<qB", base, w) + pack_bits(off, w)
+        return bytes([FOR_BP]) + struct.pack("<qB", s.base, w) + pack_bits(s.off, w)
     return (
         bytes([FOR_BP])
-        + struct.pack("<qB", base, w | _GCD_FLAG)
+        + struct.pack("<qB", s.base, w | _GCD_FLAG)
         + write_uvarint(g)
-        + pack_bits(off // np.uint64(g), w)
+        + pack_bits(s.off // np.uint64(g), w)
     )
 
 
-def _enc_delta(v: np.ndarray) -> bytes:
-    zz = _wrapped_deltas(v)
-    zmin = int(zz.min()) if zz.size else 0
-    off = zz - np.uint64(zmin)
-    w = int(off.max(initial=0)).bit_length()
-    head = struct.pack("<qQB", int(v[0]) if v.size else 0, zmin, w)
-    return bytes([DELTA]) + head + pack_bits(off, w)
+def _enc_delta(s: _Stats) -> bytes:
+    zmin, w = s.delta_plan
+    head = struct.pack("<qQB", s.first, zmin, w)
+    return bytes([DELTA]) + head + pack_bits(s.zz - np.uint64(zmin) if zmin else s.zz, w)
 
 
-def _enc_rle(v: np.ndarray) -> bytes:
-    rv, rl = _runs(v)
-    vals_block = encode_ints(rv, allow_rle=False)
-    lens_block = _enc_for_bp(rl)
+def _enc_rle(s: _Stats) -> bytes:
+    runs, codec, block, lens = s.rle_plan
     return (
         bytes([RLE])
-        + write_uvarint(rv.size)
-        + write_uvarint(len(vals_block))
-        + vals_block
-        + lens_block
+        + write_uvarint(runs.n)
+        + write_uvarint(block)
+        + _KERNELS[codec](runs)
+        + _enc_for_bp(lens)
     )
 
 
-def _patched_plan(off: np.ndarray, n: int) -> tuple[int, int, int, int] | None:
-    """Choose (w, patch_width, n_patches, size_bytes) minimizing size, or
-    None when plain FOR is at least as good."""
-    widths = _widths_of(off)
-    full_w = int(widths.max(initial=0))
-    if full_w <= 1 or n == 0:
-        return None
-    pos_w = max(n - 1, 0).bit_length()
-    counts = np.bincount(widths, minlength=full_w + 1)
-    tail = np.cumsum(counts[::-1])[::-1]  # tail[w] = #values with width >= w
-    best = None
-    for w in range(1, full_w + 1):
-        n_patch = int(tail[w + 1]) if w + 1 <= full_w else 0
-        pw = full_w - w
-        size = (
-            11
-            + len(write_uvarint(n_patch))
-            + (n * w + 7) // 8
-            + (n_patch * pos_w + 7) // 8
-            + (n_patch * pw + 7) // 8
-        )
-        if best is None or size < best[3]:
-            best = (w, pw, n_patch, size)
-    if best is None or best[0] == full_w:
-        return None
-    return best
-
-
-def _enc_patched_for(v: np.ndarray) -> bytes:
-    if v.size == 0:
-        return _enc_for_bp(v)
-    base, off = _offsets(v)
-    plan = _patched_plan(off, v.size)
+def _enc_patched_for(s: _Stats) -> bytes:
+    """Low ``w`` bits of every offset, then the positions and high bits
+    of the offsets wider than ``w``."""
+    plan = s.patched_plan
     if plan is None:
-        return _enc_for_bp(v)
-    w, pw, _, _ = plan
-    widths = _widths_of(off)
-    patch_idx = np.flatnonzero(widths > w).astype(np.uint64)
-    pos_w = max(v.size - 1, 0).bit_length()
-    low = off & ((np.uint64(1) << np.uint64(w)) - np.uint64(1)) if w < 64 else off
-    high = off[patch_idx] >> np.uint64(w)
-    head = struct.pack("<qBBB", base, w, pw, pos_w)
+        return _enc_for_bp(s)
+    w, pw, _ = plan
+    off = s.off
+    patch_idx = np.flatnonzero(off >> np.uint64(w))
+    pos_w = (s.n - 1).bit_length()
+    head = struct.pack("<qBBB", s.base, w, pw, pos_w)
     return (
         bytes([PATCHED_FOR])
         + head
         + write_uvarint(patch_idx.size)
-        + pack_bits(low, w)
-        + pack_bits(patch_idx, pos_w)
-        + pack_bits(high, pw)
+        + pack_bits(off, w)
+        + pack_bits(patch_idx.astype(np.uint64), pos_w)
+        + pack_bits(off[patch_idx] >> np.uint64(w), pw)
     )
 
 
-# ---------------------------------------------------------------- size estimates (exact)
-
-def estimate_sizes(v: np.ndarray) -> dict[int, int]:
-    """Exact encoded size per codec, computed from vectorized stats without
-    materializing any encoding (E17 selector)."""
-    v = _as_i64(v)
-    n = v.size
-    sizes = {RAW: 1 + 8 * n}
-    if n == 0:
-        return sizes
-    _, off = _offsets(v)
-    sizes[FOR_BP] = _for_plan(off)[2]
-
-    zz = _wrapped_deltas(v)
-    if zz.size:
-        zoff = zz - zz.min()
-        dw = int(zoff.max()).bit_length()
-    else:
-        dw = 0
-    sizes[DELTA] = 1 + 17 + ((n - 1) * dw + 7) // 8
-
-    rv, rl = _runs(v)
-    if rv.size < n:  # only worth evaluating when there are actual runs
-        rv_sizes = estimate_sizes(rv)
-        rv_best = min(s for c, s in rv_sizes.items() if c != RLE)
-        lens_block = _for_plan(_offsets(rl)[1])[2]
-        sizes[RLE] = (
-            1
-            + len(write_uvarint(rv.size))
-            + len(write_uvarint(rv_best))
-            + rv_best
-            + lens_block
-        )
-
-    plan = _patched_plan(off, n)
-    if plan is not None:
-        sizes[PATCHED_FOR] = 1 + plan[3]
-    return sizes
+_KERNELS = {
+    RAW: _enc_raw,
+    FOR_BP: _enc_for_bp,
+    DELTA: _enc_delta,
+    RLE: _enc_rle,
+    PATCHED_FOR: _enc_patched_for,
+}
 
 
 # ---------------------------------------------------------------- public API
 
-def choose_codec(values: np.ndarray, allow_rle: bool = True) -> int:
-    """The codec whose estimated encoding of ``values`` is smallest."""
-    sizes = estimate_sizes(_as_i64(values))
-    if not allow_rle:
-        sizes.pop(RLE, None)
-    return min(sizes, key=sizes.get)
+class Sizes(dict):
+    """Codec id -> exact encoded size (E17 selector), in codec order;
+    ``stats`` keeps the statistics and plans the sizes came from, so
+    :meth:`encode` emits a codec's bytes without deriving them again."""
+
+    def __init__(self, stats: _Stats) -> None:
+        super().__init__(stats.sizes())
+        self.stats = stats
+
+    @property
+    def best(self) -> int:
+        """The smallest codec (the earlier one on a tie)."""
+        return min(self, key=self.get)
+
+    def encode(self, codec: int | None = None) -> bytes:
+        """``codec``'s encoding (the best one's by default)."""
+        return _KERNELS[self.best if codec is None else codec](self.stats)
 
 
-def encode_ints(values: np.ndarray, allow_rle: bool = True) -> bytes:
+def estimate_sizes(values: np.ndarray) -> Sizes:
+    """Exact encoded size per codec, from one set of shared statistics
+    and without materializing any encoding."""
+    return Sizes(_Stats(_as_i64(values)))
+
+
+def encode_ints(values: np.ndarray) -> bytes:
     """Encode int64 array with the minimal-size codec (auto-selected)."""
-    v = _as_i64(values)
-    return _ENCODERS[choose_codec(v, allow_rle)](v)
+    return estimate_sizes(values).encode()
 
 
 def encode_ints_with(values: np.ndarray, codec: int) -> bytes:
-    return _ENCODERS[codec](_as_i64(values))
+    """Encode with ``codec``, computing only the statistics it reads."""
+    return _KERNELS[codec](_Stats(_as_i64(values)))
 
 
 def decode_ints(buf: bytes, n: int) -> np.ndarray:
@@ -309,12 +538,3 @@ def decode_ints(buf: bytes, n: int) -> np.ndarray:
         low[idx.astype(np.int64)] |= high << np.uint64(w)
         return (low + np.array(base, dtype=np.int64).view(np.uint64)).view(np.int64)
     raise ValueError(f"unknown int codec id {codec}")
-
-
-_ENCODERS = {
-    RAW: _enc_raw,
-    FOR_BP: _enc_for_bp,
-    DELTA: _enc_delta,
-    RLE: _enc_rle,
-    PATCHED_FOR: _enc_patched_for,
-}

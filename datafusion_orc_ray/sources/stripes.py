@@ -11,6 +11,8 @@ sort-for-determinism (src/file_format.rs:90-103).
 
 from __future__ import annotations
 
+import contextlib
+
 import ray.data
 
 from ..state import manifest
@@ -551,7 +553,7 @@ class Catalog:
             label = "stream+semijoin_prefilter" if prefilter else "stream"
             if prefilter:
                 pushdown["semijoin_prefilter"] = prefilter["record"]
-        with sqlagg.cursor() as con:
+        with sqlagg.cursor() as con, _scan_errors() as failures:
             readers = []  # keep referenced readers alive until fetch
             for name in p["referenced"]:
                 if prefilter and name == prefilter["small"]:
@@ -561,7 +563,7 @@ class Catalog:
                 if prefilter and name == prefilter["big"]:
                     fn, keys = prefilter["fn"], prefilter["keys"]
                 schema = _projected(schemas[name], projections[name])
-                reader = _reader(scans[name], schema, fn, keys)
+                reader = _reader(scans[name], schema, fn, keys, failures)
                 readers.append(reader if name in p["streamed"] else reader.read_all())
                 con.register(name, readers[-1])
             return con.sql(query).fetch_arrow_table(), label
@@ -661,14 +663,35 @@ def _run_partials(scan, fn, plan, side=None):
     lookup of an absent value return their 0-row answer."""
     from . import sqlagg
 
-    return sqlagg.merge(plan, _reader(scan, plan.partial_schema, fn, side))
+    with _scan_errors() as failures:
+        return sqlagg.merge(plan, _reader(scan, plan.partial_schema, fn, side, failures))
 
 
-def _reader(scan, schema, fn=None, side=None):
+@contextlib.contextmanager
+def _scan_errors():
+    """Yields the list that scan readers (``_reader``) put what they
+    raise in. DuckDB reports an exception from an Arrow stream it reads
+    as its own ``InvalidInputException``, so a DuckDB error raised after
+    a scan failed is replaced by the scan's own exception (a
+    ``StripeCorruptError`` names the stripe, column and stream)."""
+    import duckdb
+
+    failures: list[BaseException] = []
+    try:
+        yield failures
+    except duckdb.Error:
+        if failures:
+            raise failures[0]
+        raise
+
+
+def _reader(scan, schema, fn=None, side=None, failures=None):
     """Streaming RecordBatchReader with ``schema`` over a ``Catalog._scan``
     result, applying ``fn(batch, side)`` when given (``side``: a broadcast
     table or key set). A driver scan runs the datasource's read tasks
-    here; a Ray scan streams a Dataset of them, ``side`` in the store."""
+    here; a Ray scan streams a Dataset of them, ``side`` in the store.
+    An exception the scan raises is appended to ``failures`` when given
+    (see ``_scan_errors``)."""
     import pyarrow as pa
 
     src, executor = scan
@@ -677,17 +700,17 @@ def _reader(scan, schema, fn=None, side=None):
         if fn is not None:
             ref = ray.put(side)
             ds = ds.map_batches(lambda b: fn(b, ray.get(ref)), batch_format="pyarrow")
-        return _dataset_reader(ds, schema)
+        return _dataset_reader(ds, schema, failures)
 
     def gen():
         for task in src.get_read_tasks(1):
             for t in task():
                 yield from (t if fn is None else fn(t, side)).to_batches()
 
-    return pa.RecordBatchReader.from_batches(schema, gen())
+    return pa.RecordBatchReader.from_batches(schema, _noting(gen(), failures))
 
 
-def _dataset_reader(ds: ray.data.Dataset, schema):
+def _dataset_reader(ds: ray.data.Dataset, schema, failures=None):
     """ray.data.Dataset -> streaming pyarrow.RecordBatchReader; the caller
     knows ``schema`` (``ds.schema()`` runs a hidden execution)."""
     import pyarrow as pa
@@ -696,7 +719,17 @@ def _dataset_reader(ds: ray.data.Dataset, schema):
         for tbl in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
             yield from tbl.to_batches()
 
-    return pa.RecordBatchReader.from_batches(schema, gen())
+    return pa.RecordBatchReader.from_batches(schema, _noting(gen(), failures))
+
+
+def _noting(batches, failures):
+    """``batches``, appending what they raise to ``failures`` (if a list)."""
+    try:
+        yield from batches
+    except Exception as e:
+        if failures is not None:
+            failures.append(e)
+        raise
 
 
 def read_stripes(

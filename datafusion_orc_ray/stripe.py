@@ -39,7 +39,7 @@ import pyarrow.compute as pc
 
 from .codecs import bloom, bytes_codec, outer
 from .codecs.bitpack import pack_bits, unpack_bools
-from .codecs.integers import choose_codec, codec_name, decode_ints, encode_ints, encode_ints_with
+from .codecs.integers import codec_name, decode_ints, encode_ints, encode_ints_with, estimate_sizes
 from .predicate import may_match, normalize
 
 MAGIC = b"RSTP1"
@@ -194,7 +194,7 @@ def _temporal_unit(t: pa.DataType) -> str:
     return "date64"  # ms
 
 
-def _stats(arr: pa.Array, distinct: pa.Array | None = None) -> dict:
+def _stats(arr: pa.Array, distinct: pa.Array | None = None, ints: np.ndarray | None = None) -> dict:
     """Per-column min/max/null-count (E13). Contract for the pruning code
     in predicate.stats_may_match: ``min``/``max`` are EXACT values;
     ``min_bound``/``max_bound`` are safe outer bounds for truncated string
@@ -202,7 +202,8 @@ def _stats(arr: pa.Array, distinct: pa.Array | None = None) -> dict:
     Temporal stats are epoch integers + a ``temporal_unit`` marker so the
     pruner can compare against datetime predicate values without the
     str-vs-datetime TypeError (ADVICE r1, medium). A string column's
-    min/max come from ``distinct`` (its dictionary) when given."""
+    min/max come from ``distinct`` (its dictionary) when given, a
+    temporal column's from ``ints`` (its ``_np_nonnull_ints``) when given."""
     st: dict = {"n": len(arr), "null_count": arr.null_count}
     t = arr.type
     try:
@@ -210,7 +211,7 @@ def _stats(arr: pa.Array, distinct: pa.Array | None = None) -> dict:
             mm = pc.min_max(arr)
             st["min"], st["max"] = mm["min"].as_py(), mm["max"].as_py()
         elif pa.types.is_timestamp(t) or pa.types.is_date(t):
-            v = _np_nonnull_ints(arr)
+            v = _np_nonnull_ints(arr) if ints is None else ints
             if v.size:
                 st["min"], st["max"] = int(v.min()), int(v.max())
             st["temporal_unit"] = _temporal_unit(t)
@@ -311,8 +312,11 @@ def encode_column(
     # a dictionary column's stats and bloom take its distinct values
     # from the dictionary: the column is not hashed again
     distinct = None if dct is None else dct.dictionary
+    # an int or temporal column's values as int64, shared by its stats and its DATA stream
+    is_int = pa.types.is_integer(t) or (pa.types.is_temporal(t) and not pa.types.is_interval(t))
+    ints = _np_nonnull_ints(arr) if is_int else None
     meta["stats"] = (
-        _stats(arr, distinct) if not pa.types.is_nested(t) else {"n": n, "null_count": null_count}
+        _stats(arr, distinct, ints) if not pa.types.is_nested(t) else {"n": n, "null_count": null_count}
     )
     if index:
         bl = bloom.build(arr, distinct)
@@ -329,12 +333,17 @@ def encode_column(
         _add(meta, blobs, DATA, {"codec": "bitpack"}, pack_bits(vals, 1))
         return meta, blobs
 
-    if pa.types.is_integer(t) or (pa.types.is_temporal(t) and not pa.types.is_interval(t)):
-        v = _np_nonnull_ints(arr)
-        codec = state.decide((path, "int"), 1, state.REVALIDATE_EVERY, lambda _: choose_codec(v))
-        buf = encode_ints_with(v, codec)
+    if is_int:
+        trial = []  # this stripe's sizes when it runs the trial: the winner encodes from them
+
+        def smallest(_) -> int:
+            trial.append(estimate_sizes(ints))
+            return trial[0].best
+
+        codec = state.decide((path, "int"), 1, state.REVALIDATE_EVERY, smallest)
+        buf = trial[0].encode(codec) if trial else encode_ints_with(ints, codec)
         meta["enc"] = "int"
-        _add(meta, blobs, DATA, {"codec": codec_name(buf[0]), "raw_size": 8 * v.size}, buf)
+        _add(meta, blobs, DATA, {"codec": codec_name(buf[0]), "raw_size": 8 * ints.size}, buf)
         return meta, blobs
 
     if pa.types.is_floating(t):

@@ -1401,3 +1401,46 @@ def test_single_reads_names_the_tables_a_stream_serves():
     for q in MULTI_READ:
         assert not sqlagg.single_reads(q) & {"c", "o"}, q
     assert sqlagg.table_names(MULTI_READ[-1]) is None
+
+
+@pytest.mark.parametrize("q", [
+    "SELECT s, sum(v) AS total FROM t GROUP BY s ORDER BY s",
+    "SELECT k, v FROM t WHERE k >= 5 ORDER BY k",
+])
+def test_a_corrupt_stream_raises_on_a_first_call(ray_session, tmp_path, monkeypatch, sql_both, q):
+    """A first call (no kept answer) over a stripe with one flipped
+    stream byte raises StripeCorruptError naming the stripe, the column
+    and the stream on both executors, although DuckDB's Arrow scan
+    reports the failed scan as its own InvalidInputException."""
+    import struct
+
+    from datafusion_orc_ray import stripe
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+    from datafusion_orc_ray.state import manifest
+
+    out = str(tmp_path / "t")
+    enc = StripeEncoder(out)
+    for lo in (0, 200):
+        enc.encode_split(pa.table({
+            "k": pa.array(range(lo, lo + 200), pa.int64()),
+            "s": [f"s{i % 3}" for i in range(lo, lo + 200)],
+            "v": pa.array([i * 0.5 for i in range(lo, lo + 200)]),
+        }))
+    cat = Catalog()
+    cat.register_stripes("t", out)
+    sql_both(cat, q)  # the intact stripes: both executors agree
+    path = manifest.load_manifest(out)[1]["path"]
+    data = next(c for c in stripe.read_footer_from_file(path)["columns"] if c["path"] == "v")["streams"]["data"]
+    blob = bytearray(open(path, "rb").read())
+    blob[data["offset"]] ^= 0x01
+    with open(path, "wb") as f:
+        f.write(bytes(blob))
+    assert struct.unpack_from("<I", blob, len(blob) - len(stripe.MAGIC) - 4)  # footer untouched
+    for gate in (Catalog._LOCAL_SCAN_BYTES, 0):
+        with monkeypatch.context() as m:
+            m.setattr(Catalog, "_LOCAL_SCAN_BYTES", gate)
+            fresh = Catalog()
+            fresh.register_stripes("t", out)
+            with pytest.raises(stripe.StripeCorruptError) as ei:
+                fresh.sql(q)
+        assert (ei.value.stripe, ei.value.column, ei.value.stream) == (path, "v", "data"), gate

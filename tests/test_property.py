@@ -12,6 +12,8 @@ from datafusion_orc_ray import stripe
 from datafusion_orc_ray.codecs import fsst
 from datafusion_orc_ray.codecs import integers as I
 
+_I64 = st.integers(-(2**63), 2**63 - 1)
+
 int64s = arrays(
     np.int64,
     st.integers(0, 300),
@@ -27,6 +29,50 @@ def test_int_codecs_roundtrip(v):
         assert np.array_equal(I.decode_ints(buf, v.size), v), I.codec_name(codec)
     auto = I.encode_ints(v)
     assert np.array_equal(I.decode_ints(auto, v.size), v)
+
+
+@st.composite
+def _int_shapes(draw):
+    """int64 arrays of the shapes the exact size formulas branch on:
+    runs of length 1 with a few repeats (the run values are then almost
+    the column), values sharing a divisor, patched outliers, int64
+    extremes whose deltas wrap, and 0, 1 or 2 values."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 400)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["few_repeats", "divisor", "outliers", "widths", "extremes", "any"]))
+    if kind == "few_repeats":
+        v = rng.integers(0, 1 << draw(st.integers(1, 62)), n)
+        if n > 1:
+            at = rng.integers(1, n, draw(st.integers(1, 5)))
+            v[at] = v[at - 1]
+    elif kind == "divisor":
+        g = draw(st.one_of(st.integers(2, 1000), st.integers(2, 2**40)))
+        v = draw(_I64) + g * rng.integers(0, draw(st.integers(1, 2**16)), n, dtype=np.int64)
+    elif kind == "outliers":
+        v = rng.integers(0, 1 << draw(st.integers(1, 12)), n)
+        if n:
+            at = rng.integers(0, n, max(1, n // draw(st.integers(2, 200))))
+            v[at] = rng.integers(0, 2**63 - 1, at.size)
+    elif kind == "widths":  # each value of a random width: PATCHED_FOR's near ties
+        v = rng.integers(0, 1 << rng.integers(0, draw(st.integers(2, 62)), n))
+    elif kind == "extremes":
+        v = rng.choice(np.array([-(2**63), 2**63 - 1, 0, -1, 1], np.int64), n)
+    else:
+        v = np.array(draw(st.lists(_I64, min_size=n, max_size=n)), np.int64)
+    return np.asarray(v, np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_shapes())
+def test_int_size_estimates_are_exact(v):
+    """Every size ``estimate_sizes`` lists is its codec's encoded length,
+    and ``encode_ints`` picks the smallest (the first on a tie)."""
+    sizes = I.estimate_sizes(v)
+    for codec, size in sizes.items():
+        assert len(I.encode_ints_with(v, codec)) == size, I.codec_name(codec)
+    buf = I.encode_ints(v)
+    assert buf[0] == min(sizes, key=sizes.get) and len(buf) == min(sizes.values())
+    assert np.array_equal(I.decode_ints(buf, v.size), v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,9 +134,6 @@ def test_tokhash_matches_python_reference(texts):
             break
 
 
-_I64 = st.integers(-(2**63), 2**63 - 1)
-
-
 @st.composite
 def _gcd_runs(draw):
     """int64 values base + g * k (wrapping), so their offsets from the
@@ -134,6 +177,17 @@ def test_gcd_for_edges():
     v = np.arange(-5000, 0, 100, dtype=np.int64).repeat(3)
     buf = I.encode_ints_with(v, I.FOR_BP)
     assert buf[9] == (6 | 0x80) and buf[10] == 100
+
+
+def test_gcd_for_finds_a_divisor_the_sample_misses():
+    """The divisor is the offsets' exact GCD when the ~256-value sample
+    and the maximum share a larger one: 2 (then 1) where one unsampled
+    offset is 2 (then 1) and every other is a multiple of 4."""
+    for odd, g in ((2, 2), (1, 1)):
+        v = np.arange(0, 4 * 3000, 4, dtype=np.int64)
+        v[1] = odd  # the sample takes every 11th value
+        buf = _check_for_bp(v)
+        assert (buf[9] & 0x80 and buf[10]) == (g if g > 1 else 0)
 
 
 def test_gcd_for_follows_each_stripe():
