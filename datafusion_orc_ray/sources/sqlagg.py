@@ -6,9 +6,9 @@ streaming path, so a pushdown can never change a result):
 * ``plan_aggregate_pushdown`` — single-table decomposable aggregates
   (incl. HAVING): per-batch partials on the workers, driver merges. When
   every partial is a count/min/max that manifest STATS give exactly
-  (``AggPlan.stats``: no WHERE, no GROUP BY), ``plan_stats_answer`` runs
-  the same final merge over one partial row per stripe read from the
-  manifest instead, and no stripe is decoded.
+  (``AggPlan.stats``: no WHERE, no GROUP BY), ``plan_stats_answer`` builds
+  one partial row per stripe from the manifest instead, the same final
+  merge runs over them, and no stripe is decoded.
 * ``plan_topk_pushdown`` — single-table ORDER BY ... LIMIT n.
 * ``plan_join_aggregate`` / ``plan_join_topk`` — either shape over a
   two-table inner equi-join: broadcast small side, per-batch Acero
@@ -505,16 +505,16 @@ def plan_aggregate_pushdown(query: str, table: str, schema) -> AggPlan | None:
 
 
 def plan_stats_answer(plan: AggPlan, schema, entries: list[dict]):
-    """``plan``'s answer from MANIFEST STATS alone — zero stripes
-    decoded, zero tasks launched: its final merge (``merge``) over one
-    partial row per stripe of ``entries``, built from the stats that
-    ``plan.stats`` names (a count is ``n - null_count``, a min/max the
-    exact ``min``/``max`` stat, NULL for an all-null stripe). Returns
-    the answer, or None when a stripe lacks an exact stat (``*_bound``
-    keys are truncation bounds), a temporal stat's ``temporal_unit`` is
-    not the merged column's, or the partial's type would lose a value
-    (a unit the final cannot hold exactly). A manifest entry without a
-    row count raises."""
+    """The partials of ``plan``'s answer from MANIFEST STATS alone —
+    zero stripes decoded, zero tasks launched: one partial row per
+    stripe of ``entries``, built from the stats that ``plan.stats``
+    names (a count is ``n - null_count``, a min/max the exact
+    ``min``/``max`` stat, NULL for an all-null stripe), for ``merge``
+    to finish. Returns them, or None when a stripe lacks an exact stat
+    (``*_bound`` keys are truncation bounds), a temporal stat's
+    ``temporal_unit`` is not the merged column's, or the partial's type
+    would lose a value (a unit the final cannot hold exactly). A
+    manifest entry without a row count raises."""
     import pyarrow as pa
 
     from .. import stripe as stripe_mod
@@ -557,10 +557,9 @@ def plan_stats_answer(plan: AggPlan, schema, entries: list[dict]):
     try:
         # safe casts to the partial's types: DuckDB may hold a temporal
         # min/max in another unit (ms timestamp -> us, date64 -> date32)
-        partials = pa.table(cols, schema=plan.partial_schema)
+        return pa.table(cols, schema=plan.partial_schema)
     except pa.ArrowInvalid:
         return None
-    return merge(plan, partials)
 
 
 _TOPK_MAX_LIMIT = 100_000  # beyond this, n rows/batch of partials stop being "small"

@@ -256,7 +256,7 @@ class Catalog:
                 add(tables.pop(), ("or", [[a for _, a in d] for d in typed_djs]))
         return out
 
-    def _plan(self, query: str) -> dict:
+    def _plan(self, query: str, answers: bool = True) -> dict:
         """The one planning cascade behind sql() and explain():
         referenced tables (the parse tree's base tables), their manifest
         entries (loaded once per call, so appends stay visible) and
@@ -265,8 +265,9 @@ class Catalog:
         the ``last_plan`` value sql() records for it (join kinds still
         face sql()'s byte gate; a single-table aggregate whose
         ``AggPlan.stats`` the manifest rows answer is a "stats_answer",
-        its ``plan`` the answer) — and each table's ``scans`` entry (none
-        for a stats answer, which decodes no stripe).
+        see ``_stats_answer``, its ``stats`` what answers it) — and each
+        table's ``scans`` entry (none for a stats answer, which decodes
+        no stripe).
         ``fused``: a planned shape whose scans all run in this process,
         so sql() runs partial and final as the one original statement.
         ``prefilter``: a two-table query's semi-join candidate.
@@ -276,9 +277,9 @@ class Catalog:
         the pushdown planners' verdict and ``refusal``, why the answer
         may not be kept: ``sqlagg.keep_refusal``) is kept in ``_plans``
         under exactly those (``key``); ``reused`` says that this call
-        found all it needed there. The entries, schemas, stats answer
-        (the kept plan's final over this call's manifest rows), stats
-        pruning and executors are worked out on every call."""
+        found all it needed there. The entries, schemas, stats pruning
+        and executors are worked out on every call. ``answers``: look
+        a stats answer up in ``_results`` (explain() does not)."""
         from . import sqlagg
 
         found = sqlagg.table_names(query)
@@ -300,11 +301,15 @@ class Catalog:
                 "streamed": sqlagg.single_reads(query),
             }
         kind, plan = kept["verdict"]
-        if kind == "aggregate_pushdown" and plan.stats:  # metadata-only answer
+        stats = None
+        if kind == "aggregate_pushdown" and plan.stats:  # metadata-only answer?
             name = referenced[0]
-            answer = sqlagg.plan_stats_answer(plan, schemas[name], entries[name])
-            if answer is not None:
-                kind, plan = "stats_answer", answer
+            stats = self._stats_answer(
+                key, plan, name, entries[name], schemas[name],
+                answers and kept["refusal"] is None,
+            )
+            if stats is not None:
+                kind = "stats_answer"
         if not reused:
             self._plans.put(key, kept)
         p = {
@@ -320,6 +325,7 @@ class Catalog:
             "key": key,
             "refusal": kept["refusal"],
             "streamed": kept["streamed"],
+            "stats": stats,
         }
         p["scans"] = {
             name: self._scan(name, p["projections"][name], p["predicates"][name],
@@ -332,6 +338,33 @@ class Catalog:
         )
         return p
 
+    def _stats_answer(self, key, plan, name: str, entries: list[dict], schema, lookup: bool):
+        """How ``plan`` (an ``AggPlan`` with ``stats``) is answered from
+        table ``name``'s manifest ``entries`` alone, or None when a
+        stripe's stats cannot (``sqlagg.plan_stats_answer``): the
+        ``table``, the manifest rows used (``stripes``), the ``key`` the
+        answer is kept under in ``_results``, and the kept ``answer``
+        (looked up when ``lookup``) or else the ``partials`` that
+        ``sqlagg.merge`` finishes. The key adds to the plan's ``key`` the
+        table's name, directory and stripe paths and a SHA-256 over each
+        row's row count and column stats: an append, a compaction or a
+        stripe rewritten with other stats makes a new key, so a kept
+        answer needs no check."""
+        import hashlib
+
+        from . import sqlagg
+
+        rows = repr([(e.get("n_rows", e.get("rows")), e.get("columns_json")) for e in entries])
+        paths = tuple(e["path"] for e in entries)
+        digest = hashlib.sha256(rows.encode()).digest()
+        stats = {"table": name, "stripes": len(entries),
+                 "key": (key, (name, self._tables[name], paths, digest))}
+        answer = self._results.get(stats["key"]) if lookup else None
+        if answer is not None:
+            return dict(stats, answer=answer)
+        partials = sqlagg.plan_stats_answer(plan, schema, entries)
+        return None if partials is None else dict(stats, partials=partials)
+
     def explain(self, query: str) -> str:
         """Plan summary WITHOUT executing: per referenced table the
         pushed projection and predicate conjuncts, surviving/total
@@ -341,7 +374,7 @@ class Catalog:
         pushed predicate) would run."""
         from ..predicate import describe
 
-        p = self._plan(query)
+        p = self._plan(query, answers=False)
         fused = " (partial and final fused: one DuckDB statement in this process)"
         lines = ["plan: " + _EXPLAIN[p["kind"]] + (fused if p["fused"] else "")]
         for name in p["referenced"]:
@@ -466,9 +499,15 @@ class Catalog:
         footer bytes equal those, and every stream a decode would read
         is read and CRC-checked (``StripeDatasource.verify``): only the
         footer parse, decompress, decode and DuckDB are skipped.
-        ``last_pushdown["result"]`` says "reused", "stored" or "not
-        kept: <why>"."""
+        A stats answer (``_stats_answer``) is kept in ``_results`` too,
+        under a key that names the manifest rows it was computed from,
+        so a repeat over the same rows reads no stats and runs no
+        DuckDB; ``last_pushdown["stats"]`` names its table and the
+        manifest rows it used. ``last_pushdown["result"]`` says
+        "reused", "stored" or "not kept: <why>"."""
         import copy
+
+        from . import sqlagg
 
         p = self._plan(query)
         scans = p["scans"]
@@ -490,9 +529,18 @@ class Catalog:
             },
         }
         self.last_plan = p["kind"]
-        if p["kind"] == "stats_answer":
-            pushdown["result"] = "not kept: a stats answer"
-            return p["plan"]
+        stats = p["stats"]
+        if stats is not None:
+            pushdown["stats"] = {"table": stats["table"], "stripes": stats["stripes"]}
+            if "answer" in stats:
+                pushdown["result"] = "reused"
+                return stats["answer"]
+            table = sqlagg.merge(p["plan"], stats["partials"])
+            pushdown["result"] = (
+                f"not kept: {p['refusal']}" if p["refusal"] is not None
+                else self._put(stats["key"], table, table.nbytes)
+            )
+            return table
         why = p["refusal"] or next(
             (f"the scan of {name} runs on Ray" for name, (_, ex) in scans.items() if ex == "ray"),
             None,
@@ -583,9 +631,14 @@ class Catalog:
                 return "not kept: a scan stopped before its last stripe"
             footers[name] = tuple(seen[e["path"]] for e in src._entries)
         weight = table.nbytes + sum(len(p) for kept in footers.values() for p, _ in kept)
+        return self._put(key, (footers, table, label, semijoin), weight)
+
+    def _put(self, key, value, weight: int) -> str:
+        """Keep ``value`` of ``weight`` bytes in ``_results`` under
+        ``key``: "stored", or "not kept: <why>"."""
         if weight > self._results.bound:
             return f"not kept: {weight} bytes, over the store's {self._results.bound}"
-        self._results.put(key, (footers, table, label, semijoin), max(weight, 1))
+        self._results.put(key, value, max(weight, 1))
         return "stored"
 
 

@@ -1206,6 +1206,151 @@ def test_table_name_in_literal_is_not_a_reference(ray_session, tmp_path, sql_bot
         con.close()
 
 
+STATS_Q = "SELECT count(*) AS n, min(k) AS lo, max(k) AS hi, max(s) AS top FROM t"
+
+
+def _stats_rows(lo: int, hi: int, tag: str = "s") -> pa.Table:
+    return pa.table({
+        "k": pa.array(range(lo, hi), pa.int64()),
+        "s": pa.array([f"{tag}{i:04d}" for i in range(lo, hi)]),
+    })
+
+
+def _stats_catalog(out: str, parts: list) -> Catalog:
+    """A catalog whose table ``t`` is one stripe per table of ``parts``."""
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+
+    for part in parts:
+        StripeEncoder(out).encode_split(part)
+    cat = Catalog()
+    cat.register_stripes("t", out)
+    return cat
+
+
+def _duckdb(rows: pa.Table, q: str) -> pa.Table:
+    import duckdb
+
+    con = duckdb.connect()
+    try:
+        con.register("t", rows)
+        return con.sql(q).fetch_arrow_table()
+    finally:
+        con.close()
+
+
+def test_a_kept_stats_answer_reads_no_stats(tmp_path, monkeypatch):
+    """A stats answer is kept in the result store: the repeat returns the
+    kept table ("reused", still a "stats_answer") without parsing a
+    manifest entry's stats or running the final merge, and
+    ``last_pushdown["stats"]`` names the table and the manifest rows
+    that answered it."""
+    from datafusion_orc_ray.sources import sqlagg
+    from datafusion_orc_ray.state import manifest
+
+    parts = [_stats_rows(0, 50), _stats_rows(50, 100)]
+    cat = _stats_catalog(str(tmp_path / "t"), parts)
+    first = cat.sql(STATS_Q)
+    assert first.equals(_duckdb(pa.concat_tables(parts), STATS_Q))
+    record = {"table": "t", "stripes": 2}
+    assert (cat.last_plan, cat.last_pushdown["result"]) == ("stats_answer", "stored")
+    assert (cat.last_pushdown["stats"], cat.last_pushdown["scans"]) == (record, {})
+    calls: list = []
+    monkeypatch.setattr(sqlagg, "merge", lambda *a: calls.append("merge"))
+    monkeypatch.setattr(manifest, "column_stats", lambda e: calls.append("column_stats"))
+    assert cat.sql(STATS_Q) is first
+    assert (cat.last_plan, cat.last_pushdown["result"]) == ("stats_answer", "reused")
+    assert cat.last_pushdown["stats"] == record
+    assert calls == []
+    assert cat.store_stats()["results"] == {
+        "hits": 1, "misses": 1, "entries": 1, "weight": first.nbytes, "bound": 32 << 20,
+    }
+
+
+def _rewrite_last_stripe(out: str, rows: pa.Table) -> None:
+    """Rewrite ``out``'s last stripe with ``rows`` under its own id, path
+    and ordinal: the same manifest row name with other stats."""
+    from datafusion_orc_ray.stages.encode import StripeEncoder
+    from datafusion_orc_ray.state import manifest
+
+    e = manifest.load_manifest(out)[-1]
+    blob, row = manifest.stripe_paths(out, e["stripe_id"])
+    os.remove(blob)
+    os.remove(row)
+    StripeEncoder(out).encode_one(rows, e["stripe_id"], e["ordinal"])
+    assert manifest.load_manifest(out)[-1]["path"] == e["path"]
+
+
+@pytest.mark.parametrize("change", ["append", "compact", "rewrite"])
+def test_a_kept_stats_answer_follows_its_manifest_rows(ray_session, tmp_path, change):
+    """A kept stats answer is keyed on the manifest rows it was computed
+    from: after an appended stripe, a compaction or a stripe rewritten
+    under its own name with other values, the next call computes and
+    stores DuckDB's answer over the new rows, and the one after reuses
+    it."""
+    out = str(tmp_path / "t")
+    parts = [_stats_rows(0, 50), _stats_rows(50, 100)]
+    cat = _stats_catalog(out, parts)
+    for _ in range(2):
+        cat.sql(STATS_Q)
+    assert cat.last_pushdown["result"] == "reused"
+    if change == "append":
+        parts.append(_stats_rows(100, 130, "z"))
+        _stats_catalog(out, parts[-1:])
+    elif change == "compact":
+        assert ep.compact_stripes(out, target_bytes=1 << 30) == 1
+    else:
+        parts[-1] = _stats_rows(500, 550, "z")
+        _rewrite_last_stripe(out, parts[-1])
+    want = _duckdb(pa.concat_tables(parts), STATS_Q)
+    stripes_used = {"append": 3, "compact": 1, "rewrite": 2}[change]
+    for result in ("stored", "reused"):
+        assert cat.sql(STATS_Q).equals(want), change
+        assert (cat.last_plan, cat.last_pushdown["result"]) == ("stats_answer", result)
+        assert cat.last_pushdown["stats"] == {"table": "t", "stripes": stripes_used}
+
+
+def test_a_stripe_without_an_exact_stat_falls_back(tmp_path):
+    """A stripe appended with a string longer than the exact-stat limit
+    records only ``*_bound`` stats for it: the next call is no stats
+    answer but an aggregate pushdown that decodes the stripes, and
+    gives DuckDB's answer over every row."""
+    out = str(tmp_path / "t")
+    parts = [_stats_rows(0, 50), _stats_rows(50, 100)]
+    cat = _stats_catalog(out, parts)
+    cat.sql(STATS_Q)
+    assert cat.last_plan == "stats_answer"
+    long = pa.table({"k": pa.array([7], pa.int64()), "s": pa.array(["z" * 60])})
+    parts.append(long)
+    _stats_catalog(out, [long])
+    from datafusion_orc_ray.state import manifest
+
+    stats = manifest.column_stats(manifest.load_manifest(out)[-1])["s"]
+    assert "max_bound" in stats and "max" not in stats
+    for _ in range(2):
+        got = cat.sql(STATS_Q)
+        assert cat.last_plan == "aggregate_pushdown"
+        assert "stats" not in cat.last_pushdown
+        assert got.equals(_duckdb(pa.concat_tables(parts), STATS_Q))
+    assert got.column("top").to_pylist() == ["z" * 60]
+
+
+def test_explain_of_a_stats_query_runs_no_duckdb(tmp_path, monkeypatch):
+    """explain() plans WITHOUT executing: on a stats query it labels the
+    metadata-only answer from whether the stripes' partials build, and
+    neither runs the final merge nor touches the result store."""
+    from datafusion_orc_ray.sources import sqlagg
+
+    cat = _stats_catalog(str(tmp_path / "t"), [_stats_rows(0, 50), _stats_rows(50, 100)])
+
+    def merge(*a):
+        raise AssertionError("explain ran the final merge")
+
+    monkeypatch.setattr(sqlagg, "merge", merge)
+    assert cat.explain(STATS_Q).startswith("plan: metadata-only stats answer")
+    results = cat.store_stats()["results"]
+    assert (results["hits"], results["misses"]) == (0, 0)
+
+
 def test_stats_answer_entry_without_row_count_raises():
     """A manifest entry with neither n_rows nor rows is corrupt: the
     stats answer names its stripe instead of silently falling back."""

@@ -159,6 +159,7 @@ def test_both_executors_match_duckdb(catalog, gate, monkeypatch):
         scans = cat.last_pushdown["scans"]
         if plan == "stats_answer":
             assert scans == {}
+            assert cat.last_pushdown["stats"] == {"table": "fact", "stripes": N_FACT // STRIPE_ROWS}
             continue
         assert set(scans) == ({"fact", "dim"} if "JOIN" in q else {"fact"}), q
         for name, rec in scans.items():
@@ -250,8 +251,8 @@ def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
     """A catalog plans a query once: a repeated call of every plan kind
     reports ``plan_reused`` and gives the first call's answer, plan and
     pushdown record, on either executor. With every scan in the driver
-    the repeat returns the kept answer (``result`` "reused"; a stats
-    answer is worked out again); with scans on Ray nothing is kept."""
+    the repeat returns the kept answer (``result`` "reused"); with scans
+    on Ray nothing is kept but a stats answer, which scans nothing."""
     if gate == "ray":
         monkeypatch.setattr(Catalog, "_LOCAL_SCAN_BYTES", 0)
     cat = _fresh(catalog)
@@ -264,15 +265,37 @@ def test_repeated_query_reuses_its_plan(catalog, gate, monkeypatch):
         again = cat.sql(q)
         assert cat.last_pushdown.pop("plan_reused") is True, q
         result = cat.last_pushdown.pop("result")
-        if plan == "stats_answer":
-            assert kept == result == "not kept: a stats answer", q
-        elif gate == "driver":
+        if plan == "stats_answer" or gate == "driver":
             assert (kept, result) == ("stored", "reused"), q
         else:
             assert kept == result == "not kept: the scan of fact runs on Ray", q
         assert cat.last_plan == plan, q
         assert again.equals(first), q
         assert cat.last_pushdown == record, q
+
+
+def test_a_repeat_opens_no_duckdb_cursor(catalog, monkeypatch):
+    """With every scan in the driver, a repeated call of every plan kind
+    is served from the catalog's stores: it opens no DuckDB cursor, so
+    neither plans, binds, merges nor runs a statement."""
+    from datafusion_orc_ray.sources import sqlagg
+
+    cat = _fresh(catalog)
+    opened: list = []
+    cursor = sqlagg.cursor
+
+    def counted():
+        opened.append(1)
+        return cursor()
+
+    monkeypatch.setattr(sqlagg, "cursor", counted)
+    for q, plan, _ in QUERIES:
+        cat.sql(q)
+        assert opened, q
+        opened.clear()
+        cat.sql(q)
+        assert (cat.last_plan, cat.last_pushdown["result"]) == (plan, "reused"), q
+        assert opened == [], q
 
 
 def _spy_footer_reads(monkeypatch) -> list:
@@ -490,8 +513,19 @@ def test_a_result_store_hit_parses_no_footer(tmp_path, monkeypatch):
     assert reads == []
 
 
+def test_a_stats_answer_is_kept(tmp_path):
+    """A stats answer reads no stripe, so it is kept like any other
+    answer: stored by the first call and returned by the repeat."""
+    cat, rows = _kept_catalog(str(tmp_path / "t"))
+    q = "SELECT count(*) AS n FROM t"
+    for result in ("stored", "reused"):
+        got = cat.sql(q)
+        assert (cat.last_plan, cat.last_pushdown["result"]) == ("stats_answer", result)
+        assert got.equals(_answer(rows, q))
+    assert cat.store_stats()["results"]["entries"] == 1
+
+
 @pytest.mark.parametrize("q, why", [
-    ("SELECT count(*) AS n FROM t", "a stats answer"),
     ("SELECT k, random() AS r FROM t ORDER BY k", "function random is not CONSISTENT"),
     ("SELECT k, now() AS r FROM t ORDER BY k", "function now is not CONSISTENT"),
     ("SELECT k, current_date AS d FROM t ORDER BY k", "function current_date is not CONSISTENT"),
