@@ -56,10 +56,6 @@ def _train_sample(data: np.ndarray, row_offsets: np.ndarray) -> bytes:
     return data[gather[:_TRAIN_SAMPLE]].tobytes()
 
 
-def _final_size(buf, outer_codec: int) -> int:
-    return sum(len(p) for p in outer.compress(buf, outer_codec))
-
-
 def choose(data: np.ndarray, row_offsets: np.ndarray, table: fsst.SymbolTable | None = None,
            outer_codec: int = outer.ZSTD):
     """Sampled trial: returns (codec_id, trained_table_or_None).
@@ -83,9 +79,9 @@ def choose(data: np.ndarray, row_offsets: np.ndarray, table: fsst.SymbolTable | 
     if table is None:
         table = fsst.train(_train_sample(data, row_offsets))
     enc, _ = fsst.encode(table, s_data, s_offsets)
-    raw_final = _final_size(s_data, outer_codec)
+    raw_final = outer.stored_size(s_data, outer_codec)
     # the table is stored once per stream: charge the sample its share
-    fsst_final = _final_size(enc, outer_codec) + len(table.to_bytes()) * s_data.size / n
+    fsst_final = outer.stored_size(enc, outer_codec) + len(table.to_bytes()) * s_data.size / n
     if fsst_final >= 0.98 * raw_final:
         return BYTES_RAW, None
     return BYTES_FSST, table

@@ -4,8 +4,9 @@ Plays the role of ORC's stream compression framing (SURVEY.md §2.3 E1:
 the reference fixtures use SNAPPY with 3-byte chunk headers and an
 "incompressible -> stored raw" rule). We keep the capability — every
 stripe stream may carry an outer codec, incompressible streams stay raw
-— via pyarrow's C-level compressors, selected per stream by a sampled
-trial (E17).
+— via pyarrow's C-level compressors, kept per stream where they save
+bytes (``compress_auto``, E17). ``stored_size`` is the one size that
+the stripe writer's encoding trials compare.
 
 Framing: [codec_id u8][uvarint uncompressed_len][payload].
 
@@ -57,15 +58,21 @@ def compress(buf, codec_id: int) -> list:
 
 
 def compress_auto(buf, codec_id: int = ZSTD) -> list:
-    """Compress with ``codec_id`` unless a sampled trial shows it does not
-    pay (incompressible streams are stored raw, as in the reference's
-    isOriginal chunks)."""
+    """Compress with ``codec_id`` unless it does not pay (incompressible
+    streams are stored raw, as in the reference's isOriginal chunks). A
+    stream over ``4 * _SAMPLE`` bytes is stored raw untried when a
+    sample of four pieces spread from its head to its tail saves under
+    5%: a head alone misjudges a byte-stream-split stream, whose first
+    plane is its noisiest."""
     mv = memoryview(buf).cast("B")
     n = len(mv)
     if n < 64 or codec_id == NONE:
         return compress(buf, NONE)
     if n > 4 * _SAMPLE:
-        trial = pa.Codec(_PA_NAME[codec_id]).compress(pa.py_buffer(mv[:_SAMPLE]), asbytes=True)
+        piece = _SAMPLE // 4
+        starts = [i * (n - piece) // 3 for i in range(4)]
+        sample = b"".join(mv[s : s + piece] for s in starts)
+        trial = pa.Codec(_PA_NAME[codec_id]).compress(pa.py_buffer(sample), asbytes=True)
         if len(trial) > _MIN_GAIN * _SAMPLE:
             return compress(buf, NONE)
     out = compress(buf, codec_id)
@@ -77,6 +84,12 @@ def compress_auto(buf, codec_id: int = ZSTD) -> list:
     if sum(len(p) for p in out[1:]) >= n:
         return compress(buf, NONE)
     return out
+
+
+def stored_size(buf, codec_id: int = ZSTD) -> int:
+    """Bytes ``compress_auto`` stores for ``buf``, framing included: the
+    size every encoding trial compares."""
+    return sum(len(p) for p in compress_auto(buf, codec_id))
 
 
 def decompress(buf: bytes) -> bytes:

@@ -20,10 +20,11 @@ When every scan of the query runs in the driver, the catalog runs the
 query as written, one DuckDB statement: partial and final fuse, as no
 row would cross a process boundary between them. When a scan runs on
 Ray, each partial runs on every decoded batch inside ``map_batches`` on
-the workers (DuckDB over the Arrow batch: full SQL expression semantics,
-no row leaves its worker unaggregated); the FINAL merge runs on the
-driver over the partial stream only (``merge``, the one place a final
-runs):
+the workers (``run_partial``: DuckDB over the Arrow batch, full SQL
+expression semantics, no row leaves its worker unaggregated); the FINAL
+merge (``final_sql`` over ``__partials``) runs on the driver over the
+partial stream only, as the one statement the catalog's runner
+(``sources.stripes._run``) runs for every answer:
 
     count(*)/count(e) ->  partial count,        final CAST(sum(p) AS BIGINT)
     sum(e)            ->  partial sum,          final sum(p)
@@ -509,8 +510,8 @@ def plan_stats_answer(plan: AggPlan, schema, entries: list[dict]):
     zero stripes decoded, zero tasks launched: one partial row per
     stripe of ``entries``, built from the stats that ``plan.stats``
     names (a count is ``n - null_count``, a min/max the exact
-    ``min``/``max`` stat, NULL for an all-null stripe), for ``merge``
-    to finish. Returns them, or None when a stripe lacks an exact stat
+    ``min``/``max`` stat, NULL for an all-null stripe), for the plan's
+    final to finish. Returns them, or None when a stripe lacks an exact stat
     (``*_bound`` keys are truncation bounds), a temporal stat's
     ``temporal_unit`` is not the merged column's, or the partial's type
     would lose a value (a unit the final cannot hold exactly). A
@@ -775,14 +776,6 @@ def _binds(partial_sql: str, schema, final_sql: str):
     except duckdb.Error:
         return None
     return partial.schema
-
-
-def merge(plan: AggPlan, partials):
-    """``plan``'s final merge over ``partials`` (a table or reader with
-    ``plan.partial_schema``), run here: every final runs through it."""
-    with cursor() as con:
-        con.register("__partials", partials)
-        return con.sql(plan.final_sql).fetch_arrow_table()
 
 
 def run_partial(partial_sql: str):

@@ -279,7 +279,8 @@ class Catalog:
         under exactly those (``key``); ``reused`` says that this call
         found all it needed there. The entries, schemas, stats pruning
         and executors are worked out on every call. ``answers``: look
-        a stats answer up in ``_results`` (explain() does not)."""
+        a stats answer (or the verdict that there is none) up in
+        ``_results`` (explain() does not)."""
         from . import sqlagg
 
         found = sqlagg.table_names(query)
@@ -343,13 +344,15 @@ class Catalog:
         table ``name``'s manifest ``entries`` alone, or None when a
         stripe's stats cannot (``sqlagg.plan_stats_answer``): the
         ``table``, the manifest rows used (``stripes``), the ``key`` the
-        answer is kept under in ``_results``, and the kept ``answer``
-        (looked up when ``lookup``) or else the ``partials`` that
-        ``sqlagg.merge`` finishes. The key adds to the plan's ``key`` the
-        table's name, directory and stripe paths and a SHA-256 over each
-        row's row count and column stats: an append, a compaction or a
-        stripe rewritten with other stats makes a new key, so a kept
-        answer needs no check."""
+        answer is kept under in ``_results``, and what ``_keep`` kept
+        there (``kept``, looked up when ``lookup``) or else the
+        ``partials`` the plan's final runs over. The key adds to the
+        plan's ``key`` the table's name, directory and stripe paths and a
+        SHA-256 over each row's row count and column stats: an append, a
+        compaction or a stripe rewritten with other stats makes a new
+        key, so a kept answer needs no check. Rows that cannot answer
+        keep that verdict (False) under the same key, so a repeat over
+        them parses no stats either."""
         import hashlib
 
         from . import sqlagg
@@ -359,10 +362,14 @@ class Catalog:
         digest = hashlib.sha256(rows.encode()).digest()
         stats = {"table": name, "stripes": len(entries),
                  "key": (key, (name, self._tables[name], paths, digest))}
-        answer = self._results.get(stats["key"]) if lookup else None
-        if answer is not None:
-            return dict(stats, answer=answer)
+        kept = self._results.get(stats["key"]) if lookup else None
+        if kept is False:  # these rows were found not to answer it
+            return None
+        if kept is not None:
+            return dict(stats, kept=kept)
         partials = sqlagg.plan_stats_answer(plan, schema, entries)
+        if partials is None and lookup:
+            self._results.put(stats["key"], False)
         return None if partials is None else dict(stats, partials=partials)
 
     def explain(self, query: str) -> str:
@@ -438,37 +445,6 @@ class Catalog:
                 return None  # the byte estimate lied: don't broadcast it
         return small, skey, big, bkey, pa.Table.from_batches(batches, schema).combine_chunks()
 
-    def _plan_semijoin_prefilter(self, p):
-        """Semi-join reduction for a streamed two-table INNER equi-join
-        (``p``: its ``_plan``, whose ``prefilter`` holds the join keys):
-        collect the small side (``_collect_small_side``, gated on
-        asymmetry too: the key pass must pay), broadcast its DISTINCT
-        join keys and return a batch filter for the BIG side's scan, so
-        batches shed non-joining rows where the scan runs. Returns
-        {"big", "fn", "keys", "small", "small_table", "record"}
-        (``fn(batch, keys)``; DuckDB reads ``small_table`` as the small
-        side; ``record`` is ``last_pushdown["semijoin_prefilter"]``) or
-        None."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        side = self._collect_small_side(p, p["prefilter"], self._PREFILTER_ASYMMETRY)
-        if side is None:
-            return None
-        small, skey, big, bkey, small_tbl = side
-        keys = pc.unique(small_tbl.column(skey)).drop_null()
-
-        def prefilter(batch: pa.Table, keys: pa.Array, _col=bkey) -> pa.Table:
-            import pyarrow.compute as _pc
-
-            return batch.filter(_pc.is_in(batch.column(_col), value_set=keys))
-
-        record = {
-            "big": big, "big_key": bkey, "small": small, "small_key": skey, "n_keys": len(keys),
-        }
-        return {"big": big, "fn": prefilter, "keys": keys, "small": small, "small_table": small_tbl,
-                "record": record}
-
     def sql(self, query: str):
         """SQL over registered stripe tables (the reference's headline UX:
         ``register_orc`` -> DataFusion SQL, src/lib.rs:107-169); returns
@@ -476,41 +452,27 @@ class Catalog:
         query's columns and WHERE conjuncts pushed in (S5): in this
         process when its surviving stripes' raw bytes are under
         ``_LOCAL_SCAN_BYTES`` (as DataFusion opens each partition in the
-        query's process), else as a Ray Dataset. Tables reach DuckDB, on
-        a cursor of the process's one database, as STREAMING Arrow
-        readers, which DuckDB can read once: a table the query reads more
-        than once (``sqlagg.single_reads``: named twice, in a CTE body or
-        under a PIVOT; every table of text that is not one SELECT
-        statement) is collected from its planned scan into one table first.
-        With every scan here, the query runs as that one
-        statement even when a sqlagg planner accepted it: partial and
-        final fuse, as DataFusion folds them when no exchange sits
-        between. With a scan on Ray, an accepted shape runs its
-        per-batch partial aggregate or local top-n where the scan runs,
-        merged here (DataFusion's partial/final split and SortExec fetch
-        pushdown). ``self.last_plan`` names the planner that accepted
-        the query (a ``_plan`` kind), or 'stream' /
-        'stream+semijoin_prefilter'.
+        query's process), else as a Ray Dataset. ``_execute`` picks the
+        one DuckDB statement that answers the query, and ``_run`` runs
+        it. ``self.last_plan`` names the planner that accepted the query
+        (a ``_plan`` kind), or 'stream' / 'stream+semijoin_prefilter'.
 
-        With every scan here, an answer is kept in ``_results`` under the
-        plan's key and the stripes each scan reads after stats pruning,
-        with the footer bytes (and parse) each stripe was decoded under.
-        A repeat over the same stripes returns it once each stripe's
-        footer bytes equal those, and every stream a decode would read
-        is read and CRC-checked (``StripeDatasource.verify``): only the
-        footer parse, decompress, decode and DuckDB are skipped.
-        A stats answer (``_stats_answer``) is kept in ``_results`` too,
-        under a key that names the manifest rows it was computed from,
-        so a repeat over the same rows reads no stats and runs no
-        DuckDB; ``last_pushdown["stats"]`` names its table and the
-        manifest rows it used. ``last_pushdown["result"]`` says
-        "reused", "stored" or "not kept: <why>"."""
+        With no scan on Ray, every answer is kept in ``_results``
+        (``_keep``). A stats answer, which scans nothing, is keyed on the
+        manifest rows it was computed from (``_stats_answer``), so a
+        repeat over the same rows reads no stats and runs no DuckDB;
+        ``last_pushdown["stats"]`` names its table and those rows. Any
+        other answer is keyed on the plan and the stripes each scan reads
+        after stats pruning: a repeat returns it once each stripe's footer
+        bytes equal those it was decoded under, and every stream a decode
+        would read is read and CRC-checked (``StripeDatasource.verify``):
+        only the footer parse, decompress, decode and DuckDB are skipped.
+        ``last_pushdown["result"]`` says "reused", "stored" or
+        "not kept: <why>"."""
         import copy
 
-        from . import sqlagg
-
         p = self._plan(query)
-        scans = p["scans"]
+        scans, stats = p["scans"], p["stats"]
         # observability: what this query actually pushed into each
         # scan, where each scan ran (last_plan: which path ran) and
         # whether its planning was kept from an earlier call. Copies:
@@ -529,30 +491,24 @@ class Catalog:
             },
         }
         self.last_plan = p["kind"]
-        stats = p["stats"]
         if stats is not None:
             pushdown["stats"] = {"table": stats["table"], "stripes": stats["stripes"]}
-            if "answer" in stats:
-                pushdown["result"] = "reused"
-                return stats["answer"]
-            table = sqlagg.merge(p["plan"], stats["partials"])
-            pushdown["result"] = (
-                f"not kept: {p['refusal']}" if p["refusal"] is not None
-                else self._put(stats["key"], table, table.nbytes)
-            )
-            return table
         why = p["refusal"] or next(
             (f"the scan of {name} runs on Ray" for name, (_, ex) in scans.items() if ex == "ray"),
             None,
         )
         if why is None:
-            key = (p["key"], *(
-                (name, self._tables[name], tuple(e["path"] for e in src._entries))
-                for name, (src, _) in scans.items()
-            ))
-            got = self._results.get(
-                key, lambda got: all(src.verify(got[0][name]) for name, (src, _) in scans.items())
-            )
+            if stats is not None:  # _plan looked it up under the manifest rows
+                key, got = stats["key"], stats.get("kept")
+            else:
+                key = (p["key"], *(
+                    (name, self._tables[name], tuple(e["path"] for e in src._entries))
+                    for name, (src, _) in scans.items()
+                ))
+                got = self._results.get(
+                    key,
+                    lambda got: all(src.verify(got[0][name]) for name, (src, _) in scans.items()),
+                )
             if got is not None:
                 _, table, self.last_plan, semijoin = got
                 if semijoin is not None:
@@ -570,21 +526,46 @@ class Catalog:
         return table
 
     def _execute(self, query: str, p, pushdown: dict):
-        """Run ``query`` as planned by ``_plan`` (``p``): (its answer, the
-        ``last_plan`` label of the path that ran). A semi-join prefilter
-        records itself in ``pushdown``."""
+        """Runs (``_run``) the one statement that answers ``query`` as
+        planned by ``_plan`` (``p``) over its inputs, and returns (the
+        answer, the ``last_plan`` label of the path that ran). It picks:
+
+        * a stats answer: the plan's final over the manifest partials;
+        * a single-table plan whose scan is on Ray: the final over the
+          scan, each batch pre-aggregated (or cut to its local top-n)
+          where the scan runs (DataFusion's partial/final split and
+          SortExec fetch pushdown);
+        * a join plan whose small side was collected here
+          (``_collect_small_side``): the final over the big scan, each
+          batch joined to the small table and pre-aggregated where it runs;
+        * anything else: the query as written over its scans (with every
+          scan here a planned shape too: partial and final fuse, as
+          DataFusion folds them when no exchange sits between). When a
+          streamed two-table join (``p["prefilter"]``) collects its small
+          side, gated on asymmetry too (the key pass must pay), DuckDB
+          reads that table and the big scan's batches keep only rows whose
+          join key the small side holds (semi-join reduction, recorded in
+          ``pushdown["semijoin_prefilter"]``).
+
+        A table the query reads more than once (``sqlagg.single_reads``)
+        is collected from its scan first; every other scan streams."""
+        import pyarrow.compute as pc
+
         from . import sqlagg
 
-        kind, plan, schemas, scans = p["kind"], p["plan"], p["schemas"], p["scans"]
-        projections, fused = p["projections"], p["fused"]
-        if kind in ("aggregate_pushdown", "topk_pushdown") and not fused:
+        kind, plan, scans, fused = p["kind"], p["plan"], p["scans"], p["fused"]
+        label, streamed, side = kind, {"__partials"}, None
+        if kind == "stats_answer":
+            text, inputs = plan.final_sql, {"__partials": p["stats"]["partials"]}
+        elif kind in ("aggregate_pushdown", "topk_pushdown") and not fused:
             partial_fn = sqlagg.run_partial(plan.partial_sql)
-            return _run_partials(scans[p["referenced"][0]], lambda b, _: partial_fn(b), plan), kind
-        prepared = None
-        if kind in ("join_aggregate_pushdown", "join_topk_pushdown") and not fused:
-            prepared = self._collect_small_side(p, (plan.t1, plan.k1, plan.t2, plan.k2))
-        if prepared is not None:
-            small, skey, big, bkey, small_tbl = prepared
+            scan = scans[p["referenced"][0]]
+            text = plan.final_sql
+            inputs = {"__partials": (scan, plan.partial_schema, lambda b, _: partial_fn(b), None)}
+        elif kind in ("join_aggregate_pushdown", "join_topk_pushdown") and not fused and (
+            side := self._collect_small_side(p, (plan.t1, plan.k1, plan.t2, plan.k2))
+        ):
+            small, skey, big, bkey, small_tbl = side
             same = plan.k1 == plan.k2
             partial_fn = sqlagg.run_partial(plan.agg.partial_sql)
 
@@ -594,33 +575,41 @@ class Catalog:
                     coalesce_keys=same,
                 ))
 
-            return _run_partials(scans[big], join_partial, plan.agg, small_tbl), kind
-        prefilter, label = None, kind
-        if not fused:
-            prefilter = p["prefilter"] and self._plan_semijoin_prefilter(p)
-            label = "stream+semijoin_prefilter" if prefilter else "stream"
-            if prefilter:
-                pushdown["semijoin_prefilter"] = prefilter["record"]
-        with sqlagg.cursor() as con, _scan_errors() as failures:
-            readers = []  # keep referenced readers alive until fetch
-            for name in p["referenced"]:
-                if prefilter and name == prefilter["small"]:
-                    con.register(name, prefilter["small_table"])  # collected once
-                    continue
-                fn = keys = None
-                if prefilter and name == prefilter["big"]:
-                    fn, keys = prefilter["fn"], prefilter["keys"]
-                schema = _projected(schemas[name], projections[name])
-                reader = _reader(scans[name], schema, fn, keys, failures)
-                readers.append(reader if name in p["streamed"] else reader.read_all())
-                con.register(name, readers[-1])
-            return con.sql(query).fetch_arrow_table(), label
+            text = plan.agg.final_sql
+            inputs = {"__partials": (scans[big], plan.agg.partial_schema, join_partial, small_tbl)}
+        else:
+            text, streamed = query, p["streamed"]
+            inputs = {
+                name: (scans[name], _projected(p["schemas"][name], p["projections"][name]),
+                       None, None)
+                for name in p["referenced"]
+            }
+            if not fused:
+                side = p["prefilter"] and self._collect_small_side(
+                    p, p["prefilter"], self._PREFILTER_ASYMMETRY
+                )
+                label = "stream+semijoin_prefilter" if side else "stream"
+            if side:
+                small, skey, big, bkey, small_tbl = side
+                keys = pc.unique(small_tbl.column(skey)).drop_null()
+
+                def prefilter(batch, keys):
+                    return batch.filter(pc.is_in(batch.column(bkey), value_set=keys))
+
+                inputs[small], inputs[big] = small_tbl, (*inputs[big][:2], prefilter, keys)
+                pushdown["semijoin_prefilter"] = {
+                    "big": big, "big_key": bkey, "small": small, "small_key": skey,
+                    "n_keys": len(keys),
+                }
+        return _run(text, inputs, streamed), label
 
     def _keep(self, key, scans, table, label: str, semijoin) -> str:
-        """Keep ``table`` in ``_results`` under ``key``, weighed with the
-        footer bytes its driver ``scans`` decoded under (kept with their
-        parse), its ``last_plan`` ``label`` and ``semijoin`` record:
-        "stored", or "not kept: <why>"."""
+        """Keep ``table`` in ``_results`` under ``key`` as (footers, table,
+        ``label``, ``semijoin``): the footer bytes, with their parse, that
+        each of its driver ``scans`` decoded under (none for a stats
+        answer, which scans nothing), its ``last_plan`` label and its
+        semi-join record. It weighs the table's bytes plus those footer
+        bytes. Returns "stored", or "not kept: <why>"."""
         footers = {}
         for name, (src, _) in scans.items():
             seen: dict = {}
@@ -631,14 +620,9 @@ class Catalog:
                 return "not kept: a scan stopped before its last stripe"
             footers[name] = tuple(seen[e["path"]] for e in src._entries)
         weight = table.nbytes + sum(len(p) for kept in footers.values() for p, _ in kept)
-        return self._put(key, (footers, table, label, semijoin), weight)
-
-    def _put(self, key, value, weight: int) -> str:
-        """Keep ``value`` of ``weight`` bytes in ``_results`` under
-        ``key``: "stored", or "not kept: <why>"."""
         if weight > self._results.bound:
             return f"not kept: {weight} bytes, over the store's {self._results.bound}"
-        self._results.put(key, value, max(weight, 1))
+        self._results.put(key, (footers, table, label, semijoin), max(weight, 1))
         return "stored"
 
 
@@ -708,16 +692,25 @@ def _projected(schema, columns: list[str] | None):
     return schema if columns is None else pa.schema([schema.field(c) for c in columns])
 
 
-def _run_partials(scan, fn, plan, side=None):
-    """Run ``plan``'s partial (``fn(batch, side)``) over every batch of
-    ``scan`` (see ``_reader``) and its final merge (``sqlagg.merge``)
-    over the partial stream on this node. The stream has the plan's
-    ``partial_schema``, so a fully pruned scan (no batches) and a point
-    lookup of an absent value return their 0-row answer."""
+def _run(text: str, inputs: dict, streamed):
+    """Run ``text``, the one DuckDB statement of a ``Catalog.sql`` answer,
+    on a cursor of the process's one database over ``inputs``: name ->
+    an Arrow table, or a ``(scan, schema, fn, side)`` source read through
+    ``_reader`` (so a fully pruned scan still has its schema). A source
+    whose name is in ``streamed`` is registered as a STREAMING reader,
+    which DuckDB can read once; any other is collected first. A failed
+    scan raises its own error (``_scan_errors``)."""
     from . import sqlagg
 
-    with _scan_errors() as failures:
-        return sqlagg.merge(plan, _reader(scan, plan.partial_schema, fn, side, failures))
+    with sqlagg.cursor() as con, _scan_errors() as failures:
+        held = []  # keep every registered input alive until the fetch
+        for name, x in inputs.items():
+            if isinstance(x, tuple):
+                x = _reader(*x, failures)
+                x = x if name in streamed else x.read_all()
+            held.append(x)
+            con.register(name, x)
+        return con.sql(text).fetch_arrow_table()
 
 
 @contextlib.contextmanager

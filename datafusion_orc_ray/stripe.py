@@ -245,10 +245,6 @@ def _planes(v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v.view(np.uint8).reshape(-1, v.dtype.itemsize).T)
 
 
-def _outer_size(buf, outer_codec: int) -> int:
-    return len(outer.compress(buf, outer_codec)[1])
-
-
 def _add(meta: dict, blobs: list, kind: str, smeta: dict, payload: bytes) -> None:
     meta.setdefault("streams", {})[kind] = smeta
     blobs.append((smeta, payload))
@@ -352,12 +348,13 @@ def encode_column(
         # makes otherwise-incompressible floats compressible by the outer
         # codec (same role as ORC's DIRECT float stream + block codec, E6,
         # with the Parquet BYTE_STREAM_SPLIT idea applied per stripe).
-        # With no outer codec the planes store as many bytes as raw
+        # With no outer codec both layouts store the same bytes: a tie
+        # keeps plain
         use_bss = False
-        if v.size >= 256 and outer_codec != outer.NONE:
+        if v.size >= 256:
             sample = v[: 16384 // v.dtype.itemsize]
-            bss, plain = _outer_size(_planes(sample), outer_codec), _outer_size(sample, outer_codec)
-            use_bss = bss < 0.95 * plain
+            bss = outer.stored_size(_planes(sample), outer_codec)
+            use_bss = bss < 0.95 * outer.stored_size(sample, outer_codec)
         if use_bss:
             meta["enc"] = "float_bss"
             _add(meta, blobs, DATA, {"codec": "bss"}, _planes(v))

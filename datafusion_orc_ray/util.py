@@ -26,14 +26,14 @@ TARGET_BUCKET_BYTES = 256 << 20  # one co-location bucket ~= one task's heap
 
 def _node_metadata(node, field: str) -> int | None:
     """``field`` of a logical-plan node's ``infer_metadata()``, None when
-    unknown. ``infer_metadata`` is Ray's private planner API: which
-    operators implement it, and what the others raise, changes between
-    Ray releases, so any failure here means "unknown" and the caller
-    falls back (a probe, a CPU floor). The one broad handler of the
-    metadata estimates."""
+    unknown: a node without ``infer_metadata`` (Ray's private planner
+    API, which not every operator or Ray release has) or metadata
+    without the field; the caller falls back (a probe, a CPU floor).
+    Any other error the metadata raises, such as an ``OSError`` reading
+    a file's footer, propagates."""
     try:
         return getattr(node.infer_metadata(), field)
-    except Exception:
+    except AttributeError:
         return None
 
 

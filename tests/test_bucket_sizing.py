@@ -86,6 +86,21 @@ def test_deep_estimate_resolution_semantics():
     assert estimate_size_bytes_deep(_FakeDs(dag)) is None
 
 
+def test_a_failing_metadata_read_propagates():
+    """Only a node or metadata without the field means "unknown": an
+    error raised while inferring metadata (here an unreadable file) is
+    not turned into a silent fallback."""
+    from datafusion_orc_ray.util import estimate_size_bytes_deep
+
+    class _Unreadable(_Node):
+        def infer_metadata(self):
+            raise OSError("footer read failed")
+
+    with pytest.raises(OSError, match="footer read failed"):
+        estimate_size_bytes_deep(_FakeDs(_Node(None, [_Unreadable(None)])))
+    assert estimate_size_bytes_deep(_FakeDs(_Node(None, [object()]))) is None
+
+
 def test_bucket_count_unknown_leaves_fall_back_to_floor():
     assert bytes_scaled_buckets(_FakeDs(_Node(None)), floor=24) == 24
 

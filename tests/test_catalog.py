@@ -29,16 +29,19 @@ def sql_both(monkeypatch):
     here is under ``Catalog._LOCAL_SCAN_BYTES``, so under the default
     gate a planned query runs as one fused DuckDB statement and no
     partial runs; under gate 0 every scan runs on Ray and a planned
-    query runs the partial/final rewrite (``stripes._run_partials``)
-    once. Both runs must agree on plan and answer; returns the answer."""
+    query runs the partial/final rewrite (one ``sqlagg.run_partial``
+    per-batch function) once. Both runs must agree on plan and answer;
+    returns the answer."""
+    from datafusion_orc_ray.sources import sqlagg
+
     calls = []
-    run_partials = stripes._run_partials
+    run_partial = sqlagg.run_partial
 
     def spied(*a, **kw):
         calls.append(a)
-        return run_partials(*a, **kw)
+        return run_partial(*a, **kw)
 
-    monkeypatch.setattr(stripes, "_run_partials", spied)
+    monkeypatch.setattr(sqlagg, "run_partial", spied)
 
     def sql(cat, q):
         fused = cat.sql(q)
@@ -1244,7 +1247,6 @@ def test_a_kept_stats_answer_reads_no_stats(tmp_path, monkeypatch):
     manifest entry's stats or running the final merge, and
     ``last_pushdown["stats"]`` names the table and the manifest rows
     that answered it."""
-    from datafusion_orc_ray.sources import sqlagg
     from datafusion_orc_ray.state import manifest
 
     parts = [_stats_rows(0, 50), _stats_rows(50, 100)]
@@ -1255,7 +1257,7 @@ def test_a_kept_stats_answer_reads_no_stats(tmp_path, monkeypatch):
     assert (cat.last_plan, cat.last_pushdown["result"]) == ("stats_answer", "stored")
     assert (cat.last_pushdown["stats"], cat.last_pushdown["scans"]) == (record, {})
     calls: list = []
-    monkeypatch.setattr(sqlagg, "merge", lambda *a: calls.append("merge"))
+    monkeypatch.setattr(stripes, "_run", lambda *a: calls.append("run"))
     monkeypatch.setattr(manifest, "column_stats", lambda e: calls.append("column_stats"))
     assert cat.sql(STATS_Q) is first
     assert (cat.last_plan, cat.last_pushdown["result"]) == ("stats_answer", "reused")
@@ -1309,11 +1311,13 @@ def test_a_kept_stats_answer_follows_its_manifest_rows(ray_session, tmp_path, ch
         assert cat.last_pushdown["stats"] == {"table": "t", "stripes": stripes_used}
 
 
-def test_a_stripe_without_an_exact_stat_falls_back(tmp_path):
+def test_a_stripe_without_an_exact_stat_falls_back(tmp_path, monkeypatch):
     """A stripe appended with a string longer than the exact-stat limit
     records only ``*_bound`` stats for it: the next call is no stats
     answer but an aggregate pushdown that decodes the stripes, and
-    gives DuckDB's answer over every row."""
+    gives DuckDB's answer over every row. That verdict is kept under
+    the manifest rows, so a repeat parses no manifest entry's stats and
+    counts no result-store miss."""
     out = str(tmp_path / "t")
     parts = [_stats_rows(0, 50), _stats_rows(50, 100)]
     cat = _stats_catalog(out, parts)
@@ -1326,11 +1330,25 @@ def test_a_stripe_without_an_exact_stat_falls_back(tmp_path):
 
     stats = manifest.column_stats(manifest.load_manifest(out)[-1])["s"]
     assert "max_bound" in stats and "max" not in stats
-    for _ in range(2):
+    column_stats = manifest.column_stats
+    parsed: list = []
+
+    def counted(e):
+        parsed.append(e["path"])
+        return column_stats(e)
+
+    monkeypatch.setattr(manifest, "column_stats", counted)
+    for i in range(2):
+        misses = cat.store_stats()["results"]["misses"]
         got = cat.sql(STATS_Q)
         assert cat.last_plan == "aggregate_pushdown"
         assert "stats" not in cat.last_pushdown
         assert got.equals(_duckdb(pa.concat_tables(parts), STATS_Q))
+        if i:  # the repeat
+            assert parsed == []
+            assert cat.store_stats()["results"]["misses"] == misses
+        parsed.clear()
+    assert cat.last_pushdown["result"] == "reused"
     assert got.column("top").to_pylist() == ["z" * 60]
 
 
@@ -1338,14 +1356,12 @@ def test_explain_of_a_stats_query_runs_no_duckdb(tmp_path, monkeypatch):
     """explain() plans WITHOUT executing: on a stats query it labels the
     metadata-only answer from whether the stripes' partials build, and
     neither runs the final merge nor touches the result store."""
-    from datafusion_orc_ray.sources import sqlagg
-
     cat = _stats_catalog(str(tmp_path / "t"), [_stats_rows(0, 50), _stats_rows(50, 100)])
 
-    def merge(*a):
+    def run(*a):
         raise AssertionError("explain ran the final merge")
 
-    monkeypatch.setattr(sqlagg, "merge", merge)
+    monkeypatch.setattr(stripes, "_run", run)
     assert cat.explain(STATS_Q).startswith("plan: metadata-only stats answer")
     results = cat.store_stats()["results"]
     assert (results["hits"], results["misses"]) == (0, 0)

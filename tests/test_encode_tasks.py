@@ -207,6 +207,36 @@ def test_byte_stream_split_trial_follows_outer_codec():
         assert stripe.decode_table(blob).equals(t)
 
 
+def test_a_smooth_float_column_stores_its_planes_compressed():
+    """A 100k-row float32 sensor series splits into byte planes that
+    zstd packs, though the stream's head is its noisiest plane: the
+    planes are stored compressed, in fewer bytes than the plain values
+    under zstd."""
+    i = np.arange(100_000)
+    noise = np.random.default_rng(0).normal(0, 0.01, i.size)
+    v = (20 + 5 * np.sin(i / 500) + noise).astype(np.float32)
+    t = pa.table({"v": v})
+    blob = stripe.encode_table(t)
+    col = stripe.read_footer(blob)["columns"][0]
+    assert (col["enc"], col["streams"]["data"]["outer"]) == ("float_bss", "zstd")
+    assert len(blob) < len(pa.Codec("zstd").compress(v.tobytes(), asbytes=True))
+    assert stripe.decode_table(blob).equals(t)
+
+
+def test_outer_trial_samples_the_whole_stream():
+    """The outer codec's trial of a large stream samples it from head to
+    tail: a stream whose first 64 KiB are incompressible and whose rest
+    compresses is stored compressed, and 8 MiB of random bytes raw."""
+    rng = np.random.default_rng(0)
+    buf = rng.bytes(65536) + b"sensor reading ok; " * 15_000
+    assert len(buf) > 4 * 65536
+    out = outer.compress_auto(buf)
+    assert out[0][0] == outer.ZSTD
+    assert outer.stored_size(buf) < len(buf) / 2
+    assert outer.decompress(b"".join(bytes(p) for p in out)) == buf
+    assert outer.compress_auto(rng.bytes(8 << 20))[0][0] == outer.NONE
+
+
 def test_split_pieces_read_back_in_row_order(tmp_path):
     """A row group FragmentEncoder splits 11+ ways, and a batch over the
     target written as encode_batch writes it, read back through

@@ -15,7 +15,7 @@ import pytest
 
 from datafusion_orc_ray import stripe
 from datafusion_orc_ray.pipelines import encode as ep
-from datafusion_orc_ray.sources import stripes
+from datafusion_orc_ray.sources import sqlagg, stripes
 from datafusion_orc_ray.sources.stripes import Catalog, _stats_may_match
 from datafusion_orc_ray.state import manifest
 from datafusion_orc_ray.util import BoundedStore
@@ -116,7 +116,7 @@ def test_both_executors_match_duckdb(catalog, gate, monkeypatch):
     pruned ones stay here). explain() names the executor each scan
     really ran on. The Ray path never asks a Dataset for its schema (a
     hidden execution); the driver path never starts a Dataset. A planned
-    shape runs partials (``_run_partials``) exactly when one of its scans
+    shape runs partials (``sqlagg.run_partial``) exactly when one of its scans
     runs on Ray; with every scan in the driver the query runs as one
     statement, and explain()'s plan line says partial and final fuse."""
     import ray.data
@@ -139,13 +139,13 @@ def test_both_executors_match_duckdb(catalog, gate, monkeypatch):
 
     monkeypatch.setattr(ray.data, "read_datasource", counted)
     partials: list = []
-    run_partials = stripes._run_partials
+    run_partial = sqlagg.run_partial
 
     def spied(*a, **kw):
         partials.append(a)
-        return run_partials(*a, **kw)
+        return run_partial(*a, **kw)
 
-    monkeypatch.setattr(stripes, "_run_partials", spied)
+    monkeypatch.setattr(sqlagg, "run_partial", spied)
     # one stripe per row group: the predicates prune some, none or all
     assert len(manifest.load_manifest(cat._tables["fact"])) == N_FACT // STRIPE_ROWS
     wants = _duckdb_answers(tables, [q for q, _, _ in QUERIES])
@@ -278,8 +278,6 @@ def test_a_repeat_opens_no_duckdb_cursor(catalog, monkeypatch):
     """With every scan in the driver, a repeated call of every plan kind
     is served from the catalog's stores: it opens no DuckDB cursor, so
     neither plans, binds, merges nor runs a statement."""
-    from datafusion_orc_ray.sources import sqlagg
-
     cat = _fresh(catalog)
     opened: list = []
     cursor = sqlagg.cursor
