@@ -610,6 +610,7 @@ def test_topk_planner_shapes():
         "SELECT a FROM t ORDER BY 5 LIMIT 5",           # bad position
         "SELECT a FROM t ORDER BY a LIMIT 5 OFFSET 2",  # OFFSET unsupported
         "SELECT a+1 AS a FROM t ORDER BY a LIMIT 5",    # alias shadows column
+        "SELECT -a AS A FROM t ORDER BY A LIMIT 5",     # ... in another case
         "SELECT a AS __ob0 FROM t ORDER BY a LIMIT 5",  # synthetic-name collision
         "SELECT a, b FROM t JOIN u USING (a) ORDER BY a LIMIT 5",
         "SELECT list(a) AS l FROM t ORDER BY l LIMIT 1",  # aggregate shape
@@ -885,9 +886,18 @@ def test_join_prefilter_planner_shapes():
         "SELECT * FROM t1 JOIN t2 ON k = k",                # ambiguous bare refs
         "SELECT * FROM t1 JOIN t1 b ON t1.k = b.k",         # self join
         "SELECT * FROM t1 JOIN t2 ON t1.k = t2.k WHERE k IN (SELECT k FROM t1)",
+        "SELECT * FROM t1 JOIN T1 b ON t1.k = b.k",         # self join in another case
+        "SELECT * FROM t1 a JOIN t2 ON t1.k = t2.k",        # t1 is known as a: no bind
     ]
     for q in veto:
         assert sqlagg.plan_join_prefilter(q, schemas) is None, q
+    # the join planners bind names in any case, as DuckDB does
+    assert sqlagg.plan_join_prefilter(
+        "SELECT * FROM T1 A JOIN \"T2\" ON a.k = t2.k", schemas
+    ) == ("t1", "k", "t2", "k")
+    assert sqlagg.plan_join_aggregate(
+        "SELECT count(*) AS n FROM t1 a JOIN t2 ON t1.k = t2.k", schemas
+    ) is None
 
 
 def test_catalog_sql_join_aggregate_pushdown(ray_session, tmp_path, sql_both):
@@ -1092,6 +1102,9 @@ def test_r5_review2_fixes(ray_session, tmp_path, sql_both):
     sch = pa.schema([("k", pa.string()), ("v", pa.float64())])
     assert sqlagg.plan_aggregate_pushdown(
         "SELECT k, sum(v) AS v FROM t GROUP BY k HAVING v > 5", "t", sch
+    ) is None
+    assert sqlagg.plan_aggregate_pushdown(  # the alias shadows v in any case
+        "SELECT k, sum(v) AS V FROM t GROUP BY k HAVING V > 5", "t", sch
     ) is None
     # non-shadowing alias in HAVING still pushes
     assert sqlagg.plan_aggregate_pushdown(
@@ -1477,8 +1490,8 @@ def test_decimal_predicates_through_sql(ray_session, tmp_path, sql_both):
 
 
 # shapes that read a table more than once: DuckDB scans a registered
-# table once per node naming it, a CTE body once per use, and a pivoted
-# table once more for the pivot values
+# table once per node naming it (in any case), a CTE body once per use,
+# and a pivoted table once more for the pivot values
 MULTI_READ = [
     "SELECT count(*) AS n FROM c a JOIN c b ON a.g = b.g",
     "SELECT count(*) AS n FROM c WHERE k IN (SELECT k FROM c WHERE v > 70)",
@@ -1487,6 +1500,8 @@ MULTI_READ = [
     "SELECT (SELECT count(*) FROM o) AS a, (SELECT count(*) FROM o) AS b",
     "SELECT count(*) AS n FROM (SELECT k FROM c UNION ALL SELECT k FROM c)",
     "WITH x AS (SELECT k, g FROM c) SELECT count(*) AS n FROM x a JOIN x b ON a.g = b.g",
+    "SELECT count(*) AS n FROM c WHERE k IN (SELECT k FROM C WHERE g > 4)",
+    "SELECT count(*) AS n FROM (SELECT k FROM c UNION ALL SELECT k FROM C)",
     "SELECT * FROM (PIVOT c ON s USING count(*) GROUP BY g) ORDER BY g",
 ]
 
@@ -1561,7 +1576,78 @@ def test_single_reads_names_the_tables_a_stream_serves():
         assert sqlagg.single_reads(q) & registered == tables, q
     for q in MULTI_READ:
         assert not sqlagg.single_reads(q) & {"c", "o"}, q
-    assert sqlagg.table_names(MULTI_READ[-1]) is None
+    assert sqlagg.walk(MULTI_READ[-1]) is None  # no SELECT tree
+
+
+def _catalog_and_duckdb(tables: dict):
+    """A Catalog and a DuckDB connection with each of ``tables`` ({name:
+    (stripe dir, rows)}) registered under its name."""
+    import duckdb
+
+    cat, con = Catalog(), duckdb.connect()
+    for name, (out, t) in tables.items():
+        cat.register_stripes(name, out)
+        con.register(name, t)
+    return cat, con
+
+
+@pytest.mark.parametrize("spelling", ["C", '"C"'])
+@pytest.mark.parametrize("q, kind", [
+    ("SELECT count(*) AS n, max(k) AS m FROM c", "stats_answer"),
+    ("SELECT s, count(*) AS n, sum(v) AS t FROM c GROUP BY s ORDER BY s", "aggregate_pushdown"),
+    ("SELECT k, v FROM c ORDER BY v DESC, k LIMIT 5", "topk_pushdown"),
+    ("SELECT k, s FROM c WHERE k < 20 ORDER BY k", "stream"),
+])
+def test_a_table_named_in_another_case_binds_as_in_duckdb(
+    ray_session, multi_read_tables, sql_both, q, kind, spelling
+):
+    """DuckDB binds a table name in any case, quoted or not: a query that
+    names registered table ``c`` as ``C`` plans, pushes and answers as
+    the lower-case query does, on both executors, with the registered
+    name in ``last_pushdown``."""
+    cat, con = _catalog_and_duckdb(multi_read_tables)
+    want = con.sql(q).fetch_arrow_table()
+    con.close()
+    got = sql_both(cat, q)
+    record = {k: cat.last_pushdown[k] for k in ("projections", "predicates")}
+    assert (cat.last_plan, got.equals(want)) == (kind, True)
+    got = sql_both(cat, q.replace("FROM c", f"FROM {spelling}"))
+    assert (cat.last_plan, got.equals(want)) == (kind, True), got.to_pydict()
+    assert {k: cat.last_pushdown[k] for k in record} == record
+
+
+def test_a_table_registered_with_capitals_streams(multi_read_tables):
+    """A table registered as ``Big`` and named ``big`` is one read, so it
+    streams; every record keys it by its registered name."""
+    out, t = multi_read_tables["o"]
+    cat, con = _catalog_and_duckdb({"Big": (out, t)})
+    q = "SELECT ok, ck FROM big WHERE ok < 10 ORDER BY ok"
+    assert cat._plan(q)["streamed"] == {"Big"}
+    assert cat.sql(q).equals(con.sql(q).fetch_arrow_table())
+    con.close()
+    assert cat.last_plan == "stream"
+    assert cat.last_pushdown["projections"] == {"Big": ["ok", "ck"]}
+    assert cat.last_pushdown["predicates"] == {"Big": [("ok", "<", 10)]}
+
+
+def test_a_name_differing_only_in_case_is_refused(multi_read_tables):
+    """DuckDB treats ``c`` and ``C`` as one name, so registering both
+    would make a query read one of them for the other."""
+    cat = Catalog()
+    cat.register_stripes("c", multi_read_tables["c"][0])
+    with pytest.raises(ValueError, match="'C' differs from registered 'c'"):
+        cat.register_stripes("C", multi_read_tables["o"][0])
+    cat.register_stripes("c", multi_read_tables["o"][0])  # the same name re-registers
+    assert cat.names() == ["c"] and "ok" in cat.schema("c").names
+
+
+def test_a_column_named_in_another_case_is_pruned(multi_read_tables):
+    """``sum(V)`` binds column ``v``: the scan decodes that column only."""
+    cat, con = _catalog_and_duckdb({"c": multi_read_tables["c"]})
+    q = "SELECT sum(V) AS s FROM c"
+    assert cat.sql(q).equals(con.sql(q).fetch_arrow_table())
+    con.close()
+    assert cat.last_pushdown["projections"] == {"c": ["v"]}
 
 
 @pytest.mark.parametrize("q", [
